@@ -64,7 +64,8 @@ def build_parser() -> _Parser:
     run_p.add_argument("--seed", type=int, default=987, help="seed for the random-polynomial cases")
     run_p.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
     run_p.add_argument("--out", default=None, help="write output to this path (default stdout)")
-    run_p.add_argument("--serial", action="store_true", help="run suites sequentially")
+    run_p.add_argument("--serial", action="store_true",
+                       help="accepted for compatibility; suites always run sequentially")
 
     dump_p = sub.add_parser("dump", help="dump an exact artifact")
     dump_sub = dump_p.add_subparsers(dest="kind")

@@ -128,21 +128,21 @@ def probe_functions(params: KrallParams) -> list[EndpointFn]:
 def quasi_derivative_terms(f, params: KrallParams):
     """The two summands of Lam[f], in order: -((1-x^2)^3 f''')' and P f''.
 
-    Each is of f's class (Poly in, Poly out; EndpointFn in, EndpointFn out).
-    For a log-bearing f the summands can diverge separately even where their
-    sum has a limit.
+    This is the one place the Lam formula is written: the germ-level
+    concomitant and the endpoint reductions go through it too.  Each summand
+    is of f's class (Poly, EndpointFn or LogGerm in, the same out; a scalar
+    is taken as a global constant).  For a log-bearing f the summands can
+    diverge separately even where their sum has a limit.
     """
-    q, p = params.q_poly(), params.p_poly()
-    if not isinstance(f, Poly):
+    if not isinstance(f, (Poly, LogGerm)):
         f = EndpointFn.from_poly(f)
-    return -(f.derivative(3) * q).derivative(), f.derivative(2) * p
+    return -(f.derivative(3) * params.q_poly()).derivative(), f.derivative(2) * params.p_poly()
 
 
 def quasi_derivative(f, params: KrallParams):
     """Lam[f] = -((1-x^2)^3 f''')' + (1-x^2)(12+alpha(1-x^2)) f''.
 
-    Returns the same class as f (Poly in, Poly out; EndpointFn in,
-    EndpointFn out).
+    Returns the same class as f (Poly, EndpointFn or LogGerm).
     """
     q_term, p_term = quasi_derivative_terms(f, params)
     return q_term + p_term
@@ -180,15 +180,13 @@ def _bracket_with_one_germ(g: LogGerm, params: KrallParams) -> LogGerm:
 
 def _concomitant_germ(fg: LogGerm, gg: LogGerm, params: KrallParams) -> LogGerm:
     """The five-term concomitant as a germ at one endpoint."""
-    q = params.q_poly()
     line1 = _bracket_with_one_germ(fg, params) * gg
     line2 = -(_bracket_with_one_germ(gg, params) * fg)
-    lam_f = -((fg.derivative(3) * q).derivative()) + fg.derivative(2) * params.p_poly()
-    lam_g = -((gg.derivative(3) * q).derivative()) + gg.derivative(2) * params.p_poly()
-    line3 = -(lam_f * gg.derivative(1))
-    line4 = lam_g * fg.derivative(1)
+    line3 = -(quasi_derivative(fg, params) * gg.derivative(1))
+    line4 = quasi_derivative(gg, params) * fg.derivative(1)
     line5 = -(
-        (fg.derivative(3) * gg.derivative(2) - fg.derivative(2) * gg.derivative(3)) * q
+        (fg.derivative(3) * gg.derivative(2) - fg.derivative(2) * gg.derivative(3))
+        * params.q_poly()
     )
     return line1 + line2 + line3 + line4 + line5
 
@@ -198,15 +196,15 @@ def concomitant(f, g, endpoint: int, params: KrallParams) -> Fraction:
 
     Raises DivergentLimitError when the pair is outside the limit class.
     """
-    f = EndpointFn.from_poly(f) if not isinstance(f, EndpointFn) else f
-    g = EndpointFn.from_poly(g) if not isinstance(g, EndpointFn) else g
+    f = EndpointFn.from_poly(f)
+    g = EndpointFn.from_poly(g)
     germ = _concomitant_germ(f.germ_at(endpoint), g.germ_at(endpoint), params)
     return germ.limit()
 
 
 def concomitant_with_one(f, endpoint: int, params: KrallParams) -> Fraction:
     """Endpoint limit of B[f] (equals concomitant(f, 1, endpoint) exactly)."""
-    f = EndpointFn.from_poly(f) if not isinstance(f, EndpointFn) else f
+    f = EndpointFn.from_poly(f)
     return _bracket_with_one_germ(f.germ_at(endpoint), params).limit()
 
 
@@ -238,7 +236,7 @@ def reduced_bracket_with_one(f, endpoint: int, params: KrallParams) -> Fraction:
 
     At +1: -24 f''(1) - 24(A+1) f'(1); at -1: 24 f''(-1) - 24(B+1) f'(-1).
     """
-    f = EndpointFn.from_poly(f) if not isinstance(f, EndpointFn) else f
+    f = EndpointFn.from_poly(f)
     d1 = f.derivative(1).value_at(endpoint)
     d2 = f.derivative(2).value_at(endpoint)
     if endpoint == 1:
@@ -252,8 +250,8 @@ def reduced_concomitant(f, g, endpoint: int, params: KrallParams) -> Fraction:
     At +1: -24(f''g - g''f)(1) - 24(A+1)(f'g - g'f)(1); the -1 version flips
     the second-derivative sign and uses B.
     """
-    f = EndpointFn.from_poly(f) if not isinstance(f, EndpointFn) else f
-    g = EndpointFn.from_poly(g) if not isinstance(g, EndpointFn) else g
+    f = EndpointFn.from_poly(f)
+    g = EndpointFn.from_poly(g)
     fe, ge = f.value_at(endpoint), g.value_at(endpoint)
     f1, g1 = f.derivative(1).value_at(endpoint), g.derivative(1).value_at(endpoint)
     f2, g2 = f.derivative(2).value_at(endpoint), g.derivative(2).value_at(endpoint)
@@ -267,7 +265,7 @@ def bracket_weight_reduction(f, endpoint: int, params: KrallParams) -> Fraction:
 
     +1: 2 Lam[f](1) - 48(A+2) f(1);  -1: -2 Lam[f](-1) + 48(B+2) f(-1).
     """
-    f = EndpointFn.from_poly(f) if not isinstance(f, EndpointFn) else f
+    f = EndpointFn.from_poly(f)
     lam = quasi_derivative_at(f, endpoint, params)
     fe = f.value_at(endpoint)
     if endpoint == 1:
@@ -277,7 +275,7 @@ def bracket_weight_reduction(f, endpoint: int, params: KrallParams) -> Fraction:
 
 def bracket_weight_sq_reduction(f, endpoint: int, params: KrallParams) -> Fraction:
     """[f, (1-x^2)^2](e) = +-192 f(+-1)."""
-    f = EndpointFn.from_poly(f) if not isinstance(f, EndpointFn) else f
+    f = EndpointFn.from_poly(f)
     return endpoint * 192 * f.value_at(endpoint)
 
 
@@ -287,16 +285,14 @@ def general_endpoint_reduction(f, g, endpoint: int, params: KrallParams) -> Frac
     [f,1](e) g(e) - [g,1](e) f(e)
         + lim( -Lam[f] g' + Lam[g] f' - (1-x^2)^3 (f''' g'' - f'' g''') ).
     """
-    f = EndpointFn.from_poly(f) if not isinstance(f, EndpointFn) else f
-    g = EndpointFn.from_poly(g) if not isinstance(g, EndpointFn) else g
+    f = EndpointFn.from_poly(f)
+    g = EndpointFn.from_poly(g)
     fg, gg = f.germ_at(endpoint), g.germ_at(endpoint)
-    q, p = params.q_poly(), params.p_poly()
-    lam_f = -((fg.derivative(3) * q).derivative()) + fg.derivative(2) * p
-    lam_g = -((gg.derivative(3) * q).derivative()) + gg.derivative(2) * p
     residual = (
-        -(lam_f * gg.derivative(1))
-        + lam_g * fg.derivative(1)
-        - (fg.derivative(3) * gg.derivative(2) - fg.derivative(2) * gg.derivative(3)) * q
+        -(quasi_derivative(fg, params) * gg.derivative(1))
+        + quasi_derivative(gg, params) * fg.derivative(1)
+        - (fg.derivative(3) * gg.derivative(2) - fg.derivative(2) * gg.derivative(3))
+        * params.q_poly()
     )
     head = (
         concomitant_with_one(f, endpoint, params) * g.value_at(endpoint)
@@ -313,15 +309,14 @@ def log_probe_reduction(f, endpoint: int, params: KrallParams) -> Fraction:
     whose +32 f' term is the probe's own quasi-derivative limit showing up.
     Only defined when every sub-limit exists (polynomials qualify).
     """
-    f = EndpointFn.from_poly(f) if not isinstance(f, EndpointFn) else f
+    f = EndpointFn.from_poly(f)
     probe = log_probe(endpoint, params)
     fg, hg = f.germ_at(endpoint), probe.germ_at(endpoint)
-    q, p = params.q_poly(), params.p_poly()
-    lam_f = -((fg.derivative(3) * q).derivative()) + fg.derivative(2) * p
     residual = (
-        -(lam_f * hg.derivative(1))
+        -(quasi_derivative(fg, params) * hg.derivative(1))
         + fg.derivative(1) * Poly([32])
-        - (fg.derivative(3) * hg.derivative(2) - fg.derivative(2) * hg.derivative(3)) * q
+        - (fg.derivative(3) * hg.derivative(2) - fg.derivative(2) * hg.derivative(3))
+        * params.q_poly()
     )
     if endpoint == 1:
         constant = 32 * params.A + 12 * params.B - 16
@@ -388,7 +383,7 @@ def maximal_domain_suite(f, params: KrallParams, tag: str) -> list[dict]:
     reduction; and for the log probes the constants-and-residual reduction.
     Each row has name/lhs/rhs; equality is the caller's assertion.
     """
-    f = EndpointFn.from_poly(f) if not isinstance(f, EndpointFn) else f
+    f = EndpointFn.from_poly(f)
     rows = []
     w = WEIGHT
     for endpoint in (-1, 1):

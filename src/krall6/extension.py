@@ -208,7 +208,7 @@ def domain_membership(u: ExtendedVector, params: KrallParams) -> tuple[bool, dic
     """
     direct = boundary_condition_values(u, params)
     direct_ok = all(v == 0 for v in direct)
-    f = EndpointFn.from_poly(u.fn) if not isinstance(u.fn, EndpointFn) else u.fn
+    f = EndpointFn.from_poly(u.fn)
     lam_minus = quasi_derivative_at(f, -1, params)
     lam_plus = quasi_derivative_at(f, 1, params)
     reduced_ok = (
@@ -244,7 +244,7 @@ def apply_extended(u: ExtendedVector, params: KrallParams, check_domain: bool = 
         ok, witness = domain_membership(u, params)
         if not ok:
             raise NotInDomainError(f"boundary conditions violated: {witness['conditions']}")
-    f = EndpointFn.from_poly(u.fn) if not isinstance(u.fn, EndpointFn) else u.fn
+    f = EndpointFn.from_poly(u.fn)
     image_fn = apply_expression(u.fn, params)
 
     om = omega(f, params)

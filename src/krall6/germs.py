@@ -17,6 +17,13 @@ a nonvanishing coefficient on a log power diverges).  The value is r_0 at the
 endpoint, or 0 when the log-free term is absent.  A failed limit raises
 `DivergentLimitError` -- the typed "outside the limit class" outcome.
 
+Each germ keeps its derivative jet: `derivative(n)` computes every order up
+to n at most once per germ and serves repeats from the cache.  The jet is an
+immutable tuple (g', g'', ..., g^(m)) held in the `_jet` slot; a call that
+needs a higher order builds a longer tuple and rebinds the slot, so a reader
+never sees a half-extended jet.  The jet is derived data: equality, hashing
+and repr ignore it.
+
 `EndpointFn` is the tagged union the rest of the library passes around:
 either a single global polynomial, or a pair of germs (one per endpoint) with
 the middle of the interval deliberately unrepresented.  Any operation that
@@ -57,7 +64,7 @@ def _check_endpoint(endpoint: int) -> int:
 class LogGerm:
     """Normal-form germ sum_k r_k(x) L(x)^k at one endpoint."""
 
-    __slots__ = ("endpoint", "terms")
+    __slots__ = ("endpoint", "terms", "_jet")
 
     def __init__(self, endpoint: int, terms: Optional[dict[int, RationalFn]] = None):
         _check_endpoint(endpoint)
@@ -69,6 +76,7 @@ class LogGerm:
                 clean[k] = r
         object.__setattr__(self, "endpoint", endpoint)
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_jet", ())
 
     def __setattr__(self, name, value):
         raise AttributeError("LogGerm is immutable")
@@ -142,17 +150,21 @@ class LogGerm:
         return self * other
 
     def derivative(self, order: int = 1) -> "LogGerm":
-        """Exact derivative: (r_k)' + (k+1) r_{k+1} * (-2x/(1-x^2)) per log power."""
-        g = self
-        for _ in range(order):
-            terms: dict[int, RationalFn] = {}
-            for k, r in g.terms.items():
-                terms[k] = terms.get(k, RationalFn(Poly())) + r.derivative()
-                if k >= 1:
-                    chain = r * LOG_DERIVATIVE * k
-                    terms[k - 1] = terms.get(k - 1, RationalFn(Poly())) + chain
-            g = LogGerm(g.endpoint, terms)
-        return g
+        """Exact derivative of the given order (order >= 0), served from the jet."""
+        if order < 0:
+            raise ValueError("derivative order must be non-negative")
+        if order == 0:
+            return self
+        jet = self._jet
+        if len(jet) < order:
+            last = jet[-1] if jet else self
+            extension = []
+            for _ in range(order - len(jet)):
+                last = _differentiate(last)
+                extension.append(last)
+            jet = jet + tuple(extension)
+            object.__setattr__(self, "_jet", jet)
+        return jet[order - 1]
 
     # -- limits -------------------------------------------------------------
 
@@ -183,6 +195,17 @@ class LogGerm:
             return f"LogGerm({self.endpoint:+d}, 0)"
         body = " + ".join(f"[L^{k}]({r!r})" for k, r in sorted(self.terms.items()))
         return f"LogGerm({self.endpoint:+d}, {body})"
+
+
+def _differentiate(g: LogGerm) -> LogGerm:
+    """First derivative: (r_k)' + (k+1) r_{k+1} * (-2x/(1-x^2)) per log power."""
+    terms: dict[int, RationalFn] = {}
+    for k, r in g.terms.items():
+        terms[k] = terms.get(k, RationalFn(Poly())) + r.derivative()
+        if k >= 1:
+            chain = r * LOG_DERIVATIVE * k
+            terms[k - 1] = terms.get(k - 1, RationalFn(Poly())) + chain
+    return LogGerm(g.endpoint, terms)
 
 
 class EndpointFn:
@@ -267,7 +290,7 @@ class EndpointFn:
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other) -> "EndpointFn":
-        other = EndpointFn.from_poly(other) if not isinstance(other, EndpointFn) else other
+        other = EndpointFn.from_poly(other)
         if self.is_global() and other.is_global():
             return EndpointFn.from_poly(self.poly + other.poly)
         return EndpointFn.piecewise(
@@ -280,7 +303,7 @@ class EndpointFn:
         return EndpointFn.piecewise(-self.germ_minus, -self.germ_plus)
 
     def __sub__(self, other) -> "EndpointFn":
-        other = EndpointFn.from_poly(other) if not isinstance(other, EndpointFn) else other
+        other = EndpointFn.from_poly(other)
         return self + (-other)
 
     def __mul__(self, other) -> "EndpointFn":

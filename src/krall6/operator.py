@@ -59,6 +59,10 @@ CLOSED_FORM_VARIANTS = (
 )
 
 
+_W = Poly([1, 0, -1])  # w(x) = 1 - x^2
+_Q = _W**3
+
+
 @dataclass(frozen=True)
 class KrallParams:
     """The parameter pair (A, B), both positive rationals."""
@@ -71,6 +75,8 @@ class KrallParams:
         object.__setattr__(self, "B", as_fraction(self.B))
         if self.A <= 0 or self.B <= 0:
             raise ValueError("parameters A and B must be positive")
+        # not a dataclass field: equality, hash and repr see only (A, B)
+        object.__setattr__(self, "_p_poly", _W * (Poly([12]) + self.alpha * _W))
 
     @staticmethod
     def parse(a_text: str, b_text: str) -> "KrallParams":
@@ -94,12 +100,11 @@ class KrallParams:
 
     def q_poly(self) -> Poly:
         """Q(x) = (1-x^2)^3."""
-        return Poly([1, 0, -1]) ** 3
+        return _Q
 
     def p_poly(self) -> Poly:
-        """P(x) = (1-x^2)(12 + alpha(1-x^2))."""
-        w = Poly([1, 0, -1])
-        return w * (Poly([12]) + self.alpha * w)
+        """P(x) = (1-x^2)(12 + alpha(1-x^2)), computed once per instance."""
+        return self._p_poly
 
     def expression_coefficients(self) -> tuple[Poly, Poly, Poly, Poly, Poly, Poly]:
         """Coefficients (b6, b5, b4, b3, b2, b1) of the expanded form."""

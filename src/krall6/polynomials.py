@@ -9,7 +9,10 @@ integration over [-1, 1], composition, root multiplicity) is exact.
 
 `RationalFn` is a quotient of two polynomials kept in normal form:
 gcd(numerator, denominator) = 1 and the denominator monic.  It exists because
-differentiating ln(1-x^2) produces -2x/(1-x^2); see `germs`.
+differentiating ln(1-x^2) produces -2x/(1-x^2); see `germs`.  Most values
+are polynomials (denominator 1): for those, construction only rescales by
+the constant denominator and sum, product and derivative work on the
+numerators, without Euclid's algorithm.
 
 Text formats (used by the CLI layer):
   rational    "p/q" or "p", q > 0
@@ -300,6 +303,9 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
+_ONE = Poly([1])
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd over Q by Euclid's algorithm; gcd(0, 0) = 0."""
     while not b.is_zero():
@@ -313,11 +319,16 @@ class RationalFn:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly = Poly([1])):
+    def __init__(self, num: Poly, den: Poly = _ONE):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
-            num, den = Poly(), Poly([1])
+            num, den = Poly(), _ONE
+        elif den.degree == 0:
+            # gcd(num, c) = 1 for a nonzero constant c: only the scaling is left
+            if den.coeffs[0] != 1:
+                num = num * (1 / den.coeffs[0])
+            den = _ONE
         else:
             g = poly_gcd(num, den)
             if g.degree and g.degree > 0:
@@ -344,7 +355,7 @@ class RationalFn:
         return self.num.is_zero()
 
     def is_polynomial(self) -> bool:
-        return self.den == Poly([1])
+        return self.den == _ONE
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalFn):
@@ -358,6 +369,8 @@ class RationalFn:
 
     def __add__(self, other) -> "RationalFn":
         other = self._coerce(other)
+        if self.den.degree == 0 and other.den.degree == 0:
+            return RationalFn(self.num + other.num)
         return RationalFn(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __radd__(self, other) -> "RationalFn":
@@ -374,6 +387,8 @@ class RationalFn:
 
     def __mul__(self, other) -> "RationalFn":
         other = self._coerce(other)
+        if self.den.degree == 0 and other.den.degree == 0:
+            return RationalFn(self.num * other.num)
         return RationalFn(self.num * other.num, self.den * other.den)
 
     def __rmul__(self, other) -> "RationalFn":
@@ -397,6 +412,8 @@ class RationalFn:
 
     def derivative(self) -> "RationalFn":
         """Quotient rule, exact."""
+        if self.den.degree == 0:
+            return RationalFn(self.num.derivative())
         return RationalFn(
             self.num.derivative() * self.den - self.num * self.den.derivative(),
             self.den * self.den,

@@ -81,7 +81,7 @@ class RunConfig:
     fmt: str = "json"
     out: str | None = None
     seed: int = 987
-    serial: bool = False
+    serial: bool = False  # accepted for compatibility; suites always run in sequence
 
     def __post_init__(self):
         if self.nmax < 0:
@@ -971,12 +971,9 @@ SUITE_BUILDERS = {
 
 
 def run_suites(config: RunConfig) -> list[Report]:
-    """Run the selected suites; parallel by default, deterministic order."""
-    names = config.selected_suites()
-    if config.serial or len(names) == 1:
-        return [SUITE_BUILDERS[name](config) for name in names]
-    from concurrent.futures import ThreadPoolExecutor
+    """Run the selected suites one after another, in report order.
 
-    with ThreadPoolExecutor(max_workers=min(4, len(names))) as pool:
-        futures = [pool.submit(SUITE_BUILDERS[name], config) for name in names]
-        return [f.result() for f in futures]
+    The suites are pure-Python CPU work, so threads would only take turns on
+    the interpreter lock; `RunConfig.serial` is accepted and changes nothing.
+    """
+    return [SUITE_BUILDERS[name](config) for name in config.selected_suites()]

@@ -1,8 +1,12 @@
 """Log-germ algebra: derivatives, valuation limits, endpoint functions."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krall6.germs import (
     DivergentLimitError,
@@ -116,3 +120,79 @@ def test_endpoint_validation():
         LogGerm.zero(0)
     with pytest.raises(ValueError):
         EndpointFn.piecewise(LogGerm.zero(1), LogGerm.zero(1))
+
+
+def test_negative_derivative_order_raises():
+    g = LogGerm.from_log_poly(W, 1)
+    with pytest.raises(ValueError, match="non-negative"):
+        g.derivative(-1)
+    g.derivative(3)  # a filled jet must not turn -1 into "last cached order"
+    with pytest.raises(ValueError, match="non-negative"):
+        g.derivative(-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        EndpointFn.poly_near(1, W).derivative(-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        EndpointFn.from_poly(W).derivative(-1)
+    assert g.derivative(0) is g
+
+
+small_polys = st.lists(
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)), min_size=1, max_size=4
+).map(Poly)
+log_terms = st.dictionaries(
+    st.integers(0, 2),
+    st.builds(lambda p, j: RationalFn(p, W**j), small_polys, st.integers(0, 2)),
+    min_size=1,
+    max_size=3,
+)
+
+
+@given(st.sampled_from([-1, 1]), log_terms, st.lists(st.integers(0, 5), min_size=1, max_size=6))
+@settings(max_examples=30, deadline=None)
+def test_jet_matches_chained_first_derivatives(endpoint, terms, orders):
+    g = LogGerm(endpoint, terms)
+    for n in orders:
+        chained = LogGerm(endpoint, dict(g.terms))
+        for _ in range(n):
+            chained = chained.derivative()
+        assert g.derivative(n) == chained
+
+
+def test_jet_is_invisible_to_equality_hash_and_repr():
+    g = LogGerm.from_log_poly(Fraction(3, 8) * W**2 + Fraction(1, 2) * W, -1)
+    fresh = LogGerm(-1, dict(g.terms))
+    text = repr(g)
+    g.derivative(4)
+    assert g == fresh and hash(g) == hash(fresh) and repr(g) == text
+
+
+def test_jet_under_threads():
+    g = LogGerm.from_log_poly(Fraction(3, 8) * W**2 + Fraction(1, 2) * W, 1)
+    expected = [LogGerm(1, dict(g.terms))]
+    for _ in range(6):
+        expected.append(LogGerm(1, dict(expected[-1].derivative().terms)))
+    shared = LogGerm(1, dict(g.terms))
+    errors = []
+
+    def worker(orders):
+        try:
+            for n in orders:
+                assert shared.derivative(n) == expected[n]
+        except AssertionError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=worker, args=([(i + k) % 7 for k in range(7)],))
+            for i in range(8)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []

@@ -163,3 +163,13 @@ def test_degree_preservation():
     for k in range(1, 13):
         image = apply_expression(Poly.monomial(k), params)
         assert image.degree == k  # eigenvalues are nonzero here
+
+
+@pytest.mark.parametrize("params", [KrallParams(1, 2), KrallParams(Fraction(1, 3), Fraction(7, 2))])
+def test_q_and_p_polynomials(params):
+    w = Poly([1, 0, -1])
+    assert params.q_poly() == w**3
+    assert params.p_poly() == w * (12 + params.alpha * w)
+    twin = KrallParams(params.A, params.B)
+    assert twin == params and hash(twin) == hash(params)
+    assert repr(params) == f"KrallParams(A={params.A!r}, B={params.B!r})"

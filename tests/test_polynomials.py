@@ -145,3 +145,42 @@ def test_rationalfn_valuation_and_evaluate():
     assert s.valuation_at(1) == -1
     with pytest.raises(ZeroDivisionError):
         s.evaluate(1)
+
+
+def euclid_normal_form(num, den):
+    """Reference normal form: divide out the Euclidean gcd, then make den monic."""
+    if num.is_zero():
+        return Poly(), Poly([1])
+    g = poly_gcd(num, den)
+    num, den = num.divmod(g)[0], den.divmod(g)[0]
+    lead = den.leading_coefficient()
+    return num * (1 / lead), den * (1 / lead)
+
+
+nonzero_rationals = rationals.filter(lambda c: c != 0)
+
+
+@given(polys, nonzero_rationals)
+@settings(max_examples=60, deadline=None)
+def test_constant_denominator_matches_euclid_normal_form(p, c):
+    r = RationalFn(p, Poly([c]))
+    assert (r.num, r.den) == euclid_normal_form(p, Poly([c]))
+
+
+@pytest.mark.parametrize("c", [1, -1, 3, Fraction(-2, 7)])
+def test_constant_denominator_examples(c):
+    p = Poly([1, Fraction(1, 2), -3])
+    r = RationalFn(p, Poly([c]))
+    assert (r.num, r.den) == euclid_normal_form(p, Poly([c]))
+    assert r.is_polynomial()
+
+
+@given(polys, polys)
+@settings(max_examples=40, deadline=None)
+def test_polynomial_fast_paths_match_general_formulas(p, q):
+    one = Poly([1])
+    rp, rq = RationalFn(p), RationalFn(q)
+    s, m, d = rp + rq, rp * rq, rp.derivative()
+    assert (s.num, s.den) == euclid_normal_form(p * one + q * one, one * one)
+    assert (m.num, m.den) == euclid_normal_form(p * q, one * one)
+    assert (d.num, d.den) == euclid_normal_form(p.derivative() * one - p * one.derivative(), one * one)
