@@ -16,7 +16,16 @@ rationals, so complex conjugation is the identity and [f, g] = -[g, f].
 
 Endpoint limits are germ-valuation limits (`germs.LogGerm.limit`); divergence
 raises `DivergentLimitError`, the typed signal that an input pair lies
-outside the limit class.  The module also provides:
+outside the limit class.
+
+B[f] and Lam[f] on a germ are memoised: each (germ, params) pair is worked
+out once and served to every later bracket, Omega, membership check and
+reduction.  Both memos are `functools.lru_cache`s bounded at 4096 entries
+and keyed by value (`LogGerm` and `KrallParams` hash by value; a germ's jet
+is not part of its key).  They hold germs, never limits: `.limit()` runs
+on every call, so a `DivergentLimitError` is never cached.
+
+The module also provides:
 
   * `symplectic_form`: [f,g](1) - [f,g](-1), the Green's-formula boundary term;
   * `greens_formula_check`: both sides of Green's formula for global
@@ -39,6 +48,7 @@ residual +32 f' -- confirms 32.  See the errata suite.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .germs import EndpointFn, LogGerm
@@ -139,13 +149,21 @@ def quasi_derivative_terms(f, params: KrallParams):
     return -(f.derivative(3) * params.q_poly()).derivative(), f.derivative(2) * params.p_poly()
 
 
+def _lam(f, params: KrallParams):
+    q_term, p_term = quasi_derivative_terms(f, params)
+    return q_term + p_term
+
+
+_lam_germ = functools.lru_cache(maxsize=4096)(_lam)
+
+
 def quasi_derivative(f, params: KrallParams):
     """Lam[f] = -((1-x^2)^3 f''')' + (1-x^2)(12+alpha(1-x^2)) f''.
 
-    Returns the same class as f (Poly, EndpointFn or LogGerm).
+    Returns the same class as f (Poly, EndpointFn or LogGerm); a germ's Lam
+    is memoised per (germ, params).
     """
-    q_term, p_term = quasi_derivative_terms(f, params)
-    return q_term + p_term
+    return _lam_germ(f, params) if isinstance(f, LogGerm) else _lam(f, params)
 
 
 def _value_at(f, endpoint: int) -> Fraction:
@@ -168,6 +186,7 @@ def quasi_derivative_terms_at(f, endpoint: int, params: KrallParams) -> tuple[Fr
     return _value_at(q_term, endpoint), _value_at(p_term, endpoint)
 
 
+@functools.lru_cache(maxsize=4096)
 def _bracket_with_one_germ(g: LogGerm, params: KrallParams) -> LogGerm:
     """B[f] = -(Q f''')'' + (P f'')' - pi f' on a germ."""
     q, p, pi = params.q_poly(), params.p_poly(), params.pi_poly()

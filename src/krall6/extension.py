@@ -84,20 +84,14 @@ def w_inner(u: WVector, v: WVector, params: KrallParams) -> Fraction:
     return u.a * v.a / params.A + u.b * v.b / params.B
 
 
-def psi_coefficients(alpha1: Scalar, alpha2: Scalar) -> tuple[Fraction, Fraction]:
-    """Coefficients of a seed-pair combination in orthonormal-basis coordinates.
-
-    The caller supplies the decomposition f0 + alpha1 t1 + alpha2 t2
-    (minimal-domain membership of f0 is not decidable here); the image is
-    just (alpha1, alpha2) relative to the orthonormal basis.  Standard
-    coordinates would be (alpha1 sqrt A, alpha2 sqrt B), available only as a
-    symbolic tag via `psi_standard_tag`.
-    """
-    return as_fraction(alpha1), as_fraction(alpha2)
-
-
 def psi_standard_tag(alpha1: Scalar, alpha2: Scalar) -> tuple[str, str]:
-    """Symbolic standard coordinates (sqrt A, sqrt B may be irrational)."""
+    """Symbolic standard coordinates of the seed-pair combination
+    f0 + alpha1 t1 + alpha2 t2.
+
+    In orthonormal-basis coordinates the image is just (alpha1, alpha2); the
+    standard coordinates (alpha1 sqrt A, alpha2 sqrt B) may be irrational, so
+    they are available only as this tag.
+    """
     return (
         f"{format_rational(as_fraction(alpha1))}*sqrt(A)",
         f"{format_rational(as_fraction(alpha2))}*sqrt(B)",

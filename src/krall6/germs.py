@@ -29,10 +29,16 @@ either a single global polynomial, or a pair of germs (one per endpoint) with
 the middle of the interval deliberately unrepresented.  Any operation that
 would need mid-interval values of a piecewise function raises
 `UnspecifiedInteriorError` instead of inventing data.
+
+`EndpointFn.germ_at` on a global polynomial returns one shared germ per
+(Poly, endpoint), so its jet survives between callers.  The memo is a
+`functools.lru_cache` keyed by the polynomial's value and the endpoint and
+bounded at 4096 entries; it holds germs only, never limits.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Optional
 
@@ -208,6 +214,12 @@ def _differentiate(g: LogGerm) -> LogGerm:
     return LogGerm(g.endpoint, terms)
 
 
+@functools.lru_cache(maxsize=4096)
+def _global_germ(p: Poly, endpoint: int) -> LogGerm:
+    """The one shared germ of a global polynomial at `endpoint`, jet included."""
+    return LogGerm.from_poly(p, endpoint)
+
+
 class EndpointFn:
     """A global polynomial, or a pair of endpoint germs with unspecified middle."""
 
@@ -269,7 +281,7 @@ class EndpointFn:
     def germ_at(self, endpoint: int) -> LogGerm:
         _check_endpoint(endpoint)
         if self.poly is not None:
-            return LogGerm.from_poly(self.poly, endpoint)
+            return _global_germ(self.poly, endpoint)
         return self.germ_plus if endpoint == 1 else self.germ_minus
 
     def require_global(self, operation: str) -> Poly:

@@ -335,16 +335,7 @@ def suite_concomitant(config: RunConfig) -> Report:
     ]
 
     for tag, f in functions:
-        report.extend(
-            Case(
-                name=row["name"],
-                paper_item=row["paper_item"],
-                lhs=render_value(row["lhs"]),
-                rhs=render_value(row["rhs"]),
-                verdict="pass" if row["lhs"] == row["rhs"] else "fail",
-            )
-            for row in con.maximal_domain_suite(f, params, tag)
-        )
+        report.extend(make_case(**row) for row in con.maximal_domain_suite(f, params, tag))
         for endpoint in (-1, 1):
             via_probe, lam = con.quasi_derivative_probe_identity(f, endpoint, params)
             report.add(
@@ -374,19 +365,16 @@ def suite_concomitant(config: RunConfig) -> Report:
     for i, (tag_f, f) in enumerate(pool):
         for tag_g, g in pool[i:]:
             for endpoint in (-1, 1):
+                name = f"antisymmetry:{tag_f}|{tag_g}:e={endpoint:+d}"
                 try:
                     ab = con.concomitant(f, g, endpoint, params)
                     ba = con.concomitant(g, f, endpoint, params)
-                except DivergentLimitError:
-                    continue
-                report.add(
-                    make_case(
-                        f"antisymmetry:{tag_f}|{tag_g}:e={endpoint:+d}",
-                        "concomitant-antisymmetry",
-                        ab,
-                        -ba,
-                    )
-                )
+                except DivergentLimitError as exc:
+                    witness = f"[{tag_f}, {tag_g}]({endpoint:+d}) not in checkable class: {exc}"
+                    case = make_case(name, "concomitant-antisymmetry", "", "", witness, inconclusive=True)
+                else:
+                    case = make_case(name, "concomitant-antisymmetry", ab, -ba)
+                report.add(case)
 
     # general endpoint reduction on mixed pairs
     pairs = [
@@ -396,30 +384,12 @@ def suite_concomitant(config: RunConfig) -> Report:
         ("log-probe-plus|weight", con.log_probe(1, params), EndpointFn.from_poly(con.WEIGHT)),
     ]
     for tag, f, g in pairs:
-        report.extend(
-            Case(
-                name=row["name"],
-                paper_item=row["paper_item"],
-                lhs=render_value(row["lhs"]),
-                rhs=render_value(row["rhs"]),
-                verdict="pass" if row["lhs"] == row["rhs"] else "fail",
-            )
-            for row in con.general_reduction_suite(f, g, params, tag)
-        )
+        report.extend(make_case(**row) for row in con.general_reduction_suite(f, g, params, tag))
 
     # reduced-domain closed forms on seeded polynomials
     for i in range(0, 10, 2):
         f, g = seeded[i], seeded[i + 1]
-        report.extend(
-            Case(
-                name=row["name"],
-                paper_item=row["paper_item"],
-                lhs=render_value(row["lhs"]),
-                rhs=render_value(row["rhs"]),
-                verdict="pass" if row["lhs"] == row["rhs"] else "fail",
-            )
-            for row in con.reduced_domain_suite(f, g, params, f"seeded-{i:02d}")
-        )
+        report.extend(make_case(**row) for row in con.reduced_domain_suite(f, g, params, f"seeded-{i:02d}"))
 
     # log-probe reduction identity on polynomials (constants 32A+12B-16 etc.)
     for i, f in enumerate(seeded[:4]):

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, determinism, report schema."""
 
+import hashlib
 import json
 
 import pytest
@@ -62,6 +63,18 @@ def test_serial_matches_parallel(capsys):
     _, out_par, _ = run_cli(capsys, *base)
     _, out_ser, _ = run_cli(capsys, *base, "--serial")
     assert out_par == out_ser
+
+
+#: sha256 of `krall6 run all --A 1 --B 2 --nmax 8 --seed 1`.  A speed-up must
+#: leave the report byte-identical; a correctness change that adds or alters
+#: cases re-pins this digest and says why.
+RUN_ALL_SEED_1_SHA256 = "fee3c00725de5b38a501c3334ed60c4fe4f850bfb34dba54054f063916995d1a"
+
+
+def test_run_all_report_digest_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "run", "all", "--A", "1", "--B", "2", "--nmax", "8", "--seed", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RUN_ALL_SEED_1_SHA256
 
 
 def test_gram_csv_matrix(capsys):

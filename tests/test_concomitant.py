@@ -1,10 +1,15 @@
 """Concomitant limits, quasi-derivative, Green's formula, domain predicates."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from krall6 import concomitant as con
 from krall6.concomitant import (
     WEIGHT,
     bracket_weight_reduction,
@@ -30,7 +35,7 @@ from krall6.concomitant import (
     weight_near,
     weight_sq_near,
 )
-from krall6.germs import DivergentLimitError, EndpointFn, LogGerm
+from krall6.germs import DivergentLimitError, EndpointFn, LogGerm, _global_germ
 from krall6.operator import KrallParams
 from krall6.polynomials import Poly
 
@@ -132,6 +137,52 @@ def test_divergent_pair_is_typed():
     bad = EndpointFn.piecewise(LogGerm.zero(-1), LogGerm.from_log_poly(Poly.one(), 1))
     with pytest.raises(DivergentLimitError):
         concomitant(bad, EndpointFn.from_poly(X), 1, params)
+    # the memos hold germs, not limits: a second call diverges again
+    with pytest.raises(DivergentLimitError):
+        concomitant(bad, EndpointFn.from_poly(X), 1, params)
+
+
+small_polys = st.lists(
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)), min_size=1, max_size=5
+).map(Poly)
+
+
+def _endpoint_input(kind, p, q, endpoint):
+    """A global polynomial, a one-sided polynomial, or p + q ln(1-x^2) near `endpoint`."""
+    if kind == "global":
+        return EndpointFn.from_poly(p)
+    if kind == "piecewise":
+        return EndpointFn.poly_near(endpoint, p)
+    return EndpointFn.poly_near(endpoint, p) + EndpointFn.log_poly_near(endpoint, q * WEIGHT)
+
+
+@given(
+    st.sampled_from(["global", "piecewise", "log"]),
+    small_polys,
+    small_polys,
+    st.sampled_from([-1, 1]),
+    st.sampled_from(PARAM_PAIRS),
+)
+@settings(max_examples=30, deadline=None)
+def test_memoised_germ_data_matches_a_fresh_computation(kind, p, q, endpoint, params):
+    g = _endpoint_input(kind, p, q, endpoint).germ_at(endpoint)
+    fresh = LogGerm(endpoint, dict(g.terms))
+    assert fresh is not g and fresh == g
+    for _ in range(2):  # a miss, then a hit
+        assert con._bracket_with_one_germ(g, params) == con._bracket_with_one_germ.__wrapped__(fresh, params)
+        assert quasi_derivative(g, params) == con._lam(fresh, params)
+
+
+def test_germ_memos_are_keyed_by_params():
+    p1, p2 = KrallParams(1, 2), KrallParams(Fraction(1, 3), Fraction(7, 2))
+    for f in (X, X * X, log_probe(1, p1)):
+        g = EndpointFn.from_poly(f).germ_at(1)
+        b1, b2 = con._bracket_with_one_germ(g, p1), con._bracket_with_one_germ(g, p2)
+        assert b1 != b2
+        assert b2 == con._bracket_with_one_germ.__wrapped__(LogGerm(1, dict(g.terms)), p2)
+    g = EndpointFn.from_poly(X * X).germ_at(-1)
+    assert quasi_derivative(g, p1) != quasi_derivative(g, p2)
+    assert quasi_derivative(g, p2) == con._lam(LogGerm(-1, dict(g.terms)), p2)
 
 
 def test_greens_formula_seeded():
@@ -291,3 +342,68 @@ def test_log_probe_constant_by_independent_symbolic_route():
             ln_coefficient = sp.cancel(expanded.coeff(L, 1))
             assert ln_coefficient.is_polynomial(x)
             assert sp.solve(ln_coefficient.subs(x, e), a) == [b * (c + 2) / 4]
+
+
+def test_divergent_antisymmetry_pair_is_reported_inconclusive(monkeypatch):
+    from krall6.suites import RunConfig, suite_concomitant
+
+    config = RunConfig(A=1, B=2)
+    before = {c.name: c for c in suite_concomitant(config).cases}
+    real = con.concomitant
+    minus, plus = one_near(-1), one_near(1)
+
+    def diverging(f, g, endpoint, params):
+        if endpoint == 1 and isinstance(f, EndpointFn) and f == minus and g == plus:
+            raise DivergentLimitError(1, "forced")
+        return real(f, g, endpoint, params)
+
+    monkeypatch.setattr(con, "concomitant", diverging)
+    after = {c.name: c for c in suite_concomitant(config).cases}
+    name = "antisymmetry:one-near-minus|one-near-plus:e=+1"
+    assert before[name].verdict == "pass"
+    assert after[name].verdict == "inconclusive"
+    assert after[name].witness == (
+        "[one-near-minus, one-near-plus](+1) not in checkable class: divergent limit at +1: forced"
+    )
+    assert set(after) == set(before)
+    assert [n for n in before if after[n] != before[n]] == [name]
+
+
+def test_germ_memos_under_threads():
+    params = KrallParams(Fraction(1, 3), Fraction(7, 2))
+    polys = seeded(6, seed=23, max_degree=7)
+    keys = [(p, e) for p in polys for e in (-1, 1)]
+    expected = [
+        (
+            con._bracket_with_one_germ.__wrapped__(LogGerm.from_poly(p, e), params).limit(),
+            con._lam(LogGerm.from_poly(p, e), params).limit(),
+        )
+        for p, e in keys
+    ]
+    for memo in (_global_germ, con._bracket_with_one_germ, con._lam_germ):
+        memo.cache_clear()
+    errors = []
+
+    def worker(offset):
+        try:
+            for k in range(len(keys)):
+                j = (k + offset) % len(keys)
+                p, e = keys[j]
+                germ = EndpointFn.from_poly(p).germ_at(e)
+                got = (concomitant_with_one(p, e, params), quasi_derivative(germ, params).limit())
+                assert got == expected[j]
+        except AssertionError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []

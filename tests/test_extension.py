@@ -27,7 +27,6 @@ from krall6.extension import (
     omega,
     operator_matrix,
     operator_symmetry_gap,
-    psi_coefficients,
     psi_standard_tag,
     w_inner,
 )
@@ -58,8 +57,6 @@ def test_w_inner():
 
 
 def test_psi_map():
-    assert psi_coefficients(0, 0) == (0, 0)
-    assert psi_coefficients(1, 0) == (1, 0)
     assert psi_standard_tag(3, Fraction(1, 2)) == ("3*sqrt(A)", "1/2*sqrt(B)")
 
 

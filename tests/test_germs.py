@@ -196,3 +196,16 @@ def test_jet_under_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+
+
+def test_global_germ_is_shared_so_its_jet_persists():
+    f = EndpointFn.from_poly(Poly([1, -2, 0, 5]))
+    for e in (-1, 1):
+        g = f.germ_at(e)
+        assert f.germ_at(e) is g
+        g.derivative(3)
+        assert len(f.germ_at(e)._jet) >= 3
+        # an equal polynomial built separately is served the same germ
+        assert EndpointFn.from_poly(Poly([1, -2, 0, 5])).germ_at(e) is g
+    assert f.germ_at(-1) is not f.germ_at(1)
+    assert f.germ_at(1) == LogGerm.from_poly(f.poly, 1)
