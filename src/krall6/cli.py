@@ -4,7 +4,7 @@
                [--seed 987] [--format json|csv] [--out PATH] [--serial]
     krall6 dump poly {K|legendre} N --A .. --B ..
     krall6 dump series LABEL {+1|-1} [--order 20] --A .. --B ..
-    krall6 dump matrix {operator|gram|probe} [--nmax N] --A .. --B ..
+    krall6 dump matrix {operator|gram|probe|brackets} [--nmax N] --A .. --B ..
 
 `run` may also be invoked implicitly (suite names as the first argument).
 Exit status: 0 when no case fails, 1 on any verification failure, 2 on
@@ -21,14 +21,9 @@ import sys
 import time
 
 from .concomitant import probe_functions, boundary_condition_functions
-from .extension import (
-    GknCandidate,
-    extended_symplectic,
-    independence_certificate,
-    operator_matrix,
-)
+from .extension import extended_symplectic, independence_certificate, operator_matrix
 from .frobenius import SOLUTION_LABELS, solution_basis
-from .inner_products import gram_matrix
+from .inner_products import ExtendedVector, gram_matrix
 from .operator import KrallParams, eigen_polynomial, legendre_type
 from .polynomials import parse_rational
 from .report import bundle_to_json, matrix_to_csv
@@ -172,16 +167,18 @@ def _command_dump(args) -> int:
         _emit(sol.format_series() + "\n", args.out)
         return 0
     if args.kind == "matrix":
+        if args.nmax < 0:
+            return _usage("nmax must be non-negative")
         if args.which == "operator":
             matrix = operator_matrix(args.nmax, params)
         elif args.which == "gram":
             matrix = gram_matrix(args.nmax, params)
         elif args.which == "probe":
-            candidates = [GknCandidate.plain(y) for y in boundary_condition_functions(params)]
-            probes = [GknCandidate.plain(p) for p in probe_functions(params)]
+            candidates = [ExtendedVector.plain(y) for y in boundary_condition_functions(params)]
+            probes = [ExtendedVector.plain(p) for p in probe_functions(params)]
             matrix = independence_certificate(candidates, probes, params).rows()
         else:
-            candidates = [GknCandidate.plain(y) for y in boundary_condition_functions(params)]
+            candidates = [ExtendedVector.plain(y) for y in boundary_condition_functions(params)]
             matrix = [
                 [extended_symplectic(u, v, params) for v in candidates] for u in candidates
             ]

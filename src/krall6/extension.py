@@ -1,16 +1,18 @@
 """The self-adjoint operator in the extended space L2(-1,1) (+) C2.
 
-The two-dimensional extension space W carries the weighted inner product
-<(a,b),(a',b')> = a a'/A + b b'/B, positive definite for A, B > 0.  Its
-orthonormal basis is (sqrt A, 0), (0, sqrt B); those square roots are never
-materialized -- every quantity this module produces is rational because the
-basis factors cancel (e.g. the boundary-coupling map Omega lands directly in
-standard coordinates).
+Every vector of that space is an `inner_products.ExtendedVector` (f, a, b):
+a maximal-domain function f with an endpoint part (a, b) in C2, which carries
+the weighted inner product <(a,b),(a',b')> = a a'/A + b b'/B (`w_inner`),
+positive definite for A, B > 0.  Its orthonormal basis is (sqrt A, 0),
+(0, sqrt B); those square roots are never materialized -- every quantity this
+module produces is rational because the basis factors cancel (e.g. the
+boundary-coupling map Omega lands directly in standard coordinates).
 
 Building blocks:
 
-  * `omega(f)  = (-A [f,1](-1), B [f,1](+1))` -- the boundary coupling map;
-  * `extended_symplectic(u, v) = [f,g]_H - <Omega f, w_v> + <w_u, Omega g>`
+  * `omega(f)  = (-A [f,1](-1), B [f,1](+1))` -- the boundary coupling map,
+    returned as the pair (a, b);
+  * `extended_symplectic(u, v) = [f,g]_H - <Omega f, (a_v,b_v)> + <(a_u,b_u), Omega g>`
     where [f,g]_H = [f,g](1) - [f,g](-1) is the base symplectic form;
   * GKN verification: a candidate family is admissible when all pairwise
     extended brackets vanish (`gkn_symmetry_check`) and is certified linearly
@@ -24,7 +26,8 @@ Building blocks:
     (`domain_membership` computes both routes and insists they agree);
   * the operator itself: (f, a, b) |-> (l[f], -Omega f), which on the domain
     equals the explicit endpoint form
-    (l[f], 24A f''(-1) - 24A(B+1) f'(-1), 24B f''(1) + 24B(A+1) f'(1));
+    (l[f], 24A f''(-1) - 24A(B+1) f'(-1), 24B f''(1) + 24B(A+1) f'(1)),
+    i.e. (A, -B) times the reduced closed form of [f,1] at (-1, +1);
     `apply_extended` computes both and insists they agree;
   * the eigenvectors: embedded eigenpolynomials, (K_n, K_n(-1), K_n(1)),
     with eigenvalue lambda_n, verified componentwise by `eigen_verify`.
@@ -34,54 +37,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from . import linalg
 from .concomitant import (
     boundary_condition_functions,
     concomitant_with_one,
     quasi_derivative_at,
+    reduced_bracket_with_one,
     symplectic_form,
 )
 from .germs import EndpointFn
-from .inner_products import ExtendedVector, embed, extended_inner, gram_matrix
+from .inner_products import ExtendedVector, embed, extended_inner, gram_matrix, w_inner
 from .operator import KrallParams, apply_expression, eigen_polynomial, eigenvalue
-from .polynomials import Poly, Scalar, as_fraction, format_rational
+from .polynomials import Scalar, as_fraction, format_rational
 
 
 class NotInDomainError(ValueError):
     """The extended vector fails the operator's boundary conditions."""
-
-
-@dataclass(frozen=True)
-class WVector:
-    """A vector of the extension space in standard coordinates."""
-
-    a: Fraction
-    b: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_fraction(self.a))
-        object.__setattr__(self, "b", as_fraction(self.b))
-
-    @staticmethod
-    def zero() -> "WVector":
-        return WVector(Fraction(0), Fraction(0))
-
-    def __add__(self, other: "WVector") -> "WVector":
-        return WVector(self.a + other.a, self.b + other.b)
-
-    def __neg__(self) -> "WVector":
-        return WVector(-self.a, -self.b)
-
-    def scaled(self, c: Scalar) -> "WVector":
-        c = as_fraction(c)
-        return WVector(c * self.a, c * self.b)
-
-
-def w_inner(u: WVector, v: WVector, params: KrallParams) -> Fraction:
-    """<(a,b),(a',b')> = a a'/A + b b'/B."""
-    return u.a * v.a / params.A + u.b * v.b / params.B
 
 
 def psi_standard_tag(alpha1: Scalar, alpha2: Scalar) -> tuple[str, str]:
@@ -98,37 +71,26 @@ def psi_standard_tag(alpha1: Scalar, alpha2: Scalar) -> tuple[str, str]:
     )
 
 
-def omega(f, params: KrallParams) -> WVector:
+def omega(f, params: KrallParams) -> tuple[Fraction, Fraction]:
     """Omega f = (-A [f,1](-1), B [f,1](+1)); exact and fully rational."""
-    return WVector(
+    return (
         -params.A * concomitant_with_one(f, -1, params),
         params.B * concomitant_with_one(f, 1, params),
     )
 
 
-FnLike = Union[Poly, EndpointFn]
+#: Kept for callers that still build candidates by the former class name.
+GknCandidate = ExtendedVector
 
 
-@dataclass(frozen=True)
-class GknCandidate:
-    """A maximal-domain function paired with an extension-space vector."""
-
-    fn: FnLike
-    w: WVector
-
-    @staticmethod
-    def plain(fn: FnLike) -> "GknCandidate":
-        return GknCandidate(fn, WVector.zero())
-
-
-def extended_symplectic(u: GknCandidate, v: GknCandidate, params: KrallParams) -> Fraction:
-    """[(f,w_u),(g,w_v)] = [f,g]_H - <Omega f, w_v> + <w_u, Omega g>."""
+def extended_symplectic(u: ExtendedVector, v: ExtendedVector, params: KrallParams) -> Fraction:
+    """[(f,a,b),(g,a',b')] = [f,g]_H - <Omega f, (a',b')> + <(a,b), Omega g>."""
     base = symplectic_form(u.fn, v.fn, params)
-    correction = -w_inner(omega(u.fn, params), v.w, params) + w_inner(u.w, omega(v.fn, params), params)
-    return base + correction
+    omega_u, omega_v = omega(u.fn, params), omega(v.fn, params)
+    return base - w_inner(omega_u, (v.a, v.b), params) + w_inner((u.a, u.b), omega_v, params)
 
 
-def gkn_symmetry_check(candidates: Sequence[GknCandidate], params: KrallParams) -> dict:
+def gkn_symmetry_check(candidates: Sequence[ExtendedVector], params: KrallParams) -> dict:
     """All pairwise extended brackets; admissible iff every one is zero."""
     n = len(candidates)
     values = [
@@ -151,8 +113,8 @@ class IndependenceCertificate:
 
 
 def independence_certificate(
-    candidates: Sequence[GknCandidate],
-    probes: Sequence[GknCandidate],
+    candidates: Sequence[ExtendedVector],
+    probes: Sequence[ExtendedVector],
     params: KrallParams,
 ) -> IndependenceCertificate:
     """Probe-matrix certificate M[i][j] = bracket(probe_i, candidate_j).
@@ -187,9 +149,8 @@ def boundary_condition_values(u: ExtendedVector, params: KrallParams) -> list[Fr
         2 Lam[f](-1) - 48(B+2) f(-1) + 48 a (B+2),
     and membership means all four vanish.
     """
-    uu = GknCandidate(u.fn, WVector(u.a, u.b))
     return [
-        extended_symplectic(uu, GknCandidate.plain(y), params)
+        extended_symplectic(u, ExtendedVector.plain(y), params)
         for y in boundary_condition_functions(params)
     ]
 
@@ -227,33 +188,24 @@ def domain_membership(u: ExtendedVector, params: KrallParams) -> tuple[bool, dic
     return direct_ok, witness
 
 
-def apply_extended(u: ExtendedVector, params: KrallParams, check_domain: bool = True) -> ExtendedVector:
+def apply_extended(u: ExtendedVector, params: KrallParams) -> ExtendedVector:
     """Apply the extended operator: (f,a,b) |-> (l[f], -Omega f).
 
-    Both the -Omega form and the explicit endpoint-derivative form are
-    computed and must agree.  `check_domain=False` skips the membership
-    check and is intended for negative testing only.
+    The vector must lie in the domain (else `NotInDomainError`).  Both the
+    -Omega form and the explicit endpoint form, (A, -B) times the reduced
+    closed form of [f,1] at (-1, +1), are computed and must agree.
     """
-    if check_domain:
-        ok, witness = domain_membership(u, params)
-        if not ok:
-            raise NotInDomainError(f"boundary conditions violated: {witness['conditions']}")
-    f = EndpointFn.from_poly(u.fn)
-    image_fn = apply_expression(u.fn, params)
-
-    om = omega(f, params)
-    via_omega = (-om.a, -om.b)
-    d1m = f.derivative(1).value_at(-1)
-    d2m = f.derivative(2).value_at(-1)
-    d1p = f.derivative(1).value_at(1)
-    d2p = f.derivative(2).value_at(1)
-    explicit_a = 24 * params.A * d2m - 24 * params.A * (params.B + 1) * d1m
-    explicit_b = 24 * params.B * d2p + 24 * params.B * (params.A + 1) * d1p
-    if check_domain and (via_omega[0] != explicit_a or via_omega[1] != explicit_b):
-        raise AssertionError(
-            f"operator forms disagree: -Omega={via_omega}, explicit=({explicit_a},{explicit_b})"
-        )
-    return ExtendedVector(image_fn, via_omega[0], via_omega[1])
+    ok, witness = domain_membership(u, params)
+    if not ok:
+        raise NotInDomainError(f"boundary conditions violated: {witness['conditions']}")
+    via_omega = tuple(-c for c in omega(u.fn, params))
+    explicit = (
+        params.A * reduced_bracket_with_one(u.fn, -1, params),
+        -params.B * reduced_bracket_with_one(u.fn, 1, params),
+    )
+    if via_omega != explicit:
+        raise AssertionError(f"operator forms disagree: -Omega={via_omega}, explicit={explicit}")
+    return ExtendedVector(apply_expression(u.fn, params), *via_omega)
 
 
 def eigen_verify(n: int, params: KrallParams) -> dict:
@@ -262,11 +214,10 @@ def eigen_verify(n: int, params: KrallParams) -> dict:
     lam = eigenvalue(n, params)
     u = embed(k_n)
     image = apply_extended(u, params)
-    fn_ok = image.fn.poly == lam * k_n if isinstance(image.fn, EndpointFn) else image.fn == lam * k_n
     return {
         "n": n,
         "eigenvalue": lam,
-        "fn_ok": fn_ok,
+        "fn_ok": image.fn == lam * k_n,
         "a_ok": image.a == lam * u.a,
         "b_ok": image.b == lam * u.b,
         "a": image.a,
@@ -295,8 +246,17 @@ def operator_matrix(n_max: int, params: KrallParams) -> list[list[Fraction]]:
     return out
 
 
-def operator_symmetry_gap(u: ExtendedVector, v: ExtendedVector, params: KrallParams) -> Fraction:
-    """<T u, v> - <u, T v>; zero on domain pairs."""
-    tu = apply_extended(u, params)
-    tv = apply_extended(v, params)
-    return extended_inner(tu, v, params) - extended_inner(u, tv, params)
+def operator_symmetry_gaps(
+    vectors: Sequence[ExtendedVector],
+    pairs: Sequence[tuple[int, int]],
+    params: KrallParams,
+) -> list[Fraction]:
+    """<T u_i, u_j> - <u_i, T u_j> for each index pair (i, j); zero on the domain.
+
+    T is applied once per vector, however many pairs the vector occurs in.
+    """
+    images = [apply_extended(u, params) for u in vectors]
+    return [
+        extended_inner(images[i], vectors[j], params) - extended_inner(vectors[i], images[j], params)
+        for i, j in pairs
+    ]

@@ -107,9 +107,6 @@ class LogGerm:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def max_log_power(self) -> int:
-        return max(self.terms) if self.terms else 0
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LogGerm):
             return NotImplemented

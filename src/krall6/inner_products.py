@@ -9,7 +9,9 @@ sixth-order expression are orthogonal.  `mu_inner` is the equal-jump (B = A)
 special case matching the fourth-order Legendre-type instance.
 
 The extended space pairs a function with two endpoint coordinates:
-(f, a, b) with inner product a1*a2/A + integral f g + b1*b2/B.  `embed` sends
+(f, a, b) with inner product a1*a2/A + integral f g + b1*b2/B; the endpoint
+part alone is `w_inner`.  `ExtendedVector` is the one type for its vectors
+throughout the library (`ExtendedVector.plain(f)` is (f, 0, 0)).  `embed` sends
 f to (f, f(-1), f(1)) and is an isometry onto its image:
 extended_inner(embed f, embed g) = kappa_inner(f, g).
 
@@ -68,9 +70,10 @@ class ExtendedVector:
         object.__setattr__(self, "a", as_fraction(self.a))
         object.__setattr__(self, "b", as_fraction(self.b))
 
-    def scaled(self, c: Scalar) -> "ExtendedVector":
-        c = as_fraction(c)
-        return ExtendedVector(self.fn * c, c * self.a, c * self.b)
+    @staticmethod
+    def plain(fn) -> "ExtendedVector":
+        """(fn, 0, 0): a function with no endpoint part."""
+        return ExtendedVector(fn, 0, 0)
 
 
 def embed(f) -> ExtendedVector:
@@ -82,11 +85,16 @@ def embed(f) -> ExtendedVector:
     raise TypeError("embed expects a Poly or EndpointFn")
 
 
+def w_inner(u: tuple, v: tuple, params: KrallParams) -> Fraction:
+    """<(a,b),(a',b')> = a a'/A + b b'/B on the endpoint part C2."""
+    return u[0] * v[0] / params.A + u[1] * v[1] / params.B
+
+
 def extended_inner(u: ExtendedVector, v: ExtendedVector, params: KrallParams) -> Fraction:
     """a1*a2/A + integral f g + b1*b2/B, exact (function parts global)."""
     fp = _as_global_poly(u.fn, "extended_inner")
     gp = _as_global_poly(v.fn, "extended_inner")
-    return u.a * v.a / params.A + (fp * gp).integrate_unit_interval() + u.b * v.b / params.B
+    return (fp * gp).integrate_unit_interval() + w_inner((u.a, u.b), (v.a, v.b), params)
 
 
 def gram_matrix(n_max: int, params: KrallParams) -> list[list[Fraction]]:

@@ -1,4 +1,4 @@
-"""Tiny exact linear algebra over Fraction: determinant, solve, kernel vector.
+"""Tiny exact linear algebra over Fraction: determinant and kernel vector.
 
 Matrices are lists of row lists.  Sizes here are small (a dozen rows at
 most), so plain fraction Gaussian elimination with partial pivoting by
@@ -72,20 +72,3 @@ def kernel_vector(m: Matrix) -> list[Fraction]:
         vec[pc] = -a[r][fc]
     return vec
 
-
-def solve(m: Matrix, rhs: list[Fraction]) -> list[Fraction]:
-    """Solve m x = rhs exactly for a nonsingular square matrix."""
-    n = len(m)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(_copy(m))]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular system")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .germs import EndpointFn, LogGerm
+from .germs import EndpointFn
 from .polynomials import Poly, Scalar, as_fraction, format_rational
 
 
@@ -132,48 +132,30 @@ class KrallParams:
 # ---------------------------------------------------------------------------
 
 
-def _apply_to_poly(p: Poly, coeffs: tuple[Poly, ...]) -> Poly:
-    out = Poly()
-    for order, b in zip(range(6, 0, -1), coeffs):
-        out = out + b * p.derivative(order)
-    return out
+def _lift(f, kernel, operation: str):
+    """Apply `kernel` (written once for Poly and LogGerm) to f, keeping f's class.
 
-
-def _apply_to_germ(g: LogGerm, coeffs: tuple[Poly, ...]) -> LogGerm:
-    out = LogGerm.zero(g.endpoint)
-    for order, b in zip(range(6, 0, -1), coeffs):
-        out = out + g.derivative(order) * b
-    return out
+    A Poly stays a Poly, a global EndpointFn maps its polynomial, and a
+    piecewise EndpointFn maps each endpoint germ.
+    """
+    if isinstance(f, Poly):
+        return kernel(f)
+    if isinstance(f, EndpointFn):
+        if f.is_global():
+            return EndpointFn.from_poly(kernel(f.poly))
+        return EndpointFn.piecewise(kernel(f.germ_minus), kernel(f.germ_plus))
+    raise TypeError(f"{operation} expects a Poly or EndpointFn")
 
 
 def apply_expression(f, params: KrallParams):
     """Apply the expanded sixth-order expression; returns the class of `f`."""
     coeffs = params.expression_coefficients()
-    if isinstance(f, Poly):
-        return _apply_to_poly(f, coeffs)
-    if isinstance(f, EndpointFn):
-        if f.is_global():
-            return EndpointFn.from_poly(_apply_to_poly(f.poly, coeffs))
-        return EndpointFn.piecewise(
-            _apply_to_germ(f.germ_minus, coeffs), _apply_to_germ(f.germ_plus, coeffs)
-        )
-    raise TypeError("apply_expression expects a Poly or EndpointFn")
 
+    def kernel(y):
+        terms = [y.derivative(order) * b for order, b in zip(range(6, 0, -1), coeffs)]
+        return sum(terms[1:], terms[0])
 
-def _factored_on_poly(p: Poly, params: KrallParams, pi: Poly) -> Poly:
-    q, pp = params.q_poly(), params.p_poly()
-    term1 = (q * p.derivative(3)).derivative(3)
-    term2 = (pp * p.derivative(2)).derivative(2)
-    term3 = (pi * p.derivative(1)).derivative(1)
-    return -term1 + term2 - term3
-
-
-def _factored_on_germ(g: LogGerm, params: KrallParams, pi: Poly) -> LogGerm:
-    q, pp = params.q_poly(), params.p_poly()
-    term1 = (g.derivative(3) * q).derivative(3)
-    term2 = (g.derivative(2) * pp).derivative(2)
-    term3 = (g.derivative(1) * pi).derivative(1)
-    return -term1 + term2 - term3
+    return _lift(f, kernel, "apply_expression")
 
 
 def apply_expression_factored(f, params: KrallParams, pi_variant: str = "corrected"):
@@ -183,16 +165,15 @@ def apply_expression_factored(f, params: KrallParams, pi_variant: str = "correct
     "sign-variant" uses the +6A x^2-sign for the consistency report.
     """
     pi = params.pi_poly() if pi_variant == "corrected" else params.pi_poly_sign_variant()
-    if isinstance(f, Poly):
-        return _factored_on_poly(f, params, pi)
-    if isinstance(f, EndpointFn):
-        if f.is_global():
-            return EndpointFn.from_poly(_factored_on_poly(f.poly, params, pi))
-        return EndpointFn.piecewise(
-            _factored_on_germ(f.germ_minus, params, pi),
-            _factored_on_germ(f.germ_plus, params, pi),
-        )
-    raise TypeError("apply_expression_factored expects a Poly or EndpointFn")
+    q, pp = params.q_poly(), params.p_poly()
+
+    def kernel(y):
+        term1 = (y.derivative(3) * q).derivative(3)
+        term2 = (y.derivative(2) * pp).derivative(2)
+        term3 = (y.derivative(1) * pi).derivative(1)
+        return -term1 + term2 - term3
+
+    return _lift(f, kernel, "apply_expression_factored")
 
 
 def expanded_coefficients_of_factored(params: KrallParams, pi_variant: str = "corrected"):

@@ -75,20 +75,12 @@ class Poly:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def zero() -> "Poly":
-        return Poly()
-
-    @staticmethod
     def one() -> "Poly":
         return Poly([1])
 
     @staticmethod
     def x() -> "Poly":
         return Poly([0, 1])
-
-    @staticmethod
-    def constant(c: Scalar) -> "Poly":
-        return Poly([c])
 
     @staticmethod
     def monomial(power: int, c: Scalar = 1) -> "Poly":
@@ -342,14 +334,6 @@ class RationalFn:
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFn is immutable")
-
-    @staticmethod
-    def from_poly(p: Poly) -> "RationalFn":
-        return RationalFn(p)
-
-    @staticmethod
-    def constant(c: Scalar) -> "RationalFn":
-        return RationalFn(Poly([c]))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

@@ -19,8 +19,6 @@ from fractions import Fraction
 from . import concomitant as con
 from . import frobenius as fro
 from .extension import (
-    GknCandidate,
-    WVector,
     apply_extended,
     domain_membership,
     eigen_verify,
@@ -28,7 +26,7 @@ from .extension import (
     independence_certificate,
     omega,
     operator_matrix,
-    operator_symmetry_gap,
+    operator_symmetry_gaps,
 )
 from .germs import DivergentLimitError, EndpointFn
 from .inner_products import (
@@ -590,7 +588,7 @@ def suite_gkn(config: RunConfig) -> Report:
     A, B = params.A, params.B
     report = Report("gkn", params)
     ys = con.boundary_condition_functions(params)
-    candidates = [GknCandidate.plain(y) for y in ys]
+    candidates = [ExtendedVector.plain(y) for y in ys]
     check = gkn_symmetry_check(candidates, params)
     report.add(
         make_case(
@@ -603,21 +601,13 @@ def suite_gkn(config: RunConfig) -> Report:
     )
     for j, y in enumerate(ys, start=1):
         expected = {
-            1: WVector(0, -192 * B),
-            2: WVector(-192 * A, 0),
-            3: WVector(0, 48 * B * (A + 2)),
-            4: WVector(48 * A * (B + 2), 0),
+            1: (0, -192 * B),
+            2: (-192 * A, 0),
+            3: (0, 48 * B * (A + 2)),
+            4: (48 * A * (B + 2), 0),
         }[j]
-        got = omega(y, params)
-        report.add(
-            make_case(
-                f"omega-table:y{j}",
-                "omega-table",
-                (got.a, got.b),
-                (expected.a, expected.b),
-            )
-        )
-    probes = [GknCandidate.plain(p) for p in con.probe_functions(params)]
+        report.add(make_case(f"omega-table:y{j}", "omega-table", omega(y, params), expected))
+    probes = [ExtendedVector.plain(p) for p in con.probe_functions(params)]
     cert = independence_certificate(candidates, probes, params)
     expected_matrix = [
         [Fraction(0), Fraction(192), Fraction(0), -48 * (B + 2)],
@@ -658,7 +648,7 @@ def suite_gkn(config: RunConfig) -> Report:
         )
     )
     # the seed pair: unit-scaled piecewise constants with x-weighted probes
-    seeds = [GknCandidate.plain(t) for t in con.partial_gkn_pair()]
+    seeds = [ExtendedVector.plain(t) for t in con.partial_gkn_pair()]
     seed_check = gkn_symmetry_check(seeds, params)
     report.add(
         make_case(
@@ -670,8 +660,8 @@ def suite_gkn(config: RunConfig) -> Report:
     )
     x = Poly.x()
     xprobes = [
-        GknCandidate.plain(EndpointFn.poly_near(-1, x)),
-        GknCandidate.plain(EndpointFn.poly_near(1, x)),
+        ExtendedVector.plain(EndpointFn.poly_near(-1, x)),
+        ExtendedVector.plain(EndpointFn.poly_near(1, x)),
     ]
     seed_cert = independence_certificate(seeds, xprobes, params)
     report.add(
@@ -690,7 +680,7 @@ def suite_gkn(config: RunConfig) -> Report:
     )
     # a deliberately non-admissible family: swap one boundary function for a
     # probe with nonvanishing bracket
-    bad = [candidates[2], GknCandidate.plain(con.one_near(1))]
+    bad = [candidates[2], ExtendedVector.plain(con.one_near(1))]
     bad_check = gkn_symmetry_check(bad, params)
     report.add(
         make_case(
@@ -782,11 +772,9 @@ def suite_operator_matrix(config: RunConfig) -> Report:
         )
     )
 
-    gaps = []
-    for i in range(20):
-        u = embed(seeded[i % len(seeded)])
-        v = embed(seeded[(i * 7 + 3) % len(seeded)])
-        gaps.append(operator_symmetry_gap(u, v, params))
+    vectors = [embed(p) for p in seeded]
+    pairs = [(i % len(seeded), (i * 7 + 3) % len(seeded)) for i in range(20)]
+    gaps = operator_symmetry_gaps(vectors, pairs, params)
     report.add(
         make_case(
             "operator-symmetry",

@@ -38,15 +38,13 @@ from krall6.concomitant import (
     WEIGHT,
 )
 from krall6.extension import (
-    GknCandidate,
     apply_extended,
     domain_membership,
     gkn_symmetry_check,
     independence_certificate,
     omega,
     operator_matrix,
-    operator_symmetry_gap,
-    WVector,
+    operator_symmetry_gaps,
 )
 from krall6.frobenius import (
     LocalExpression,
@@ -227,16 +225,16 @@ def test_criterion_08_gkn_verification():
     for params in PARAM_PAIRS:
         A, B = params.A, params.B
         ys = boundary_condition_functions(params)
-        candidates = [GknCandidate.plain(y) for y in ys]
+        candidates = [ExtendedVector.plain(y) for y in ys]
         ok = ok and gkn_symmetry_check(candidates, params)["all_zero"]
-        ok = ok and omega(ys[0], params) == WVector(0, -192 * B)
-        ok = ok and omega(ys[1], params) == WVector(-192 * A, 0)
-        ok = ok and omega(ys[2], params) == WVector(0, 48 * B * (A + 2))
-        ok = ok and omega(ys[3], params) == WVector(48 * A * (B + 2), 0)
+        ok = ok and omega(ys[0], params) == (0, -192 * B)
+        ok = ok and omega(ys[1], params) == (-192 * A, 0)
+        ok = ok and omega(ys[2], params) == (0, 48 * B * (A + 2))
+        ok = ok and omega(ys[3], params) == (48 * A * (B + 2), 0)
         from krall6.concomitant import probe_functions
 
         cert = independence_certificate(
-            candidates, [GknCandidate.plain(p) for p in probe_functions(params)], params
+            candidates, [ExtendedVector.plain(p) for p in probe_functions(params)], params
         )
         ok = ok and cert.conclusive
         ok = ok and cert.rows()[0] == [0, 192, 0, -48 * (B + 2)]
@@ -255,9 +253,9 @@ def test_criterion_08_stated_probe_matrix_entries():
     params = KrallParams(1, 2)
     from krall6.concomitant import probe_functions
 
-    candidates = [GknCandidate.plain(y) for y in boundary_condition_functions(params)]
+    candidates = [ExtendedVector.plain(y) for y in boundary_condition_functions(params)]
     cert = independence_certificate(
-        candidates, [GknCandidate.plain(p) for p in probe_functions(params)], params
+        candidates, [ExtendedVector.plain(p) for p in probe_functions(params)], params
     )
     ok = True
     for row, e in ((2, 1), (3, -1)):
@@ -279,9 +277,9 @@ def test_criterion_08_verified_probe_matrix():
     for params in PARAM_PAIRS:
         from krall6.concomitant import probe_functions
 
-        candidates = [GknCandidate.plain(y) for y in boundary_condition_functions(params)]
+        candidates = [ExtendedVector.plain(y) for y in boundary_condition_functions(params)]
         cert = independence_certificate(
-            candidates, [GknCandidate.plain(p) for p in probe_functions(params)], params
+            candidates, [ExtendedVector.plain(p) for p in probe_functions(params)], params
         )
         ok = ok and cert.rows()[2] == [0, 0, 64, 0]
         ok = ok and cert.rows()[3] == [0, 0, 0, 64]
@@ -314,10 +312,9 @@ def test_criterion_09_domain_and_operator():
         for n in range(11):
             expected = eigenvalue(n, params) if m == n else 0
             ok = ok and matrix[m][n] == expected
-    for i in range(20):
-        u = embed(polys[i % 12])
-        v = embed(polys[(i * 7 + 3) % 12])
-        ok = ok and operator_symmetry_gap(u, v, params) == 0
+    vectors = [embed(p) for p in polys[:12]]
+    pairs = [(i % 12, (i * 7 + 3) % 12) for i in range(20)]
+    ok = ok and operator_symmetry_gaps(vectors, pairs, params) == [0] * 20
     verdict(9, ok, "membership routes agree on 20 cases; operator forms agree; matrix = diag(lambda); symmetry exact")
 
 

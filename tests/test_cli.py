@@ -129,6 +129,13 @@ def test_dump_matrix_operator(capsys):
     assert rows[0][1] == "0"
 
 
+@pytest.mark.parametrize("which", ["gram", "operator"])
+def test_dump_matrix_negative_nmax_is_usage_error(capsys, which):
+    code, out, err = run_cli(capsys, "dump", "matrix", which, "--nmax", "-1")
+    assert code == 2 and out == ""
+    assert "nmax must be non-negative" in err
+
+
 def test_dump_matrix_probe_and_brackets(capsys):
     code, out, _ = run_cli(capsys, "dump", "matrix", "probe", "--A", "1", "--B", "2")
     assert code == 0

@@ -1,4 +1,4 @@
-"""Extended-space machinery: W algebra, GKN checks, the operator."""
+"""Extended-space machinery: the C2 inner product, GKN checks, the operator."""
 
 import random
 from fractions import Fraction
@@ -13,10 +13,9 @@ from krall6.concomitant import (
     probe_functions,
     weight_near,
 )
+from krall6 import extension
 from krall6.extension import (
-    GknCandidate,
     NotInDomainError,
-    WVector,
     apply_extended,
     boundary_condition_values,
     domain_membership,
@@ -26,12 +25,11 @@ from krall6.extension import (
     independence_certificate,
     omega,
     operator_matrix,
-    operator_symmetry_gap,
+    operator_symmetry_gaps,
     psi_standard_tag,
-    w_inner,
 )
 from krall6.germs import EndpointFn
-from krall6.inner_products import ExtendedVector, embed
+from krall6.inner_products import ExtendedVector, embed, extended_inner, w_inner
 from krall6.operator import KrallParams, apply_expression, eigen_polynomial, eigenvalue
 from krall6.polynomials import Poly
 
@@ -49,11 +47,11 @@ def seeded(count, seed, max_degree=8):
 
 
 def test_w_inner():
-    assert w_inner(WVector(1, 0), WVector(1, 0), KrallParams(2, 1)) == Fraction(1, 2)
-    assert w_inner(WVector(1, 0), WVector(0, 1), KrallParams(2, 3)) == 0
+    assert w_inner((1, 0), (1, 0), KrallParams(2, 1)) == Fraction(1, 2)
+    assert w_inner((1, 0), (0, 1), KrallParams(2, 3)) == 0
     # the orthonormal-basis directions have unit norm: <(A,0),(A,0)>/A = A
     params = KrallParams(Fraction(3, 2), 5)
-    assert w_inner(WVector(params.A, 0), WVector(params.A, 0), params) == params.A
+    assert w_inner((params.A, 0), (params.A, 0), params) == params.A
 
 
 def test_psi_map():
@@ -64,33 +62,34 @@ def test_psi_map():
 def test_omega_table(params):
     A, B = params.A, params.B
     y1, y2, y3, y4 = boundary_condition_functions(params)
-    assert omega(y1, params) == WVector(0, -192 * B)
-    assert omega(y2, params) == WVector(-192 * A, 0)
-    assert omega(y3, params) == WVector(0, 48 * B * (A + 2))
-    assert omega(y4, params) == WVector(48 * A * (B + 2), 0)
-    assert omega(Poly.one(), params) == WVector(0, 0)
+    assert omega(y1, params) == (0, -192 * B)
+    assert omega(y2, params) == (-192 * A, 0)
+    assert omega(y3, params) == (0, 48 * B * (A + 2))
+    assert omega(y4, params) == (48 * A * (B + 2), 0)
+    assert omega(Poly.one(), params) == (0, 0)
 
 
 def test_extended_symplectic_reduces_to_base_form():
     params = KrallParams(1, 2)
-    f = GknCandidate.plain(EndpointFn.from_poly(X * X))
-    y3 = GknCandidate.plain(weight_near(1))
+    f = ExtendedVector.plain(EndpointFn.from_poly(X * X))
+    assert f == ExtendedVector(EndpointFn.from_poly(X * X), 0, 0)
+    y3 = ExtendedVector.plain(weight_near(1))
     from krall6.concomitant import symplectic_form
 
     assert extended_symplectic(f, y3, params) == symplectic_form(X * X, weight_near(1), params)
-    # zero function with a W-part pairs against Omega of the partner
-    zero_fn = GknCandidate(EndpointFn.from_poly(Poly()), WVector(1, 0))
-    assert extended_symplectic(zero_fn, y3, params) == w_inner(WVector(1, 0), omega(weight_near(1), params), params)
+    # zero function with an endpoint part pairs against Omega of the partner
+    zero_fn = ExtendedVector(EndpointFn.from_poly(Poly()), 1, 0)
+    assert extended_symplectic(zero_fn, y3, params) == w_inner((1, 0), omega(weight_near(1), params), params)
     assert extended_symplectic(zero_fn, y3, params) == 0  # Omega y3 lives in the +1 slot
 
 
 def test_extended_symplectic_antisymmetry():
     params = KrallParams(Fraction(3, 2), Fraction(5, 2))
     rng = random.Random(2)
-    pool = [GknCandidate.plain(y) for y in boundary_condition_functions(params)]
-    pool += [GknCandidate.plain(t) for t in partial_gkn_pair()]
+    pool = [ExtendedVector.plain(y) for y in boundary_condition_functions(params)]
+    pool += [ExtendedVector.plain(t) for t in partial_gkn_pair()]
     pool += [
-        GknCandidate(EndpointFn.from_poly(p), WVector(rng.randint(-3, 3), rng.randint(-3, 3)))
+        ExtendedVector(EndpointFn.from_poly(p), rng.randint(-3, 3), rng.randint(-3, 3))
         for p in seeded(4, seed=3)
     ]
     for i, u in enumerate(pool):
@@ -100,21 +99,21 @@ def test_extended_symplectic_antisymmetry():
 
 @pytest.mark.parametrize("params", PARAM_PAIRS)
 def test_gkn_family_admissible(params):
-    candidates = [GknCandidate.plain(y) for y in boundary_condition_functions(params)]
+    candidates = [ExtendedVector.plain(y) for y in boundary_condition_functions(params)]
     check = gkn_symmetry_check(candidates, params)
     assert check["all_zero"]
 
 
 def test_singleton_family_vacuous_pass():
     params = KrallParams(1, 1)
-    check = gkn_symmetry_check([GknCandidate.plain(weight_near(1))], params)
+    check = gkn_symmetry_check([ExtendedVector.plain(weight_near(1))], params)
     assert check["all_zero"] and check["brackets"] == [[0]]
 
 
 def test_gkn_family_with_bad_member_detected():
     params = KrallParams(1, 2)
-    y3 = GknCandidate.plain(weight_near(1))
-    bad = GknCandidate.plain(one_near(1))
+    y3 = ExtendedVector.plain(weight_near(1))
+    bad = ExtendedVector.plain(one_near(1))
     check = gkn_symmetry_check([y3, bad], params)
     assert not check["all_zero"]
     # [y3, one-near-plus] = -48(A+2) by the weight closed form (antisymmetric partner)
@@ -124,8 +123,8 @@ def test_gkn_family_with_bad_member_detected():
 @pytest.mark.parametrize("params", PARAM_PAIRS)
 def test_probe_matrix(params):
     A, B = params.A, params.B
-    candidates = [GknCandidate.plain(y) for y in boundary_condition_functions(params)]
-    probes = [GknCandidate.plain(p) for p in probe_functions(params)]
+    candidates = [ExtendedVector.plain(y) for y in boundary_condition_functions(params)]
+    probes = [ExtendedVector.plain(p) for p in probe_functions(params)]
     cert = independence_certificate(candidates, probes, params)
     assert cert.rows() == [
         [0, 192, 0, -48 * (B + 2)],
@@ -139,8 +138,8 @@ def test_probe_matrix(params):
 
 def test_duplicate_candidate_is_inconclusive():
     params = KrallParams(1, 1)
-    candidates = [GknCandidate.plain(y) for y in boundary_condition_functions(params)]
-    probes = [GknCandidate.plain(p) for p in probe_functions(params)]
+    candidates = [ExtendedVector.plain(y) for y in boundary_condition_functions(params)]
+    probes = [ExtendedVector.plain(p) for p in probe_functions(params)]
     cert = independence_certificate([candidates[0]] * 2 + candidates[2:], probes, params)
     assert not cert.conclusive
     with pytest.raises(ValueError):
@@ -149,11 +148,11 @@ def test_duplicate_candidate_is_inconclusive():
 
 def test_seed_pair_certificate():
     params = KrallParams(1, 2)
-    seeds = [GknCandidate.plain(t) for t in partial_gkn_pair()]
+    seeds = [ExtendedVector.plain(t) for t in partial_gkn_pair()]
     assert gkn_symmetry_check(seeds, params)["all_zero"]
     probes = [
-        GknCandidate.plain(EndpointFn.poly_near(-1, X)),
-        GknCandidate.plain(EndpointFn.poly_near(1, X)),
+        ExtendedVector.plain(EndpointFn.poly_near(-1, X)),
+        ExtendedVector.plain(EndpointFn.poly_near(1, X)),
     ]
     cert = independence_certificate(seeds, probes, params)
     assert cert.conclusive
@@ -198,9 +197,6 @@ def test_apply_extended_rejects_nonmembers():
     params = KrallParams(1, 1)
     with pytest.raises(NotInDomainError):
         apply_extended(ExtendedVector(X, 0, 1), params)
-    # the unchecked variant exists for negative testing only
-    image = apply_extended(ExtendedVector(X, 0, 1), params, check_domain=False)
-    assert image.fn == apply_expression(X, params)
 
 
 @pytest.mark.parametrize("params", PARAM_PAIRS)
@@ -231,11 +227,42 @@ def test_operator_matrix_diagonal(params):
 
 def test_operator_symmetry_on_seeded_pairs():
     params = KrallParams(Fraction(3, 2), Fraction(5, 2))
-    polys = seeded(10, seed=19)
-    for i in range(10):
-        u = embed(polys[i])
-        v = embed(polys[(i * 3 + 1) % 10])
-        assert operator_symmetry_gap(u, v, params) == 0
+    vectors = [embed(p) for p in seeded(10, seed=19)]
+    pairs = [(i, (i * 3 + 1) % 10) for i in range(10)]
+    assert operator_symmetry_gaps(vectors, pairs, params) == [0] * 10
+
+
+def test_operator_symmetry_gaps_apply_the_operator_once_per_vector(monkeypatch):
+    params = KrallParams(1, 2)
+    vectors = [embed(p) for p in seeded(4, seed=5)]
+    # every vector occurs in several pairs, and once as both members of a pair
+    pairs = [(i, j) for i in range(4) for j in range(4)]
+
+    def by_definition(apply):
+        return [
+            extended_inner(apply(vectors[i], params), vectors[j], params)
+            - extended_inner(vectors[i], apply(vectors[j], params), params)
+            for i, j in pairs
+        ]
+
+    calls = []
+
+    def counting(u, p):
+        calls.append(u)
+        return apply_extended(u, p)
+
+    monkeypatch.setattr(extension, "apply_extended", counting)
+    assert operator_symmetry_gaps(vectors, pairs, params) == by_definition(apply_extended)
+    assert len(calls) == len(vectors)
+
+    # a non-symmetric stand-in for T gives nonzero gaps, so a swapped index shows
+    def skewed(u, p):
+        return ExtendedVector(u.fn.derivative(), u.b, 0)
+
+    monkeypatch.setattr(extension, "apply_extended", skewed)
+    gaps = operator_symmetry_gaps(vectors, pairs, params)
+    assert gaps == by_definition(skewed)
+    assert any(g != 0 for g in gaps)
 
 
 def test_endpoint_values_of_expression_match_operator_form():
