@@ -86,14 +86,18 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _parse_param(name: str, text: str):
+    try:
+        value = parse_rational(text)
+    except ValueError as exc:
+        raise SystemExit(_usage(f"--{name}: {exc}")) from None
+    if value <= 0:
+        raise SystemExit(_usage(f"{name} must be positive"))
+    return value
+
+
 def _parse_params(args) -> KrallParams:
-    a = parse_rational(args.A)
-    b = parse_rational(args.B)
-    if a <= 0:
-        raise SystemExit(_usage("A must be positive"))
-    if b <= 0:
-        raise SystemExit(_usage("B must be positive"))
-    return KrallParams(a, b)
+    return KrallParams(_parse_param("A", args.A), _parse_param("B", args.B))
 
 
 def _usage(message: str) -> int:

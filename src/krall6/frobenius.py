@@ -7,8 +7,8 @@ yields a four-term stencil
 
     l[t^s] = sum_{d=0}^{3} rho_d(s) t^{s-3+d},
 
-where each rho_d is a polynomial in s computed directly from the local
-coefficient polynomials (nothing is transcribed).  rho_0 is the indicial
+where each rho_d is a polynomial in s from `operator.power_stencil` centred
+at the endpoint (nothing is transcribed).  rho_0 is the indicial
 polynomial; at either endpoint it factors as +-8 (s-3)(s-2)(s-1)^2 s (s+1),
 so the indicial roots are {3, 2, 1, 1, 0, -1}.
 
@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .operator import KrallParams
+from .operator import KrallParams, power_stencil
 from .polynomials import Poly, format_rational
 
 SOLUTION_LABELS = ("phi-3", "phi-2", "phi-1", "phi-hat-1", "phi-0", "phi-minus-1")
@@ -144,17 +144,9 @@ class LinExpr:
 # ---------------------------------------------------------------------------
 
 
-def _falling_factorial_poly(order: int) -> Poly:
-    """s(s-1)...(s-order+1) as a polynomial in s."""
-    out = Poly.one()
-    for u in range(order):
-        out = out * Poly([-u, 1])
-    return out
-
-
 @dataclass(frozen=True)
 class LocalExpression:
-    """The expression rewritten at one endpoint, with its power stencil."""
+    """The expression at one endpoint: `stencil[d]` is rho_{d-3} of `power_stencil` there."""
 
     endpoint: int
     params: KrallParams
@@ -163,19 +155,9 @@ class LocalExpression:
     def __post_init__(self):
         if self.endpoint not in (-1, 1):
             raise ValueError("endpoint must be -1 or +1")
-        shift = Poly([self.endpoint, 1])  # x = e + t
-        stencil: dict[int, Poly] = {}
-        coeffs = self.params.expression_coefficients()
-        for order, bx in zip(range(6, 0, -1), coeffs):
-            local = bx.compose(shift)
-            ff = _falling_factorial_poly(order)
-            for i, c in enumerate(local.coeffs):
-                if c == 0:
-                    continue
-                d = i - order + 3
-                if d < 0:
-                    raise AssertionError("not a regular singular point structure")
-                stencil[d] = stencil.get(d, Poly()) + c * ff
+        stencil = {shift + 3: rho for shift, rho in power_stencil(self.params, self.endpoint).items()}
+        if min(stencil) < 0:
+            raise AssertionError("not a regular singular point structure")
         object.__setattr__(self, "stencil", stencil)
 
     def indicial_polynomial(self) -> Poly:
@@ -519,15 +501,14 @@ def derivative_square_integrable(sol: SeriesSolution, times: int) -> bool:
     return lead[0] >= 0
 
 
-def l2_classification(endpoint: int, params: KrallParams, order: int = 12) -> dict:
-    """Per-solution square-integrability flags and the L2 count."""
-    basis = solution_basis(endpoint, order, params)
+def l2_classification(basis: list[SeriesSolution]) -> dict:
+    """Per-solution square-integrability flags and the L2 count of one basis."""
     flags = {sol.label: is_square_integrable(sol) for sol in basis}
     return {"flags": flags, "count": sum(flags.values())}
 
 
 def deficiency_index(params: KrallParams, order: int = 12) -> int:
     """d_+ + d_- - 6 where d_e is the L2 count at endpoint e."""
-    d_plus = l2_classification(1, params, order)["count"]
-    d_minus = l2_classification(-1, params, order)["count"]
+    d_plus = l2_classification(solution_basis(1, order, params))["count"]
+    d_minus = l2_classification(solution_basis(-1, order, params))["count"]
     return d_plus + d_minus - 6

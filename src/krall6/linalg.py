@@ -1,8 +1,9 @@
 """Tiny exact linear algebra over Fraction: determinant and kernel vector.
 
-Matrices are lists of row lists.  Sizes here are small (a dozen rows at
-most), so plain fraction Gaussian elimination with partial pivoting by
-nonzero entry is plenty.
+Matrices are lists of row lists.  `determinant` eliminates with partial
+pivoting by nonzero entry on the small certificate matrices; `kernel_vector`
+only back-substitutes, because its one caller (`operator.eigen_polynomial`)
+hands it an upper-triangular matrix with a single zero on the diagonal.
 """
 
 from __future__ import annotations
@@ -12,15 +13,11 @@ from fractions import Fraction
 Matrix = list[list[Fraction]]
 
 
-def _copy(m: Matrix) -> Matrix:
-    return [[Fraction(x) for x in row] for row in m]
-
-
 def determinant(m: Matrix) -> Fraction:
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant needs a square matrix")
-    a = _copy(m)
+    a = [[Fraction(x) for x in row] for row in m]
     det = Fraction(1)
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
@@ -41,34 +38,22 @@ def determinant(m: Matrix) -> Fraction:
 
 
 def kernel_vector(m: Matrix) -> list[Fraction]:
-    """One nonzero kernel vector of a square matrix with 1-dimensional kernel.
+    """The kernel vector of an upper-triangular m whose one zero diagonal entry is m[p][p].
 
-    Raises ValueError if the kernel is trivial or has dimension > 1.
+    v[p] = 1, v[j] = 0 for j > p, and back-substitution gives v[i] for i < p.
+    Any other input raises ValueError.
     """
     n = len(m)
-    a = _copy(m)
-    pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, n) if a[r][col] != 0), None)
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        for r in range(n):
-            if r != row and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-    free = [c for c in range(n) if c not in pivots]
-    if len(free) != 1:
-        raise ValueError(f"kernel dimension is {len(free)}, expected 1")
-    fc = free[0]
+    if any(len(row) != n for row in m):
+        raise ValueError("kernel_vector needs a square matrix")
+    if any(m[i][j] != 0 for i in range(n) for j in range(i)):
+        raise ValueError("kernel_vector needs an upper-triangular matrix")
+    zeros = [i for i in range(n) if m[i][i] == 0]
+    if len(zeros) != 1:
+        raise ValueError(f"{len(zeros)} zero diagonal entries, expected 1")
+    p = zeros[0]
     vec = [Fraction(0)] * n
-    vec[fc] = Fraction(1)
-    for r, pc in enumerate(pivots):
-        vec[pc] = -a[r][fc]
+    vec[p] = Fraction(1)
+    for i in range(p - 1, -1, -1):
+        vec[i] = -sum((m[i][j] * vec[j] for j in range(i + 1, p + 1)), Fraction(0)) / m[i][i]
     return vec
-

@@ -27,9 +27,11 @@ computes the coefficient of x^n in l[x^n] independently via falling
 factorials, and the alternative n(n-1) printing fails that oracle already at
 n = 1 (it gives 0 while l[x] = (24AB+12A+12B)x + 12B-12A is nonzero).
 
-Eigenpolynomials come from `eigen_polynomial` (kernel solver, monic ground
-truth).  `closed_form_polynomial` implements the explicit coefficient-sum
-formula under several parse variants of its ambiguous inner parenthesis and
+`power_stencil` gives l on powers (x - c)^s; at c = 0 it is the banded
+triangular matrix on monomials, from which `eigen_polynomial` back-substitutes
+the monic ground truth, and at c = +-1 it is the Frobenius stencil.
+`closed_form_polynomial` implements the explicit coefficient-sum formula
+under several parse variants of its ambiguous inner parenthesis and
 `closed_form_comparison` documents which variant (if any) is proportional to
 the kernel solution; see also the fourth-order Legendre-type instance
 `legendre_type`, used as a cross-check of the same machinery.
@@ -158,6 +160,30 @@ def apply_expression(f, params: KrallParams):
     return _lift(f, kernel, "apply_expression")
 
 
+def _falling_factorial_poly(order: int) -> Poly:
+    """s(s-1)...(s-order+1) as a polynomial in s."""
+    out = Poly.one()
+    for u in range(order):
+        out = out * Poly([-u, 1])
+    return out
+
+
+def power_stencil(params: KrallParams, center: Scalar) -> dict[int, Poly]:
+    """{shift: rho_shift} with l[t^s] = sum rho_shift(s) t^(s+shift), t = x - center.
+
+    The t^i coefficient of b_k times s(s-1)...(s-k+1) adds to rho_{i-k}.  At
+    center 0 the shifts lie in -6..0 and rho_0(n) = lambda_n.
+    """
+    t = Poly([center, 1])  # x = center + t
+    stencil: dict[int, Poly] = {}
+    for order, b in zip(range(6, 0, -1), params.expression_coefficients()):
+        ff = _falling_factorial_poly(order)
+        for i, c in enumerate(b.compose(t).coeffs):
+            if c != 0:
+                stencil[i - order] = stencil.get(i - order, Poly()) + c * ff
+    return stencil
+
+
 def apply_expression_factored(f, params: KrallParams, pi_variant: str = "corrected"):
     """Apply the Lagrangian symmetric form -(Qy''')''' + (Py'')'' - (pi y')'.
 
@@ -261,19 +287,6 @@ def leading_coefficient_oracle(n: int, params: KrallParams) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def operator_monomial_matrix(n: int, params: KrallParams) -> list[list[Fraction]]:
-    """Matrix of the expression on the monomial basis of degree <= n.
-
-    Column m holds the coefficients of l[x^m]; the expression preserves
-    polynomial degree so the matrix is (n+1) x (n+1).
-    """
-    cols = []
-    for m in range(n + 1):
-        image = apply_expression(Poly.monomial(m), params)
-        cols.append([image[i] for i in range(n + 1)])
-    return [[cols[m][i] for m in range(n + 1)] for i in range(n + 1)]
-
-
 def check_distinct_eigenvalues(n: int, params: KrallParams):
     values = [eigenvalue(k, params) for k in range(n + 1)]
     seen: dict[Fraction, int] = {}
@@ -287,17 +300,25 @@ def check_distinct_eigenvalues(n: int, params: KrallParams):
 
 @functools.lru_cache(maxsize=4096)
 def eigen_polynomial(n: int, params: KrallParams) -> Poly:
-    """The monic degree-n eigenpolynomial, from the finite kernel system."""
+    """The monic degree-n eigenpolynomial K_n, by triangular back-substitution.
+
+    Entry (i, m) of l on monomials is rho_{i-m}(m) from `power_stencil(params, 0)`;
+    minus lambda_n, the diagonal vanishes only at m = n, and c_n = 1.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
     check_distinct_eigenvalues(n, params)
     lam = eigenvalue(n, params)
-    mat = operator_monomial_matrix(n, params)
-    for i in range(n + 1):
-        mat[i][i] -= lam
-    vec = linalg.kernel_vector(mat)
-    p = Poly(vec)
+    stencil = power_stencil(params, 0)
+    mat = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+    for m in range(n + 1):
+        for shift, rho in stencil.items():
+            if m + shift >= 0:
+                mat[m + shift][m] = rho(m) - (lam if shift == 0 else 0)
+    p = Poly(linalg.kernel_vector(mat))
     if p.degree != n:
         raise DegenerateEigenvalueError(f"kernel vector has degree {p.degree}, expected {n}")
-    return p.monic()
+    return p
 
 
 def closed_form_polynomial(n: int, params: KrallParams, variant: str = "sum-end") -> Poly:

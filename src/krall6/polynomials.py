@@ -39,13 +39,14 @@ def as_fraction(value: Scalar) -> Fraction:
 def parse_rational(text: str) -> Fraction:
     """Parse the "p/q" (or "p") text format; the denominator must be positive."""
     text = text.strip()
-    if "/" in text:
-        num_text, den_text = text.split("/", 1)
-        num, den = int(num_text), int(den_text)
-        if den <= 0:
-            raise ValueError(f"denominator must be positive in {text!r}")
-        return Fraction(num, den)
-    return Fraction(int(text))
+    num_text, slash, den_text = text.partition("/")
+    try:
+        num, den = int(num_text), int(den_text) if slash else 1
+    except ValueError:
+        raise ValueError(f"expected an integer p or a fraction p/q, got {text!r}") from None
+    if den <= 0:
+        raise ValueError(f"denominator must be positive in {text!r}")
+    return Fraction(num, den)
 
 
 def format_rational(value: Scalar) -> str:

@@ -543,7 +543,7 @@ def suite_frobenius(config: RunConfig) -> Report:
                 True,
             )
         )
-        classification = fro.l2_classification(endpoint, params, config.series_order)
+        classification = fro.l2_classification(basis)
         report.add(
             make_case(
                 f"l2-count:e={endpoint:+d}",

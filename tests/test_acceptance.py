@@ -213,7 +213,7 @@ def test_criterion_07_frobenius():
         for sol in basis:
             order = residual_order(sol, params)
             ok = ok and (order is None or order >= 14)
-        ok = ok and l2_classification(endpoint, params)["count"] == 5
+        ok = ok and l2_classification(basis)["count"] == 5
     ok = ok and deficiency_index(params) == 4
     elapsed = time.monotonic() - started
     ok = ok and elapsed < 60

@@ -77,6 +77,23 @@ def test_run_all_report_digest_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == RUN_ALL_SEED_1_SHA256
 
 
+#: sha256 of two dumps that reach further than `run all`: K_32 and an order-40
+#: log-bearing series, both at A=1/100, B=3.  A change to either solver must
+#: leave both byte-identical.
+DEEP_DUMP_SHA256 = {
+    ("poly", "K", "32"): "7c28d9deb7bcbb5e5f2ec88f65b610c9f394e4bfdab3c77c54e183f122c04789",
+    ("series", "phi-hat-1", "-1", "--order", "40"):
+        "69f3d38bfe05db339b804eb0c65ab779ff6ad742566dddc281773271ce3994a9",
+}
+
+
+@pytest.mark.parametrize("selector", sorted(DEEP_DUMP_SHA256))
+def test_deep_dump_digests_are_pinned(capsys, selector):
+    code, out, _ = run_cli(capsys, "dump", *selector, "--A", "1/100", "--B", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DEEP_DUMP_SHA256[selector]
+
+
 def test_gram_csv_matrix(capsys):
     code, out, _ = run_cli(capsys, "gram", "--A", "1", "--B", "2", "--nmax", "2", "--format", "csv")
     assert code == 0
@@ -96,6 +113,14 @@ def test_negative_parameter_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "run", "gram", "--A", "1", "--B", "-1")
     assert code == 2
     assert "B must be positive" in err
+
+
+@pytest.mark.parametrize("option", ["--A", "--B"])
+@pytest.mark.parametrize("literal", ["abc", "0.5", "1/x", "1/2/3"])
+def test_malformed_parameter_is_usage_error(capsys, option, literal):
+    code, out, err = run_cli(capsys, "run", "eigen", option, literal)
+    assert code == 2 and out == ""
+    assert f"{option}:" in err and "p/q" in err
 
 
 def test_unknown_suite_is_usage_error(capsys):

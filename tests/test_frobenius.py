@@ -116,7 +116,7 @@ def test_zero_series_residual_is_infinite():
 def test_l2_classification_and_deficiency():
     for params in PARAM_PAIRS:
         for endpoint in (-1, 1):
-            cls = l2_classification(endpoint, params)
+            cls = l2_classification(solution_basis(endpoint, 12, params))
             assert cls["count"] == 5
             assert cls["flags"]["phi-minus-1"] is False
             assert all(cls["flags"][lab] for lab in SOLUTION_LABELS if lab != "phi-minus-1")

@@ -21,10 +21,13 @@ from krall6.operator import (
     expansion_consistency_report,
     leading_coefficient_oracle,
     legendre_type,
+    power_stencil,
 )
 from krall6.polynomials import Poly
 
 PARAM_PAIRS = [KrallParams(1, 1), KrallParams(1, 2), KrallParams(Fraction(3, 2), Fraction(5, 2))]
+#: a small A and a pair with A = B < 1, for the solver tests
+EXTRA_PAIRS = [KrallParams(Fraction(1, 100), 3), KrallParams(Fraction(2, 7), Fraction(2, 7))]
 X = Poly.x()
 
 
@@ -98,11 +101,26 @@ def test_kernel_polynomial_examples():
     assert eigen_polynomial(0, KrallParams(1, 1)) == Poly.one()
     assert eigen_polynomial(1, KrallParams(1, 2)) == Poly([Fraction(1, 7), 1])
     assert eigen_polynomial(1, KrallParams(2, 2)) == X
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        eigen_polynomial(-1, KrallParams(1, 2))
+
+
+def test_power_stencil_at_zero_is_the_monomial_action():
+    for params in PARAM_PAIRS + EXTRA_PAIRS:
+        stencil = power_stencil(params, 0)
+        assert set(stencil) <= set(range(-6, 1))
+        for m in range(21):
+            image = sum(
+                (Poly.monomial(m + shift, rho(m)) for shift, rho in stencil.items() if m + shift >= 0),
+                Poly(),
+            )
+            assert image == apply_expression(Poly.monomial(m), params)
+            assert stencil[0](m) == eigenvalue(m, params)
 
 
 def test_eigen_identity_batch():
-    for params in PARAM_PAIRS:
-        for n in range(9):
+    for params in PARAM_PAIRS + EXTRA_PAIRS:
+        for n in range(25):
             k_n = eigen_polynomial(n, params)
             assert k_n.degree == n and k_n.leading_coefficient() == 1
             assert apply_expression(k_n, params) == eigenvalue(n, params) * k_n

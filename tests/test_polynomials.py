@@ -32,6 +32,9 @@ def test_parse_and_format_rational():
     assert format_rational(Fraction(8, 2)) == "4"
     with pytest.raises(ValueError):
         parse_rational("1/-2")
+    for bad in ("abc", "0.5", "1/x", "1/2/3", "1/", ""):
+        with pytest.raises(ValueError, match="p/q"):
+            parse_rational(bad)
 
 
 def test_poly_text_roundtrip():
