@@ -11,8 +11,11 @@ With w = 1-x^2, alpha = 3A+3B+6, Q = w^3, P = w(12+alpha w) and pi as in
     [f, g] = B[f] g - B[g] f - Lam[f] g' + Lam[g] f' - Q (f''' g'' - f'' g''')
 
 The five summands are kept in exactly this grouping so that divergence
-diagnostics point at individual sub-expressions.  All scalars are real
-rationals, so complex conjugation is the identity and [f, g] = -[g, f].
+diagnostics point at individual sub-expressions: `_concomitant_lines` is
+the one place they are written, `concomitant` sums them and names the
+diverging lines when the sum has no limit, and the endpoint reductions take
+lines 3-5 from it.  All scalars are real rationals, so complex conjugation
+is the identity and [f, g] = -[g, f].
 
 Endpoint limits are germ-valuation limits (`germs.LogGerm.limit`); divergence
 raises `DivergentLimitError`, the typed signal that an input pair lies
@@ -51,7 +54,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .germs import EndpointFn, LogGerm
+from .germs import DivergentLimitError, EndpointFn, LogGerm
 from .operator import KrallParams, apply_expression
 from .polynomials import Poly
 
@@ -197,28 +200,35 @@ def _bracket_with_one_germ(g: LogGerm, params: KrallParams) -> LogGerm:
     )
 
 
-def _concomitant_germ(fg: LogGerm, gg: LogGerm, params: KrallParams) -> LogGerm:
-    """The five-term concomitant as a germ at one endpoint."""
-    line1 = _bracket_with_one_germ(fg, params) * gg
-    line2 = -(_bracket_with_one_germ(gg, params) * fg)
-    line3 = -(quasi_derivative(fg, params) * gg.derivative(1))
-    line4 = quasi_derivative(gg, params) * fg.derivative(1)
-    line5 = -(
-        (fg.derivative(3) * gg.derivative(2) - fg.derivative(2) * gg.derivative(3))
-        * params.q_poly()
+def _concomitant_lines(fg: LogGerm, gg: LogGerm, params: KrallParams) -> tuple[LogGerm, ...]:
+    """The five summands of [f, g] as germs at one endpoint, in the order
+    B[f] g, -B[g] f, -Lam[f] g', Lam[g] f', -Q (f''' g'' - f'' g''')."""
+    return (
+        _bracket_with_one_germ(fg, params) * gg,
+        -(_bracket_with_one_germ(gg, params) * fg),
+        -(quasi_derivative(fg, params) * gg.derivative(1)),
+        quasi_derivative(gg, params) * fg.derivative(1),
+        -((fg.derivative(3) * gg.derivative(2) - fg.derivative(2) * gg.derivative(3)) * params.q_poly()),
     )
-    return line1 + line2 + line3 + line4 + line5
 
 
 def concomitant(f, g, endpoint: int, params: KrallParams) -> Fraction:
     """Endpoint limit of the bilinear concomitant [f, g](endpoint).
 
-    Raises DivergentLimitError when the pair is outside the limit class.
+    Raises DivergentLimitError when the pair is outside the limit class; its
+    detail names the endpoint and the lines (1-5, in the order of the module
+    docstring) that diverge on their own.
     """
     f = EndpointFn.from_poly(f)
     g = EndpointFn.from_poly(g)
-    germ = _concomitant_germ(f.germ_at(endpoint), g.germ_at(endpoint), params)
-    return germ.limit()
+    lines = _concomitant_lines(f.germ_at(endpoint), g.germ_at(endpoint), params)
+    try:
+        return sum(lines[1:], lines[0]).limit()
+    except DivergentLimitError as exc:
+        diverging = ", ".join(str(i) for i, line in enumerate(lines, 1) if not line.has_limit())
+        raise DivergentLimitError(
+            endpoint, f"[f, g]({endpoint:+d}) lines {diverging} of 5 diverge; sum: {exc.detail}"
+        ) from None
 
 
 def concomitant_with_one(f, endpoint: int, params: KrallParams) -> Fraction:
@@ -306,13 +316,8 @@ def general_endpoint_reduction(f, g, endpoint: int, params: KrallParams) -> Frac
     """
     f = EndpointFn.from_poly(f)
     g = EndpointFn.from_poly(g)
-    fg, gg = f.germ_at(endpoint), g.germ_at(endpoint)
-    residual = (
-        -(quasi_derivative(fg, params) * gg.derivative(1))
-        + quasi_derivative(gg, params) * fg.derivative(1)
-        - (fg.derivative(3) * gg.derivative(2) - fg.derivative(2) * gg.derivative(3))
-        * params.q_poly()
-    )
+    *_, line3, line4, line5 = _concomitant_lines(f.germ_at(endpoint), g.germ_at(endpoint), params)
+    residual = line3 + line4 + line5
     head = (
         concomitant_with_one(f, endpoint, params) * g.value_at(endpoint)
         - concomitant_with_one(g, endpoint, params) * f.value_at(endpoint)
@@ -330,13 +335,9 @@ def log_probe_reduction(f, endpoint: int, params: KrallParams) -> Fraction:
     """
     f = EndpointFn.from_poly(f)
     probe = log_probe(endpoint, params)
-    fg, hg = f.germ_at(endpoint), probe.germ_at(endpoint)
-    residual = (
-        -(quasi_derivative(fg, params) * hg.derivative(1))
-        + fg.derivative(1) * Poly([32])
-        - (fg.derivative(3) * hg.derivative(2) - fg.derivative(2) * hg.derivative(3))
-        * params.q_poly()
-    )
+    fg = f.germ_at(endpoint)
+    *_, line3, _, line5 = _concomitant_lines(fg, probe.germ_at(endpoint), params)
+    residual = line3 + fg.derivative(1) * 32 + line5
     if endpoint == 1:
         constant = 32 * params.A + 12 * params.B - 16
     else:

@@ -169,10 +169,8 @@ class LocalExpression:
         p = self.indicial_polynomial()
         roots = []
         for candidate in range(10, -11, -1):
-            while p(candidate) == 0 and not p.is_zero():
-                mult_poly = Poly([-candidate, 1])
-                p = p.divmod(mult_poly)[0]
-                roots.append(candidate)
+            mult, p = p.split_root(candidate)
+            roots += [candidate] * mult
         if p.degree not in (None, 0):
             raise ArithmeticError(
                 f"indicial polynomial has a non-integer factor: {p.format_coeffs()}"
@@ -219,7 +217,6 @@ class SeriesSolution:
     label: str
     order: int
     terms: dict = field(hash=False)  # (offset m, level k) -> Fraction, no zeros
-    notes: tuple = ()
 
     def coefficient(self, offset: int, level: int) -> Fraction:
         return self.terms.get((offset, level), Fraction(0))
@@ -284,8 +281,6 @@ def _solve_single(local: LocalExpression, label: str, order: int) -> SeriesSolut
     c: dict[int, LinExpr] = {}
     substitutions: dict[int, LinExpr] = {}
     next_param = 0
-    param_slots: dict[int, tuple[int, int]] = {}
-    notes: list[str] = []
 
     def reduce(expr: LinExpr) -> LinExpr:
         # substitutions always express a parameter in strictly lower-indexed
@@ -296,12 +291,10 @@ def _solve_single(local: LocalExpression, label: str, order: int) -> SeriesSolut
                     expr = expr.substitute(p, substitutions[p])
         return expr
 
-    def new_param(slot: tuple[int, int]) -> LinExpr:
+    def new_param() -> LinExpr:
         nonlocal next_param
-        idx = next_param
         next_param += 1
-        param_slots[idx] = slot
-        return LinExpr.param(idx)
+        return LinExpr.param(next_param - 1)
 
     def resolve_constraint(expr: LinExpr, context: str):
         expr = reduce(expr)
@@ -317,7 +310,6 @@ def _solve_single(local: LocalExpression, label: str, order: int) -> SeriesSolut
         coeff = expr.coeffs[target]
         rest = LinExpr(expr.const, {p: v for p, v in expr.coeffs.items() if p != target})
         substitutions[target] = rest.scale(Fraction(-1) / coeff)
-        notes.append(f"constraint at {context} determined parameter for slot {param_slots[target]}")
 
     for n in range(order + 1):
         s_n = r + n
@@ -348,19 +340,19 @@ def _solve_single(local: LocalExpression, label: str, order: int) -> SeriesSolut
                 if rho0d_n != 0:
                     # level 0 determines e_n; c_n is free
                     e[n] = reduce(tail0.scale(Fraction(-1) / rho0d_n))
-                    c[n] = new_param((n, 0))
+                    c[n] = new_param()
                 else:
                     # double root: both constraints, both coefficients free
                     resolve_constraint(tail0, f"level-0 order {n}")
-                    e[n] = new_param((n, 1))
-                    c[n] = new_param((n, 0))
+                    e[n] = new_param()
+                    c[n] = new_param()
         else:
             e[n] = LinExpr()
             if rho0_n != 0:
                 c[n] = reduce(tail0.scale(Fraction(-1) / rho0_n))
             else:
                 resolve_constraint(tail0, f"level-0 order {n}")
-                c[n] = new_param((n, 0))
+                c[n] = new_param()
 
     # canonicalization targets, applied in declared order
     for (slot, value) in _TARGETS[label]:
@@ -380,7 +372,6 @@ def _solve_single(local: LocalExpression, label: str, order: int) -> SeriesSolut
     for idx in range(next_param):
         if idx not in substitutions:
             substitutions[idx] = LinExpr()
-            notes.append(f"free parameter for slot {param_slots[idx]} pinned to 0")
 
     def finalize(expr: LinExpr) -> Fraction:
         expr = reduce(expr)
@@ -403,7 +394,6 @@ def _solve_single(local: LocalExpression, label: str, order: int) -> SeriesSolut
         label=label,
         order=order,
         terms=terms,
-        notes=tuple(notes),
     )
 
 
@@ -457,12 +447,11 @@ def residual_order(sol: SeriesSolution, params: KrallParams) -> Optional[int]:
     return min(s for (s, _) in image)
 
 
-def corrupted(sol: SeriesSolution, offset: int = 5, bump: Fraction = Fraction(1)) -> SeriesSolution:
-    """Negative control: bump one coefficient so the residual order drops."""
+def corrupted(sol: SeriesSolution) -> SeriesSolution:
+    """Negative control: add 1 to the t^(r+5) coefficient so the residual order drops."""
     terms = dict(sol.terms)
-    key = (offset, 0)
-    terms[key] = terms.get(key, Fraction(0)) + bump
-    return SeriesSolution(sol.endpoint, sol.exponent, sol.label + "-corrupted", sol.order, terms, sol.notes)
+    terms[(5, 0)] = terms.get((5, 0), Fraction(0)) + 1
+    return SeriesSolution(sol.endpoint, sol.exponent, sol.label + "-corrupted", sol.order, terms)
 
 
 # ---------------------------------------------------------------------------

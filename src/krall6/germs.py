@@ -13,8 +13,11 @@ limits reduce to counting orders of vanishing, never to symbolic analysis.
 Limits use the local coordinate u (u = 1-x at +1, u = 1+x at -1).  Writing
 ord_k for the order of vanishing of r_k at the endpoint, the limit exists iff
 ord_0 >= 0 and ord_k >= 1 for every k >= 1 (u^m ln^k u -> 0 for m >= 1, while
-a nonvanishing coefficient on a log power diverges).  The value is r_0 at the
-endpoint, or 0 when the log-free term is absent.  A failed limit raises
+a nonvanishing coefficient on a log power diverges).  The value is the
+leading coefficient of r_0 when ord_0 = 0, and 0 when ord_0 > 0 or the
+log-free term is absent.  One `RationalFn.leading_at` call per term gives
+both its order and its leading coefficient, so each numerator and
+denominator is split at the endpoint once.  A failed limit raises
 `DivergentLimitError` -- the typed "outside the limit class" outcome.
 
 Each germ keeps its derivative jet: `derivative(n)` computes every order up
@@ -173,18 +176,18 @@ class LogGerm:
 
     def limit(self) -> Fraction:
         """Endpoint limit by valuation counting; raises DivergentLimitError."""
+        value = Fraction(0)
         for k, r in self.terms.items():
-            val = r.valuation_at(self.endpoint)
+            val, lead = r.leading_at(self.endpoint)
             needed = 0 if k == 0 else 1
             if val < needed:
                 raise DivergentLimitError(
                     self.endpoint,
                     f"term with log power {k} has valuation {val} (needs >= {needed})",
                 )
-        r0 = self.terms.get(0)
-        if r0 is None:
-            return Fraction(0)
-        return r0.evaluate(self.endpoint)
+            if k == 0 and val == 0:
+                value = lead
+        return value
 
     def has_limit(self) -> bool:
         try:

@@ -40,6 +40,7 @@ the kernel solution; see also the fourth-order Legendre-type instance
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -184,14 +185,13 @@ def power_stencil(params: KrallParams, center: Scalar) -> dict[int, Poly]:
     return stencil
 
 
-def apply_expression_factored(f, params: KrallParams, pi_variant: str = "corrected"):
+def apply_expression_factored(f, params: KrallParams):
     """Apply the Lagrangian symmetric form -(Qy''')''' + (Py'')'' - (pi y')'.
 
-    pi_variant "corrected" uses the pi that reproduces the expanded form;
-    "sign-variant" uses the +6A x^2-sign for the consistency report.
+    pi is the corrected one that reproduces the expanded form; the sign
+    variant is compared only coefficient-wise, in `expansion_consistency_report`.
     """
-    pi = params.pi_poly() if pi_variant == "corrected" else params.pi_poly_sign_variant()
-    q, pp = params.q_poly(), params.p_poly()
+    q, pp, pi = params.q_poly(), params.p_poly(), params.pi_poly()
 
     def kernel(y):
         term1 = (y.derivative(3) * q).derivative(3)
@@ -257,13 +257,6 @@ def eigenvalue_shifted_factor_variant(n: int, params: KrallParams) -> Fraction:
     return n * (n - 1) * (n**4 + 2 * n**3 + (3 * A + 3 * B - 1) * n**2 + (3 * A + 3 * B - 2) * n + 12 * A * B)
 
 
-def _falling_factorial(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
-
-
 def leading_coefficient_oracle(n: int, params: KrallParams) -> Fraction:
     """Coefficient of x^n in l[x^n], computed term by term.
 
@@ -279,7 +272,7 @@ def leading_coefficient_oracle(n: int, params: KrallParams) -> Fraction:
         (2, 12 * A * B + 42 * A + 42 * B + 72),
         (1, 24 * A * B + 12 * A + 12 * B),
     ]
-    return sum((lead * _falling_factorial(n, k) for k, lead in leads), Fraction(0))
+    return sum((lead * math.perm(n, k) for k, lead in leads), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -344,23 +337,16 @@ def closed_form_polynomial(n: int, params: KrallParams, variant: str = "sum-end"
         else:
             q = even_weight * core + j_term + odd_weight * (4 * B - 4 * A)
         sign = Fraction((-1) ** (j // 2))
-        num = sign * _fact(2 * n - j) * q
+        num = sign * math.factorial(2 * n - j) * q
         den = (
             Fraction(2) ** (n + 1)
-            * _fact(n - ((j + 1) // 2))
-            * _fact((j // 2))
-            * _fact(n - j)
+            * math.factorial(n - ((j + 1) // 2))
+            * math.factorial(j // 2)
+            * math.factorial(n - j)
             * (n_f**2 + n_f + A + B)
         )
         coeffs[n - j] += num / den
     return Poly(coeffs)
-
-
-def _fact(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def closed_form_comparison(n: int, params: KrallParams) -> dict:
@@ -410,6 +396,8 @@ def legendre_type(n: int, A: Scalar) -> tuple[Poly, Fraction]:
     P_n is the displayed coefficient sum; mu_n = n(n+1)(n^2+n+4A-2).  The
     pair satisfies apply_legendre_type(P_n) = mu_n * P_n exactly.
     """
+    if n < 0:
+        raise ValueError("n must be non-negative")
     A = as_fraction(A)
     if A <= 0:
         raise ValueError("parameter A must be positive")
@@ -417,7 +405,7 @@ def legendre_type(n: int, A: Scalar) -> tuple[Poly, Fraction]:
     mu = n_f * (n_f + 1) * (n_f**2 + n_f + 4 * A - 2)
     coeffs = [Fraction(0)] * (n + 1)
     for j in range((n // 2) + 1):
-        num = Fraction((-1) ** j) * _fact(2 * n - 2 * j) * (A + Fraction(n * (n - 1), 2) + 2 * j)
-        den = Fraction(2) ** n * _fact(j) * _fact(n - j) * _fact(n - 2 * j)
+        num = Fraction((-1) ** j) * math.factorial(2 * n - 2 * j) * (A + Fraction(n * (n - 1), 2) + 2 * j)
+        den = Fraction(2) ** n * math.factorial(j) * math.factorial(n - j) * math.factorial(n - 2 * j)
         coeffs[n - 2 * j] += num / den
     return Poly(coeffs), mu

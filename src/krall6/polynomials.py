@@ -5,7 +5,7 @@ positive denominator).  A polynomial is a tuple of coefficients indexed by
 power, low to high, with trailing zeros stripped; the zero polynomial is the
 empty tuple and its degree is the sentinel ``None``.  There is no floating
 point anywhere: every operation (arithmetic, differentiation, evaluation,
-integration over [-1, 1], composition, root multiplicity) is exact.
+integration over [-1, 1], composition, splitting off a root) is exact.
 
 `RationalFn` is a quotient of two polynomials kept in normal form:
 gcd(numerator, denominator) = 1 and the denominator monic.  It exists because
@@ -13,6 +13,11 @@ differentiating ln(1-x^2) produces -2x/(1-x^2); see `germs`.  Most values
 are polynomials (denominator 1): for those, construction only rescales by
 the constant denominator and sum, product and derivative work on the
 numerators, without Euclid's algorithm.
+
+Endpoint limits need only the local behaviour at a root.  `Poly.split_root`
+writes p = (x-c)^m q with q(c) != 0 by synthetic division, and
+`RationalFn.leading_at` applies it once to the numerator and once to the
+denominator to give the valuation and the leading coefficient at c.
 
 Text formats (used by the CLI layer):
   rational    "p/q" or "p", q > 0
@@ -85,6 +90,8 @@ class Poly:
 
     @staticmethod
     def monomial(power: int, c: Scalar = 1) -> "Poly":
+        if power < 0:
+            raise ValueError("monomial power must be non-negative")
         return Poly([0] * power + [c])
 
     @staticmethod
@@ -244,28 +251,26 @@ class Poly:
             rem.pop()
         return Poly(quot), Poly(rem)
 
-    def root_multiplicity(self, point: Scalar) -> int:
-        """Order of vanishing at `point` (0 if not a root), by synthetic division."""
+    def split_root(self, point: Scalar) -> tuple[int, "Poly"]:
+        """(m, q) with self = (x - point)^m q and q(point) != 0.
+
+        Synthetic division: one Horner pass gives both the value at `point`
+        (the remainder) and the quotient by (x - point), so each factor of
+        the root costs one pass and no general division.
+        """
         if self.is_zero():
             raise ValueError("zero polynomial vanishes to every order")
         point = as_fraction(point)
-        mult = 0
-        p = self
-        while p(point) == 0:
-            p, _ = p.divmod(Poly([-point, 1]))
-            mult += 1
-        return mult
-
-    def deflate(self, point: Scalar, order: int = 1) -> "Poly":
-        """Divide by (x - point)^order exactly; requires a root of that order."""
-        p = self
-        point = as_fraction(point)
-        for _ in range(order):
-            quot, rem = p.divmod(Poly([-point, 1]))
-            if not rem.is_zero():
-                raise ValueError(f"{point} is not a root of the requested order")
-            p = quot
-        return p
+        m, q = 0, self
+        while True:
+            acc = Fraction(0)
+            partial = []
+            for c in reversed(q.coeffs):
+                acc = acc * point + c
+                partial.append(acc)
+            if acc != 0:
+                return m, q
+            m, q = m + 1, Poly(reversed(partial[:-1]))
 
     def monic(self) -> "Poly":
         if self.is_zero():
@@ -404,25 +409,16 @@ class RationalFn:
             self.den * self.den,
         )
 
-    def valuation_at(self, point: Scalar):
-        """Order of vanishing at `point`: ord(num) - ord(den); None for zero."""
-        if self.is_zero():
-            return None
-        point = as_fraction(point)
-        return self.num.root_multiplicity(point) - self.den.root_multiplicity(point)
+    def leading_at(self, point: Scalar) -> tuple[int, Fraction]:
+        """(v, c) with self = (x - point)^v (c + o(1)) near `point`, c != 0.
 
-    def evaluate(self, point: Scalar) -> Fraction:
-        """Exact value at `point`, removing any common (x-point) factors first."""
-        point = as_fraction(point)
-        num, den = self.num, self.den
-        k = min(num.root_multiplicity(point), den.root_multiplicity(point)) if not num.is_zero() else 0
-        if k:
-            num = num.deflate(point, k)
-            den = den.deflate(point, k)
-        dval = den(point)
-        if dval == 0:
-            raise ZeroDivisionError(f"pole at {point}")
-        return num(point) / dval
+        v = ord(num) - ord(den) is the valuation; when v = 0, c is the value
+        at `point`.  Each of num and den is split at the root once; the zero
+        function has no leading term and raises ValueError.
+        """
+        v_num, a = self.num.split_root(point)
+        v_den, b = self.den.split_root(point)
+        return v_num - v_den, a(point) / b(point)
 
     def __repr__(self) -> str:
         if self.is_polynomial():

@@ -53,7 +53,7 @@ from .operator import (
     legendre_type,
 )
 from .polynomials import Poly, format_rational
-from .report import Case, Report, make_case, render_value
+from .report import Report, make_case, render_value
 
 SUITE_NAMES = (
     "eigen",
@@ -97,12 +97,12 @@ class RunConfig:
         return [s for s in SUITE_NAMES if s in self.suites]
 
 
-def seeded_polynomials(seed: int, count: int, max_degree: int = 10) -> list[Poly]:
-    """Deterministic pseudo-random polynomials with small rational coefficients."""
+def seeded_polynomials(seed: int, count: int) -> list[Poly]:
+    """Deterministic pseudo-random polynomials of degree <= 10 with small rational coefficients."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        degree = rng.randint(0, max_degree)
+        degree = rng.randint(0, 10)
         coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(degree)]
         lead = rng.choice([k for k in range(-9, 10) if k != 0])
         coeffs.append(Fraction(lead, rng.randint(1, 4)))
@@ -265,18 +265,16 @@ def suite_gram(config: RunConfig) -> Report:
             )
         )
     report.add(
-        Case(
-            name="completeness-analytic-claim",
-            paper_item="completeness-out-of-scope",
-            lhs="",
-            rhs="",
-            verdict="inconclusive",
-            witness=(
-                "the analytic completeness of the eigenpolynomials rests on a"
-                " classical density theorem and is out of scope; the finite"
-                " expansion-reconstruction cases above are the desk-scale"
-                " substitute"
-            ),
+        make_case(
+            "completeness-analytic-claim",
+            "completeness-out-of-scope",
+            "",
+            "",
+            "the analytic completeness of the eigenpolynomials rests on a"
+            " classical density theorem and is out of scope; the finite"
+            " expansion-reconstruction cases above are the desk-scale"
+            " substitute",
+            inconclusive=True,
         )
     )
     return report
@@ -430,13 +428,13 @@ def suite_concomitant(config: RunConfig) -> Report:
         )
     except DivergentLimitError as exc:
         report.add(
-            Case(
-                name="log-probe-reduction:out-of-class-input",
-                paper_item="log-probe-bracket-reduction",
-                lhs="",
-                rhs="",
-                verdict="inconclusive",
-                witness=f"not in checkable class: {exc}",
+            make_case(
+                "log-probe-reduction:out-of-class-input",
+                "log-probe-bracket-reduction",
+                "",
+                "",
+                f"not in checkable class: {exc}",
+                inconclusive=True,
             )
         )
     return report
@@ -486,6 +484,7 @@ def suite_delta(config: RunConfig) -> Report:
 def suite_frobenius(config: RunConfig) -> Report:
     params = config.params
     report = Report("frobenius", params)
+    l2_counts = []
     for endpoint in (-1, 1):
         local = fro.LocalExpression(endpoint, params)
         report.add(
@@ -544,6 +543,7 @@ def suite_frobenius(config: RunConfig) -> Report:
             )
         )
         classification = fro.l2_classification(basis)
+        l2_counts.append(classification["count"])
         report.add(
             make_case(
                 f"l2-count:e={endpoint:+d}",
@@ -576,7 +576,7 @@ def suite_frobenius(config: RunConfig) -> Report:
         make_case(
             "deficiency-index",
             "deficiency-index",
-            fro.deficiency_index(params, config.series_order),
+            sum(l2_counts) - 6,
             4,
         )
     )

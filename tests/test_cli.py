@@ -77,6 +77,17 @@ def test_run_all_report_digest_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == RUN_ALL_SEED_1_SHA256
 
 
+#: sha256 of `krall6 run all --A 1/3 --B 7/2 --nmax 8 --seed 3`: the same rule
+#: at unequal, non-integer parameters (those of the endpoint-log workload).
+RUN_ALL_THIRD_SEVEN_HALVES_SHA256 = "8300daccde96e925d47da3d7ced1cdee27836d31df843b69dd4bf8500ea038db"
+
+
+def test_run_all_report_digest_is_pinned_at_unequal_parameters(capsys):
+    code, out, _ = run_cli(capsys, "run", "all", "--A", "1/3", "--B", "7/2", "--nmax", "8", "--seed", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RUN_ALL_THIRD_SEVEN_HALVES_SHA256
+
+
 #: sha256 of two dumps that reach further than `run all`: K_32 and an order-40
 #: log-bearing series, both at A=1/100, B=3.  A change to either solver must
 #: leave both byte-identical.

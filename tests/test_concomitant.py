@@ -142,6 +142,23 @@ def test_divergent_pair_is_typed():
         concomitant(bad, EndpointFn.from_poly(X), 1, params)
 
 
+def test_divergent_concomitant_names_endpoint_and_lines():
+    params = KrallParams(1, 2)
+    bare_log = EndpointFn.piecewise(LogGerm.zero(-1), LogGerm.from_log_poly(Poly.one(), 1))
+    with pytest.raises(DivergentLimitError) as info:
+        concomitant(bare_log, EndpointFn.from_poly(X), 1, params)
+    assert info.value.endpoint == 1
+    assert info.value.detail.startswith("[f, g](+1) lines 1, 2, 3 of 5 diverge; sum: ")
+    # each named line diverges on its own, and the others converge
+    lines = con._concomitant_lines(bare_log.germ_at(1), EndpointFn.from_poly(X).germ_at(1), params)
+    assert [line.has_limit() for line in lines] == [False, False, False, True, True]
+    # lines 3 and 4 of [probe, probe] diverge separately but cancel in the sum
+    probe = log_probe(1, params).germ_at(1)
+    lines = con._concomitant_lines(probe, probe, params)
+    assert [line.has_limit() for line in lines] == [True, True, False, False, True]
+    assert concomitant(log_probe(1, params), log_probe(1, params), 1, params) == 0
+
+
 small_polys = st.lists(
     st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)), min_size=1, max_size=5
 ).map(Poly)

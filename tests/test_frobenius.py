@@ -123,6 +123,27 @@ def test_l2_classification_and_deficiency():
         assert deficiency_index(params) == 4
 
 
+def test_frobenius_suite_builds_each_basis_once(monkeypatch):
+    from krall6 import frobenius as fro
+    from krall6.suites import RunConfig, suite_frobenius
+
+    calls = []
+    real = fro.solution_basis
+
+    def counting(endpoint, order, params):
+        calls.append(endpoint)
+        return real(endpoint, order, params)
+
+    def rebuilding(*args, **kwargs):
+        raise AssertionError("the suite already holds both bases")
+
+    monkeypatch.setattr(fro, "solution_basis", counting)
+    monkeypatch.setattr(fro, "deficiency_index", rebuilding)
+    cases = {c.name: c for c in suite_frobenius(RunConfig(A=1, B=2)).cases}
+    assert calls == [-1, 1]
+    assert (cases["deficiency-index"].lhs, cases["deficiency-index"].verdict) == ("4", "pass")
+
+
 def test_derivative_classification(basis_plus):
     by = {s.label: s for s in basis_plus}
     assert derivative_square_integrable(by["phi-hat-1"], 2) is False

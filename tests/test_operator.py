@@ -174,6 +174,8 @@ def test_legendre_type():
             p, mu = legendre_type(n, a)
             assert p.degree == n
             assert apply_legendre_type(p, a) == mu * p
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        legendre_type(-1, 1)
 
 
 def test_degree_preservation():

@@ -16,6 +16,7 @@ from krall6.polynomials import (
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 8))
 polys = st.lists(rationals, min_size=0, max_size=11).map(Poly)
+nonzero_rationals = rationals.filter(lambda c: c != 0)
 
 
 def test_construction_strips_trailing_zeros():
@@ -103,16 +104,40 @@ def test_compose():
     assert p.compose(Poly([1, 1])) == Poly([1, 2, 1])
 
 
-def test_root_multiplicity_and_deflate():
+def test_split_root_examples():
     p = Poly([1, 0, -1]) ** 3 * Poly([0, 1])
-    assert p.root_multiplicity(1) == 3
-    assert p.root_multiplicity(-1) == 3
-    assert p.root_multiplicity(0) == 1
-    assert p.root_multiplicity(2) == 0
-    assert p.deflate(0) == Poly([1, 0, -1]) ** 3
-    assert p.deflate(1, 3).root_multiplicity(1) == 0
+    assert p.split_root(1)[0] == 3
+    assert p.split_root(-1)[0] == 3
+    assert p.split_root(0) == (1, Poly([1, 0, -1]) ** 3)
+    assert p.split_root(2) == (0, p)
+    _, q = p.split_root(1)
+    assert q.split_root(1)[0] == 0
+    assert Poly([-1, 1]) ** 3 * q == p
     with pytest.raises(ValueError):
-        p.deflate(2)
+        Poly().split_root(0)
+
+
+def test_monomial_rejects_negative_power():
+    assert Poly.monomial(0, 5) == Poly([5])
+    with pytest.raises(ValueError):
+        Poly.monomial(-2)
+
+
+def _without_root(p, c):
+    while p(c) == 0:
+        p = p.divmod(Poly([-c, 1]))[0]
+    return p
+
+
+@given(st.integers(0, 5), polys.filter(lambda q: not q.is_zero()), st.integers(-3, 3))
+@settings(max_examples=80, deadline=None)
+def test_split_root_recovers_a_known_multiplicity(m, q, c):
+    q = _without_root(q, c)  # so the multiplicity is exactly m
+    p = Poly([-c, 1]) ** m * q
+    got_m, got_q = p.split_root(c)
+    assert (got_m, got_q) == (m, q)
+    assert Poly([-c, 1]) ** got_m * got_q == p
+    assert got_q(c) != 0
 
 
 def test_gcd_monic_and_divides():
@@ -139,15 +164,33 @@ def test_rationalfn_arithmetic_and_derivative():
     assert one_over.derivative() == RationalFn(Poly([-1]), Poly([0, 0, 1]))
 
 
-def test_rationalfn_valuation_and_evaluate():
+def test_rationalfn_leading_at_examples():
     w = Poly([1, 0, -1])
-    r = RationalFn(w**2, w)
-    assert r.valuation_at(1) == 1
-    assert r.evaluate(1) == 0
-    s = RationalFn(Poly([0, 1]), w)
-    assert s.valuation_at(1) == -1
-    with pytest.raises(ZeroDivisionError):
-        s.evaluate(1)
+    r = RationalFn(w**2, w)  # 1 - x^2 = (x - 1)(-1 - x)
+    assert r.leading_at(1) == (1, -2)  # a zero of order 1: the value there is 0
+    s = RationalFn(Poly([0, 1]), w)  # x / (1 - x^2) has a simple pole at 1
+    assert s.leading_at(1) == (-1, Fraction(-1, 2))
+    assert s.leading_at(0) == (1, 1)
+    assert RationalFn(Poly([3, 1]), w).leading_at(2) == (0, Fraction(-5, 3))
+    with pytest.raises(ValueError):
+        RationalFn(Poly()).leading_at(1)
+
+
+@given(
+    st.integers(0, 4),
+    st.integers(0, 4),
+    polys.filter(lambda q: not q.is_zero()),
+    nonzero_rationals,
+    st.sampled_from([-1, 1]),
+)
+@settings(max_examples=80, deadline=None)
+def test_leading_at_reads_off_valuation_and_leading_coefficient(j, k, a, c, e):
+    # r = (x - e)^j a / (c w^k), a(e) != 0: a constant denominator when k = 0,
+    # a w-power one otherwise.  Near e, w = (x - e)(-2e + O(x - e)).
+    a = _without_root(a, e)
+    w = Poly([1, 0, -1])
+    r = RationalFn(Poly([-e, 1]) ** j * a, c * w**k)
+    assert r.leading_at(e) == (j - k, a(e) / (c * (-2 * e) ** k))
 
 
 def euclid_normal_form(num, den):
@@ -159,8 +202,6 @@ def euclid_normal_form(num, den):
     lead = den.leading_coefficient()
     return num * (1 / lead), den * (1 / lead)
 
-
-nonzero_rationals = rationals.filter(lambda c: c != 0)
 
 
 @given(polys, nonzero_rationals)
