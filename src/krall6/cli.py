@@ -21,7 +21,7 @@ import sys
 import time
 
 from .concomitant import probe_functions, boundary_condition_functions
-from .extension import extended_symplectic, independence_certificate, operator_matrix
+from .extension import gkn_symmetry_check, independence_certificate, operator_matrix
 from .frobenius import SOLUTION_LABELS, solution_basis
 from .inner_products import ExtendedVector, gram_matrix
 from .operator import KrallParams, eigen_polynomial, legendre_type
@@ -125,16 +125,13 @@ def _command_run(args) -> int:
             nmax=args.nmax,
             series_order=args.series_order,
             suites=tuple(args.suites) if args.suites else ("all",),
-            fmt=args.fmt,
-            out=args.out,
             seed=args.seed,
-            serial=args.serial,
         )
         selected = config.selected_suites()
     except ValueError as exc:
         return _usage(str(exc))
 
-    if config.fmt == "csv":
+    if args.fmt == "csv":
         matrix_suites = {"gram", "operator-matrix"}
         if len(selected) != 1 or selected[0] not in matrix_suites:
             return _usage("--format csv requires exactly one of the suites: gram, operator-matrix")
@@ -142,11 +139,11 @@ def _command_run(args) -> int:
             matrix = gram_matrix(config.nmax, config.params)
         else:
             matrix = operator_matrix(config.nmax, config.params)
-        _emit(matrix_to_csv(matrix), config.out)
+        _emit(matrix_to_csv(matrix), args.out)
         return 0
 
     reports = run_suites(config)
-    _emit(bundle_to_json(reports), config.out)
+    _emit(bundle_to_json(reports), args.out)
     failed = sum(r.failed for r in reports)
     return VERIFICATION_FAILURE if failed else 0
 
@@ -177,15 +174,13 @@ def _command_dump(args) -> int:
             matrix = operator_matrix(args.nmax, params)
         elif args.which == "gram":
             matrix = gram_matrix(args.nmax, params)
-        elif args.which == "probe":
-            candidates = [ExtendedVector.plain(y) for y in boundary_condition_functions(params)]
-            probes = [ExtendedVector.plain(p) for p in probe_functions(params)]
-            matrix = independence_certificate(candidates, probes, params).rows()
         else:
             candidates = [ExtendedVector.plain(y) for y in boundary_condition_functions(params)]
-            matrix = [
-                [extended_symplectic(u, v, params) for v in candidates] for u in candidates
-            ]
+            if args.which == "probe":
+                probes = [ExtendedVector.plain(p) for p in probe_functions(params)]
+                matrix = independence_certificate(candidates, probes, params).rows()
+            else:
+                matrix = gkn_symmetry_check(candidates, params)["brackets"]
         _emit(matrix_to_csv(matrix), args.out)
         return 0
     return _usage("dump needs one of: poly, series, matrix")

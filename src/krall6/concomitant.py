@@ -260,19 +260,6 @@ def greens_formula_check(f: Poly, g: Poly, params: KrallParams) -> tuple[Fractio
 # ---------------------------------------------------------------------------
 
 
-def reduced_bracket_with_one(f, endpoint: int, params: KrallParams) -> Fraction:
-    """Closed form of [f, 1](e) on the reduced domain.
-
-    At +1: -24 f''(1) - 24(A+1) f'(1); at -1: 24 f''(-1) - 24(B+1) f'(-1).
-    """
-    f = EndpointFn.from_poly(f)
-    d1 = f.derivative(1).value_at(endpoint)
-    d2 = f.derivative(2).value_at(endpoint)
-    if endpoint == 1:
-        return -24 * d2 - 24 * (params.A + 1) * d1
-    return 24 * d2 - 24 * (params.B + 1) * d1
-
-
 def reduced_concomitant(f, g, endpoint: int, params: KrallParams) -> Fraction:
     """Closed form of [f, g](e) on the reduced domain.
 
@@ -468,7 +455,7 @@ def reduced_domain_suite(f, g, params: KrallParams, tag: str) -> list[dict]:
                 "name": f"{tag}:bracket-with-one-closed-form:e={endpoint:+d}",
                 "paper_item": "bracket-with-one-closed-form",
                 "lhs": concomitant_with_one(f, endpoint, params),
-                "rhs": reduced_bracket_with_one(f, endpoint, params),
+                "rhs": reduced_concomitant(f, 1, endpoint, params),
             }
         )
         rows.append(

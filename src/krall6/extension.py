@@ -27,8 +27,8 @@ Building blocks:
   * the operator itself: (f, a, b) |-> (l[f], -Omega f), which on the domain
     equals the explicit endpoint form
     (l[f], 24A f''(-1) - 24A(B+1) f'(-1), 24B f''(1) + 24B(A+1) f'(1)),
-    i.e. (A, -B) times the reduced closed form of [f,1] at (-1, +1);
-    `apply_extended` computes both and insists they agree;
+    i.e. (A, -B) times the reduced closed form `reduced_concomitant(f, 1, .)`
+    at (-1, +1); `apply_extended` computes both and insists they agree;
   * the eigenvectors: embedded eigenpolynomials, (K_n, K_n(-1), K_n(1)),
     with eigenvalue lambda_n, verified componentwise by `eigen_verify`.
 """
@@ -44,31 +44,16 @@ from .concomitant import (
     boundary_condition_functions,
     concomitant_with_one,
     quasi_derivative_at,
-    reduced_bracket_with_one,
+    reduced_concomitant,
     symplectic_form,
 )
 from .germs import EndpointFn
 from .inner_products import ExtendedVector, embed, extended_inner, gram_matrix, w_inner
 from .operator import KrallParams, apply_expression, eigen_polynomial, eigenvalue
-from .polynomials import Scalar, as_fraction, format_rational
 
 
 class NotInDomainError(ValueError):
     """The extended vector fails the operator's boundary conditions."""
-
-
-def psi_standard_tag(alpha1: Scalar, alpha2: Scalar) -> tuple[str, str]:
-    """Symbolic standard coordinates of the seed-pair combination
-    f0 + alpha1 t1 + alpha2 t2.
-
-    In orthonormal-basis coordinates the image is just (alpha1, alpha2); the
-    standard coordinates (alpha1 sqrt A, alpha2 sqrt B) may be irrational, so
-    they are available only as this tag.
-    """
-    return (
-        f"{format_rational(as_fraction(alpha1))}*sqrt(A)",
-        f"{format_rational(as_fraction(alpha2))}*sqrt(B)",
-    )
 
 
 def omega(f, params: KrallParams) -> tuple[Fraction, Fraction]:
@@ -192,16 +177,16 @@ def apply_extended(u: ExtendedVector, params: KrallParams) -> ExtendedVector:
     """Apply the extended operator: (f,a,b) |-> (l[f], -Omega f).
 
     The vector must lie in the domain (else `NotInDomainError`).  Both the
-    -Omega form and the explicit endpoint form, (A, -B) times the reduced
-    closed form of [f,1] at (-1, +1), are computed and must agree.
+    -Omega form and the explicit endpoint form, (A, -B) times
+    `reduced_concomitant(f, 1, .)` at (-1, +1), are computed and must agree.
     """
     ok, witness = domain_membership(u, params)
     if not ok:
         raise NotInDomainError(f"boundary conditions violated: {witness['conditions']}")
     via_omega = tuple(-c for c in omega(u.fn, params))
     explicit = (
-        params.A * reduced_bracket_with_one(u.fn, -1, params),
-        -params.B * reduced_bracket_with_one(u.fn, 1, params),
+        params.A * reduced_concomitant(u.fn, 1, -1, params),
+        -params.B * reduced_concomitant(u.fn, 1, 1, params),
     )
     if via_omega != explicit:
         raise AssertionError(f"operator forms disagree: -Omega={via_omega}, explicit={explicit}")

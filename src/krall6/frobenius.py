@@ -20,14 +20,18 @@ Series with a single log level, y = sum_m t^{r+m} (c_m + e_m ln|t|), satisfy
 for every n (using l[t^s ln|t|] = d/ds l[t^s]).  The solver walks n upward
 keeping every coefficient as an exact linear form in the free parameters
 introduced at resonances (orders where rho_0(r+n) = 0).  Constraint rows are
-eliminated against the free parameters as they appear; a constraint that
-survives elimination as a nonzero constant means the single-log ansatz is
+eliminated against the free parameters as they appear.  Every constraint --
+a recurrence row at a resonance or a canonicalization target -- goes through
+the one path `resolve_constraint`; one that survives elimination as a nonzero
+constant means the single-log ansatz (or the requested normalization) is
 impossible and raises `ObstructionUnexpectedError`.  Delayed elimination
 matters: e.g. the pure exponent-1 solution has its second coefficient forced
 to -(A+1)/2 by a constraint two orders later, so naive pin-to-zero would
 falsely obstruct.
 
-Canonical basis (labels give the leading exponent):
+Canonical basis (labels give the leading exponent).  The one table
+`_SOLUTIONS` holds, per label, the leading exponent, whether the ansatz has a
+log level, and the normalization targets; `SOLUTION_LABELS` is its key order.
 
     phi-3        t^3,  no log
     phi-2        t^2,  log part forced, starting one order up
@@ -42,9 +46,11 @@ Canonical basis (labels give the leading exponent):
 
 Square-integrability near an endpoint is decided by the leading exponent r:
 integral of t^{2r} ln^{2k} t converges at 0 iff 2r > -1, i.e. iff r >= 0 for
-integer exponents (log factors never matter there).  Five of the six
-solutions are square integrable at each endpoint, and the deficiency index
-of the minimal operator is d_+ + d_- - 6 = 4.
+integer exponents (log factors never matter there).  `is_square_integrable`
+applies that test to a solution or to one of its first three termwise
+derivatives.  Five of the six solutions are square integrable at each
+endpoint, and the deficiency index of the minimal operator is
+d_+ + d_- - 6 = 4.
 """
 
 from __future__ import annotations
@@ -56,39 +62,22 @@ from typing import Optional
 from .operator import KrallParams, power_stencil
 from .polynomials import Poly, format_rational
 
-SOLUTION_LABELS = ("phi-3", "phi-2", "phi-1", "phi-hat-1", "phi-0", "phi-minus-1")
-
-#: leading exponent per label
-_LEADING_EXPONENT = {
-    "phi-3": 3,
-    "phi-2": 2,
-    "phi-1": 1,
-    "phi-hat-1": 1,
-    "phi-0": 0,
-    "phi-minus-1": -1,
+#: label -> (leading exponent, whether the ansatz carries a log level,
+#: canonicalization targets).  The targets are ordered ((offset, log_level),
+#: value) assignments resolved against whatever parameters remain free after
+#: the recurrence; any parameter still free afterwards is pinned to 0.
+_SOLUTIONS = {
+    "phi-3": (3, False, (((0, 0), 1),)),
+    "phi-2": (2, True, (((0, 0), 1), ((1, 0), 0))),
+    "phi-1": (1, False, (((0, 0), 1), ((2, 0), 0))),
+    "phi-hat-1": (1, True, (((0, 1), 3), ((0, 0), 1), ((2, 1), 0), ((2, 0), 0))),
+    "phi-0": (0, True, (((0, 0), 1), ((1, 1), 1), ((1, 0), 0), ((2, 0), 0), ((3, 0), 0))),
+    "phi-minus-1": (
+        -1, True, (((0, 0), 1), ((1, 0), 0), ((2, 1), 0), ((2, 0), 0), ((3, 0), 0), ((4, 0), 0))
+    ),
 }
 
-#: canonicalization targets: ordered ((offset, log_level), value) assignments
-#: resolved against whatever parameters remain free after the recurrence;
-#: any parameter still free afterwards is pinned to 0.
-_TARGETS = {
-    "phi-3": (((0, 0), 1),),
-    "phi-2": (((0, 0), 1), ((1, 0), 0)),
-    "phi-1": (((0, 0), 1), ((2, 0), 0)),
-    "phi-hat-1": (((0, 1), 3), ((0, 0), 1), ((2, 1), 0), ((2, 0), 0)),
-    "phi-0": (((0, 0), 1), ((1, 1), 1), ((1, 0), 0), ((2, 0), 0), ((3, 0), 0)),
-    "phi-minus-1": (((0, 0), 1), ((1, 0), 0), ((2, 1), 0), ((2, 0), 0), ((3, 0), 0), ((4, 0), 0)),
-}
-
-#: declared log degree of the ansatz per label (max level allowed is 1)
-_HAS_LOG = {
-    "phi-3": False,
-    "phi-2": True,
-    "phi-1": False,
-    "phi-hat-1": True,
-    "phi-0": True,
-    "phi-minus-1": True,
-}
+SOLUTION_LABELS = tuple(_SOLUTIONS)
 
 
 class ObstructionUnexpectedError(ArithmeticError):
@@ -139,6 +128,17 @@ class LinExpr:
         return f"LinExpr({self.const}" + (f" + {body})" if body else ")")
 
 
+def _accumulate(out: dict, key, value: Fraction) -> None:
+    """out[key] += value, keeping `out` free of zero entries."""
+    if value == 0:
+        return
+    total = out.get(key, Fraction(0)) + value
+    if total == 0:
+        del out[key]
+    else:
+        out[key] = total
+
+
 # ---------------------------------------------------------------------------
 # the local expression and its stencil
 # ---------------------------------------------------------------------------
@@ -169,7 +169,7 @@ class LocalExpression:
         p = self.indicial_polynomial()
         roots = []
         for candidate in range(10, -11, -1):
-            mult, p = p.split_root(candidate)
+            mult, p, _ = p.split_root(candidate)
             roots += [candidate] * mult
         if p.degree not in (None, 0):
             raise ArithmeticError(
@@ -186,20 +186,12 @@ class LocalExpression:
     def apply_to_series(self, terms: dict) -> dict:
         """Apply the expression to {(absolute_exponent, level): Fraction} terms."""
         out: dict[tuple[int, int], Fraction] = {}
-
-        def add(key, value):
-            if value == 0:
-                return
-            out[key] = out.get(key, Fraction(0)) + value
-            if out[key] == 0:
-                del out[key]
-
         for (s, level), coeff in terms.items():
             for d, rho in self.stencil.items():
                 target = s - 3 + d
-                add((target, level), coeff * rho(s))
+                _accumulate(out, (target, level), coeff * rho(s))
                 if level == 1:
-                    add((target, 0), coeff * rho.derivative()(s))
+                    _accumulate(out, (target, 0), coeff * rho.derivative()(s))
         return out
 
 
@@ -240,18 +232,10 @@ class SeriesSolution:
         terms = self.absolute_terms()
         for _ in range(times):
             nxt: dict[tuple[int, int], Fraction] = {}
-
-            def add(key, value):
-                if value == 0:
-                    return
-                nxt[key] = nxt.get(key, Fraction(0)) + value
-                if nxt[key] == 0:
-                    del nxt[key]
-
             for (s, k), c in terms.items():
-                add((s - 1, k), c * s)
+                _accumulate(nxt, (s - 1, k), c * s)
                 if k >= 1:
-                    add((s - 1, k - 1), c * k)
+                    _accumulate(nxt, (s - 1, k - 1), c * k)
             terms = nxt
         return terms
 
@@ -269,10 +253,7 @@ class SeriesSolution:
 
 def _solve_single(local: LocalExpression, label: str, order: int) -> SeriesSolution:
     """Run the two-level recurrence with delayed elimination for one label."""
-    r = _LEADING_EXPONENT[label]
-    with_log = _HAS_LOG[label]
-    rho0 = local.rho(0)
-    rho0d = rho0.derivative()
+    r, with_log, targets = _SOLUTIONS[label]
     dmax = local.max_offset()
     rhos = {d: local.rho(d) for d in range(dmax + 1)}
     rhods = {d: p.derivative() for d, p in rhos.items()}
@@ -313,8 +294,8 @@ def _solve_single(local: LocalExpression, label: str, order: int) -> SeriesSolut
 
     for n in range(order + 1):
         s_n = r + n
-        rho0_n = rho0(s_n)
-        rho0d_n = rho0d(s_n)
+        rho0_n = rhos[0](s_n)
+        rho0d_n = rhods[0](s_n)
         # known contributions from earlier offsets
         tail1 = LinExpr()
         tail0 = LinExpr()
@@ -355,18 +336,9 @@ def _solve_single(local: LocalExpression, label: str, order: int) -> SeriesSolut
                 c[n] = new_param()
 
     # canonicalization targets, applied in declared order
-    for (slot, value) in _TARGETS[label]:
-        m, level = slot
-        expr = reduce(e[m] if level == 1 else c[m])
-        residue = expr + LinExpr(Fraction(-value))
-        residue = reduce(residue)
-        if residue.is_constant():
-            if residue.const != 0:
-                raise ObstructionUnexpectedError(
-                    f"{label}: target {slot}={value} unsatisfiable (off by {residue.const})"
-                )
-            continue
-        resolve_constraint(residue, f"target {slot}={value}")
+    for (m, level), value in targets:
+        slot = e[m] if level == 1 else c[m]
+        resolve_constraint(slot + LinExpr(-value), f"target {(m, level)}={value}")
 
     # remaining free parameters are pinned to 0
     for idx in range(next_param):
@@ -381,20 +353,9 @@ def _solve_single(local: LocalExpression, label: str, order: int) -> SeriesSolut
 
     terms: dict[tuple[int, int], Fraction] = {}
     for n in range(order + 1):
-        cv = finalize(c[n])
-        if cv != 0:
-            terms[(n, 0)] = cv
-        ev = finalize(e[n])
-        if ev != 0:
-            terms[(n, 1)] = ev
-
-    return SeriesSolution(
-        endpoint=local.endpoint,
-        exponent=r,
-        label=label,
-        order=order,
-        terms=terms,
-    )
+        _accumulate(terms, (n, 0), finalize(c[n]))
+        _accumulate(terms, (n, 1), finalize(e[n]))
+    return SeriesSolution(local.endpoint, r, label, order, terms)
 
 
 def solution_basis(endpoint: int, order: int, params: KrallParams) -> list[SeriesSolution]:
@@ -459,35 +420,17 @@ def corrupted(sol: SeriesSolution) -> SeriesSolution:
 # ---------------------------------------------------------------------------
 
 
-def _leading_behavior(terms: dict[tuple[int, int], Fraction]) -> Optional[tuple[int, int]]:
-    """(exponent, max log power at that exponent) of the lowest-order term."""
-    if not terms:
-        return None
-    s_min = min(s for (s, _) in terms)
-    k_max = max(k for (s, k) in terms if s == s_min)
-    return s_min, k_max
+def is_square_integrable(sol: SeriesSolution, derivatives: int = 0) -> bool:
+    """Near-endpoint L2 of the termwise `derivatives`-th derivative (<= 3).
 
-
-def is_square_integrable(sol: SeriesSolution) -> bool:
-    """Near-endpoint L2 from the leading exponent: integrable iff 2r > -1.
-
-    Exponents are integers, so the criterion is r >= 0; log factors do not
-    change it (t^{2r} ln^{2k} t is integrable at 0 for any k when 2r > -1).
+    The criterion is the leading exponent r: integrable iff 2r > -1, i.e.
+    r >= 0 for integer exponents; log factors do not change it (t^{2r}
+    ln^{2k} t is integrable at 0 for any k when 2r > -1).
     """
-    lead = _leading_behavior(sol.absolute_terms())
-    if lead is None:
-        return True
-    return lead[0] >= 0
-
-
-def derivative_square_integrable(sol: SeriesSolution, times: int) -> bool:
-    """Same criterion for the termwise k-th derivative (k <= 3)."""
-    if times > 3:
+    if derivatives > 3:
         raise ValueError("derivative order grows past the verified range")
-    lead = _leading_behavior(sol.differentiated_terms(times))
-    if lead is None:
-        return True
-    return lead[0] >= 0
+    terms = sol.differentiated_terms(derivatives)
+    return not terms or min(s for (s, _) in terms) >= 0
 
 
 def l2_classification(basis: list[SeriesSolution]) -> dict:

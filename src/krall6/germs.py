@@ -148,7 +148,7 @@ class LogGerm:
                     terms[k] = terms.get(k, RationalFn(Poly())) + prod
             return LogGerm(self.endpoint, terms)
         if isinstance(other, (int, Fraction, Poly, RationalFn)):
-            factor = other if isinstance(other, RationalFn) else RationalFn._coerce(other)
+            factor = RationalFn._coerce(other)
             return LogGerm(self.endpoint, {k: r * factor for k, r in self.terms.items()})
         return NotImplemented
 
@@ -258,20 +258,20 @@ class EndpointFn:
         return EndpointFn(None, germ_minus, germ_plus)
 
     @staticmethod
+    def _one_sided(germ: LogGerm) -> "EndpointFn":
+        """`germ` at its endpoint, identically 0 near the other endpoint."""
+        z = LogGerm.zero(-germ.endpoint)
+        return EndpointFn.piecewise(*((z, germ) if germ.endpoint == 1 else (germ, z)))
+
+    @staticmethod
     def poly_near(endpoint: int, p: Poly) -> "EndpointFn":
         """p(x) near `endpoint`, identically 0 near the other endpoint."""
-        _check_endpoint(endpoint)
-        g = LogGerm.from_poly(p, endpoint)
-        z = LogGerm.zero(-endpoint)
-        return EndpointFn.piecewise(*((z, g) if endpoint == 1 else (g, z)))
+        return EndpointFn._one_sided(LogGerm.from_poly(p, endpoint))
 
     @staticmethod
     def log_poly_near(endpoint: int, p: Poly) -> "EndpointFn":
         """p(x) * ln(1-x^2) near `endpoint`, 0 near the other endpoint."""
-        _check_endpoint(endpoint)
-        g = LogGerm.from_log_poly(p, endpoint)
-        z = LogGerm.zero(-endpoint)
-        return EndpointFn.piecewise(*((z, g) if endpoint == 1 else (g, z)))
+        return EndpointFn._one_sided(LogGerm.from_log_poly(p, endpoint))
 
     # -- structure --------------------------------------------------------
 

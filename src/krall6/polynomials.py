@@ -15,9 +15,11 @@ the constant denominator and sum, product and derivative work on the
 numerators, without Euclid's algorithm.
 
 Endpoint limits need only the local behaviour at a root.  `Poly.split_root`
-writes p = (x-c)^m q with q(c) != 0 by synthetic division, and
-`RationalFn.leading_at` applies it once to the numerator and once to the
-denominator to give the valuation and the leading coefficient at c.
+writes p = (x-c)^m q with q(c) != 0 by synthetic division and also returns
+the value q(c), the remainder of its last pass.  `RationalFn.leading_at`
+applies it once to the numerator and once to the denominator and reads the
+valuation and the leading coefficient at c off the two splits, with no
+further evaluation.
 
 Text formats (used by the CLI layer):
   rational    "p/q" or "p", q > 0
@@ -251,12 +253,13 @@ class Poly:
             rem.pop()
         return Poly(quot), Poly(rem)
 
-    def split_root(self, point: Scalar) -> tuple[int, "Poly"]:
-        """(m, q) with self = (x - point)^m q and q(point) != 0.
+    def split_root(self, point: Scalar) -> tuple[int, "Poly", Fraction]:
+        """(m, q, q(point)) with self = (x - point)^m q and q(point) != 0.
 
         Synthetic division: one Horner pass gives both the value at `point`
         (the remainder) and the quotient by (x - point), so each factor of
-        the root costs one pass and no general division.
+        the root costs one pass and no general division; the last pass's
+        remainder is q(point), returned rather than recomputed.
         """
         if self.is_zero():
             raise ValueError("zero polynomial vanishes to every order")
@@ -269,7 +272,7 @@ class Poly:
                 acc = acc * point + c
                 partial.append(acc)
             if acc != 0:
-                return m, q
+                return m, q, acc
             m, q = m + 1, Poly(reversed(partial[:-1]))
 
     def monic(self) -> "Poly":
@@ -416,9 +419,9 @@ class RationalFn:
         at `point`.  Each of num and den is split at the root once; the zero
         function has no leading term and raises ValueError.
         """
-        v_num, a = self.num.split_root(point)
-        v_den, b = self.den.split_root(point)
-        return v_num - v_den, a(point) / b(point)
+        v_num, _, a = self.num.split_root(point)
+        v_den, _, b = self.den.split_root(point)
+        return v_num - v_den, a / b
 
     def __repr__(self) -> str:
         if self.is_polynomial():

@@ -88,13 +88,28 @@ def test_run_all_report_digest_is_pinned_at_unequal_parameters(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == RUN_ALL_THIRD_SEVEN_HALVES_SHA256
 
 
-#: sha256 of two dumps that reach further than `run all`: K_32 and an order-40
-#: log-bearing series, both at A=1/100, B=3.  A change to either solver must
-#: leave both byte-identical.
+#: sha256 of dumps that reach further than `run all`: K_32 and all twelve
+#: order-40 Frobenius series (six labels at both endpoints), at A=1/100, B=3.
+#: A change to either solver must leave every one byte-identical.
 DEEP_DUMP_SHA256 = {
     ("poly", "K", "32"): "7c28d9deb7bcbb5e5f2ec88f65b610c9f394e4bfdab3c77c54e183f122c04789",
-    ("series", "phi-hat-1", "-1", "--order", "40"):
-        "69f3d38bfe05db339b804eb0c65ab779ff6ad742566dddc281773271ce3994a9",
+    **{
+        ("series", label, endpoint, "--order", "40"): digest
+        for label, endpoint, digest in (
+            ("phi-3", "+1", "79573e3a3a9471d4e8359870ba99220ece243f8108074695282acd1a53090fc4"),
+            ("phi-3", "-1", "cf071d83d2414aa93aa1adc4ab870477f6eb68466b994c270be659a585c3589b"),
+            ("phi-2", "+1", "677b2db9200ede4a5c8fec6cfc2833c96103623383358227359084275b0f3ad2"),
+            ("phi-2", "-1", "23e2328360aa4804495fc8890a89d4501d0d89ee96c4135e7b91ca3db2882152"),
+            ("phi-1", "+1", "091e1cde19a80711ce5ba049714384154210c78f525818c425caf857471bc72e"),
+            ("phi-1", "-1", "842eba288c7b90b15758b661d16967b5aee7c970e5aee7ae264d8059a453e131"),
+            ("phi-hat-1", "+1", "ddbc3980f0ac9b5a6323a93b72eca467c0af7a482ac2a916b5066e0597878014"),
+            ("phi-hat-1", "-1", "69f3d38bfe05db339b804eb0c65ab779ff6ad742566dddc281773271ce3994a9"),
+            ("phi-0", "+1", "0e83da3961640270684ef4838e66054ae4f76abb52ed4411dfcc7869e03a5198"),
+            ("phi-0", "-1", "24ef4c54f7fe905f60700ccebff6c7e9e8ae72803141c54add85c36a8a431671"),
+            ("phi-minus-1", "+1", "22e7f694053ed104f75ac74d8dd77c6d2e67e449f81fde57b1031be46e2eab50"),
+            ("phi-minus-1", "-1", "a6adb96bdff3edcd54cc4077d88d1c55b42426be46198a2a8a52fa8bcc7fd636"),
+        )
+    },
 }
 
 

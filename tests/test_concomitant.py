@@ -29,7 +29,6 @@ from krall6.concomitant import (
     quasi_derivative_terms_at,
     quasi_derivative_probe_identity,
     quasi_probe,
-    reduced_bracket_with_one,
     reduced_concomitant,
     symplectic_form,
     weight_near,
@@ -217,13 +216,13 @@ def test_bracket_with_one_closed_forms():
     params = KrallParams(1, 1)
     assert concomitant_with_one(Poly.one(), 1, params) == 0
     assert concomitant_with_one(X * X, 1, params) == -144
-    assert reduced_bracket_with_one(X * X, 1, params) == -144
+    assert reduced_concomitant(X * X, 1, 1, params) == -144
     params = KrallParams(1, 2)
     assert concomitant_with_one(X, -1, params) == -24 * (params.B + 1)
     for f in seeded(10, seed=29):
         for e in (-1, 1):
             direct = concomitant_with_one(f, e, params)
-            assert direct == reduced_bracket_with_one(f, e, params)
+            assert direct == reduced_concomitant(f, 1, e, params)
             assert direct == concomitant(f, EndpointFn.from_poly(Poly.one()), e, params)
 
 

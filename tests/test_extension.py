@@ -26,7 +26,6 @@ from krall6.extension import (
     omega,
     operator_matrix,
     operator_symmetry_gaps,
-    psi_standard_tag,
 )
 from krall6.germs import EndpointFn
 from krall6.inner_products import ExtendedVector, embed, extended_inner, w_inner
@@ -52,10 +51,6 @@ def test_w_inner():
     # the orthonormal-basis directions have unit norm: <(A,0),(A,0)>/A = A
     params = KrallParams(Fraction(3, 2), 5)
     assert w_inner((params.A, 0), (params.A, 0), params) == params.A
-
-
-def test_psi_map():
-    assert psi_standard_tag(3, Fraction(1, 2)) == ("3*sqrt(A)", "1/2*sqrt(B)")
 
 
 @pytest.mark.parametrize("params", PARAM_PAIRS)

@@ -8,9 +8,9 @@ from krall6.frobenius import (
     LocalExpression,
     ObstructionUnexpectedError,
     SOLUTION_LABELS,
+    _SOLUTIONS,
     corrupted,
     deficiency_index,
-    derivative_square_integrable,
     is_square_integrable,
     l2_classification,
     residual_order,
@@ -146,11 +146,11 @@ def test_frobenius_suite_builds_each_basis_once(monkeypatch):
 
 def test_derivative_classification(basis_plus):
     by = {s.label: s for s in basis_plus}
-    assert derivative_square_integrable(by["phi-hat-1"], 2) is False
-    assert derivative_square_integrable(by["phi-3"], 2) is True
-    assert derivative_square_integrable(by["phi-1"], 1) is True
+    assert is_square_integrable(by["phi-hat-1"], 2) is False
+    assert is_square_integrable(by["phi-3"], 2) is True
+    assert is_square_integrable(by["phi-1"], 1) is True
     with pytest.raises(ValueError):
-        derivative_square_integrable(by["phi-3"], 4)
+        is_square_integrable(by["phi-3"], 4)
 
 
 def test_minus_endpoint_mirror():
@@ -183,11 +183,22 @@ def test_unsatisfiable_shape_is_an_obstruction(monkeypatch):
     # absorbed silently
     import krall6.frobenius as fro_mod
 
-    broken = dict(fro_mod._TARGETS)
-    broken["phi-3"] = (((0, 0), 1), ((0, 1), 5))
-    monkeypatch.setattr(fro_mod, "_TARGETS", broken)
+    broken = dict(fro_mod._SOLUTIONS)
+    broken["phi-3"] = (3, False, (((0, 0), 1), ((0, 1), 5)))
+    monkeypatch.setattr(fro_mod, "_SOLUTIONS", broken)
     with pytest.raises(ObstructionUnexpectedError):
         solution_basis(1, 12, KrallParams(1, 1))
+
+
+@pytest.mark.parametrize("endpoint", (-1, 1))
+@pytest.mark.parametrize("params", PARAM_PAIRS)
+def test_solutions_meet_their_targets(endpoint, params):
+    for sol in solution_basis(endpoint, 12, params):
+        exponent, has_log, targets = _SOLUTIONS[sol.label]
+        assert sol.exponent == exponent
+        for (m, level), value in targets:
+            assert sol.coefficient(m, level) == value
+        assert (sol.log_degree() == 0) == (not has_log)
 
 
 def test_square_integrability_rule(basis_plus):

@@ -108,11 +108,15 @@ def test_split_root_examples():
     p = Poly([1, 0, -1]) ** 3 * Poly([0, 1])
     assert p.split_root(1)[0] == 3
     assert p.split_root(-1)[0] == 3
-    assert p.split_root(0) == (1, Poly([1, 0, -1]) ** 3)
-    assert p.split_root(2) == (0, p)
-    _, q = p.split_root(1)
-    assert q.split_root(1)[0] == 0
+    assert p.split_root(0) == (1, Poly([1, 0, -1]) ** 3, 1)
+    assert p.split_root(2) == (0, p, p(2))
+    _, q, value = p.split_root(1)
+    assert value == q(1) == -8  # q = -(x + 1)^3 x
+    assert q.split_root(1) == (0, q, q(1))
     assert Poly([-1, 1]) ** 3 * q == p
+    for c in (1, -1, 0, 2):
+        _, q, value = p.split_root(c)
+        assert value == q(c) != 0
     with pytest.raises(ValueError):
         Poly().split_root(0)
 
@@ -134,10 +138,10 @@ def _without_root(p, c):
 def test_split_root_recovers_a_known_multiplicity(m, q, c):
     q = _without_root(q, c)  # so the multiplicity is exactly m
     p = Poly([-c, 1]) ** m * q
-    got_m, got_q = p.split_root(c)
+    got_m, got_q, value = p.split_root(c)
     assert (got_m, got_q) == (m, q)
     assert Poly([-c, 1]) ** got_m * got_q == p
-    assert got_q(c) != 0
+    assert value == got_q(c) != 0
 
 
 def test_gcd_monic_and_divides():
