@@ -146,19 +146,24 @@ def _accumulate(out: dict, key, value: Fraction) -> None:
 
 @dataclass(frozen=True)
 class LocalExpression:
-    """The expression at one endpoint: `stencil[d]` is rho_{d-3} of `power_stencil` there."""
+    """The expression at one endpoint: `stencil[d]` is rho_{d-3} of `power_stencil`
+    there, and `dstencil[d]` its derivative rho_{d-3}', both in ascending d."""
 
     endpoint: int
     params: KrallParams
     stencil: dict = field(hash=False, compare=False, default=None)
+    dstencil: dict = field(hash=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.endpoint not in (-1, 1):
             raise ValueError("endpoint must be -1 or +1")
-        stencil = {shift + 3: rho for shift, rho in power_stencil(self.params, self.endpoint).items()}
+        stencil = {
+            shift + 3: rho for shift, rho in sorted(power_stencil(self.params, self.endpoint).items())
+        }
         if min(stencil) < 0:
             raise AssertionError("not a regular singular point structure")
         object.__setattr__(self, "stencil", stencil)
+        object.__setattr__(self, "dstencil", {d: rho.derivative() for d, rho in stencil.items()})
 
     def indicial_polynomial(self) -> Poly:
         """rho_0(s), computed from the local coefficients."""
@@ -177,21 +182,23 @@ class LocalExpression:
             )
         return sorted(roots, reverse=True)
 
-    def rho(self, d: int) -> Poly:
-        return self.stencil.get(d, Poly())
-
-    def max_offset(self) -> int:
-        return max(self.stencil)
-
     def apply_to_series(self, terms: dict) -> dict:
-        """Apply the expression to {(absolute_exponent, level): Fraction} terms."""
+        """Apply the expression to {(absolute_exponent, level): Fraction} terms.
+
+        rho_d(s) and rho_d'(s) are evaluated once per exponent s, shared by
+        both log levels.
+        """
         out: dict[tuple[int, int], Fraction] = {}
+        values: dict[int, list] = {}
         for (s, level), coeff in terms.items():
-            for d, rho in self.stencil.items():
+            at_s = values.get(s)
+            if at_s is None:
+                at_s = values[s] = [(d, rho(s), self.dstencil[d](s)) for d, rho in self.stencil.items()]
+            for d, value, dvalue in at_s:
                 target = s - 3 + d
-                _accumulate(out, (target, level), coeff * rho(s))
+                _accumulate(out, (target, level), coeff * value)
                 if level == 1:
-                    _accumulate(out, (target, 0), coeff * rho.derivative()(s))
+                    _accumulate(out, (target, 0), coeff * dvalue)
         return out
 
 
@@ -254,9 +261,7 @@ class SeriesSolution:
 def _solve_single(local: LocalExpression, label: str, order: int) -> SeriesSolution:
     """Run the two-level recurrence with delayed elimination for one label."""
     r, with_log, targets = _SOLUTIONS[label]
-    dmax = local.max_offset()
-    rhos = {d: local.rho(d) for d in range(dmax + 1)}
-    rhods = {d: p.derivative() for d, p in rhos.items()}
+    rhos, rhods = local.stencil, local.dstencil
 
     e: dict[int, LinExpr] = {}
     c: dict[int, LinExpr] = {}
@@ -299,9 +304,9 @@ def _solve_single(local: LocalExpression, label: str, order: int) -> SeriesSolut
         # known contributions from earlier offsets
         tail1 = LinExpr()
         tail0 = LinExpr()
-        for d in range(1, dmax + 1):
+        for d in rhos:
             m = n - d
-            if m < 0:
+            if d == 0 or m < 0:
                 continue
             s_m = r + m
             if with_log and m in e:

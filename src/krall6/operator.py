@@ -43,6 +43,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
+from typing import Mapping
 
 from . import linalg
 from .germs import EndpointFn
@@ -169,11 +171,13 @@ def _falling_factorial_poly(order: int) -> Poly:
     return out
 
 
-def power_stencil(params: KrallParams, center: Scalar) -> dict[int, Poly]:
+@functools.lru_cache(maxsize=4096)
+def power_stencil(params: KrallParams, center: Scalar) -> Mapping[int, Poly]:
     """{shift: rho_shift} with l[t^s] = sum rho_shift(s) t^(s+shift), t = x - center.
 
     The t^i coefficient of b_k times s(s-1)...(s-k+1) adds to rho_{i-k}.  At
-    center 0 the shifts lie in -6..0 and rho_0(n) = lambda_n.
+    center 0 the shifts lie in -6..0 and rho_0(n) = lambda_n.  Memoised per
+    (params, center); the mapping is read-only because every caller shares it.
     """
     t = Poly([center, 1])  # x = center + t
     stencil: dict[int, Poly] = {}
@@ -182,7 +186,7 @@ def power_stencil(params: KrallParams, center: Scalar) -> dict[int, Poly]:
         for i, c in enumerate(b.compose(t).coeffs):
             if c != 0:
                 stencil[i - order] = stencil.get(i - order, Poly()) + c * ff
-    return stencil
+    return MappingProxyType(stencil)
 
 
 def apply_expression_factored(f, params: KrallParams):

@@ -1,11 +1,30 @@
 """Exact univariate polynomial and rational-function arithmetic over Q.
 
 Scalars are `fractions.Fraction` (arbitrary precision, always reduced,
-positive denominator).  A polynomial is a tuple of coefficients indexed by
-power, low to high, with trailing zeros stripped; the zero polynomial is the
-empty tuple and its degree is the sentinel ``None``.  There is no floating
-point anywhere: every operation (arithmetic, differentiation, evaluation,
-integration over [-1, 1], composition, splitting off a root) is exact.
+positive denominator).  A `Poly` holds its value as integer numerators over
+one common denominator, the representation of FLINT's `fmpq_poly`:
+
+    p(x) = (n_0 + n_1 x + ... + n_d x^d) / den
+
+with `_n` a tuple of ints, low to high, trailing zeros stripped, and `_d` a
+positive int.  The invariant is gcd(n_0, ..., n_d, den) = 1, so each value
+has exactly one representation and equality is a comparison of the two
+fields.  The zero polynomial is `_n = ()`, `_d = 1`; its degree is the
+sentinel ``None``.  Every value is built by `Poly._make(ints, den)`, which
+strips and normalises.  Arithmetic runs on the integers: sums bring both
+sides to one denominator, products convolve the numerators over the product
+of the denominators, derivatives scale the numerators, and evaluation at p/q
+is Horner's rule over ints with one division at the end.  Division is
+fraction-free long division, so `poly_gcd` and `RationalFn` build no
+Fraction per coefficient either.  `Poly.coeffs`, the tuple of Fraction
+coefficients, is built on each read, for rendering only; no polynomial
+keeps a second copy.  There is no floating point anywhere: every operation
+(arithmetic, differentiation, evaluation, integration over [-1, 1],
+composition, splitting off a root) is exact.
+
+A constant polynomial equals its scalar (``Poly([3]) == 3``) and hashes as
+it, and a `RationalFn` with denominator 1 equals and hashes as its
+numerator, so `==` and `hash` agree across the three types.
 
 `RationalFn` is a quotient of two polynomials kept in normal form:
 gcd(numerator, denominator) = 1 and the denominator monic.  It exists because
@@ -15,11 +34,11 @@ the constant denominator and sum, product and derivative work on the
 numerators, without Euclid's algorithm.
 
 Endpoint limits need only the local behaviour at a root.  `Poly.split_root`
-writes p = (x-c)^m q with q(c) != 0 by synthetic division and also returns
-the value q(c), the remainder of its last pass.  `RationalFn.leading_at`
-applies it once to the numerator and once to the denominator and reads the
-valuation and the leading coefficient at c off the two splits, with no
-further evaluation.
+writes p = (x-c)^m q with q(c) != 0 by synthetic division (over the integer
+numerators when c is an integer) and also returns the value q(c), the
+remainder of its last pass.  `RationalFn.leading_at` applies it once to the
+numerator and once to the denominator and reads the valuation and the
+leading coefficient at c off the two splits, with no further evaluation.
 
 Text formats (used by the CLI layer):
   rational    "p/q" or "p", q > 0
@@ -28,6 +47,7 @@ Text formats (used by the CLI layer):
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -64,31 +84,57 @@ def format_rational(value: Scalar) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+_set = object.__setattr__
+
+
 class Poly:
     """Dense univariate polynomial over Q, immutable.
 
-    ``Poly([a0, a1, a2])`` is a0 + a1*x + a2*x^2.  Trailing zero
-    coefficients are stripped on construction; ``Poly()`` is the zero
-    polynomial and has ``degree is None``.
+    ``Poly([a0, a1, a2])`` is a0 + a1*x + a2*x^2; the coefficients may be
+    ints, Fractions or "p/q" strings.  Trailing zero coefficients are
+    stripped on construction; ``Poly()`` is the zero polynomial and has
+    ``degree is None``.  The value is held as integer numerators `_n` over
+    one positive denominator `_d`, in lowest terms (see the module
+    docstring).
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_n", "_d")
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __new__(cls, coeffs: Iterable[Scalar] = ()):
+        fs = [as_fraction(c) for c in coeffs]
+        den = math.lcm(*[f.denominator for f in fs])
+        return Poly._make([f.numerator * (den // f.denominator) for f in fs], den)
+
+    @staticmethod
+    def _make(ints, den: int) -> "Poly":
+        """The polynomial sum(ints[i] x^i) / den (den != 0), in normal form."""
+        size = len(ints)
+        while size and not ints[size - 1]:
+            size -= 1
+        if not size:
+            ints, den = (), 1
+        else:
+            g = math.gcd(den, *ints[:size]) if den != 1 else 1
+            if den < 0:
+                g = -g
+            if g != 1:
+                ints, den = tuple(c // g for c in ints[:size]), den // g
+            else:
+                ints = tuple(ints[:size])
+        p = object.__new__(Poly)
+        _set(p, "_n", ints)
+        _set(p, "_d", den)
+        return p
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def one() -> "Poly":
-        return Poly([1])
+        return Poly._make((1,), 1)
 
     @staticmethod
     def x() -> "Poly":
-        return Poly([0, 1])
+        return Poly._make((0, 1), 1)
 
     @staticmethod
     def monomial(power: int, c: Scalar = 1) -> "Poly":
@@ -108,48 +154,68 @@ class Poly:
         raise AttributeError("Poly is immutable")
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, low to high; built on each read, for rendering."""
+        d = self._d
+        return tuple(Fraction(c, d) for c in self._n)
+
+    @property
     def degree(self):
         """Degree, or None for the zero polynomial (distinguished sentinel)."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self._n) - 1 if self._n else None
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._n
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._n)
 
     def __getitem__(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
+        if 0 <= power < len(self._n):
+            return Fraction(self._n[power], self._d)
         return Fraction(0)
 
     def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
+        if not self._n:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._n[-1], self._d)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self._n == other._n and self._d == other._d
         if isinstance(other, (int, Fraction)):
-            return self == Poly([other])
+            return self == Poly._coerce(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        n, d = self._n, self._d
+        if len(n) > 1:
+            return hash((n, d))
+        # a constant hashes as its scalar, since Poly([c]) == c
+        c = n[0] if n else 0
+        return hash(c if d == 1 else Fraction(c, d))
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other) -> "Poly":
         other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[i] + other[i] for i in range(n)])
+        a, b, da, db = self._n, other._n, self._d, other._d
+        if da != db:
+            g = math.gcd(da, db)
+            sa, sb = db // g, da // g
+            a, b, da = [c * sa for c in a], [c * sb for c in b], da * sa
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return Poly._make(out, da)
 
     def __radd__(self, other) -> "Poly":
         return self + other
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return Poly._make([-c for c in self._n], self._d)
 
     def __sub__(self, other) -> "Poly":
         return self + (-self._coerce(other))
@@ -159,18 +225,19 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
+            num = other.numerator
+            return Poly._make([c * num for c in self._n], self._d * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        a, b = self._n, other._n
+        if not a or not b:
+            return _ZERO
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return Poly._make(out, self._d * other._d)
 
     def __rmul__(self, other) -> "Poly":
         return self * other
@@ -193,7 +260,7 @@ class Poly:
         if isinstance(other, Poly):
             return other
         if isinstance(other, (int, Fraction)):
-            return Poly([other])
+            return Poly._make((other.numerator,), other.denominator)
         raise TypeError(f"cannot coerce {type(other).__name__} to Poly")
 
     # -- calculus -----------------------------------------------------
@@ -202,56 +269,69 @@ class Poly:
         """Exact derivative of the given order (order >= 0)."""
         if order < 0:
             raise ValueError("derivative order must be non-negative")
-        p = self
-        for _ in range(order):
-            p = Poly([i * c for i, c in enumerate(p.coeffs)][1:])
-        return p
+        n = self._n
+        return Poly._make([math.perm(i, order) * n[i] for i in range(order, len(n))], self._d)
 
     def __call__(self, point: Scalar) -> Fraction:
-        """Exact evaluation by Horner's rule."""
-        point = as_fraction(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        """Exact evaluation at p/q by Horner's rule over the integers, one division."""
+        if not isinstance(point, (int, Fraction)):
+            point = as_fraction(point)
+        p, q = point.numerator, point.denominator
+        acc, q_power = 0, 1
+        for c in reversed(self._n):
+            acc = acc * p + c * q_power
+            q_power *= q
+        # acc = sum n_i p^i q^(deg - i) and q_power = q^(deg + 1)
+        return Fraction(acc * q, self._d * q_power)
 
     def integrate_unit_interval(self) -> Fraction:
         """Exact integral over [-1, 1]; odd monomials contribute 0."""
-        total = Fraction(0)
-        for i, c in enumerate(self.coeffs):
-            if i % 2 == 0:
-                total += 2 * c / (i + 1)
-        return total
+        n = self._n
+        den = math.lcm(*range(1, len(n) + 1, 2))
+        total = sum(2 * n[i] * (den // (i + 1)) for i in range(0, len(n), 2))
+        return Fraction(total, den * self._d)
 
     def compose(self, inner: "Poly") -> "Poly":
         """Exact composition self(inner(x)) by Horner's rule."""
         acc = Poly()
         for c in reversed(self.coeffs):
-            acc = acc * inner + Poly([c])
+            acc = acc * inner + c
         return acc
 
     # -- division and roots --------------------------------------------
 
     def divmod(self, divisor: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact polynomial division, (quotient, remainder)."""
+        """Exact polynomial division, (quotient, remainder).
+
+        Fraction-free long division on the numerators: when the divisor's
+        leading coefficient does not divide the top term, the running
+        remainder and quotient are scaled by lead / gcd(top, lead), and the
+        accumulated scale joins the denominators at the end.
+        """
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd = divisor.degree
-        lead = divisor.leading_coefficient()
-        quot = [Fraction(0)] * max(len(rem) - dd, 0)
-        while len(rem) - 1 >= dd and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dd:
-                break
-            shift = len(rem) - 1 - dd
-            factor = rem[-1] / lead
-            quot[shift] = factor
-            for i, c in enumerate(divisor.coeffs):
-                rem[shift + i] -= factor * c
+        b = divisor._n
+        lead, size = b[-1], len(b)
+        rem = list(self._n)
+        quot = [0] * max(len(rem) - size + 1, 0)
+        scale = 1
+        while len(rem) >= size:
+            top = rem[-1]
+            if top:
+                if top % lead:
+                    m = abs(lead) // math.gcd(top, lead)
+                    rem = [c * m for c in rem]
+                    quot = [c * m for c in quot]
+                    scale *= m
+                    top *= m
+                f = top // lead
+                shift = len(rem) - size
+                quot[shift] = f
+                for i, c in enumerate(b, shift):
+                    rem[i] -= f * c
             rem.pop()
-        return Poly(quot), Poly(rem)
+        den = self._d * scale
+        return Poly._make([c * divisor._d for c in quot], den), Poly._make(rem, den)
 
     def split_root(self, point: Scalar) -> tuple[int, "Poly", Fraction]:
         """(m, q, q(point)) with self = (x - point)^m q and q(point) != 0.
@@ -259,37 +339,50 @@ class Poly:
         Synthetic division: one Horner pass gives both the value at `point`
         (the remainder) and the quotient by (x - point), so each factor of
         the root costs one pass and no general division; the last pass's
-        remainder is q(point), returned rather than recomputed.
+        remainder is q(point), returned rather than recomputed.  The passes
+        run on the integer numerators, which stay integers at an integer
+        point; at any other point they run over Fractions.
         """
         if self.is_zero():
             raise ValueError("zero polynomial vanishes to every order")
-        point = as_fraction(point)
-        m, q = 0, self
+        if not isinstance(point, (int, Fraction)):
+            point = as_fraction(point)
+        if point.denominator == 1:
+            point = point.numerator
+        m, cs = 0, self._n
         while True:
-            acc = Fraction(0)
+            acc = 0
             partial = []
-            for c in reversed(q.coeffs):
+            for c in reversed(cs):
                 acc = acc * point + c
                 partial.append(acc)
             if acc != 0:
-                return m, q, acc
-            m, q = m + 1, Poly(reversed(partial[:-1]))
+                break
+            m, cs = m + 1, partial[-2::-1]
+        d = self._d
+        if not m:
+            q = self
+        elif isinstance(point, int):
+            q = Poly._make(cs, d)
+        else:
+            q = Poly(cs) * Fraction(1, d)
+        return m, q, Fraction(acc, d)
 
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        return self * (1 / self.leading_coefficient())
+        return Poly._make(self._n, self._n[-1])
 
     # -- rendering ------------------------------------------------------
 
     def format_coeffs(self) -> str:
         """Low-to-high comma-separated coefficient text ("0" for the zero poly)."""
-        if not self.coeffs:
+        if not self._n:
             return "0"
         return ",".join(format_rational(c) for c in self.coeffs)
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self._n:
             return "Poly(0)"
         terms = []
         for i, c in enumerate(self.coeffs):
@@ -304,6 +397,7 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
+_ZERO = Poly()
 _ONE = Poly([1])
 
 
@@ -324,11 +418,11 @@ class RationalFn:
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
-            num, den = Poly(), _ONE
+            num, den = _ZERO, _ONE
         elif den.degree == 0:
             # gcd(num, c) = 1 for a nonzero constant c: only the scaling is left
-            if den.coeffs[0] != 1:
-                num = num * (1 / den.coeffs[0])
+            if den != _ONE:
+                num = num * (1 / den[0])
             den = _ONE
         else:
             g = poly_gcd(num, den)
@@ -358,7 +452,8 @@ class RationalFn:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # a polynomial hashes as its numerator, since RationalFn(p) == p
+        return hash(self.num) if self.den == _ONE else hash((self.num, self.den))
 
     def __add__(self, other) -> "RationalFn":
         other = self._coerce(other)

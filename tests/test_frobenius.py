@@ -16,7 +16,7 @@ from krall6.frobenius import (
     residual_order,
     solution_basis,
 )
-from krall6.operator import KrallParams
+from krall6.operator import KrallParams, power_stencil
 from krall6.polynomials import Poly
 
 PARAM_PAIRS = [KrallParams(1, 1), KrallParams(1, 2), KrallParams(Fraction(3, 2), Fraction(5, 2))]
@@ -142,6 +142,22 @@ def test_frobenius_suite_builds_each_basis_once(monkeypatch):
     cases = {c.name: c for c in suite_frobenius(RunConfig(A=1, B=2)).cases}
     assert calls == [-1, 1]
     assert (cases["deficiency-index"].lhs, cases["deficiency-index"].verdict) == ("4", "pass")
+
+
+def test_one_power_stencil_per_endpoint():
+    # parameters no other test uses, so the memo starts without this pair
+    params = KrallParams(Fraction(7, 11), Fraction(13, 5))
+    misses = power_stencil.cache_info().misses
+    bases = [solution_basis(1, 12, params) for _ in range(2)]
+    for sol in bases[0]:
+        residual_order(sol, params)
+    assert power_stencil.cache_info().misses - misses == 1
+    stencil = power_stencil(params, 1)
+    with pytest.raises(TypeError):
+        stencil[0] = Poly()
+    local = LocalExpression(1, params)
+    assert list(local.stencil) == sorted(local.stencil)
+    assert local.dstencil == {d: rho.derivative() for d, rho in local.stencil.items()}
 
 
 def test_derivative_classification(basis_plus):

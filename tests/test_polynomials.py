@@ -1,5 +1,6 @@
 """Exact polynomial and rational-function algebra."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -232,3 +233,202 @@ def test_polynomial_fast_paths_match_general_formulas(p, q):
     assert (s.num, s.den) == euclid_normal_form(p * one + q * one, one * one)
     assert (m.num, m.den) == euclid_normal_form(p * q, one * one)
     assert (d.num, d.den) == euclid_normal_form(p.derivative() * one - p * one.derivative(), one * one)
+
+
+# ---------------------------------------------------------------------------
+# the integer-content representation against a plain-Fraction reference
+# ---------------------------------------------------------------------------
+#
+# A reference polynomial is a tuple of Fractions, low to high, without
+# trailing zeros: the textbook representation, one Fraction per coefficient.
+
+
+def ref(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return ref((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref(out)
+
+
+def ref_derivative(a, k):
+    for _ in range(k):
+        a = ref(i * c for i, c in enumerate(a))[1:]
+    return a
+
+
+def ref_eval(a, x):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def ref_integral(a):
+    return sum((2 * c / (i + 1) for i, c in enumerate(a) if i % 2 == 0), Fraction(0))
+
+
+def ref_divmod(a, b):
+    rem, quot = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        factor = rem[-1] / b[-1]
+        quot[len(rem) - len(b)] = factor
+        for i, c in enumerate(b):
+            rem[len(rem) - len(b) + i] -= factor * c
+        rem = list(ref(rem[:-1]))
+    return ref(quot), ref(rem)
+
+
+def ref_monic(a):
+    return tuple(c / a[-1] for c in a) if a else a
+
+
+def ref_gcd(a, b):
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return ref_monic(a)
+
+
+def ref_split_root(a, x):
+    m = 0
+    while True:
+        partial, acc = [], Fraction(0)
+        for c in reversed(a):
+            acc = acc * x + c
+            partial.append(acc)
+        if acc != 0:
+            return m, a, acc
+        m, a = m + 1, ref(reversed(partial[:-1]))
+
+
+def assert_normal_form(p):
+    """The invariant: gcd(content, den) = 1, den > 0, no trailing zero."""
+    assert isinstance(p._n, tuple) and all(type(c) is int for c in p._n)
+    assert type(p._d) is int and p._d > 0
+    assert not p._n or p._n[-1] != 0
+    assert math.gcd(p._d, *p._n) == 1
+
+
+def poly_and_ref(cs):
+    return Poly(cs), ref(cs)
+
+
+coefficient_lists = st.lists(rationals, min_size=0, max_size=9)
+pairs = coefficient_lists.map(poly_and_ref)
+# divisors with a leading coefficient that is negative or not a unit
+divisor_leads = st.sampled_from([Fraction(-1), Fraction(-3), Fraction(2), Fraction(5, 3), Fraction(-7, 4)])
+divisors = st.builds(lambda cs, lead: poly_and_ref(cs + [lead]), st.lists(rationals, max_size=5), divisor_leads)
+points = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+
+
+@given(coefficient_lists, st.integers(1, 12))
+@settings(max_examples=80, deadline=None)
+def test_normal_form_and_equality_under_mixed_denominators(cs, k):
+    p = Poly(cs)
+    # the same values written over larger denominators, and as "p/q" text
+    widened = Poly([Fraction(c.numerator * k, c.denominator * k) for c in cs])
+    text = Poly([f"{c.numerator}/{c.denominator}" for c in cs])
+    for q in (p, widened, text):
+        assert_normal_form(q)
+        assert q.coeffs == ref(cs)
+    assert p == widened == text
+    assert hash(p) == hash(widened) == hash(text)
+
+
+@given(rationals)
+@settings(max_examples=60, deadline=None)
+def test_constants_equal_and_hash_as_their_scalar(c):
+    p = Poly([c])
+    assert p == c and hash(p) == hash(c)
+    if c.denominator == 1:
+        assert p == int(c) and hash(p) == hash(int(c))
+    r = RationalFn(p)
+    assert r == c == p and hash(r) == hash(c) == hash(p)
+    assert hash(Poly()) == hash(0) == hash(RationalFn(Poly()))
+
+
+@given(pairs)
+@settings(max_examples=60, deadline=None)
+def test_rationalfn_polynomial_hashes_as_its_numerator(pr):
+    p, _ = pr
+    assert RationalFn(p) == p and hash(RationalFn(p)) == hash(p)
+
+
+@given(pairs, pairs, rationals)
+@settings(max_examples=80, deadline=None)
+def test_ring_operations_match_reference(pa, pb, c):
+    (p, a), (q, b) = pa, pb
+    results = {
+        "add": (p + q, ref_add(a, b)),
+        "sub": (p - q, ref_add(a, tuple(-x for x in b))),
+        "neg": (-p, tuple(-x for x in a)),
+        "mul": (p * q, ref_mul(a, b)),
+        "scalar": (p * c, ref(x * c for x in a)),
+        "int-scalar": (3 * p - 1, ref_add(tuple(3 * x for x in a), (Fraction(-1),))),
+    }
+    for name, (got, want) in results.items():
+        assert_normal_form(got)
+        assert got.coeffs == want, name
+
+
+@given(pairs, st.integers(0, 4), points)
+@settings(max_examples=80, deadline=None)
+def test_calculus_matches_reference(pa, k, x):
+    p, a = pa
+    d = p.derivative(k)
+    assert_normal_form(d)
+    assert d.coeffs == ref_derivative(a, k)
+    assert p(x) == ref_eval(a, x) and type(p(x)) is Fraction
+    assert p(x.numerator) == ref_eval(a, Fraction(x.numerator))
+    assert p.integrate_unit_interval() == ref_integral(a)
+
+
+@given(pairs, divisors)
+@settings(max_examples=80, deadline=None)
+def test_divmod_matches_reference(pa, pb):
+    (p, a), (q, b) = pa, pb
+    quot, rem = p.divmod(q)
+    assert_normal_form(quot)
+    assert_normal_form(rem)
+    assert quot * q + rem == p
+    assert rem.is_zero() or rem.degree < q.degree
+    assert (quot.coeffs, rem.coeffs) == ref_divmod(a, b)
+
+
+@given(pairs, pairs, divisors)
+@settings(max_examples=60, deadline=None)
+def test_gcd_and_monic_match_reference(pa, pb, pc):
+    # a common factor c makes the gcd nontrivial
+    (p, a), (q, b), (r, c) = pa, pb, pc
+    g = poly_gcd(p * r, q * r)
+    assert_normal_form(g)
+    assert g.coeffs == ref_gcd(ref_mul(a, c), ref_mul(b, c))
+    m = r.monic()
+    assert_normal_form(m)
+    assert m.coeffs == ref_monic(c) and m.leading_coefficient() == 1
+
+
+@given(pairs.filter(lambda pa: not pa[0].is_zero()), st.integers(0, 3), points)
+@settings(max_examples=80, deadline=None)
+def test_split_root_matches_reference(pa, m, x):
+    p, a = pa
+    # a root of multiplicity >= m at x, at an integer point and at p/q
+    for point in (Fraction(x.numerator), x):
+        factor = Poly([-point, 1]) ** m
+        got_m, got_q, value = (p * factor).split_root(point)
+        want_m, want_q, want_value = ref_split_root(ref_mul(a, factor.coeffs), point)
+        assert_normal_form(got_q)
+        assert (got_m, got_q.coeffs, value) == (want_m, want_q, want_value)
+        assert type(value) is Fraction
