@@ -19,15 +19,22 @@ Series with a single log level, y = sum_m t^{r+m} (c_m + e_m ln|t|), satisfy
 
 for every n (using l[t^s ln|t|] = d/ds l[t^s]).  The solver walks n upward
 keeping every coefficient as an exact linear form in the free parameters
-introduced at resonances (orders where rho_0(r+n) = 0).  Constraint rows are
-eliminated against the free parameters as they appear.  Every constraint --
-a recurrence row at a resonance or a canonicalization target -- goes through
-the one path `resolve_constraint`; one that survives elimination as a nonzero
+p_1, p_2, ... introduced at resonances (orders where rho_0(r+n) = 0).  The
+form const + sum_i a_i p_i is held as the `Poly` const + sum_i a_i x^i, so
+forms add and scale as polynomials do.  One elimination rule serves every
+order: the coefficient times rho_0(r+n) plus the known rest must vanish, so
+the coefficient is -rest/rho_0(r+n), or, at a resonance, the rest becomes a
+constraint and the coefficient a fresh parameter.  Every constraint -- a
+recurrence row at a resonance or a canonicalization target -- goes through
+the one path `resolve_constraint`, which eliminates the latest parameter
+present (the form's degree); one that survives elimination as a nonzero
 constant means the single-log ansatz (or the requested normalization) is
 impossible and raises `ObstructionUnexpectedError`.  Delayed elimination
 matters: e.g. the pure exponent-1 solution has its second coefficient forced
 to -(A+1)/2 by a constraint two orders later, so naive pin-to-zero would
-falsely obstruct.
+falsely obstruct.  Parameters settle at the last resonance (or the highest
+target offset, if later): there the targets are applied, the parameters
+still free are pinned to 0, and every form is a constant from then on.
 
 Canonical basis (labels give the leading exponent).  The one table
 `_SOLUTIONS` holds, per label, the leading exponent, whether the ansatz has a
@@ -65,7 +72,7 @@ from .polynomials import Poly, format_rational
 #: label -> (leading exponent, whether the ansatz carries a log level,
 #: canonicalization targets).  The targets are ordered ((offset, log_level),
 #: value) assignments resolved against whatever parameters remain free after
-#: the recurrence; any parameter still free afterwards is pinned to 0.
+#: the last resonance; any parameter still free afterwards is pinned to 0.
 _SOLUTIONS = {
     "phi-3": (3, False, (((0, 0), 1),)),
     "phi-2": (2, True, (((0, 0), 1), ((1, 0), 0))),
@@ -82,50 +89,6 @@ SOLUTION_LABELS = tuple(_SOLUTIONS)
 
 class ObstructionUnexpectedError(ArithmeticError):
     """A resonance forces a log level the single-log ansatz lacks."""
-
-
-# ---------------------------------------------------------------------------
-# linear forms in free parameters
-# ---------------------------------------------------------------------------
-
-
-class LinExpr:
-    """const + sum coeff_i * param_i over Fraction, immutable-ish and tiny."""
-
-    __slots__ = ("const", "coeffs")
-
-    def __init__(self, const: Fraction = Fraction(0), coeffs: Optional[dict[int, Fraction]] = None):
-        self.const = Fraction(const)
-        self.coeffs = {p: c for p, c in (coeffs or {}).items() if c != 0}
-
-    @staticmethod
-    def param(index: int) -> "LinExpr":
-        return LinExpr(Fraction(0), {index: Fraction(1)})
-
-    def __add__(self, other: "LinExpr") -> "LinExpr":
-        coeffs = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            coeffs[p] = coeffs.get(p, Fraction(0)) + c
-        return LinExpr(self.const + other.const, coeffs)
-
-    def scale(self, factor: Fraction) -> "LinExpr":
-        if factor == 0:
-            return LinExpr()
-        return LinExpr(self.const * factor, {p: c * factor for p, c in self.coeffs.items()})
-
-    def substitute(self, param: int, replacement: "LinExpr") -> "LinExpr":
-        if param not in self.coeffs:
-            return self
-        coeff = self.coeffs[param]
-        rest = LinExpr(self.const, {p: c for p, c in self.coeffs.items() if p != param})
-        return rest + replacement.scale(coeff)
-
-    def is_constant(self) -> bool:
-        return not self.coeffs
-
-    def __repr__(self) -> str:
-        body = " + ".join(f"{c}*p{p}" for p, c in sorted(self.coeffs.items()))
-        return f"LinExpr({self.const}" + (f" + {body})" if body else ")")
 
 
 def _accumulate(out: dict, key, value: Fraction) -> None:
@@ -259,107 +222,70 @@ class SeriesSolution:
 
 
 def _solve_single(local: LocalExpression, label: str, order: int) -> SeriesSolution:
-    """Run the two-level recurrence with delayed elimination for one label."""
+    """Run the two-level recurrence for one label, with one elimination rule.
+
+    Coefficients are linear forms held as `Poly`s (p_i is x^i).  `solve`
+    gives each coefficient from coefficient * pivot + rest = 0, or, for a
+    zero pivot, constrains rest = 0 and returns a fresh parameter.  At
+    `settle` the targets are applied and the free parameters pinned to 0.
+    """
     r, with_log, targets = _SOLUTIONS[label]
     rhos, rhods = local.stencil, local.dstencil
+    pivots = [rhos[0](r + n) for n in range(order + 1)]
+    settle = max([n for n, pivot in enumerate(pivots) if pivot == 0] + [m for (m, _), _ in targets])
 
-    e: dict[int, LinExpr] = {}
-    c: dict[int, LinExpr] = {}
-    substitutions: dict[int, LinExpr] = {}
-    next_param = 0
+    e: list[Poly] = []
+    c: list[Poly] = []
+    rows: dict[int, Poly] = {}  # x^i -> the monic constraint eliminating p_i
+    params = 0
 
-    def reduce(expr: LinExpr) -> LinExpr:
-        # substitutions always express a parameter in strictly lower-indexed
-        # ones (constraints eliminate the max index), so this terminates
-        while any(p in substitutions for p in expr.coeffs):
-            for p in list(expr.coeffs):
-                if p in substitutions:
-                    expr = expr.substitute(p, substitutions[p])
-        return expr
+    def reduce(form: Poly) -> Poly:
+        # a row eliminating p_i holds only lower parameters, so one descending pass
+        for i in range(form.degree or 0, 0, -1):
+            if i in rows and form[i]:
+                form = form - rows[i] * form[i]
+        return form
 
-    def new_param() -> LinExpr:
-        nonlocal next_param
-        next_param += 1
-        return LinExpr.param(next_param - 1)
-
-    def resolve_constraint(expr: LinExpr, context: str):
-        expr = reduce(expr)
-        if expr.is_constant():
-            if expr.const != 0:
-                raise ObstructionUnexpectedError(
-                    f"{label} at endpoint {local.endpoint:+d}: {context} leaves "
-                    f"nonzero constant {expr.const}"
-                )
-            return
+    def resolve_constraint(form: Poly, context: str) -> None:
         # eliminate the latest-introduced parameter present
-        target = max(expr.coeffs)
-        coeff = expr.coeffs[target]
-        rest = LinExpr(expr.const, {p: v for p, v in expr.coeffs.items() if p != target})
-        substitutions[target] = rest.scale(Fraction(-1) / coeff)
+        form = reduce(form)
+        if form.degree:
+            rows[form.degree] = form.monic()
+        elif form:
+            raise ObstructionUnexpectedError(
+                f"{label} at endpoint {local.endpoint:+d}: {context} leaves "
+                f"nonzero constant {form[0]}"
+            )
+
+    def solve(rest: Poly, pivot: Fraction, context: str) -> Poly:
+        nonlocal params
+        if pivot:
+            return rest * (-1 / pivot)
+        resolve_constraint(rest, context)
+        params += 1
+        return Poly.monomial(params)
 
     for n in range(order + 1):
-        s_n = r + n
-        rho0_n = rhos[0](s_n)
-        rho0d_n = rhods[0](s_n)
-        # known contributions from earlier offsets
-        tail1 = LinExpr()
-        tail0 = LinExpr()
-        for d in rhos:
+        tail1 = tail0 = Poly()
+        for d, rho in rhos.items():
             m = n - d
-            if d == 0 or m < 0:
-                continue
-            s_m = r + m
-            if with_log and m in e:
-                tail1 = tail1 + e[m].scale(rhos[d](s_m))
-                tail0 = tail0 + e[m].scale(rhods[d](s_m))
-            if m in c:
-                tail0 = tail0 + c[m].scale(rhos[d](s_m))
-
-        if with_log:
-            if rho0_n != 0:
-                # level 1 determines e_n, then level 0 determines c_n
-                e[n] = reduce(tail1.scale(Fraction(-1) / rho0_n))
-                numer = tail0 + e[n].scale(rho0d_n)
-                c[n] = reduce(numer.scale(Fraction(-1) / rho0_n))
-            else:
-                resolve_constraint(tail1, f"level-1 order {n}")
-                if rho0d_n != 0:
-                    # level 0 determines e_n; c_n is free
-                    e[n] = reduce(tail0.scale(Fraction(-1) / rho0d_n))
-                    c[n] = new_param()
-                else:
-                    # double root: both constraints, both coefficients free
-                    resolve_constraint(tail0, f"level-0 order {n}")
-                    e[n] = new_param()
-                    c[n] = new_param()
-        else:
-            e[n] = LinExpr()
-            if rho0_n != 0:
-                c[n] = reduce(tail0.scale(Fraction(-1) / rho0_n))
-            else:
-                resolve_constraint(tail0, f"level-0 order {n}")
-                c[n] = new_param()
-
-    # canonicalization targets, applied in declared order
-    for (m, level), value in targets:
-        slot = e[m] if level == 1 else c[m]
-        resolve_constraint(slot + LinExpr(-value), f"target {(m, level)}={value}")
-
-    # remaining free parameters are pinned to 0
-    for idx in range(next_param):
-        if idx not in substitutions:
-            substitutions[idx] = LinExpr()
-
-    def finalize(expr: LinExpr) -> Fraction:
-        expr = reduce(expr)
-        if not expr.is_constant():
-            raise AssertionError(f"parameter left unresolved in {expr!r}")
-        return expr.const
+            if d and m >= 0:
+                value = rho(r + m)
+                tail1 = tail1 + e[m] * value
+                tail0 = tail0 + c[m] * value + e[m] * rhods[d](r + m)
+        e.append(solve(tail1, pivots[n], f"level-1 order {n}") if with_log else Poly())
+        c.append(solve(tail0 + e[n] * rhods[0](r + n), pivots[n], f"level-0 order {n}"))
+        if n == settle:
+            for (m, level), value in targets:
+                resolve_constraint((e if level else c)[m] - value, f"target {(m, level)}={value}")
+            for i in range(1, params + 1):
+                rows.setdefault(i, Poly.monomial(i))
+            e, c = [reduce(form) for form in e], [reduce(form) for form in c]
 
     terms: dict[tuple[int, int], Fraction] = {}
     for n in range(order + 1):
-        _accumulate(terms, (n, 0), finalize(c[n]))
-        _accumulate(terms, (n, 1), finalize(e[n]))
+        _accumulate(terms, (n, 0), c[n][0])
+        _accumulate(terms, (n, 1), e[n][0])
     return SeriesSolution(local.endpoint, r, label, order, terms)
 
 

@@ -128,7 +128,7 @@ class LogGerm:
         self._require_same_endpoint(other)
         terms = dict(self.terms)
         for k, r in other.terms.items():
-            terms[k] = terms.get(k, RationalFn(Poly())) + r
+            _add_term(terms, k, r)
         return LogGerm(self.endpoint, terms)
 
     def __neg__(self) -> "LogGerm":
@@ -143,9 +143,7 @@ class LogGerm:
             terms: dict[int, RationalFn] = {}
             for k1, r1 in self.terms.items():
                 for k2, r2 in other.terms.items():
-                    k = k1 + k2
-                    prod = r1 * r2
-                    terms[k] = terms.get(k, RationalFn(Poly())) + prod
+                    _add_term(terms, k1 + k2, r1 * r2)
             return LogGerm(self.endpoint, terms)
         if isinstance(other, (int, Fraction, Poly, RationalFn)):
             factor = RationalFn._coerce(other)
@@ -207,11 +205,15 @@ def _differentiate(g: LogGerm) -> LogGerm:
     """First derivative: (r_k)' + (k+1) r_{k+1} * (-2x/(1-x^2)) per log power."""
     terms: dict[int, RationalFn] = {}
     for k, r in g.terms.items():
-        terms[k] = terms.get(k, RationalFn(Poly())) + r.derivative()
+        _add_term(terms, k, r.derivative())
         if k >= 1:
-            chain = r * LOG_DERIVATIVE * k
-            terms[k - 1] = terms.get(k - 1, RationalFn(Poly())) + chain
+            _add_term(terms, k - 1, r * LOG_DERIVATIVE * k)
     return LogGerm(g.endpoint, terms)
+
+
+def _add_term(terms: dict[int, RationalFn], k: int, r: RationalFn) -> None:
+    """terms[k] += r; a new power stores r itself, with no sum against zero."""
+    terms[k] = terms[k] + r if k in terms else r
 
 
 @functools.lru_cache(maxsize=4096)

@@ -193,6 +193,19 @@ def test_truncation_order_validation():
         solution_basis(1, 8, KrallParams(1, 1))
 
 
+@pytest.mark.parametrize("endpoint", (-1, 1))
+@pytest.mark.parametrize(
+    "params",
+    PARAM_PAIRS + [KrallParams(Fraction(1, 100), 3), KrallParams(Fraction(2, 7), Fraction(2, 7))],
+)
+def test_truncation_is_consistent(endpoint, params):
+    # a longer truncation only appends terms: the parameters settle at the
+    # last resonance, so no coefficient up to order 12 may depend on N
+    for short, long in zip(solution_basis(endpoint, 12, params), solution_basis(endpoint, 40, params)):
+        assert short.label == long.label
+        assert short.terms == {key: c for key, c in long.terms.items() if key[0] <= 12}
+
+
 def test_unsatisfiable_shape_is_an_obstruction(monkeypatch):
     # an impossible canonicalization target (a log coefficient on the pure
     # exponent-3 solution) must surface as the typed obstruction, never be
