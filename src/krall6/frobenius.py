@@ -36,6 +36,13 @@ falsely obstruct.  Parameters settle at the last resonance (or the highest
 target offset, if later): there the targets are applied, the parameters
 still free are pinned to 0, and every form is a constant from then on.
 
+A solution is y = t^r (C(t) + E(t) ln|t|), C and E the `Poly`s whose t^m
+coefficients are c_m and e_m.  With theta = t d/dt, rho(r+theta) scales the
+t^m coefficient by rho(r+m) (`Poly.scale_terms`), so l[y] = t^{r-3} (C' + E'
+ln|t|) with C' = sum_d t^d [rho_d(r+theta) C + rho_d'(r+theta) E] and
+E' = sum_d t^d rho_d(r+theta) E, and dy/dt = t^{r-1} ((r+theta) C + E +
+(r+theta) E ln|t|).
+
 Canonical basis (labels give the leading exponent).  The one table
 `_SOLUTIONS` holds, per label, the leading exponent, whether the ansatz has a
 log level, and the normalization targets; `SOLUTION_LABELS` is its key order.
@@ -55,15 +62,16 @@ Square-integrability near an endpoint is decided by the leading exponent r:
 integral of t^{2r} ln^{2k} t converges at 0 iff 2r > -1, i.e. iff r >= 0 for
 integer exponents (log factors never matter there).  `is_square_integrable`
 applies that test to a solution or to one of its first three termwise
-derivatives.  Five of the six solutions are square integrable at each
-endpoint, and the deficiency index of the minimal operator is
-d_+ + d_- - 6 = 4.
+derivatives (`SeriesSolution.derivative`).  Five of the six solutions are
+square integrable at each endpoint, and the deficiency index of the minimal
+operator is d_+ + d_- - 6 = 4.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Optional
 
 from .operator import KrallParams, power_stencil
@@ -91,15 +99,19 @@ class ObstructionUnexpectedError(ArithmeticError):
     """A resonance forces a log level the single-log ansatz lacks."""
 
 
-def _accumulate(out: dict, key, value: Fraction) -> None:
-    """out[key] += value, keeping `out` free of zero entries."""
-    if value == 0:
-        return
-    total = out.get(key, Fraction(0)) + value
-    if total == 0:
-        del out[key]
-    else:
-        out[key] = total
+def _size(levels) -> int:
+    """The number of t^m coefficients the longer level holds."""
+    return max((p.degree + 1 for p in levels if p), default=0)
+
+
+def _valuation(levels) -> Optional[int]:
+    """The lowest power of t with a nonzero coefficient in either level."""
+    return min((p.split_root(0)[0] for p in levels if p), default=None)
+
+
+def _theta(p: Poly, values) -> Poly:
+    """values(theta) p: the t^m coefficient of p times values[m]."""
+    return p.scale_terms(values[: p.degree + 1]) if p else p
 
 
 # ---------------------------------------------------------------------------
@@ -145,24 +157,21 @@ class LocalExpression:
             )
         return sorted(roots, reverse=True)
 
-    def apply_to_series(self, terms: dict) -> dict:
-        """Apply the expression to {(absolute_exponent, level): Fraction} terms.
+    def apply_to_series(self, r: int, levels: tuple) -> tuple[Poly, Poly]:
+        """(C', E') with l[t^r (C + E ln|t|)] = t^{r-3} (C' + E' ln|t|).
 
-        rho_d(s) and rho_d'(s) are evaluated once per exponent s, shared by
-        both log levels.
+        rho_d(r+m) is evaluated once per offset m, shared by both levels.
         """
-        out: dict[tuple[int, int], Fraction] = {}
-        values: dict[int, list] = {}
-        for (s, level), coeff in terms.items():
-            at_s = values.get(s)
-            if at_s is None:
-                at_s = values[s] = [(d, rho(s), self.dstencil[d](s)) for d, rho in self.stencil.items()]
-            for d, value, dvalue in at_s:
-                target = s - 3 + d
-                _accumulate(out, (target, level), coeff * value)
-                if level == 1:
-                    _accumulate(out, (target, 0), coeff * dvalue)
-        return out
+        C, E = levels
+        size = _size(levels)
+        out_c = out_e = Poly()
+        for d, rho in self.stencil.items():
+            values = [rho(r + m) for m in range(size)]
+            dvalues = [self.dstencil[d](r + m) for m in range(size)] if E else ()
+            shift = Poly.monomial(d)
+            out_c = out_c + shift * (_theta(C, values) + _theta(E, dvalues))
+            out_e = out_e + shift * _theta(E, values)
+        return out_c, out_e
 
 
 # ---------------------------------------------------------------------------
@@ -172,52 +181,41 @@ class LocalExpression:
 
 @dataclass(frozen=True)
 class SeriesSolution:
-    """Truncated sum_m t^{r+m} (c_m + e_m ln|t|) at one endpoint."""
+    """Truncated t^r (C(t) + E(t) ln|t|) at one endpoint; `levels` is (C, E)."""
 
     endpoint: int
     exponent: int
     label: str
     order: int
-    terms: dict = field(hash=False)  # (offset m, level k) -> Fraction, no zeros
+    levels: tuple  # (C, E): Polys whose t^m coefficients are c_m and e_m
 
     def coefficient(self, offset: int, level: int) -> Fraction:
-        return self.terms.get((offset, level), Fraction(0))
+        if level not in (0, 1):
+            raise ValueError(f"log level must be 0 or 1, got {level}")
+        return self.levels[level][offset]
 
     def log_degree(self) -> int:
-        return 1 if any(level == 1 for (_, level) in self.terms) else 0
+        return 1 if self.levels[1] else 0
 
     def leading_exponent(self) -> Optional[int]:
-        if not self.terms:
-            return None
-        return self.exponent + min(m for (m, _) in self.terms)
+        valuation = _valuation(self.levels)
+        return None if valuation is None else self.exponent + valuation
 
-    def level_coefficients(self, level: int) -> dict[int, Fraction]:
-        return {m: c for (m, k), c in self.terms.items() if k == level}
-
-    def absolute_terms(self) -> dict[tuple[int, int], Fraction]:
-        return {(self.exponent + m, k): c for (m, k), c in self.terms.items()}
-
-    def differentiated_terms(self, times: int) -> dict[tuple[int, int], Fraction]:
-        """Termwise d/dt applied `times` times to the absolute terms."""
-        terms = self.absolute_terms()
-        for _ in range(times):
-            nxt: dict[tuple[int, int], Fraction] = {}
-            for (s, k), c in terms.items():
-                _accumulate(nxt, (s - 1, k), c * s)
-                if k >= 1:
-                    _accumulate(nxt, (s - 1, k - 1), c * k)
-            terms = nxt
-        return terms
+    def derivative(self) -> "SeriesSolution":
+        """Termwise d/dt: t^{r-1} ((r+theta) C + E + (r+theta) E ln|t|)."""
+        C, E = self.levels
+        r_theta = range(self.exponent, self.exponent + _size(self.levels))
+        levels = (_theta(C, r_theta) + E, _theta(E, r_theta))
+        return replace(self, exponent=self.exponent - 1, levels=levels)
 
     def format_series(self) -> str:
         """Dump format: header line then one "(m, k) p/q" line per term."""
-        head = (
+        lines = [
             f"endpoint {self.endpoint:+d}; exponent {self.exponent}; "
             f"log-degree {self.log_degree()}; order {self.order}; label {self.label}"
-        )
-        lines = [head]
-        for (m, k), c in sorted(self.terms.items()):
-            lines.append(f"({m}, {k}) {format_rational(c)}")
+        ]
+        for m, pair in enumerate(zip_longest(*(p.coeffs for p in self.levels), fillvalue=0)):
+            lines += [f"({m}, {k}) {format_rational(c)}" for k, c in enumerate(pair) if c]
         return "\n".join(lines)
 
 
@@ -282,11 +280,8 @@ def _solve_single(local: LocalExpression, label: str, order: int) -> SeriesSolut
                 rows.setdefault(i, Poly.monomial(i))
             e, c = [reduce(form) for form in e], [reduce(form) for form in c]
 
-    terms: dict[tuple[int, int], Fraction] = {}
-    for n in range(order + 1):
-        _accumulate(terms, (n, 0), c[n][0])
-        _accumulate(terms, (n, 1), e[n][0])
-    return SeriesSolution(local.endpoint, r, label, order, terms)
+    levels = (Poly([form[0] for form in c]), Poly([form[0] for form in e]))
+    return SeriesSolution(local.endpoint, r, label, order, levels)
 
 
 def solution_basis(endpoint: int, order: int, params: KrallParams) -> list[SeriesSolution]:
@@ -330,20 +325,18 @@ def residual_order(sol: SeriesSolution, params: KrallParams) -> Optional[int]:
 
     None means the truncated series solves the equation exactly (e.g. the
     constant).  For a valid truncation at order N the residual order must
-    exceed N - 6 -- in fact it lands above r + N - 3.
+    exceed N - 6; for the canonical solutions it is exactly r + N - 2.
     """
     local = LocalExpression(sol.endpoint, params)
-    image = local.apply_to_series(sol.absolute_terms())
-    if not image:
-        return None
-    return min(s for (s, _) in image)
+    valuation = _valuation(local.apply_to_series(sol.exponent, sol.levels))
+    return None if valuation is None else sol.exponent - 3 + valuation
 
 
 def corrupted(sol: SeriesSolution) -> SeriesSolution:
     """Negative control: add 1 to the t^(r+5) coefficient so the residual order drops."""
-    terms = dict(sol.terms)
-    terms[(5, 0)] = terms.get((5, 0), Fraction(0)) + 1
-    return SeriesSolution(sol.endpoint, sol.exponent, sol.label + "-corrupted", sol.order, terms)
+    C, E = sol.levels
+    levels = (C + Poly.monomial(5), E)
+    return SeriesSolution(sol.endpoint, sol.exponent, sol.label + "-corrupted", sol.order, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +351,12 @@ def is_square_integrable(sol: SeriesSolution, derivatives: int = 0) -> bool:
     r >= 0 for integer exponents; log factors do not change it (t^{2r}
     ln^{2k} t is integrable at 0 for any k when 2r > -1).
     """
-    if derivatives > 3:
-        raise ValueError("derivative order grows past the verified range")
-    terms = sol.differentiated_terms(derivatives)
-    return not terms or min(s for (s, _) in terms) >= 0
+    if not 0 <= derivatives <= 3:
+        raise ValueError(f"derivative order {derivatives} is outside the verified range 0..3")
+    for _ in range(derivatives):
+        sol = sol.derivative()
+    lead = sol.leading_exponent()
+    return lead is None or lead >= 0
 
 
 def l2_classification(basis: list[SeriesSolution]) -> dict:

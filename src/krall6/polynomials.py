@@ -13,14 +13,14 @@ fields.  The zero polynomial is `_n = ()`, `_d = 1`; its degree is the
 sentinel ``None``.  Every value is built by `Poly._make(ints, den)`, which
 strips and normalises.  Arithmetic runs on the integers: sums bring both
 sides to one denominator, products convolve the numerators over the product
-of the denominators, derivatives scale the numerators, and evaluation at p/q
-is Horner's rule over ints with one division at the end.  Division is
-fraction-free long division, so `poly_gcd` and `RationalFn` build no
-Fraction per coefficient either.  `Poly.coeffs`, the tuple of Fraction
-coefficients, is built on each read, for rendering only; no polynomial
-keeps a second copy.  There is no floating point anywhere: every operation
-(arithmetic, differentiation, evaluation, integration over [-1, 1],
-composition, splitting off a root) is exact.
+of the denominators, derivatives and `scale_terms` scale the numerators,
+and evaluation at p/q is Horner's rule over ints with one division at the
+end.  Division is fraction-free long division, so `poly_gcd` and
+`RationalFn` build no Fraction per coefficient either.  `Poly.coeffs`, the
+tuple of Fraction coefficients, is built on each read, for rendering only;
+no polynomial keeps a second copy.  There is no floating point anywhere:
+every operation (arithmetic, differentiation, evaluation, integration over
+[-1, 1], composition, splitting off a root) is exact.
 
 A constant polynomial equals its scalar (``Poly([3]) == 3``) and hashes as
 it, and a `RationalFn` with denominator 1 equals and hashes as its
@@ -241,6 +241,15 @@ class Poly:
 
     def __rmul__(self, other) -> "Poly":
         return self * other
+
+    def scale_terms(self, values) -> "Poly":
+        """sum_i values[i] a_i x^i for one int or Fraction per coefficient, one `_make`."""
+        n = self._n
+        if len(values) != len(n):
+            raise ValueError(f"{len(values)} values for {len(n)} coefficients")
+        den = math.lcm(*[v.denominator for v in values])
+        ints = [c * v.numerator * (den // v.denominator) for c, v in zip(n, values)]
+        return Poly._make(ints, self._d * den)
 
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:

@@ -3,11 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krall6.frobenius import (
     LocalExpression,
     ObstructionUnexpectedError,
     SOLUTION_LABELS,
+    SeriesSolution,
     _SOLUTIONS,
     corrupted,
     deficiency_index,
@@ -20,6 +23,7 @@ from krall6.operator import KrallParams, power_stencil
 from krall6.polynomials import Poly
 
 PARAM_PAIRS = [KrallParams(1, 1), KrallParams(1, 2), KrallParams(Fraction(3, 2), Fraction(5, 2))]
+MORE_PAIRS = PARAM_PAIRS + [KrallParams(Fraction(1, 100), 3), KrallParams(Fraction(2, 7), Fraction(2, 7))]
 
 
 @pytest.mark.parametrize("endpoint", (-1, 1))
@@ -86,30 +90,27 @@ def test_forced_log_values(basis_plus):
 
 def test_hat_log_part_is_three_times_pure(basis_plus):
     by = {s.label: s for s in basis_plus}
-    hat_log = by["phi-hat-1"].level_coefficients(1)
-    pure = by["phi-1"].level_coefficients(0)
-    for m in range(21):
-        assert hat_log.get(m, Fraction(0)) == 3 * pure.get(m, Fraction(0))
+    assert by["phi-hat-1"].levels[1] == 3 * by["phi-1"].levels[0]
 
 
-def test_residual_orders(basis_plus):
-    params = KrallParams(1, 2)
-    for sol in basis_plus:
-        order = residual_order(sol, params)
-        assert order is None or order >= 14
-    bad = corrupted(basis_plus[0])
-    assert residual_order(bad, params) < 14
+def test_residual_orders():
+    # solving offsets 0..N leaves the first residual term at t^(r+N-2);
+    # corrupting the t^(r+5) coefficient exposes rho_0(r+5) t^(r+2) != 0
+    for params in MORE_PAIRS:
+        for endpoint in (-1, 1):
+            for order in (12, 40):
+                for sol in solution_basis(endpoint, order, params):
+                    assert residual_order(sol, params) == sol.exponent + order - 2
+                    assert residual_order(corrupted(sol), params) == sol.exponent + 2
 
 
 def test_zero_series_residual_is_infinite():
-    from krall6.frobenius import SeriesSolution
-
     params = KrallParams(1, 1)
-    empty = SeriesSolution(endpoint=1, exponent=0, label="zero", order=12, terms={})
+    empty = SeriesSolution(endpoint=1, exponent=0, label="zero", order=12, levels=(Poly(), Poly()))
     assert residual_order(empty, params) is None
     # the exponent-0 canonical solution minus its log admixture is the
     # constant, which solves exactly; spot-check residual on one-term series
-    constant = SeriesSolution(endpoint=1, exponent=0, label="const", order=12, terms={(0, 0): Fraction(1)})
+    constant = SeriesSolution(endpoint=1, exponent=0, label="const", order=12, levels=(Poly.one(), Poly()))
     assert residual_order(constant, params) is None
 
 
@@ -169,6 +170,15 @@ def test_derivative_classification(basis_plus):
         is_square_integrable(by["phi-3"], 4)
 
 
+def test_odd_inputs_fail_loudly(basis_plus):
+    sol = basis_plus[3]
+    for level in (-1, 2):
+        with pytest.raises(ValueError, match="log level"):
+            sol.coefficient(0, level)
+    with pytest.raises(ValueError, match="derivative order"):
+        is_square_integrable(sol, -1)
+
+
 def test_minus_endpoint_mirror():
     params = KrallParams(1, 2)
     basis = solution_basis(-1, 14, params)
@@ -203,7 +213,7 @@ def test_truncation_is_consistent(endpoint, params):
     # last resonance, so no coefficient up to order 12 may depend on N
     for short, long in zip(solution_basis(endpoint, 12, params), solution_basis(endpoint, 40, params)):
         assert short.label == long.label
-        assert short.terms == {key: c for key, c in long.terms.items() if key[0] <= 12}
+        assert short.levels == tuple(Poly(level.coeffs[:13]) for level in long.levels)
 
 
 def test_unsatisfiable_shape_is_an_obstruction(monkeypatch):
@@ -234,3 +244,63 @@ def test_square_integrability_rule(basis_plus):
     # leading exponent >= 0 is the whole story for integer exponents
     for sol in basis_plus:
         assert is_square_integrable(sol) == (sol.leading_exponent() >= 0)
+
+
+# ---------------------------------------------------------------------------
+# the series algebra against a term-by-term reference
+# ---------------------------------------------------------------------------
+#
+# A reference series is a dict {(absolute exponent s, log level k): Fraction}
+# for sum c t^s ln^k|t|, with no zero entries, built and transformed one
+# term at a time.
+
+
+def ref_terms(r, levels):
+    return {(r + m, k): c for k, level in enumerate(levels) for m, c in enumerate(level.coeffs) if c}
+
+
+def ref_add(out, key, value):
+    out[key] = out.get(key, Fraction(0)) + value
+
+
+def ref_apply(params, endpoint, terms):
+    """l[t^s] = sum rho(s) t^(s+shift) and l[t^s ln|t|] = d/ds of it, term by term."""
+    out = {}
+    for (s, k), c in terms.items():
+        for shift, rho in power_stencil(params, endpoint).items():
+            ref_add(out, (s + shift, k), c * rho(s))
+            if k:
+                ref_add(out, (s + shift, 0), c * rho.derivative()(s))
+    return {key: c for key, c in out.items() if c}
+
+
+def ref_derivative(terms):
+    """d/dt (c t^s ln^k|t|) = c s t^(s-1) ln^k|t| + c k t^(s-1) ln^(k-1)|t|."""
+    out = {}
+    for (s, k), c in terms.items():
+        ref_add(out, (s - 1, k), c * s)
+        if k:
+            ref_add(out, (s - 1, k - 1), c * k)
+    return {key: c for key, c in out.items() if c}
+
+
+series_levels = st.lists(st.builds(Fraction, st.integers(-50, 50), st.integers(1, 8)), max_size=9).map(Poly)
+
+
+@given(
+    st.integers(-1, 3),
+    series_levels,
+    st.one_of(st.just(Poly()), series_levels),
+    st.sampled_from((-1, 1)),
+    st.sampled_from(MORE_PAIRS[1:4]),
+)
+@settings(max_examples=80, deadline=None)
+def test_series_algebra_matches_term_by_term_reference(r, C, E, endpoint, params):
+    terms = ref_terms(r, (C, E))
+    image = ref_apply(params, endpoint, terms)
+    assert ref_terms(r - 3, LocalExpression(endpoint, params).apply_to_series(r, (C, E))) == image
+    sol = SeriesSolution(endpoint, r, "random", 12, (C, E))
+    assert residual_order(sol, params) == min((s for s, _ in image), default=None)
+    assert sol.leading_exponent() == min((s for s, _ in terms), default=None)
+    derivative = sol.derivative()
+    assert ref_terms(derivative.exponent, derivative.levels) == ref_derivative(terms)

@@ -432,3 +432,23 @@ def test_split_root_matches_reference(pa, m, x):
         assert_normal_form(got_q)
         assert (got_m, got_q.coeffs, value) == (want_m, want_q, want_value)
         assert type(value) is Fraction
+
+
+@given(pairs, st.lists(st.one_of(rationals, st.integers(-20, 20)), min_size=9, max_size=9))
+@settings(max_examples=80, deadline=None)
+def test_scale_terms_matches_reference(pa, values):
+    # ints and Fractions mixed, zero values included
+    p, a = pa
+    values = values[: len(a)]
+    got = p.scale_terms(values)
+    assert_normal_form(got)
+    assert got.coeffs == ref(x * v for x, v in zip(a, values))
+
+
+def test_scale_terms_needs_one_value_per_coefficient():
+    p = Poly([1, 2, 3])
+    assert p.scale_terms(range(1, 4)) == Poly([1, 4, 9])
+    assert Poly().scale_terms([]) == Poly()
+    for values in ([1, 2], [1, 2, 3, 4]):
+        with pytest.raises(ValueError, match="coefficients"):
+            p.scale_terms(values)
