@@ -22,7 +22,7 @@ import time
 
 from .concomitant import probe_functions, boundary_condition_functions
 from .extension import gkn_symmetry_check, independence_certificate, operator_matrix
-from .frobenius import SOLUTION_LABELS, solution_basis
+from .frobenius import MIN_ORDER, SOLUTION_LABELS, solution_basis
 from .inner_products import ExtendedVector, gram_matrix
 from .operator import KrallParams, eigen_polynomial, legendre_type
 from .polynomials import parse_rational
@@ -160,8 +160,8 @@ def _command_dump(args) -> int:
         _emit(poly.format_coeffs() + "\n", args.out)
         return 0
     if args.kind == "series":
-        if args.order < 12:
-            return _usage("series order must be at least 12")
+        if args.order < MIN_ORDER:
+            return _usage(f"series order must be at least {MIN_ORDER}")
         endpoint = 1 if args.endpoint == "+1" else -1
         basis = solution_basis(endpoint, args.order, params)
         sol = next(s for s in basis if s.label == args.label)

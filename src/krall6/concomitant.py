@@ -10,6 +10,9 @@ With w = 1-x^2, alpha = 3A+3B+6, Q = w^3, P = w(12+alpha w) and pi as in
 
     [f, g] = B[f] g - B[g] f - Lam[f] g' + Lam[g] f' - Q (f''' g'' - f'' g''')
 
+Lam is written once, in `quasi_derivative_terms`; B is computed from it as
+B[f] = Lam[f]' - pi f'.
+
 The five summands are kept in exactly this grouping so that divergence
 diagnostics point at individual sub-expressions: `_concomitant_lines` is
 the one place they are written, `concomitant` sums them and names the
@@ -22,11 +25,12 @@ raises `DivergentLimitError`, the typed signal that an input pair lies
 outside the limit class.
 
 B[f] and Lam[f] on a germ are memoised: each (germ, params) pair is worked
-out once and served to every later bracket, Omega, membership check and
-reduction.  Both memos are `functools.lru_cache`s bounded at 4096 entries
-and keyed by value (`LogGerm` and `KrallParams` hash by value; a germ's jet
-is not part of its key).  They hold germs, never limits: `.limit()` runs
-on every call, so a `DivergentLimitError` is never cached.
+out once and served to every later bracket, Omega, membership check,
+quasi-derivative limit and reduction.  Both memos are `functools.lru_cache`s
+bounded at 4096 entries and keyed by value (`LogGerm` and `KrallParams` hash
+by value), like the germ derivatives they read (`germs._derivative`).  They
+hold germs, never limits: `.limit()` runs on every call, so a
+`DivergentLimitError` is never cached.
 
 The module also provides:
 
@@ -81,33 +85,32 @@ def weight_sq_near(endpoint: int) -> EndpointFn:
     return EndpointFn.poly_near(endpoint, WEIGHT**2)
 
 
+def _probe_poly(endpoint: int, params: KrallParams) -> Poly:
+    """h_e = (1/2)w + (1/8)(C+2)w^2, with C = A at +1 and C = B at -1."""
+    c = params.A if endpoint == 1 else params.B
+    return Fraction(1, 2) * WEIGHT + Fraction(1, 8) * (c + 2) * WEIGHT**2
+
+
 def quasi_probe(endpoint: int, params: KrallParams) -> EndpointFn:
     """The combination of w and w^2 whose bracket extracts the quasi-derivative.
 
-    At +1:  (1/2)w + (1/8)(A+2)w^2, zero near -1; at -1 the mirror image
-    (B in place of A) with an overall minus sign.  For every f in the limit
-    class, [f, probe](e) = Lam[f](e); see `quasi_derivative_probe_identity`.
+    e * h_e near e, zero near the other endpoint: at +1 (1/2)w + (1/8)(A+2)w^2,
+    at -1 the mirror image (B in place of A) with an overall minus sign.  For
+    every f in the limit class, [f, probe](e) = Lam[f](e); see
+    `quasi_derivative_probe_identity`.
     """
-    if endpoint == 1:
-        p = Fraction(1, 2) * WEIGHT + Fraction(1, 8) * (params.A + 2) * WEIGHT**2
-        return EndpointFn.poly_near(1, p)
-    p = -Fraction(1, 2) * WEIGHT - Fraction(1, 8) * (params.B + 2) * WEIGHT**2
-    return EndpointFn.poly_near(-1, p)
+    return EndpointFn.poly_near(endpoint, endpoint * _probe_poly(endpoint, params))
 
 
 def log_probe(endpoint: int, params: KrallParams) -> EndpointFn:
-    """The log-bearing maximal-domain function ((1/8)(A+2)w^2 + (1/2)w) ln w
-    near +1 (B in place of A near -1), zero near the other endpoint.
+    """The log-bearing maximal-domain function h_e ln w near e, zero near the
+    other endpoint: ((1/8)(A+2)w^2 + (1/2)w) ln w at +1, B in place of A at -1.
 
     The two summands are paired exactly so that the bracket against smooth
     functions stays finite (the ln divergences cancel); any other ratio of
     the two coefficients leaves the maximal-domain limit class.
     """
-    if endpoint == 1:
-        p = Fraction(1, 8) * (params.A + 2) * WEIGHT**2 + Fraction(1, 2) * WEIGHT
-        return EndpointFn.log_poly_near(1, p)
-    p = Fraction(1, 8) * (params.B + 2) * WEIGHT**2 + Fraction(1, 2) * WEIGHT
-    return EndpointFn.log_poly_near(-1, p)
+    return EndpointFn.log_poly_near(endpoint, _probe_poly(endpoint, params))
 
 
 def boundary_condition_functions(params: KrallParams) -> list[EndpointFn]:
@@ -141,7 +144,7 @@ def probe_functions(params: KrallParams) -> list[EndpointFn]:
 def quasi_derivative_terms(f, params: KrallParams):
     """The two summands of Lam[f], in order: -((1-x^2)^3 f''')' and P f''.
 
-    This is the one place the Lam formula is written: the germ-level
+    This is the one place the Lam formula is written: B, the germ-level
     concomitant and the endpoint reductions go through it too.  Each summand
     is of f's class (Poly, EndpointFn or LogGerm in, the same out; a scalar
     is taken as a global constant).  For a log-bearing f the summands can
@@ -169,13 +172,9 @@ def quasi_derivative(f, params: KrallParams):
     return _lam_germ(f, params) if isinstance(f, LogGerm) else _lam(f, params)
 
 
-def _value_at(f, endpoint: int) -> Fraction:
-    return f(endpoint) if isinstance(f, Poly) else f.value_at(endpoint)
-
-
 def quasi_derivative_at(f, endpoint: int, params: KrallParams) -> Fraction:
-    """Endpoint limit of the quasi-derivative."""
-    return _value_at(quasi_derivative(f, params), endpoint)
+    """Endpoint limit of the quasi-derivative, taken on f's memoised germ."""
+    return _lam_germ(EndpointFn.from_poly(f).germ_at(endpoint), params).limit()
 
 
 def quasi_derivative_terms_at(f, endpoint: int, params: KrallParams) -> tuple[Fraction, Fraction]:
@@ -185,19 +184,14 @@ def quasi_derivative_terms_at(f, endpoint: int, params: KrallParams) -> tuple[Fr
     log probes the limits are 8 and 24, at both endpoints and for every
     (A, B): the stated constant 24 is the P f'' part alone.
     """
-    q_term, p_term = quasi_derivative_terms(f, params)
-    return _value_at(q_term, endpoint), _value_at(p_term, endpoint)
+    q_term, p_term = quasi_derivative_terms(EndpointFn.from_poly(f).germ_at(endpoint), params)
+    return q_term.limit(), p_term.limit()
 
 
 @functools.lru_cache(maxsize=4096)
 def _bracket_with_one_germ(g: LogGerm, params: KrallParams) -> LogGerm:
-    """B[f] = -(Q f''')'' + (P f'')' - pi f' on a germ."""
-    q, p, pi = params.q_poly(), params.p_poly(), params.pi_poly()
-    return (
-        -((g.derivative(3) * q).derivative(2))
-        + (g.derivative(2) * p).derivative()
-        - g.derivative(1) * pi
-    )
+    """B[f] = -(Q f''')'' + (P f'')' - pi f' on a germ, written as Lam[f]' - pi f'."""
+    return _lam_germ(g, params).derivative() - g.derivative(1) * params.pi_poly()
 
 
 def _concomitant_lines(fg: LogGerm, gg: LogGerm, params: KrallParams) -> tuple[LogGerm, ...]:

@@ -77,6 +77,10 @@ from typing import Optional
 from .operator import KrallParams, power_stencil
 from .polynomials import Poly, format_rational
 
+#: The smallest truncation order `solution_basis` accepts; `deficiency_index`
+#: solves at this order.
+MIN_ORDER = 12
+
 #: label -> (leading exponent, whether the ansatz carries a log level,
 #: canonicalization targets).  The targets are ordered ((offset, log_level),
 #: value) assignments resolved against whatever parameters remain free after
@@ -287,11 +291,11 @@ def _solve_single(local: LocalExpression, label: str, order: int) -> SeriesSolut
 def solution_basis(endpoint: int, order: int, params: KrallParams) -> list[SeriesSolution]:
     """The six canonical truncated solutions at one endpoint.
 
-    `order` is the truncation order N (>= 12): coefficients are solved for
-    offsets 0..N, so the residual of each solution starts above t^{r+N-3}.
+    `order` is the truncation order N (>= MIN_ORDER): coefficients are solved
+    for offsets 0..N, so the residual of each solution starts above t^{r+N-3}.
     """
-    if order < 12:
-        raise ValueError("truncation order must be at least 12")
+    if order < MIN_ORDER:
+        raise ValueError(f"truncation order must be at least {MIN_ORDER}")
     local = LocalExpression(endpoint, params)
     return [_solve_single(local, label, order) for label in SOLUTION_LABELS]
 
@@ -365,8 +369,8 @@ def l2_classification(basis: list[SeriesSolution]) -> dict:
     return {"flags": flags, "count": sum(flags.values())}
 
 
-def deficiency_index(params: KrallParams, order: int = 12) -> int:
-    """d_+ + d_- - 6 where d_e is the L2 count at endpoint e."""
-    d_plus = l2_classification(solution_basis(1, order, params))["count"]
-    d_minus = l2_classification(solution_basis(-1, order, params))["count"]
+def deficiency_index(params: KrallParams) -> int:
+    """d_+ + d_- - 6 where d_e is the L2 count at endpoint e (bases of order MIN_ORDER)."""
+    d_plus = l2_classification(solution_basis(1, MIN_ORDER, params))["count"]
+    d_minus = l2_classification(solution_basis(-1, MIN_ORDER, params))["count"]
     return d_plus + d_minus - 6

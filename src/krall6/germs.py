@@ -20,23 +20,18 @@ both its order and its leading coefficient, so each numerator and
 denominator is split at the endpoint once.  A failed limit raises
 `DivergentLimitError` -- the typed "outside the limit class" outcome.
 
-Each germ keeps its derivative jet: `derivative(n)` computes every order up
-to n at most once per germ and serves repeats from the cache.  The jet is an
-immutable tuple (g', g'', ..., g^(m)) held in the `_jet` slot; a call that
-needs a higher order builds a longer tuple and rebinds the slot, so a reader
-never sees a half-extended jet.  The jet is derived data: equality, hashing
-and repr ignore it.
+Derivatives are memoised by value: `derivative(n)` is served by
+`_derivative`, a `functools.lru_cache` keyed by (germ, n) and bounded at
+4096 entries, whose order-n entry is one `_differentiate` step from its
+order-(n-1) entry.  Equal germs share entries whichever objects hold them,
+and germs at different endpoints never compare equal, so never share.  The
+memo holds germs only, never limits.
 
 `EndpointFn` is the tagged union the rest of the library passes around:
 either a single global polynomial, or a pair of germs (one per endpoint) with
 the middle of the interval deliberately unrepresented.  Any operation that
 would need mid-interval values of a piecewise function raises
 `UnspecifiedInteriorError` instead of inventing data.
-
-`EndpointFn.germ_at` on a global polynomial returns one shared germ per
-(Poly, endpoint), so its jet survives between callers.  The memo is a
-`functools.lru_cache` keyed by the polynomial's value and the endpoint and
-bounded at 4096 entries; it holds germs only, never limits.
 """
 
 from __future__ import annotations
@@ -73,7 +68,7 @@ def _check_endpoint(endpoint: int) -> int:
 class LogGerm:
     """Normal-form germ sum_k r_k(x) L(x)^k at one endpoint."""
 
-    __slots__ = ("endpoint", "terms", "_jet")
+    __slots__ = ("endpoint", "terms")
 
     def __init__(self, endpoint: int, terms: Optional[dict[int, RationalFn]] = None):
         _check_endpoint(endpoint)
@@ -85,7 +80,6 @@ class LogGerm:
                 clean[k] = r
         object.__setattr__(self, "endpoint", endpoint)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_jet", ())
 
     def __setattr__(self, name, value):
         raise AttributeError("LogGerm is immutable")
@@ -154,21 +148,12 @@ class LogGerm:
         return self * other
 
     def derivative(self, order: int = 1) -> "LogGerm":
-        """Exact derivative of the given order (order >= 0), served from the jet."""
+        """Exact derivative of the given order (order >= 0), memoised by value."""
+        if not isinstance(order, int):
+            raise TypeError("derivative order must be an int")
         if order < 0:
             raise ValueError("derivative order must be non-negative")
-        if order == 0:
-            return self
-        jet = self._jet
-        if len(jet) < order:
-            last = jet[-1] if jet else self
-            extension = []
-            for _ in range(order - len(jet)):
-                last = _differentiate(last)
-                extension.append(last)
-            jet = jet + tuple(extension)
-            object.__setattr__(self, "_jet", jet)
-        return jet[order - 1]
+        return self if order == 0 else _derivative(self, order)
 
     # -- limits -------------------------------------------------------------
 
@@ -211,15 +196,15 @@ def _differentiate(g: LogGerm) -> LogGerm:
     return LogGerm(g.endpoint, terms)
 
 
+@functools.lru_cache(maxsize=4096)
+def _derivative(g: LogGerm, n: int) -> LogGerm:
+    """g^(n) for n >= 1: one `_differentiate` step from the memoised g^(n-1)."""
+    return _differentiate(g if n == 1 else _derivative(g, n - 1))
+
+
 def _add_term(terms: dict[int, RationalFn], k: int, r: RationalFn) -> None:
     """terms[k] += r; a new power stores r itself, with no sum against zero."""
     terms[k] = terms[k] + r if k in terms else r
-
-
-@functools.lru_cache(maxsize=4096)
-def _global_germ(p: Poly, endpoint: int) -> LogGerm:
-    """The one shared germ of a global polynomial at `endpoint`, jet included."""
-    return LogGerm.from_poly(p, endpoint)
 
 
 class EndpointFn:
@@ -283,7 +268,7 @@ class EndpointFn:
     def germ_at(self, endpoint: int) -> LogGerm:
         _check_endpoint(endpoint)
         if self.poly is not None:
-            return _global_germ(self.poly, endpoint)
+            return LogGerm.from_poly(self.poly, endpoint)
         return self.germ_plus if endpoint == 1 else self.germ_minus
 
     def require_global(self, operation: str) -> Poly:
@@ -303,6 +288,13 @@ class EndpointFn:
 
     # -- algebra ------------------------------------------------------------
 
+    def map(self, kernel) -> "EndpointFn":
+        """`kernel` (written once for Poly and LogGerm) applied to the global
+        polynomial, or to each endpoint germ of a piecewise function."""
+        if self.is_global():
+            return EndpointFn.from_poly(kernel(self.poly))
+        return EndpointFn.piecewise(kernel(self.germ_minus), kernel(self.germ_plus))
+
     def __add__(self, other) -> "EndpointFn":
         other = EndpointFn.from_poly(other)
         if self.is_global() and other.is_global():
@@ -312,9 +304,7 @@ class EndpointFn:
         )
 
     def __neg__(self) -> "EndpointFn":
-        if self.is_global():
-            return EndpointFn.from_poly(-self.poly)
-        return EndpointFn.piecewise(-self.germ_minus, -self.germ_plus)
+        return self.map(lambda f: -f)
 
     def __sub__(self, other) -> "EndpointFn":
         other = EndpointFn.from_poly(other)
@@ -323,20 +313,14 @@ class EndpointFn:
     def __mul__(self, other) -> "EndpointFn":
         """Multiplication by an exact scalar or a global polynomial."""
         if isinstance(other, (int, Fraction, Poly)):
-            if self.is_global():
-                return EndpointFn.from_poly(self.poly * other)
-            return EndpointFn.piecewise(self.germ_minus * other, self.germ_plus * other)
+            return self.map(lambda f: f * other)
         return NotImplemented
 
     def __rmul__(self, other) -> "EndpointFn":
         return self * other
 
     def derivative(self, order: int = 1) -> "EndpointFn":
-        if self.is_global():
-            return EndpointFn.from_poly(self.poly.derivative(order))
-        return EndpointFn.piecewise(
-            self.germ_minus.derivative(order), self.germ_plus.derivative(order)
-        )
+        return self.map(lambda f: f.derivative(order))
 
     def value_at(self, endpoint: int) -> Fraction:
         """Endpoint value as a germ limit (exact polynomial evaluation if global)."""

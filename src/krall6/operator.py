@@ -146,9 +146,7 @@ def _lift(f, kernel, operation: str):
     if isinstance(f, Poly):
         return kernel(f)
     if isinstance(f, EndpointFn):
-        if f.is_global():
-            return EndpointFn.from_poly(kernel(f.poly))
-        return EndpointFn.piecewise(kernel(f.germ_minus), kernel(f.germ_plus))
+        return f.map(kernel)
     raise TypeError(f"{operation} expects a Poly or EndpointFn")
 
 

@@ -144,9 +144,16 @@ class Poly:
 
     @staticmethod
     def parse(text: str) -> "Poly":
-        """Parse the comma-separated low-to-high coefficient text format."""
-        parts = [p for p in (s.strip() for s in text.split(",")) if p]
-        return Poly([parse_rational(p) for p in parts])
+        """Parse the comma-separated low-to-high coefficient text format.
+
+        The format is positional, so an empty field (an empty text included)
+        raises ValueError rather than shifting the higher coefficients.
+        """
+        fields = [field.strip() for field in text.split(",")]
+        for power, field in enumerate(fields):
+            if not field:
+                raise ValueError(f"empty field for the x^{power} coefficient in {text!r}")
+        return Poly([parse_rational(field) for field in fields])
 
     # -- structure ----------------------------------------------------
 

@@ -68,8 +68,8 @@ class RunConfig:
     def __post_init__(self):
         if self.nmax < 0:
             raise ValueError("nmax must be non-negative")
-        if self.series_order < 12:
-            raise ValueError("series order must be at least 12")
+        if self.series_order < fro.MIN_ORDER:
+            raise ValueError(f"series order must be at least {fro.MIN_ORDER}")
         self.params = KrallParams(self.A, self.B)
 
     def selected_suites(self) -> list[str]:

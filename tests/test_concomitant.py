@@ -34,7 +34,7 @@ from krall6.concomitant import (
     weight_near,
     weight_sq_near,
 )
-from krall6.germs import DivergentLimitError, EndpointFn, LogGerm, _global_germ
+from krall6.germs import DivergentLimitError, EndpointFn, LogGerm, _derivative, _differentiate
 from krall6.operator import KrallParams
 from krall6.polynomials import Poly
 
@@ -172,6 +172,19 @@ def _endpoint_input(kind, p, q, endpoint):
     return EndpointFn.poly_near(endpoint, p) + EndpointFn.log_poly_near(endpoint, q * WEIGHT)
 
 
+def _chained_derivative(g, n):
+    for _ in range(n):
+        g = _differentiate(g)
+    return g
+
+
+def _bracket_with_one_by_definition(g, params):
+    """B[f] = -(Q f''')'' + (P f'')' - pi f' on chained first derivatives, no memo."""
+    q, p, pi = params.q_poly(), params.p_poly(), params.pi_poly()
+    d = _chained_derivative
+    return -d(d(g, 3) * q, 2) + d(d(g, 2) * p, 1) - d(g, 1) * pi
+
+
 @given(
     st.sampled_from(["global", "piecewise", "log"]),
     small_polys,
@@ -185,7 +198,7 @@ def test_memoised_germ_data_matches_a_fresh_computation(kind, p, q, endpoint, pa
     fresh = LogGerm(endpoint, dict(g.terms))
     assert fresh is not g and fresh == g
     for _ in range(2):  # a miss, then a hit
-        assert con._bracket_with_one_germ(g, params) == con._bracket_with_one_germ.__wrapped__(fresh, params)
+        assert con._bracket_with_one_germ(g, params) == _bracket_with_one_by_definition(fresh, params)
         assert quasi_derivative(g, params) == con._lam(fresh, params)
 
 
@@ -199,6 +212,56 @@ def test_germ_memos_are_keyed_by_params():
     g = EndpointFn.from_poly(X * X).germ_at(-1)
     assert quasi_derivative(g, p1) != quasi_derivative(g, p2)
     assert quasi_derivative(g, p2) == con._lam(LogGerm(-1, dict(g.terms)), p2)
+
+
+endpoints = st.sampled_from([-1, 1])
+scalars = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 3))
+
+
+def endpoint_sums(params):
+    """Sums of global, one-sided, log-bearing functions and scaled log probes.
+
+    Smooth functions have Lam = 0 at both endpoints, so without the probes of
+    `params` (Lam = 32 at their endpoint) few convergent brackets would be
+    nonzero.
+    """
+    single = st.one_of(
+        small_polys.map(EndpointFn.from_poly),
+        st.builds(EndpointFn.poly_near, endpoints, small_polys),
+        st.builds(lambda e, p, k: EndpointFn.log_poly_near(e, p * WEIGHT**k), endpoints, small_polys, st.integers(0, 3)),
+        st.builds(lambda e, c: log_probe(e, params) * c, endpoints, scalars),
+    )
+    return st.lists(single, min_size=1, max_size=3).map(lambda fs: sum(fs[1:], fs[0]))
+
+
+def _bracket_or_none(f, g, endpoint, params):
+    try:
+        return concomitant(f, g, endpoint, params)
+    except DivergentLimitError:
+        return None
+
+
+@given(st.sampled_from(PARAM_PAIRS), endpoints, st.data())
+@settings(max_examples=40, deadline=None)
+def test_concomitant_is_antisymmetric(params, endpoint, data):
+    f, g = data.draw(endpoint_sums(params)), data.draw(endpoint_sums(params))
+    fg, gf = _bracket_or_none(f, g, endpoint, params), _bracket_or_none(g, f, endpoint, params)
+    assert (fg is None) == (gf is None)
+    if fg is not None:
+        assert fg == -gf
+
+
+@given(st.sampled_from(PARAM_PAIRS), endpoints, scalars, scalars, st.data())
+@settings(max_examples=40, deadline=None)
+def test_concomitant_is_linear_in_f(params, endpoint, a, b, data):
+    f1, f2, g = (data.draw(endpoint_sums(params)) for _ in range(3))
+    b1, b2 = _bracket_or_none(f1, g, endpoint, params), _bracket_or_none(f2, g, endpoint, params)
+    combined = _bracket_or_none(f1 * a + f2 * b, g, endpoint, params)
+    if b1 is not None and b2 is not None:
+        assert combined == a * b1 + b * b2
+    elif b1 is not None or b2 is not None:
+        # a convergent bracket plus a divergent one diverges
+        assert combined is None
 
 
 def test_greens_formula_seeded():
@@ -396,7 +459,7 @@ def test_germ_memos_under_threads():
         )
         for p, e in keys
     ]
-    for memo in (_global_germ, con._bracket_with_one_germ, con._lam_germ):
+    for memo in (_derivative, con._bracket_with_one_germ, con._lam_germ):
         memo.cache_clear()
     errors = []
 

@@ -13,6 +13,7 @@ from krall6.germs import (
     EndpointFn,
     LogGerm,
     UnspecifiedInteriorError,
+    _differentiate,
 )
 from krall6.polynomials import Poly, RationalFn
 
@@ -152,9 +153,9 @@ log_terms = st.dictionaries(
 def test_jet_matches_chained_first_derivatives(endpoint, terms, orders):
     g = LogGerm(endpoint, terms)
     for n in orders:
-        chained = LogGerm(endpoint, dict(g.terms))
+        chained = g
         for _ in range(n):
-            chained = chained.derivative()
+            chained = _differentiate(chained)
         assert g.derivative(n) == chained
 
 
@@ -198,14 +199,59 @@ def test_jet_under_threads():
     assert errors == []
 
 
-def test_global_germ_is_shared_so_its_jet_persists():
-    f = EndpointFn.from_poly(Poly([1, -2, 0, 5]))
-    for e in (-1, 1):
-        g = f.germ_at(e)
-        assert f.germ_at(e) is g
-        g.derivative(3)
-        assert len(f.germ_at(e)._jet) >= 3
-        # an equal polynomial built separately is served the same germ
-        assert EndpointFn.from_poly(Poly([1, -2, 0, 5])).germ_at(e) is g
-    assert f.germ_at(-1) is not f.germ_at(1)
-    assert f.germ_at(1) == LogGerm.from_poly(f.poly, 1)
+def test_derivative_memo_is_keyed_by_value():
+    p = Poly([1, -2, 0, 5])
+    for make in (LogGerm.from_poly, LogGerm.from_log_poly):
+        for e in (-1, 1):
+            g, twin = make(p, e), make(Poly([1, -2, 0, 5]), e)
+            assert g is not twin and g == twin
+            for n in (1, 3):
+                assert twin.derivative(n) is g.derivative(n)
+        minus, plus = make(p, -1).derivative(2), make(p, 1).derivative(2)
+        assert minus is not plus
+        assert (minus.endpoint, plus.endpoint) == (-1, 1)
+    f = EndpointFn.from_poly(p)
+    assert f.germ_at(1).derivative(3) is LogGerm.from_poly(p, 1).derivative(3)
+
+
+def test_non_int_derivative_order_raises():
+    g = LogGerm.from_log_poly(W, 1)
+    for order in (1.5, Fraction(2), "1", None):
+        with pytest.raises(TypeError, match="int"):
+            g.derivative(order)
+    with pytest.raises(TypeError, match="int"):
+        EndpointFn.poly_near(-1, W).derivative(0.5)
+
+
+scalars = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 3))
+
+
+@given(st.sampled_from([-1, 1]), log_terms, log_terms)
+@settings(max_examples=30, deadline=None)
+def test_leibniz_rule(endpoint, g_terms, h_terms):
+    g, h = LogGerm(endpoint, g_terms), LogGerm(endpoint, h_terms)
+    assert (g * h).derivative() == g.derivative() * h + g * h.derivative()
+
+
+@given(
+    st.sampled_from([-1, 1]),
+    log_terms,
+    log_terms,
+    st.integers(0, 3),
+    st.integers(0, 3),
+    scalars,
+    scalars,
+)
+@settings(max_examples=60, deadline=None)
+def test_limit_is_linear(endpoint, g_terms, h_terms, j, k, a, b):
+    # a factor u^j, u = 1 - e*x the local coordinate, moves a germ into (or
+    # towards) the limit class, so both convergent and divergent cases occur
+    u = Poly([1, -endpoint])
+    g = LogGerm(endpoint, g_terms) * u**j
+    h = LogGerm(endpoint, h_terms) * u**k
+    combo = g * a + h * b
+    if g.has_limit() and h.has_limit():
+        assert combo.limit() == a * g.limit() + b * h.limit()
+    elif g.has_limit() or h.has_limit():
+        # the limit class is a vector space: convergent plus divergent diverges
+        assert not combo.has_limit()

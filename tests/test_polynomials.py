@@ -47,6 +47,16 @@ def test_poly_text_roundtrip():
     assert Poly().format_coeffs() == "0"
 
 
+def test_poly_parse_rejects_empty_fields():
+    # the format is positional: an empty field must not shift higher coefficients
+    for bad, power in (("1,,2", 1), ("1,2,", 2), (",1", 0), ("", 0), (" ", 0), ("1, ,2", 1)):
+        with pytest.raises(ValueError, match=rf"empty field for the x\^{power} coefficient"):
+            Poly.parse(bad)
+    assert Poly.parse("0").is_zero()
+    assert Poly.parse(Poly().format_coeffs()) == Poly()
+    assert Poly.parse(" 1 , 0 , 2 ") == Poly([1, 0, 2])
+
+
 def test_derivative_power_rule():
     # derive(x^3, 2) -> 6x
     assert Poly.monomial(3).derivative(2) == Poly([0, 6])
