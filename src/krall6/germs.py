@@ -6,9 +6,12 @@ the shape
     sum_k  r_k(x) * L(x)^k,        L(x) = ln(1 - x^2),
 
 with finitely many log powers k >= 0 and rational-function coefficients r_k.
-`LogGerm` stores that shape in normal form (one reduced RationalFn per log
-power, zero terms dropped), which makes cancellation structural: endpoint
-limits reduce to counting orders of vanishing, never to symbolic analysis.
+Every r_k is q (1-x)^s (1+x)^t with s, t <= 0: the inputs are polynomials,
+and the only divisor ever introduced is 1 - x^2, by d/dx L = -2x/(1-x^2).
+`LogGerm` stores that shape in normal form (one `RationalFn` in that form
+per log power, zero terms dropped), which makes cancellation structural:
+endpoint limits reduce to counting orders of vanishing, never to symbolic
+analysis.
 
 Limits use the local coordinate u (u = 1-x at +1, u = 1+x at -1).  Writing
 ord_k for the order of vanishing of r_k at the endpoint, the limit exists iff
@@ -16,16 +19,18 @@ ord_0 >= 0 and ord_k >= 1 for every k >= 1 (u^m ln^k u -> 0 for m >= 1, while
 a nonvanishing coefficient on a log power diverges).  The value is the
 leading coefficient of r_0 when ord_0 = 0, and 0 when ord_0 > 0 or the
 log-free term is absent.  One `RationalFn.leading_at` call per term gives
-both its order and its leading coefficient, so each numerator and
-denominator is split at the endpoint once.  A failed limit raises
-`DivergentLimitError` -- the typed "outside the limit class" outcome.
+both its order and its leading coefficient: at a pole it reads them off the
+exponent and q(e), and otherwise splits q at the endpoint once.  A failed
+limit raises `DivergentLimitError` -- the typed "outside the limit class"
+outcome.
 
 Derivatives are memoised by value: `derivative(n)` is served by
 `_derivative`, a `functools.lru_cache` keyed by (germ, n) and bounded at
 4096 entries, whose order-n entry is one `_differentiate` step from its
 order-(n-1) entry.  Equal germs share entries whichever objects hold them,
 and germs at different endpoints never compare equal, so never share.  The
-memo holds germs only, never limits.
+memo holds germs only, never limits.  A germ computes its hash on the first
+lookup and keeps it.
 
 `EndpointFn` is the tagged union the rest of the library passes around:
 either a single global polynomial, or a pair of germs (one per endpoint) with
@@ -68,7 +73,7 @@ def _check_endpoint(endpoint: int) -> int:
 class LogGerm:
     """Normal-form germ sum_k r_k(x) L(x)^k at one endpoint."""
 
-    __slots__ = ("endpoint", "terms")
+    __slots__ = ("endpoint", "terms", "_hash")
 
     def __init__(self, endpoint: int, terms: Optional[dict[int, RationalFn]] = None):
         _check_endpoint(endpoint)
@@ -80,6 +85,7 @@ class LogGerm:
                 clean[k] = r
         object.__setattr__(self, "endpoint", endpoint)
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LogGerm is immutable")
@@ -110,7 +116,10 @@ class LogGerm:
         return self.endpoint == other.endpoint and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.endpoint, tuple(sorted(self.terms.items()))))
+        # computed once: every memo lookup keyed by this germ hashes it
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.endpoint, tuple(sorted(self.terms.items())))))
+        return self._hash
 
     def _require_same_endpoint(self, other: "LogGerm"):
         if self.endpoint != other.endpoint:

@@ -15,30 +15,42 @@ strips and normalises.  Arithmetic runs on the integers: sums bring both
 sides to one denominator, products convolve the numerators over the product
 of the denominators, derivatives and `scale_terms` scale the numerators,
 and evaluation at p/q is Horner's rule over ints with one division at the
-end.  Division is fraction-free long division, so `poly_gcd` and
-`RationalFn` build no Fraction per coefficient either.  `Poly.coeffs`, the
+end.  Division is fraction-free long division, so `poly_gcd` builds no
+Fraction per coefficient either.  `Poly.coeffs`, the
 tuple of Fraction coefficients, is built on each read, for rendering only;
 no polynomial keeps a second copy.  There is no floating point anywhere:
 every operation (arithmetic, differentiation, evaluation, integration over
 [-1, 1], composition, splitting off a root) is exact.
 
 A constant polynomial equals its scalar (``Poly([3]) == 3``) and hashes as
-it, and a `RationalFn` with denominator 1 equals and hashes as its
-numerator, so `==` and `hash` agree across the three types.
+it, and a polynomial `RationalFn` equals and hashes as its polynomial, so
+`==` and `hash` agree across the three types.
 
-`RationalFn` is a quotient of two polynomials kept in normal form:
-gcd(numerator, denominator) = 1 and the denominator monic.  It exists because
-differentiating ln(1-x^2) produces -2x/(1-x^2); see `germs`.  Most values
-are polynomials (denominator 1): for those, construction only rescales by
-the constant denominator and sum, product and derivative work on the
-numerators, without Euclid's algorithm.
+`RationalFn` exists because differentiating ln(1-x^2) produces
+-2x/(1-x^2); see `germs`.  Starting from polynomials, that is the only
+divisor, so every denominator is a power of 1-x times a power of 1+x, and
+the type holds exactly those values:
+
+    r = q (1-x)^s (1+x)^t,    q a Poly,  s, t <= 0,
+
+with q(1) != 0 when s < 0 and q(-1) != 0 when t < 0.  The form is unique,
+so equality compares the three fields, and a polynomial is (q, 0, 0).  No
+operation runs Euclid's algorithm.  A product adds the exponents and a sum
+brings both sides to the lower ones; a factor of q can cancel a pole only
+where the two exponents were equal (sum) or one was 0 (product), and only
+there is q split at the endpoint.  A derivative only deepens a pole, so it
+never splits.  ``RationalFn(num, den)`` splits `den` at +1 and at -1 and
+raises ValueError if anything but a constant is left.  `num` and `den` give
+the Euclid normal form (coprime, `den` monic) that the general quotient
+would have; the tests build that form independently with `poly_gcd` and
+`Poly.divmod`, which no library code calls.
 
 Endpoint limits need only the local behaviour at a root.  `Poly.split_root`
 writes p = (x-c)^m q with q(c) != 0 by synthetic division (over the integer
 numerators when c is an integer) and also returns the value q(c), the
-remainder of its last pass.  `RationalFn.leading_at` applies it once to the
-numerator and once to the denominator and reads the valuation and the
-leading coefficient at c off the two splits, with no further evaluation.
+remainder of its last pass.  `RationalFn.leading_at` at a pole reads the
+valuation off the exponent and the leading coefficient off q(+-1), a sign
+and a power of 2; anywhere else it splits q once.
 
 Text formats (used by the CLI layer):
   rational    "p/q" or "p", q > 0
@@ -47,6 +59,7 @@ Text formats (used by the CLI layer):
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Union
@@ -425,63 +438,127 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-class RationalFn:
-    """Quotient of polynomials in normal form (coprime, monic denominator)."""
+def _cancel(q: Poly, e: int, k: int) -> tuple[Poly, int]:
+    """(q', k') with q (1-ex)^k = q' (1-ex)^k', k <= k' <= 0 and q'(e) != 0 if k' < 0.
 
-    __slots__ = ("num", "den")
+    One `split_root` pass at e gives the multiplicity m of the root there; at
+    most -k factors cancel, and any further ones are multiplied back into q'.
+    """
+    m, rest, _ = q.split_root(e)
+    if not m:
+        return q, k
+    c = min(m, -k)
+    if e == 1 and c % 2:
+        rest = -rest  # x - 1 = -(1 - x)
+    if m > c:
+        rest = rest * Poly([-e, 1]) ** (m - c)
+    return rest, k + c
+
+
+@functools.lru_cache(maxsize=None)
+def _endpoint_power(a: int, b: int) -> Poly:
+    """(1-x)^a (1+x)^b for a, b >= 0."""
+    return Poly([1, -1]) ** a * Poly([1, 1]) ** b
+
+
+class RationalFn:
+    """r = q (1-x)^s (1+x)^t: a polynomial q and ints s, t <= 0, immutable.
+
+    Normal form: q(1) != 0 when s < 0 and q(-1) != 0 when t < 0, and the
+    zero function is q = 0, s = t = 0.  It is unique, so `==` and `hash`
+    compare the fields.  ``RationalFn(num, den)`` accepts any denominator
+    whose roots are all +-1 and raises ValueError for any other.
+    """
+
+    __slots__ = ("q", "s", "t")
 
     def __init__(self, num: Poly, den: Poly = _ONE):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            num, den = _ZERO, _ONE
-        elif den.degree == 0:
-            # gcd(num, c) = 1 for a nonzero constant c: only the scaling is left
-            if den != _ONE:
-                num = num * (1 / den[0])
-            den = _ONE
+        s = t = 0
+        if den.degree:
+            # den = c (x-1)^m (x+1)^n = (-1)^m c (1-x)^m (1+x)^n
+            m, den, _ = den.split_root(1)
+            n, den, _ = den.split_root(-1)
+            if den.degree:
+                raise ValueError(f"denominator has a root other than +-1: {den!r} is left")
+            if m % 2:
+                den = -den
+            s, t = -m, -n
+        if den != _ONE:
+            num = num * (1 / den[0])
+        self._fill(num, s, t)
+
+    def _fill(self, q: Poly, s: int, t: int, plus: bool = True, minus: bool = True) -> "RationalFn":
+        """Set the fields to the normal form of q (1-x)^s (1+x)^t, s, t <= 0.
+
+        q is split only at an endpoint that has a pole and is flagged (`plus`
+        for +1, `minus` for -1) as one where q may vanish.
+        """
+        if not q:
+            s = t = 0
         else:
-            g = poly_gcd(num, den)
-            if g.degree and g.degree > 0:
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
-            lead = den.leading_coefficient()
-            num = num * (1 / lead)
-            den = den * (1 / lead)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+            if s and plus:
+                q, s = _cancel(q, 1, s)
+            if t and minus:
+                q, t = _cancel(q, -1, t)
+        _set(self, "q", q)
+        _set(self, "s", s)
+        _set(self, "t", t)
+        return self
+
+    @staticmethod
+    def _make(q: Poly, s: int = 0, t: int = 0, plus: bool = True, minus: bool = True) -> "RationalFn":
+        """A new value q (1-x)^s (1+x)^t in normal form; see `_fill`."""
+        return object.__new__(RationalFn)._fill(q, s, t, plus, minus)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFn is immutable")
 
+    @property
+    def num(self) -> Poly:
+        """Numerator of the Euclid normal form over `den`: (-1)^s q."""
+        return -self.q if self.s % 2 else self.q
+
+    @property
+    def den(self) -> Poly:
+        """Denominator of the Euclid normal form: the monic (x-1)^-s (x+1)^-t."""
+        d = _endpoint_power(-self.s, -self.t)
+        return -d if self.s % 2 else d
+
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return self.q.is_zero()
 
     def is_polynomial(self) -> bool:
-        return self.den == _ONE
+        return not (self.s or self.t)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalFn):
-            return self.num == other.num and self.den == other.den
+            return self.q == other.q and self.s == other.s and self.t == other.t
         if isinstance(other, (int, Fraction, Poly)):
-            return self == RationalFn(Poly._coerce(other))
+            return not (self.s or self.t) and self.q == other
         return NotImplemented
 
     def __hash__(self):
-        # a polynomial hashes as its numerator, since RationalFn(p) == p
-        return hash(self.num) if self.den == _ONE else hash((self.num, self.den))
+        # a polynomial hashes as q, since RationalFn(p) == p
+        return hash((self.q, self.s, self.t)) if self.s or self.t else hash(self.q)
 
     def __add__(self, other) -> "RationalFn":
         other = self._coerce(other)
-        if self.den.degree == 0 and other.den.degree == 0:
-            return RationalFn(self.num + other.num)
-        return RationalFn(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, s1, t1 = self.q, self.s, self.t
+        b, s2, t2 = other.q, other.s, other.t
+        s, t = min(s1, s2), min(t1, t2)
+        if s1 != s2 or t1 != t2:
+            a = a * _endpoint_power(s1 - s, t1 - t)
+            b = b * _endpoint_power(s2 - s, t2 - t)
+        # at an endpoint where one pole is deeper, the sum keeps its q(e) != 0
+        return RationalFn._make(a + b, s, t, s1 == s2, t1 == t2)
 
     def __radd__(self, other) -> "RationalFn":
         return self + other
 
     def __neg__(self) -> "RationalFn":
-        return RationalFn(-self.num, self.den)
+        return RationalFn._make(-self.q, self.s, self.t, False, False)
 
     def __sub__(self, other) -> "RationalFn":
         return self + (-self._coerce(other))
@@ -491,48 +568,55 @@ class RationalFn:
 
     def __mul__(self, other) -> "RationalFn":
         other = self._coerce(other)
-        if self.den.degree == 0 and other.den.degree == 0:
-            return RationalFn(self.num * other.num)
-        return RationalFn(self.num * other.num, self.den * other.den)
+        s1, t1, s2, t2 = self.s, self.t, other.s, other.t
+        # a factor can cancel only where one side has no pole
+        return RationalFn._make(self.q * other.q, s1 + s2, t1 + t2, not (s1 and s2), not (t1 and t2))
 
     def __rmul__(self, other) -> "RationalFn":
         return self * other
-
-    def __truediv__(self, other) -> "RationalFn":
-        other = self._coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFn(self.num * other.den, self.den * other.num)
 
     @staticmethod
     def _coerce(other) -> "RationalFn":
         if isinstance(other, RationalFn):
             return other
-        if isinstance(other, Poly):
-            return RationalFn(other)
-        if isinstance(other, (int, Fraction)):
-            return RationalFn(Poly([other]))
+        if isinstance(other, (int, Fraction, Poly)):
+            return RationalFn._make(Poly._coerce(other))
         raise TypeError(f"cannot coerce {type(other).__name__} to RationalFn")
 
     def derivative(self) -> "RationalFn":
-        """Quotient rule, exact."""
-        if self.den.degree == 0:
-            return RationalFn(self.num.derivative())
-        return RationalFn(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
+        """r' = [q' u^a v^b - s q v^b + t q u^a] u^(s-a) v^(t-b), exact.
+
+        u = 1-x, v = 1+x, and a (b) is 1 where s (t) is a pole, else 0.  At a
+        pole the bracket is -s q(1) 2^b != 0 (or t q(-1) 2^a), so a derivative
+        only deepens a pole and nothing cancels.
+        """
+        q, s, t = self.q, self.s, self.t
+        if not (s or t):
+            return RationalFn._make(q.derivative())
+        a, b = int(s < 0), int(t < 0)
+        w = _endpoint_power(0, b) * -s + _endpoint_power(a, 0) * t
+        bracket = q.derivative() * _endpoint_power(a, b) + q * w
+        return RationalFn._make(bracket, s - a, t - b, False, False)
 
     def leading_at(self, point: Scalar) -> tuple[int, Fraction]:
         """(v, c) with self = (x - point)^v (c + o(1)) near `point`, c != 0.
 
-        v = ord(num) - ord(den) is the valuation; when v = 0, c is the value
-        at `point`.  Each of num and den is split at the root once; the zero
-        function has no leading term and raises ValueError.
+        At a pole, v is s (at +1) or t (at -1) and c is read off q(+-1), a
+        sign and a power of 2; anywhere else q is split at the root once.  The
+        zero function has no leading term and raises ValueError.
         """
-        v_num, _, a = self.num.split_root(point)
-        v_den, _, b = self.den.split_root(point)
-        return v_num - v_den, a / b
+        q, s, t = self.q, self.s, self.t
+        if s and point == 1:
+            # (1-x)^s = (-1)^s (x-1)^s, and 1+x = 2 at x = 1
+            c = q(1) * Fraction(2) ** t
+            return s, -c if s % 2 else c
+        if t and point == -1:
+            return t, q(-1) * Fraction(2) ** s
+        v, _, c = q.split_root(point)
+        if s or t:
+            point = as_fraction(point)
+            c *= (1 - point) ** s * (1 + point) ** t
+        return v, c
 
     def __repr__(self) -> str:
         if self.is_polynomial():

@@ -166,17 +166,29 @@ def test_gcd_monic_and_divides():
 
 
 def test_rationalfn_normal_form():
-    r = RationalFn(Poly([0, 2, 2]), Poly([0, 0, 4]))  # (2x+2x^2)/(4x^2) = (1+x)/(2x)
+    # (2+2x)(1-x) / (4(1-x)^3) = (1+x) / (2(1-x)^2)
+    r = RationalFn(Poly([2, 2]) * Poly([1, -1]), Poly([1, -1]) ** 3 * 4)
+    assert (r.q, r.s, r.t) == (Poly([Fraction(1, 2), Fraction(1, 2)]), -2, 0)
     assert r.num == Poly([Fraction(1, 2), Fraction(1, 2)])
-    assert r.den == Poly([0, 1])
+    assert r.den == Poly([1, -2, 1])
     assert r.den.leading_coefficient() == 1
 
 
 def test_rationalfn_arithmetic_and_derivative():
-    one_over = RationalFn(Poly([1]), Poly([0, 1]))
-    assert one_over + one_over == RationalFn(Poly([2]), Poly([0, 1]))
-    # d/dx (1/x) = -1/x^2
-    assert one_over.derivative() == RationalFn(Poly([-1]), Poly([0, 0, 1]))
+    one_over = RationalFn(Poly([1]), Poly([1, -1]))
+    assert one_over + one_over == RationalFn(Poly([2]), Poly([1, -1]))
+    # d/dx (1-x)^-1 = (1-x)^-2
+    assert one_over.derivative() == RationalFn(Poly([1]), Poly([1, -2, 1]))
+    # 1/(1-x) - 1/(1+x) = 2x/(1-x^2): the poles are different, nothing cancels
+    assert one_over - RationalFn(Poly([1]), Poly([1, 1])) == RationalFn(Poly([0, 2]), Poly([1, 0, -1]))
+    # a sum at equal poles can cancel one: x/(1-x) - 1/(1-x) = -1
+    assert RationalFn(Poly([0, 1]), Poly([1, -1])) - one_over == -1
+
+
+@pytest.mark.parametrize("den", [Poly([0, 1]), Poly([0, 0, 1]), Poly([1, 0, 1]), Poly([1, 0, -1]) * Poly([2, 1])])
+def test_out_of_class_denominator_raises(den):
+    with pytest.raises(ValueError, match="root other than"):
+        RationalFn(Poly([1, 1]), den)
 
 
 def test_rationalfn_leading_at_examples():
@@ -232,6 +244,65 @@ def test_constant_denominator_examples(c):
     r = RationalFn(p, Poly([c]))
     assert (r.num, r.den) == euclid_normal_form(p, Poly([c]))
     assert r.is_polynomial()
+
+
+def in_class(num, c, a, b):
+    """(value, num, den): c num / ((1-x)^a (1+x)^b) and its general quotient."""
+    den = Poly([1, -1]) ** a * Poly([1, 1]) ** b * c
+    return RationalFn(num, den), num, den
+
+
+endpoint_exponents = st.integers(0, 3)
+# numerators with roots at +-1 of random multiplicity, so factors cancel
+in_class_values = st.builds(
+    lambda p, i, j, c, a, b: in_class(p * Poly([-1, 1]) ** i * Poly([1, 1]) ** j, c, a, b),
+    polys.filter(lambda p: p.degree is None or p.degree <= 4),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    nonzero_rationals,
+    endpoint_exponents,
+    endpoint_exponents,
+)
+
+
+def euclid_leading_at(num, den, point):
+    v_num, _, a = num.split_root(point)
+    v_den, _, b = den.split_root(point)
+    return v_num - v_den, a / b
+
+
+@given(in_class_values, in_class_values)
+@settings(max_examples=80, deadline=None)
+def test_in_class_operations_match_euclid_normal_form(x, y):
+    (r, a, b), (s, c, d) = x, y
+    assert (r.num, r.den) == euclid_normal_form(a, b)
+    total, product, slope = r + s, r * s, r.derivative()
+    assert (total.num, total.den) == euclid_normal_form(a * d + c * b, b * d)
+    assert (product.num, product.den) == euclid_normal_form(a * c, b * d)
+    assert (slope.num, slope.den) == euclid_normal_form(a.derivative() * b - a * b.derivative(), b * b)
+    for value in (r, total, product, slope):
+        # the fields are in normal form, so equal values have equal fields
+        assert value.s <= 0 and value.t <= 0
+        assert value.s == 0 or value.q(1) != 0
+        assert value.t == 0 or value.q(-1) != 0
+        assert value == RationalFn(value.num, value.den)
+        assert hash(value) == hash(RationalFn(value.num, value.den))
+    if r.is_zero():
+        return
+    num, den = euclid_normal_form(a, b)
+    for point in (1, -1, 0, 2, Fraction(1, 2)):
+        lead = r.leading_at(point)
+        assert lead == euclid_leading_at(num, den, point)
+        assert type(lead[1]) is Fraction
+
+
+@given(polys.filter(lambda p: not p.is_zero()), nonzero_rationals, st.integers(1, 3), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_leading_at_a_pole_is_an_exact_fraction(p, c, a, b):
+    # (-1)^s with s < 0 is the float -1.0 in Python; the sign must stay exact
+    r, _, _ = in_class(_without_root(_without_root(p, 1), -1), c, a, b)
+    assert r.leading_at(1)[0] == -a and r.leading_at(-1)[0] == -b
+    assert type(r.leading_at(1)[1]) is Fraction and type(r.leading_at(-1)[1]) is Fraction
 
 
 @given(polys, polys)
