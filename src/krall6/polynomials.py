@@ -59,7 +59,6 @@ Text formats (used by the CLI layer):
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Union
@@ -274,15 +273,16 @@ class Poly:
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.one()
+        result = None
         base = self
         e = exponent
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if e:
+                base = base * base
+        return Poly.one() if result is None else result
 
     @staticmethod
     def _coerce(other) -> "Poly":
@@ -455,10 +455,12 @@ def _cancel(q: Poly, e: int, k: int) -> tuple[Poly, int]:
     return rest, k + c
 
 
-@functools.lru_cache(maxsize=None)
+_U, _V, _UV = Poly([1, -1]), Poly([1, 1]), Poly([1, 0, -1])  # 1-x, 1+x, 1-x^2
+
+
 def _endpoint_power(a: int, b: int) -> Poly:
     """(1-x)^a (1+x)^b for a, b >= 0."""
-    return Poly([1, -1]) ** a * Poly([1, 1]) ** b
+    return _U**a * _V**b
 
 
 class RationalFn:
@@ -523,6 +525,8 @@ class RationalFn:
     @property
     def den(self) -> Poly:
         """Denominator of the Euclid normal form: the monic (x-1)^-s (x+1)^-t."""
+        if not (self.s or self.t):
+            return _ONE
         d = _endpoint_power(-self.s, -self.t)
         return -d if self.s % 2 else d
 
@@ -548,8 +552,9 @@ class RationalFn:
         a, s1, t1 = self.q, self.s, self.t
         b, s2, t2 = other.q, other.s, other.t
         s, t = min(s1, s2), min(t1, t2)
-        if s1 != s2 or t1 != t2:
+        if s1 != s or t1 != t:
             a = a * _endpoint_power(s1 - s, t1 - t)
+        if s2 != s or t2 != t:
             b = b * _endpoint_power(s2 - s, t2 - t)
         # at an endpoint where one pole is deeper, the sum keeps its q(e) != 0
         return RationalFn._make(a + b, s, t, s1 == s2, t1 == t2)
@@ -591,12 +596,16 @@ class RationalFn:
         only deepens a pole and nothing cancels.
         """
         q, s, t = self.q, self.s, self.t
-        if not (s or t):
+        if s and t:
+            # -s (1+x) + t (1-x)
+            bracket = q.derivative() * _UV + q * Poly([t - s, -s - t])
+        elif s:
+            bracket = q.derivative() * _U - q * s
+        elif t:
+            bracket = q.derivative() * _V + q * t
+        else:
             return RationalFn._make(q.derivative())
-        a, b = int(s < 0), int(t < 0)
-        w = _endpoint_power(0, b) * -s + _endpoint_power(a, 0) * t
-        bracket = q.derivative() * _endpoint_power(a, b) + q * w
-        return RationalFn._make(bracket, s - a, t - b, False, False)
+        return RationalFn._make(bracket, s - (s < 0), t - (t < 0), False, False)
 
     def leading_at(self, point: Scalar) -> tuple[int, Fraction]:
         """(v, c) with self = (x - point)^v (c + o(1)) near `point`, c != 0.
