@@ -149,6 +149,8 @@ def _command_run(args) -> int:
 
 
 def _command_dump(args) -> int:
+    if args.kind is None:
+        return _usage("dump needs one of: poly, series, matrix")
     params = _parse_params(args)
     if args.kind == "poly":
         if args.n < 0:
@@ -167,23 +169,21 @@ def _command_dump(args) -> int:
         sol = next(s for s in basis if s.label == args.label)
         _emit(sol.format_series() + "\n", args.out)
         return 0
-    if args.kind == "matrix":
-        if args.nmax < 0:
-            return _usage("nmax must be non-negative")
-        if args.which == "operator":
-            matrix = operator_matrix(args.nmax, params)
-        elif args.which == "gram":
-            matrix = gram_matrix(args.nmax, params)
+    if args.nmax < 0:
+        return _usage("nmax must be non-negative")
+    if args.which == "operator":
+        matrix = operator_matrix(args.nmax, params)
+    elif args.which == "gram":
+        matrix = gram_matrix(args.nmax, params)
+    else:
+        candidates = [ExtendedVector.plain(y) for y in boundary_condition_functions(params)]
+        if args.which == "probe":
+            probes = [ExtendedVector.plain(p) for p in probe_functions(params)]
+            matrix = independence_certificate(candidates, probes, params).rows()
         else:
-            candidates = [ExtendedVector.plain(y) for y in boundary_condition_functions(params)]
-            if args.which == "probe":
-                probes = [ExtendedVector.plain(p) for p in probe_functions(params)]
-                matrix = independence_certificate(candidates, probes, params).rows()
-            else:
-                matrix = gkn_symmetry_check(candidates, params)["brackets"]
-        _emit(matrix_to_csv(matrix), args.out)
-        return 0
-    return _usage("dump needs one of: poly, series, matrix")
+            matrix = gkn_symmetry_check(candidates, params)["brackets"]
+    _emit(matrix_to_csv(matrix), args.out)
+    return 0
 
 
 def main(argv=None) -> int:

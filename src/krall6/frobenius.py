@@ -17,24 +17,26 @@ Series with a single log level, y = sum_m t^{r+m} (c_m + e_m ln|t|), satisfy
     level 1 :  sum_{m+d=n} e_m rho_d(r+m)                          = 0
     level 0 :  sum_{m+d=n} [ c_m rho_d(r+m) + e_m rho_d'(r+m) ]    = 0
 
-for every n (using l[t^s ln|t|] = d/ds l[t^s]).  The solver walks n upward
-keeping every coefficient as an exact linear form in the free parameters
-p_1, p_2, ... introduced at resonances (orders where rho_0(r+n) = 0).  The
-form const + sum_i a_i p_i is held as the `Poly` const + sum_i a_i x^i, so
-forms add and scale as polynomials do.  One elimination rule serves every
-order: the coefficient times rho_0(r+n) plus the known rest must vanish, so
-the coefficient is -rest/rho_0(r+n), or, at a resonance, the rest becomes a
-constraint and the coefficient a fresh parameter.  Every constraint -- a
-recurrence row at a resonance or a canonicalization target -- goes through
-the one path `resolve_constraint`, which eliminates the latest parameter
-present (the form's degree); one that survives elimination as a nonzero
-constant means the single-log ansatz (or the requested normalization) is
-impossible and raises `ObstructionUnexpectedError`.  Delayed elimination
-matters: e.g. the pure exponent-1 solution has its second coefficient forced
-to -(A+1)/2 by a constraint two orders later, so naive pin-to-zero would
-falsely obstruct.  Parameters settle at the last resonance (or the highest
-target offset, if later): there the targets are applied, the parameters
-still free are pinned to 0, and every form is a constant from then on.
+for every n (using l[t^s ln|t|] = d/ds l[t^s]), with rho_d(s) and rho_d'(s)
+read from one table per endpoint (`LocalExpression.at`) that the six labels
+share.  Up to `settle` (below) the solver keeps every coefficient as an
+exact linear form in the free parameters p_1, p_2, ... introduced at
+resonances (orders where rho_0(r+n) = 0), held as the `Poly`
+const + sum_i a_i x^i, so forms add and scale as polynomials do.  One elimination rule
+serves every order: the coefficient times rho_0(r+n) plus the known rest
+must vanish, so the coefficient is -rest/rho_0(r+n), or, at a resonance, the
+rest becomes a constraint and the coefficient a fresh parameter.  Every
+constraint -- a recurrence row at a resonance or a canonicalization target
+-- goes through the one path `resolve_constraint`, which eliminates the
+latest parameter present (the form's degree); one that survives elimination
+as a nonzero constant means the single-log ansatz (or the requested
+normalization) is impossible and raises `ObstructionUnexpectedError`.
+Delayed elimination matters: e.g. the pure exponent-1 solution has its
+second coefficient forced to -(A+1)/2 by a constraint two orders later, so
+naive pin-to-zero would falsely obstruct.  Parameters settle at the last
+resonance (or the highest target offset, if later): there the targets are
+applied, the parameters still free are pinned to 0, and every form becomes
+its constant: past `settle` the same loop runs on plain Fractions.
 
 A solution is y = t^r (C(t) + E(t) ln|t|), C and E the `Poly`s whose t^m
 coefficients are c_m and e_m.  With theta = t d/dt, rho(r+theta) scales the
@@ -126,12 +128,12 @@ def _theta(p: Poly, values) -> Poly:
 @dataclass(frozen=True)
 class LocalExpression:
     """The expression at one endpoint: `stencil[d]` is rho_{d-3} of `power_stencil`
-    there, and `dstencil[d]` its derivative rho_{d-3}', both in ascending d."""
+    there, in ascending d, and `table[s]` the row `at(s)` once it is asked for."""
 
     endpoint: int
     params: KrallParams
     stencil: dict = field(hash=False, compare=False, default=None)
-    dstencil: dict = field(hash=False, compare=False, default=None)
+    table: dict = field(hash=False, compare=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.endpoint not in (-1, 1):
@@ -142,7 +144,13 @@ class LocalExpression:
         if min(stencil) < 0:
             raise AssertionError("not a regular singular point structure")
         object.__setattr__(self, "stencil", stencil)
-        object.__setattr__(self, "dstencil", {d: rho.derivative() for d, rho in stencil.items()})
+
+    def at(self, s: int) -> dict:
+        """{d: (rho_d(s), rho_d'(s))}, worked out once per s and kept in `table`."""
+        row = self.table.get(s)
+        if row is None:
+            row = self.table[s] = {d: (rho(s), rho.derivative()(s)) for d, rho in self.stencil.items()}
+        return row
 
     def indicial_polynomial(self) -> Poly:
         """rho_0(s), computed from the local coefficients."""
@@ -162,18 +170,15 @@ class LocalExpression:
         return sorted(roots, reverse=True)
 
     def apply_to_series(self, r: int, levels: tuple) -> tuple[Poly, Poly]:
-        """(C', E') with l[t^r (C + E ln|t|)] = t^{r-3} (C' + E' ln|t|).
-
-        rho_d(r+m) is evaluated once per offset m, shared by both levels.
-        """
+        """(C', E') with l[t^r (C + E ln|t|)] = t^{r-3} (C' + E' ln|t|), from the rows `at(r+m)`."""
         C, E = levels
-        size = _size(levels)
+        rows = [self.at(r + m) for m in range(_size(levels))]
         out_c = out_e = Poly()
-        for d, rho in self.stencil.items():
-            values = [rho(r + m) for m in range(size)]
-            dvalues = [self.dstencil[d](r + m) for m in range(size)] if E else ()
+        for d in self.stencil:
+            values = [row[d][0] for row in rows]
+            slopes = [row[d][1] for row in rows] if E else ()
             shift = Poly.monomial(d)
-            out_c = out_c + shift * (_theta(C, values) + _theta(E, dvalues))
+            out_c = out_c + shift * (_theta(C, values) + _theta(E, slopes))
             out_e = out_e + shift * _theta(E, values)
         return out_c, out_e
 
@@ -226,18 +231,18 @@ class SeriesSolution:
 def _solve_single(local: LocalExpression, label: str, order: int) -> SeriesSolution:
     """Run the two-level recurrence for one label, with one elimination rule.
 
-    Coefficients are linear forms held as `Poly`s (p_i is x^i).  `solve`
-    gives each coefficient from coefficient * pivot + rest = 0, or, for a
-    zero pivot, constrains rest = 0 and returns a fresh parameter.  At
-    `settle` the targets are applied and the free parameters pinned to 0.
+    Up to `settle` coefficients are linear forms held as `Poly`s (p_i is
+    x^i).  `solve` gives each coefficient from coefficient * pivot + rest = 0,
+    or, for a zero pivot, constrains rest = 0 and returns a fresh parameter.
+    At `settle` the targets are applied, the free parameters pinned to 0, and
+    every coefficient becomes its constant; the same loop then runs on plain
+    Fractions, since no pivot past `settle` is zero.
     """
     r, with_log, targets = _SOLUTIONS[label]
-    rhos, rhods = local.stencil, local.dstencil
-    pivots = [rhos[0](r + n) for n in range(order + 1)]
+    pivots = [local.at(r + n)[0][0] for n in range(order + 1)]
     settle = max([n for n, pivot in enumerate(pivots) if pivot == 0] + [m for (m, _), _ in targets])
 
-    e: list[Poly] = []
-    c: list[Poly] = []
+    e, c = [], []  # level-1 and level-0 coefficients: forms, then Fractions
     rows: dict[int, Poly] = {}  # x^i -> the monic constraint eliminating p_i
     params = 0
 
@@ -259,7 +264,7 @@ def _solve_single(local: LocalExpression, label: str, order: int) -> SeriesSolut
                 f"nonzero constant {form[0]}"
             )
 
-    def solve(rest: Poly, pivot: Fraction, context: str) -> Poly:
+    def solve(rest: Poly | Fraction, pivot: Fraction, context: str) -> Poly | Fraction:
         nonlocal params
         if pivot:
             return rest * (-1 / pivot)
@@ -268,24 +273,25 @@ def _solve_single(local: LocalExpression, label: str, order: int) -> SeriesSolut
         return Poly.monomial(params)
 
     for n in range(order + 1):
-        tail1 = tail0 = Poly()
-        for d, rho in rhos.items():
+        # before `settle` a tail stays a Poly: at a resonance it is a constraint
+        tail1 = tail0 = Poly() if n <= settle else Fraction(0)
+        for d in local.stencil:
             m = n - d
             if d and m >= 0:
-                value = rho(r + m)
+                value, slope = local.at(r + m)[d]
                 tail1 = tail1 + e[m] * value
-                tail0 = tail0 + c[m] * value + e[m] * rhods[d](r + m)
-        e.append(solve(tail1, pivots[n], f"level-1 order {n}") if with_log else Poly())
-        c.append(solve(tail0 + e[n] * rhods[0](r + n), pivots[n], f"level-0 order {n}"))
+                tail0 = tail0 + c[m] * value + e[m] * slope
+        # without a log level every e_m is 0, and so is tail1
+        e.append(solve(tail1, pivots[n], f"level-1 order {n}") if with_log else tail1)
+        c.append(solve(tail0 + e[n] * local.at(r + n)[0][1], pivots[n], f"level-0 order {n}"))
         if n == settle:
             for (m, level), value in targets:
                 resolve_constraint((e if level else c)[m] - value, f"target {(m, level)}={value}")
             for i in range(1, params + 1):
                 rows.setdefault(i, Poly.monomial(i))
-            e, c = [reduce(form) for form in e], [reduce(form) for form in c]
+            e, c = [reduce(form)[0] for form in e], [reduce(form)[0] for form in c]
 
-    levels = (Poly([form[0] for form in c]), Poly([form[0] for form in e]))
-    return SeriesSolution(local.endpoint, r, label, order, levels)
+    return SeriesSolution(local.endpoint, r, label, order, (Poly(c), Poly(e)))
 
 
 def solution_basis(endpoint: int, order: int, params: KrallParams) -> list[SeriesSolution]:

@@ -282,27 +282,16 @@ def leading_coefficient_oracle(n: int, params: KrallParams) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def check_distinct_eigenvalues(n: int, params: KrallParams):
-    values = [eigenvalue(k, params) for k in range(n + 1)]
-    seen: dict[Fraction, int] = {}
-    for k, v in enumerate(values):
-        if v in seen:
-            raise DegenerateEigenvalueError(
-                f"lambda_{seen[v]} = lambda_{k} = {format_rational(v)} for {params.label()}"
-            )
-        seen[v] = k
-
-
 @functools.lru_cache(maxsize=4096)
 def eigen_polynomial(n: int, params: KrallParams) -> Poly:
     """The monic degree-n eigenpolynomial K_n, by triangular back-substitution.
 
     Entry (i, m) of l on monomials is rho_{i-m}(m) from `power_stencil(params, 0)`;
-    minus lambda_n, the diagonal vanishes only at m = n, and c_n = 1.
+    minus lambda_n, diagonal entry m is lambda_m - lambda_n, so the eigenvalues
+    are distinct exactly when it vanishes only at m = n, and then c_n = 1.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    check_distinct_eigenvalues(n, params)
     lam = eigenvalue(n, params)
     stencil = power_stencil(params, 0)
     mat = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
@@ -310,10 +299,12 @@ def eigen_polynomial(n: int, params: KrallParams) -> Poly:
         for shift, rho in stencil.items():
             if m + shift >= 0:
                 mat[m + shift][m] = rho(m) - (lam if shift == 0 else 0)
-    p = Poly(linalg.kernel_vector(mat))
-    if p.degree != n:
-        raise DegenerateEigenvalueError(f"kernel vector has degree {p.degree}, expected {n}")
-    return p
+    for m in range(n):
+        if mat[m][m] == 0:
+            raise DegenerateEigenvalueError(
+                f"lambda_{m} = lambda_{n} = {format_rational(lam)} for {params.label()}"
+            )
+    return Poly(linalg.kernel_vector(mat))
 
 
 def closed_form_polynomial(n: int, params: KrallParams, variant: str = "sum-end") -> Poly:

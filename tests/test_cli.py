@@ -236,3 +236,9 @@ def test_dump_invalid_selector(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, "dump", "series", "phi-9", "+1")
     assert exc.value.code == 2
+
+
+def test_dump_without_kind_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "dump")
+    assert code == 2 and out == ""
+    assert "dump needs one of: poly, series, matrix" in err

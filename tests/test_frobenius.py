@@ -158,7 +158,33 @@ def test_one_power_stencil_per_endpoint():
         stencil[0] = Poly()
     local = LocalExpression(1, params)
     assert list(local.stencil) == sorted(local.stencil)
-    assert local.dstencil == {d: rho.derivative() for d, rho in local.stencil.items()}
+    for s in range(-1, 8):
+        # each row, keyed by d, is rho_d and rho_d' evaluated term by term
+        assert local.at(s) == {
+            d: (
+                sum(c * s**i for i, c in enumerate(rho.coeffs)),
+                sum(i * c * s ** (i - 1) for i, c in enumerate(rho.coeffs) if i),
+            )
+            for d, rho in local.stencil.items()
+        }
+    assert set(local.table) == set(range(-1, 8))
+
+
+def test_six_labels_share_one_rho_table(monkeypatch):
+    params = KrallParams(Fraction(5, 9), Fraction(4, 3))
+    stencil = {id(rho): d for d, rho in LocalExpression(1, params).stencil.items()}
+    evaluations = []
+    real_call = Poly.__call__
+
+    def counting(self, point):
+        if id(self) in stencil:
+            evaluations.append((stencil[id(self)], point))
+        return real_call(self, point)
+
+    monkeypatch.setattr(Poly, "__call__", counting)
+    solution_basis(1, 40, params)
+    # every (d, s) pair the six labels need, each evaluated once
+    assert len(evaluations) == len(set(evaluations)) == 4 * len(range(-1, 3 + 40 + 1))
 
 
 def test_derivative_classification(basis_plus):

@@ -136,10 +136,16 @@ def test_kernel_within_p12_is_constants():
 
 
 def test_degenerate_eigenvalues_detected(monkeypatch):
+    # the diagonal of the back-substitution holds lambda_m - lambda_n
     params = KrallParams(1, 1)
+    lambda_0 = eigenvalue(0, params)
+    monkeypatch.setattr(op, "eigenvalue", lambda n, p: lambda_0)
+    with pytest.raises(DegenerateEigenvalueError, match="lambda_0 = lambda_2"):
+        eigen_polynomial.__wrapped__(2, params)
+    # a lambda on no diagonal entry leaves no kernel: kernel_vector refuses it
     monkeypatch.setattr(op, "eigenvalue", lambda n, p: Fraction(7))
-    with pytest.raises(DegenerateEigenvalueError):
-        op.check_distinct_eigenvalues(2, params)
+    with pytest.raises(ValueError, match="0 zero diagonal entries"):
+        eigen_polynomial.__wrapped__(2, params)
 
 
 def test_closed_form_variant_n0():
