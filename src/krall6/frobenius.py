@@ -18,11 +18,12 @@ Series with a single log level, y = sum_m t^{r+m} (c_m + e_m ln|t|), satisfy
     level 0 :  sum_{m+d=n} [ c_m rho_d(r+m) + e_m rho_d'(r+m) ]    = 0
 
 for every n (using l[t^s ln|t|] = d/ds l[t^s]), with rho_d(s) and rho_d'(s)
-read from one table per endpoint (`LocalExpression.at`) that the six labels
-share.  Up to `settle` (below) the solver keeps every coefficient as an
-exact linear form in the free parameters p_1, p_2, ... introduced at
-resonances (orders where rho_0(r+n) = 0), held as the `Poly`
-const + sum_i a_i x^i, so forms add and scale as polynomials do.  One elimination rule
+read from one table per endpoint (`LocalExpression.at`, one value-and-slope
+Horner pass per row) that the six labels, `residual_order` and the suite
+share through the memoised `local_expression`.  Up to `settle` (below) the solver
+keeps every coefficient as an exact linear form in the free parameters p_1,
+p_2, ... introduced at resonances (orders where rho_0(r+n) = 0), held as the
+`Poly` const + sum_i a_i x^i, so forms add and scale as polynomials do.  One elimination rule
 serves every order: the coefficient times rho_0(r+n) plus the known rest
 must vanish, so the coefficient is -rest/rho_0(r+n), or, at a resonance, the
 rest becomes a constraint and the coefficient a fresh parameter.  Every
@@ -40,9 +41,10 @@ its constant: past `settle` the same loop runs on plain Fractions.
 
 A solution is y = t^r (C(t) + E(t) ln|t|), C and E the `Poly`s whose t^m
 coefficients are c_m and e_m.  With theta = t d/dt, rho(r+theta) scales the
-t^m coefficient by rho(r+m) (`Poly.scale_terms`), so l[y] = t^{r-3} (C' + E'
-ln|t|) with C' = sum_d t^d [rho_d(r+theta) C + rho_d'(r+theta) E] and
-E' = sum_d t^d rho_d(r+theta) E, and dy/dt = t^{r-1} ((r+theta) C + E +
+t^m coefficient by rho(r+m), so l[y] = t^{r-3} (C' + E' ln|t|) with
+C' = sum_d t^d [rho_d(r+theta) C + rho_d'(r+theta) E] and
+E' = sum_d t^d rho_d(r+theta) E, each level one integer pass over one
+denominator (`Poly.scaled_sum`), and dy/dt = t^{r-1} ((r+theta) C + E +
 (r+theta) E ln|t|).
 
 Canonical basis (labels give the leading exponent).  The one table
@@ -71,6 +73,7 @@ operator is d_+ + d_- - 6 = 4.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import zip_longest
@@ -112,12 +115,7 @@ def _size(levels) -> int:
 
 def _valuation(levels) -> Optional[int]:
     """The lowest power of t with a nonzero coefficient in either level."""
-    return min((p.split_root(0)[0] for p in levels if p), default=None)
-
-
-def _theta(p: Poly, values) -> Poly:
-    """values(theta) p: the t^m coefficient of p times values[m]."""
-    return p.scale_terms(values[: p.degree + 1]) if p else p
+    return min((p.valuation() for p in levels if p), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +147,7 @@ class LocalExpression:
         """{d: (rho_d(s), rho_d'(s))}, worked out once per s and kept in `table`."""
         row = self.table.get(s)
         if row is None:
-            row = self.table[s] = {d: (rho(s), rho.derivative()(s)) for d, rho in self.stencil.items()}
+            row = self.table[s] = {d: rho.value_and_slope(s) for d, rho in self.stencil.items()}
         return row
 
     def indicial_polynomial(self) -> Poly:
@@ -170,17 +168,20 @@ class LocalExpression:
         return sorted(roots, reverse=True)
 
     def apply_to_series(self, r: int, levels: tuple) -> tuple[Poly, Poly]:
-        """(C', E') with l[t^r (C + E ln|t|)] = t^{r-3} (C' + E' ln|t|), from the rows `at(r+m)`."""
+        """(C', E') with l[t^r (C + E ln|t|)] = t^{r-3} (C' + E' ln|t|), from the rows `at(r+m)`:
+        each level is one integer pass (`Poly.scaled_sum`), normalised once."""
         C, E = levels
         rows = [self.at(r + m) for m in range(_size(levels))]
-        out_c = out_e = Poly()
-        for d in self.stencil:
-            values = [row[d][0] for row in rows]
-            slopes = [row[d][1] for row in rows] if E else ()
-            shift = Poly.monomial(d)
-            out_c = out_c + shift * (_theta(C, values) + _theta(E, slopes))
-            out_e = out_e + shift * _theta(E, values)
-        return out_c, out_e
+        value_terms = [(d, E, [row[d][0] for row in rows]) for d in self.stencil]
+        slope_terms = [(d, E, [row[d][1] for row in rows]) for d in self.stencil]
+        out_c = Poly.scaled_sum([(d, C, values) for d, _, values in value_terms] + slope_terms)
+        return out_c, Poly.scaled_sum(value_terms)
+
+
+@functools.lru_cache(maxsize=64)
+def local_expression(endpoint: int, params: KrallParams) -> LocalExpression:
+    """The shared `LocalExpression` at (endpoint, params); the bound caps the tables kept."""
+    return LocalExpression(endpoint, params)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +215,7 @@ class SeriesSolution:
         """Termwise d/dt: t^{r-1} ((r+theta) C + E + (r+theta) E ln|t|)."""
         C, E = self.levels
         r_theta = range(self.exponent, self.exponent + _size(self.levels))
-        levels = (_theta(C, r_theta) + E, _theta(E, r_theta))
+        levels = (Poly.scaled_sum([(0, C, r_theta)]) + E, Poly.scaled_sum([(0, E, r_theta)]))
         return replace(self, exponent=self.exponent - 1, levels=levels)
 
     def format_series(self) -> str:
@@ -302,7 +303,7 @@ def solution_basis(endpoint: int, order: int, params: KrallParams) -> list[Serie
     """
     if order < MIN_ORDER:
         raise ValueError(f"truncation order must be at least {MIN_ORDER}")
-    local = LocalExpression(endpoint, params)
+    local = local_expression(endpoint, params)
     return [_solve_single(local, label, order) for label in SOLUTION_LABELS]
 
 
@@ -337,7 +338,7 @@ def residual_order(sol: SeriesSolution, params: KrallParams) -> Optional[int]:
     constant).  For a valid truncation at order N the residual order must
     exceed N - 6; for the canonical solutions it is exactly r + N - 2.
     """
-    local = LocalExpression(sol.endpoint, params)
+    local = local_expression(sol.endpoint, params)
     valuation = _valuation(local.apply_to_series(sol.exponent, sol.levels))
     return None if valuation is None else sol.exponent - 3 + valuation
 

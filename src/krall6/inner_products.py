@@ -98,9 +98,11 @@ def extended_inner(u: ExtendedVector, v: ExtendedVector, params: KrallParams) ->
 
 
 def gram_matrix(n_max: int, params: KrallParams) -> list[list[Fraction]]:
-    """Gram matrix of the monic eigenpolynomials K_0..K_{n_max} under kappa."""
+    """Gram matrix of the monic eigenpolynomials K_0..K_{n_max} under kappa, which is
+    symmetric (fp * gp == gp * fp): the upper triangle, computed once and mirrored."""
     polys = [eigen_polynomial(n, params) for n in range(n_max + 1)]
-    return [[kappa_inner(pm, pn, params) for pn in polys] for pm in polys]
+    upper = [[kappa_inner(pm, pn, params) for pn in polys[m:]] for m, pm in enumerate(polys)]
+    return [[upper[n][m - n] for n in range(m)] + row for m, row in enumerate(upper)]
 
 
 def expansion_coefficients(f: Poly, params: KrallParams) -> list[Fraction]:

@@ -13,11 +13,13 @@ fields.  The zero polynomial is `_n = ()`, `_d = 1`; its degree is the
 sentinel ``None``.  Every value is built by `Poly._make(ints, den)`, which
 strips and normalises.  Arithmetic runs on the integers: sums bring both
 sides to one denominator, products convolve the numerators over the product
-of the denominators, derivatives and `scale_terms` scale the numerators,
-and evaluation at p/q is Horner's rule over ints with one division at the
-end.  Division is fraction-free long division, so `poly_gcd` builds no
-Fraction per coefficient either.  `Poly.coeffs`, the
-tuple of Fraction coefficients, is built on each read, for rendering only;
+of the denominators, derivatives scale the numerators, `scaled_sum` adds
+shifted, term-by-term scaled polynomials over one denominator with a single
+normalisation, and evaluation at p/q is Horner's rule over ints with one
+division at the end (`value_and_slope` gives p and p' in one pass).
+Division is fraction-free long division, so `poly_gcd` builds no Fraction
+per coefficient either.  `Poly.coeffs`, the tuple of Fraction
+coefficients, is built on each read, for rendering only;
 no polynomial keeps a second copy.  There is no floating point anywhere:
 every operation (arithmetic, differentiation, evaluation, integration over
 [-1, 1], composition, splitting off a root) is exact.
@@ -261,14 +263,19 @@ class Poly:
     def __rmul__(self, other) -> "Poly":
         return self * other
 
-    def scale_terms(self, values) -> "Poly":
-        """sum_i values[i] a_i x^i for one int or Fraction per coefficient, one `_make`."""
-        n = self._n
-        if len(values) != len(n):
-            raise ValueError(f"{len(values)} values for {len(n)} coefficients")
-        den = math.lcm(*[v.denominator for v in values])
-        ints = [c * v.numerator * (den // v.denominator) for c, v in zip(n, values)]
-        return Poly._make(ints, self._d * den)
+    @staticmethod
+    def scaled_sum(terms) -> "Poly":
+        """sum of x^shift sum_i values[i] a_i x^i over (shift, p = sum_i a_i x^i, values), one int
+        or Fraction per coefficient (more are unread): one denominator, ints, one `_make`."""
+        terms = [(shift, p, values[: len(p._n)]) for shift, p, values in terms if p]
+        den_p = math.lcm(*[p._d for _, p, _ in terms])
+        den_v = math.lcm(*[v.denominator for _, _, values in terms for v in values])
+        out = [0] * max((shift + len(p._n) for shift, p, _ in terms), default=0)
+        for shift, p, values in terms:
+            scale = den_p // p._d
+            for i, (c, v) in enumerate(zip(p._n, values, strict=True), shift):
+                out[i] += c * (v.numerator * (den_v // v.denominator) * scale)
+        return Poly._make(out, den_p * den_v)
 
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
@@ -312,6 +319,18 @@ class Poly:
             q_power *= q
         # acc = sum n_i p^i q^(deg - i) and q_power = q^(deg + 1)
         return Fraction(acc * q, self._d * q_power)
+
+    def value_and_slope(self, point: int) -> tuple[Fraction, Fraction]:
+        """(p(point), p'(point)) by one Horner pass over the numerators, ints at an int point."""
+        value = slope = 0
+        for c in reversed(self._n):
+            slope = slope * point + value
+            value = value * point + c
+        return Fraction(value, self._d), Fraction(slope, self._d)
+
+    def valuation(self):
+        """The lowest power with a nonzero coefficient, or None for the zero polynomial."""
+        return next((i for i, c in enumerate(self._n) if c), None)
 
     def integrate_unit_interval(self) -> Fraction:
         """Exact integral over [-1, 1]; odd monomials contribute 0."""

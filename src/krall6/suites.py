@@ -470,7 +470,7 @@ def suite_frobenius(config: RunConfig) -> Report:
     report = Report("frobenius", params)
     l2_counts = []
     for endpoint in (-1, 1):
-        local = fro.LocalExpression(endpoint, params)
+        local = fro.local_expression(endpoint, params)
         report.add(
             make_case(
                 f"indicial-roots:e={endpoint:+d}",

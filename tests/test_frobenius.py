@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from krall6.frobenius import (
@@ -16,6 +16,7 @@ from krall6.frobenius import (
     deficiency_index,
     is_square_integrable,
     l2_classification,
+    local_expression,
     residual_order,
     solution_basis,
 )
@@ -138,10 +139,21 @@ def test_frobenius_suite_builds_each_basis_once(monkeypatch):
     def rebuilding(*args, **kwargs):
         raise AssertionError("the suite already holds both bases")
 
+    built = []
+    real_local = fro.LocalExpression
+
+    def building(endpoint, params):
+        built.append(endpoint)
+        return real_local(endpoint, params)
+
     monkeypatch.setattr(fro, "solution_basis", counting)
     monkeypatch.setattr(fro, "deficiency_index", rebuilding)
+    monkeypatch.setattr(fro, "LocalExpression", building)
+    fro.local_expression.cache_clear()
     cases = {c.name: c for c in suite_frobenius(RunConfig(A=1, B=2)).cases}
     assert calls == [-1, 1]
+    # one shared local expression (and rho table) per endpoint
+    assert built == [-1, 1]
     assert (cases["deficiency-index"].lhs, cases["deficiency-index"].verdict) == ("4", "pass")
 
 
@@ -171,20 +183,28 @@ def test_one_power_stencil_per_endpoint():
 
 
 def test_six_labels_share_one_rho_table(monkeypatch):
+    # parameters no other test uses, so the shared table starts empty
     params = KrallParams(Fraction(5, 9), Fraction(4, 3))
-    stencil = {id(rho): d for d, rho in LocalExpression(1, params).stencil.items()}
+    local = local_expression(1, params)
+    assert not local.table
+    stencil = {id(rho): d for d, rho in local.stencil.items()}
     evaluations = []
-    real_call = Poly.__call__
+    real_kernel = Poly.value_and_slope
 
     def counting(self, point):
         if id(self) in stencil:
             evaluations.append((stencil[id(self)], point))
-        return real_call(self, point)
+        return real_kernel(self, point)
 
-    monkeypatch.setattr(Poly, "__call__", counting)
-    solution_basis(1, 40, params)
-    # every (d, s) pair the six labels need, each evaluated once
+    monkeypatch.setattr(Poly, "value_and_slope", counting)
+    basis = solution_basis(1, 40, params)
+    # every (d, s) pair the six labels need, each worked out once
     assert len(evaluations) == len(set(evaluations)) == 4 * len(range(-1, 3 + 40 + 1))
+    assert set(local.table) == set(range(-1, 3 + 40 + 1))
+    # the residuals read the rows the basis filled and add none
+    for sol in basis:
+        assert residual_order(sol, params) == sol.exponent + 40 - 2
+    assert len(evaluations) == 4 * len(local.table) == 4 * 45
 
 
 def test_derivative_classification(basis_plus):
@@ -330,3 +350,34 @@ def test_series_algebra_matches_term_by_term_reference(r, C, E, endpoint, params
     assert sol.leading_exponent() == min((s for s, _ in terms), default=None)
     derivative = sol.derivative()
     assert ref_terms(derivative.exponent, derivative.levels) == ref_derivative(terms)
+
+
+# longer series with large, mixed denominators, high valuations, and a log
+# level without a plain one: the shapes the solver hands `residual_order`
+wide_fractions = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+long_levels = st.builds(
+    lambda zeros, cs: Poly([0] * zeros + cs),
+    st.one_of(st.just(0), st.integers(30, 45)),
+    st.lists(wide_fractions, min_size=30, max_size=60),
+)
+LONG = Poly([Fraction(k + 1, 10**6 - k) for k in range(45)])
+
+
+@given(
+    st.integers(-1, 3),
+    st.one_of(st.just(Poly()), long_levels),
+    long_levels,
+    st.sampled_from((-1, 1)),
+    st.sampled_from(MORE_PAIRS[1:4]),
+)
+@example(0, Poly(), LONG, 1, MORE_PAIRS[3])
+@example(2, Poly(), LONG * Poly.monomial(30), -1, MORE_PAIRS[1])
+@example(-1, LONG * Poly.monomial(33), LONG * Poly.monomial(31), 1, MORE_PAIRS[2])
+@settings(max_examples=30, deadline=None)
+def test_integer_pass_on_long_series(r, C, E, endpoint, params):
+    terms = ref_terms(r, (C, E))
+    image = ref_apply(params, endpoint, terms)
+    assert ref_terms(r - 3, local_expression(endpoint, params).apply_to_series(r, (C, E))) == image
+    sol = SeriesSolution(endpoint, r, "random", 12, (C, E))
+    assert residual_order(sol, params) == min((s for s, _ in image), default=None)
+    assert sol.leading_exponent() == min((s for s, _ in terms), default=None)

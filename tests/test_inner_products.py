@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krall6.germs import UnspecifiedInteriorError
 from krall6.inner_products import (
@@ -99,6 +101,28 @@ def test_gram_diagonal_positive(params):
                 assert gram[m][n] > 0
             else:
                 assert gram[m][n] == 0
+
+
+@pytest.mark.parametrize("params", PARAM_PAIRS + [KrallParams(Fraction(1, 100), 3)])
+def test_gram_matrix_equals_both_triangles(params):
+    # the matrix computes the upper triangle and mirrors it; build both halves here
+    for n_max in (0, 3, 8):
+        polys = [eigen_polynomial(n, params) for n in range(n_max + 1)]
+        assert gram_matrix(n_max, params) == [[kappa_inner(f, g, params) for g in polys] for f in polys]
+
+
+rationals = st.builds(Fraction, st.integers(-10**4, 10**4), st.integers(1, 10**3))
+
+
+@given(
+    st.lists(rationals, max_size=12).map(Poly),
+    st.lists(rationals, max_size=12).map(Poly),
+    st.builds(KrallParams, rationals.filter(bool).map(abs), rationals.filter(bool).map(abs)),
+)
+@settings(max_examples=80, deadline=None)
+def test_kappa_is_exactly_symmetric(f, g, params):
+    # the fact `gram_matrix` relies on to mirror its upper triangle
+    assert kappa_inner(f, g, params) == kappa_inner(g, f, params)
 
 
 def test_piecewise_functions_are_rejected():

@@ -515,21 +515,38 @@ def test_split_root_matches_reference(pa, m, x):
         assert type(value) is Fraction
 
 
-@given(pairs, st.lists(st.one_of(rationals, st.integers(-20, 20)), min_size=9, max_size=9))
+scale_values = st.lists(st.one_of(rationals, st.integers(-20, 20)), min_size=9, max_size=9)
+
+
+@given(st.lists(st.tuples(st.integers(0, 4), pairs, scale_values), max_size=4))
 @settings(max_examples=80, deadline=None)
-def test_scale_terms_matches_reference(pa, values):
-    # ints and Fractions mixed, zero values included
-    p, a = pa
-    values = values[: len(a)]
-    got = p.scale_terms(values)
+def test_scaled_sum_matches_reference(terms):
+    # ints and Fractions mixed, zero values and zero polys included, against
+    # the sum of shifted term-by-term products
+    got = Poly.scaled_sum([(shift, p, values) for shift, (p, _), values in terms])
     assert_normal_form(got)
-    assert got.coeffs == ref(x * v for x, v in zip(a, values))
+    want = [Fraction(0)] * 13
+    for shift, (_, a), values in terms:
+        for i, (c, v) in enumerate(zip(a, values), shift):
+            want[i] += c * v
+    assert got.coeffs == ref(want)
 
 
-def test_scale_terms_needs_one_value_per_coefficient():
+@given(pairs, st.integers(0, 6), st.integers(-6, 6))
+@settings(max_examples=80, deadline=None)
+def test_valuation_and_value_and_slope_match_reference(pa, zeros, point):
+    p, a = pa
+    shifted = p * Poly.monomial(zeros)
+    assert shifted.valuation() == (None if not a else zeros + next(i for i, c in enumerate(a) if c))
+    value = sum(c * point**i for i, c in enumerate(a))
+    slope = sum(i * c * point ** (i - 1) for i, c in enumerate(a) if i)
+    assert p.value_and_slope(point) == (value, slope) == (p(point), p.derivative()(point))
+
+
+def test_scaled_sum_reads_only_the_values_it_needs():
     p = Poly([1, 2, 3])
-    assert p.scale_terms(range(1, 4)) == Poly([1, 4, 9])
-    assert Poly().scale_terms([]) == Poly()
-    for values in ([1, 2], [1, 2, 3, 4]):
-        with pytest.raises(ValueError, match="coefficients"):
-            p.scale_terms(values)
+    assert Poly.scaled_sum([(0, p, range(1, 4))]) == Poly([1, 4, 9])
+    assert Poly.scaled_sum([(2, p, range(1, 10))]) == Poly([0, 0, 1, 4, 9])
+    assert Poly.scaled_sum([(0, Poly(), [])]) == Poly.scaled_sum([]) == Poly()
+    with pytest.raises(ValueError):
+        Poly.scaled_sum([(0, p, [1, 2])])
