@@ -200,8 +200,11 @@ class SeriesSolution:
     levels: tuple  # (C, E): Polys whose t^m coefficients are c_m and e_m
 
     def coefficient(self, offset: int, level: int) -> Fraction:
+        """c_offset (level 0) or e_offset (level 1); past the truncation it is unknown, not 0."""
         if level not in (0, 1):
             raise ValueError(f"log level must be 0 or 1, got {level}")
+        if not 0 <= offset <= self.order:
+            raise ValueError(f"offset {offset} is outside the solved range 0..{self.order}")
         return self.levels[level][offset]
 
     def log_degree(self) -> int:

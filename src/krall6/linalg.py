@@ -1,9 +1,11 @@
 """Tiny exact linear algebra over Fraction: determinant and kernel vector.
 
 Matrices are lists of row lists.  `determinant` eliminates with partial
-pivoting by nonzero entry on the small certificate matrices; `kernel_vector`
-only back-substitutes, because its one caller (`operator.eigen_polynomial`)
-hands it an upper-triangular matrix with a single zero on the diagonal.
+pivoting by nonzero entry on the small certificate matrices
+(`extension.independence_certificate`).  `kernel_vector` has no library
+caller: `operator.eigen_polynomial` runs the banded stencil recurrence
+instead.  It stays as the tests' dense reference for that recurrence, and
+because the benchmark's trace spans name it.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ def kernel_vector(m: Matrix) -> list[Fraction]:
     """The kernel vector of an upper-triangular m whose one zero diagonal entry is m[p][p].
 
     v[p] = 1, v[j] = 0 for j > p, and back-substitution gives v[i] for i < p.
-    Any other input raises ValueError.
+    Any other input raises ValueError.  The dense reference for
+    `operator.eigen_polynomial` in the tests; no library code calls it.
     """
     n = len(m)
     if any(len(row) != n for row in m):

@@ -27,8 +27,8 @@ computes the coefficient of x^n in l[x^n] independently via falling
 factorials, and the alternative n(n-1) printing fails that oracle already at
 n = 1 (it gives 0 while l[x] = (24AB+12A+12B)x + 12B-12A is nonzero).
 
-`power_stencil` gives l on powers (x - c)^s; at c = 0 it is the banded
-triangular matrix on monomials, from which `eigen_polynomial` back-substitutes
+`power_stencil` gives l on powers (x - c)^s; at c = 0 its shifts lie in
+-6..0, a banded recurrence that `eigen_polynomial` runs down from c_n = 1 to
 the monic ground truth, and at c = +-1 it is the Frobenius stencil.
 `closed_form_polynomial` implements the explicit coefficient-sum formula
 under several parse variants of its ambiguous inner parenthesis and
@@ -46,7 +46,6 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
-from . import linalg
 from .germs import EndpointFn
 from .polynomials import Poly, Scalar, as_fraction, format_rational
 
@@ -82,12 +81,6 @@ class KrallParams:
             raise ValueError("parameters A and B must be positive")
         # not a dataclass field: equality, hash and repr see only (A, B)
         object.__setattr__(self, "_p_poly", _W * (Poly([12]) + self.alpha * _W))
-
-    @staticmethod
-    def parse(a_text: str, b_text: str) -> "KrallParams":
-        from .polynomials import parse_rational
-
-        return KrallParams(parse_rational(a_text), parse_rational(b_text))
 
     @property
     def alpha(self) -> Fraction:
@@ -284,27 +277,35 @@ def leading_coefficient_oracle(n: int, params: KrallParams) -> Fraction:
 
 @functools.lru_cache(maxsize=4096)
 def eigen_polynomial(n: int, params: KrallParams) -> Poly:
-    """The monic degree-n eigenpolynomial K_n, by triangular back-substitution.
+    """The monic degree-n eigenpolynomial K_n, by the banded stencil recurrence.
 
-    Entry (i, m) of l on monomials is rho_{i-m}(m) from `power_stencil(params, 0)`;
-    minus lambda_n, diagonal entry m is lambda_m - lambda_n, so the eigenvalues
-    are distinct exactly when it vanishes only at m = n, and then c_n = 1.
+    With l[x^m] = sum_j rho_j(m) x^(m+j) from `power_stencil(params, 0)`
+    (shifts j <= 0), the x^m coefficient of (l - lambda_n) K_n is
+    (rho_0(m) - lambda_n) c_m + sum_{j<0} rho_j(m-j) c_{m-j}.  The pivot
+    rho_0(m) - lambda_n is lambda_m - lambda_n, so the eigenvalues are
+    distinct exactly when it vanishes only at m = n; then c_n = 1 and each
+    lower c_m follows from the window of higher ones that the stencil's
+    shifts reach.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     lam = eigenvalue(n, params)
     stencil = power_stencil(params, 0)
-    mat = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    for m in range(n + 1):
-        for shift, rho in stencil.items():
-            if m + shift >= 0:
-                mat[m + shift][m] = rho(m) - (lam if shift == 0 else 0)
+    pivots = []
     for m in range(n):
-        if mat[m][m] == 0:
+        pivots.append(stencil[0](m) - lam)
+        if pivots[m] == 0:
             raise DegenerateEigenvalueError(
                 f"lambda_{m} = lambda_{n} = {format_rational(lam)} for {params.label()}"
             )
-    return Poly(linalg.kernel_vector(mat))
+    if stencil[0](n) != lam:
+        raise ValueError(f"no eigenpolynomial of degree {n}: lambda = {format_rational(lam)} is not rho_0({n})")
+    window = [(-shift, rho) for shift, rho in stencil.items() if shift < 0]
+    c = [Fraction(0)] * n + [Fraction(1)]
+    for m in range(n - 1, -1, -1):
+        rest = sum((rho(m + j) * c[m + j] for j, rho in window if m + j <= n), Fraction(0))
+        c[m] = -rest / pivots[m]
+    return Poly(c)
 
 
 def closed_form_polynomial(n: int, params: KrallParams, variant: str = "sum-end") -> Poly:

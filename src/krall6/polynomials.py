@@ -54,9 +54,10 @@ remainder of its last pass.  `RationalFn.leading_at` at a pole reads the
 valuation off the exponent and the leading coefficient off q(+-1), a sign
 and a power of 2; anywhere else it splits q once.
 
-Text formats (used by the CLI layer):
-  rational    "p/q" or "p", q > 0
+Output text formats (reports, witnesses and dumps):
+  rational    "p/q" or "p", q > 0 (`format_rational`)
   polynomial  comma-separated coefficients low-to-high, e.g. "0,0,1" is x^2
+              (`Poly.format_coeffs`)
 """
 
 from __future__ import annotations
@@ -155,19 +156,6 @@ class Poly:
         if power < 0:
             raise ValueError("monomial power must be non-negative")
         return Poly([0] * power + [c])
-
-    @staticmethod
-    def parse(text: str) -> "Poly":
-        """Parse the comma-separated low-to-high coefficient text format.
-
-        The format is positional, so an empty field (an empty text included)
-        raises ValueError rather than shifting the higher coefficients.
-        """
-        fields = [field.strip() for field in text.split(",")]
-        for power, field in enumerate(fields):
-            if not field:
-                raise ValueError(f"empty field for the x^{power} coefficient in {text!r}")
-        return Poly([parse_rational(field) for field in fields])
 
     # -- structure ----------------------------------------------------
 

@@ -221,6 +221,9 @@ def test_odd_inputs_fail_loudly(basis_plus):
     for level in (-1, 2):
         with pytest.raises(ValueError, match="log level"):
             sol.coefficient(0, level)
+    for offset in (-1, sol.order + 1):
+        with pytest.raises(ValueError, match="outside the solved range"):
+            sol.coefficient(offset, 0)
     with pytest.raises(ValueError, match="derivative order"):
         is_square_integrable(sol, -1)
 

