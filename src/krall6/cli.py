@@ -8,9 +8,9 @@
 
 `run` may also be invoked implicitly (suite names as the first argument).
 Exit status: 0 when no case fails, 1 on any verification failure, 2 on
-usage errors.  Output is byte-identical across reruns with the same
-configuration; when writing to a file, a single timestamp goes into a
-"<out>.meta.json" sidecar, never into the report body.
+usage errors and when `--out` cannot be written.  Output is byte-identical
+across reruns with the same configuration; when writing to a file, a single
+timestamp goes into a "<out>.meta.json" sidecar, never into the report body.
 """
 
 from __future__ import annotations
@@ -109,11 +109,14 @@ def _emit(text: str, out_path):
     if out_path is None:
         sys.stdout.write(text)
         return
-    with open(out_path, "w") as handle:
-        handle.write(text)
-    with open(out_path + ".meta.json", "w") as handle:
-        json.dump({"generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}, handle)
-        handle.write("\n")
+    try:
+        with open(out_path, "w") as handle:
+            handle.write(text)
+        with open(out_path + ".meta.json", "w") as handle:
+            json.dump({"generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}, handle)
+            handle.write("\n")
+    except OSError as exc:
+        raise SystemExit(_usage(f"cannot write {out_path}: {exc.strerror or exc}")) from None
 
 
 def _command_run(args) -> int:

@@ -15,10 +15,11 @@ B[f] = Lam[f]' - pi f'.
 
 The five summands are kept in exactly this grouping so that divergence
 diagnostics point at individual sub-expressions: `_concomitant_lines` is
-the one place they are written, `concomitant` sums them and names the
-diverging lines when the sum has no limit, and the endpoint reductions take
-lines 3-5 from it.  All scalars are real rationals, so complex conjugation
-is the identity and [f, g] = -[g, f].
+the one place they are written, `concomitant` sums them when some factor
+has no endpoint limit and names the diverging lines when the sum has none
+either, and the endpoint reductions take lines 3-5 from it.  All scalars
+are real rationals, so complex conjugation is the identity and
+[f, g] = -[g, f].
 
 Endpoint limits are germ-valuation limits (`germs.LogGerm.limit`); divergence
 raises `DivergentLimitError`, the typed signal that an input pair lies
@@ -26,11 +27,17 @@ outside the limit class.
 
 B[f] and Lam[f] on a germ are memoised: each (germ, params) pair is worked
 out once and served to every later bracket, Omega, membership check,
-quasi-derivative limit and reduction.  Both memos are `functools.lru_cache`s
-bounded at 4096 entries and keyed by value (`LogGerm` and `KrallParams` hash
-by value), like the germ derivatives they read (`germs._derivative`).  They
-hold germs, never limits: `.limit()` runs on every call, so a
-`DivergentLimitError` is never cached.
+quasi-derivative limit and reduction.  A third memo, `_endpoint_values`,
+holds the limits B[f](e), Lam[f](e), f(e), f'(e) when they and the limits of
+f'' and f''' exist, and None otherwise.  When both germs of a pair have
+values, `concomitant` sums their products instead of building the five
+lines: the limit of a product of convergent factors is the product of their
+limits, and line 5 drops out because Q vanishes at e.  All three memos are
+`functools.lru_cache`s bounded at 4096 entries and keyed by value (`LogGerm`
+and `KrallParams` hash by value), like the germ derivatives they read
+(`germs._derivative`).  The first two hold germs, never limits; the third
+holds limit values or None, never a `DivergentLimitError`, so a divergent
+pair takes the five-line route on every call and raises there.
 
 The module also provides:
 
@@ -206,16 +213,46 @@ def _concomitant_lines(fg: LogGerm, gg: LogGerm, params: KrallParams) -> tuple[L
     )
 
 
+@functools.lru_cache(maxsize=4096)
+def _endpoint_values(g: LogGerm, params: KrallParams) -> tuple[Fraction, Fraction, Fraction, Fraction] | None:
+    """(B[g](e), Lam[g](e), g(e), g'(e)), or None when any of g, g', g'', g''',
+    B[g] and Lam[g] has no limit at the germ's endpoint e.
+
+    g''' and g'' are tried first, so a log-bearing germ fails before B[g] and
+    Lam[g] are built.  A divergence is cached as None, never as an exception.
+    """
+    try:
+        g.derivative(3).limit()
+        g.derivative(2).limit()
+        return (
+            _bracket_with_one_germ(g, params).limit(),
+            _lam_germ(g, params).limit(),
+            g.limit(),
+            g.derivative(1).limit(),
+        )
+    except DivergentLimitError:
+        return None
+
+
 def concomitant(f, g, endpoint: int, params: KrallParams) -> Fraction:
     """Endpoint limit of the bilinear concomitant [f, g](endpoint).
+
+    When every factor of the five lines has a limit, the limit of the sum is
+    B[f] g - B[g] f - Lam[f] g' + Lam[g] f' taken on the factors' limits at e
+    (line 5 drops out: Q vanishes at e), read off `_endpoint_values`.
+    Otherwise the five germ lines are built and their sum's limit taken.
 
     Raises DivergentLimitError when the pair is outside the limit class; its
     detail names the endpoint and the lines (1-5, in the order of the module
     docstring) that diverge on their own.
     """
-    f = EndpointFn.from_poly(f)
-    g = EndpointFn.from_poly(g)
-    lines = _concomitant_lines(f.germ_at(endpoint), g.germ_at(endpoint), params)
+    fg = EndpointFn.from_poly(f).germ_at(endpoint)
+    gg = EndpointFn.from_poly(g).germ_at(endpoint)
+    fv, gv = _endpoint_values(fg, params), _endpoint_values(gg, params)
+    if fv is not None and gv is not None:
+        (bf, lam_f, f0, f1), (bg, lam_g, g0, g1) = fv, gv
+        return bf * g0 - bg * f0 - lam_f * g1 + lam_g * f1
+    lines = _concomitant_lines(fg, gg, params)
     try:
         return sum(lines[1:], lines[0]).limit()
     except DivergentLimitError as exc:

@@ -67,6 +67,22 @@ _W = Poly([1, 0, -1])  # w(x) = 1 - x^2
 _Q = _W**3
 
 
+def _expression_coefficients(A: Fraction, B: Fraction) -> tuple[Poly, Poly, Poly, Poly, Poly, Poly]:
+    x = Poly.x()
+    x2m1 = Poly([-1, 0, 1])
+    b6 = x2m1 ** 3
+    b5 = 18 * x * x2m1 ** 2
+    b4 = x2m1 * Poly([-3 * A - 3 * B - 36, 0, 3 * A + 3 * B + 96])
+    b3 = (24 * A + 24 * B + 168) * x * x2m1
+    b2 = Poly([
+        -12 * A * B - 30 * A - 30 * B - 72,
+        12 * B - 12 * A,
+        12 * A * B + 42 * A + 42 * B + 72,
+    ])
+    b1 = Poly([12 * B - 12 * A, 24 * A * B + 12 * A + 12 * B])
+    return b6, b5, b4, b3, b2, b1
+
+
 @dataclass(frozen=True)
 class KrallParams:
     """The parameter pair (A, B), both positive rationals."""
@@ -79,8 +95,9 @@ class KrallParams:
         object.__setattr__(self, "B", as_fraction(self.B))
         if self.A <= 0 or self.B <= 0:
             raise ValueError("parameters A and B must be positive")
-        # not a dataclass field: equality, hash and repr see only (A, B)
+        # not dataclass fields: equality, hash and repr see only (A, B)
         object.__setattr__(self, "_p_poly", _W * (Poly([12]) + self.alpha * _W))
+        object.__setattr__(self, "_coefficients", _expression_coefficients(self.A, self.B))
 
     @property
     def alpha(self) -> Fraction:
@@ -105,21 +122,8 @@ class KrallParams:
         return self._p_poly
 
     def expression_coefficients(self) -> tuple[Poly, Poly, Poly, Poly, Poly, Poly]:
-        """Coefficients (b6, b5, b4, b3, b2, b1) of the expanded form."""
-        A, B = self.A, self.B
-        x = Poly.x()
-        x2m1 = Poly([-1, 0, 1])
-        b6 = x2m1 ** 3
-        b5 = 18 * x * x2m1 ** 2
-        b4 = x2m1 * Poly([-3 * A - 3 * B - 36, 0, 3 * A + 3 * B + 96])
-        b3 = (24 * A + 24 * B + 168) * x * x2m1
-        b2 = Poly([
-            -12 * A * B - 30 * A - 30 * B - 72,
-            12 * B - 12 * A,
-            12 * A * B + 42 * A + 42 * B + 72,
-        ])
-        b1 = Poly([12 * B - 12 * A, 24 * A * B + 12 * A + 12 * B])
-        return b6, b5, b4, b3, b2, b1
+        """Coefficients (b6, b5, b4, b3, b2, b1) of the expanded form, computed once per instance."""
+        return self._coefficients
 
     def label(self) -> str:
         return f"A={format_rational(self.A)}, B={format_rational(self.B)}"

@@ -232,6 +232,16 @@ def test_out_file_and_timestamp_sidecar(tmp_path, capsys):
     assert payload["summary"]["failed"] == 0
 
 
+@pytest.mark.parametrize("command", [("run", "eigen", "--nmax", "2"), ("dump", "poly", "K", "3")])
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unwritable_out_path_is_usage_error(tmp_path, capsys, command, target):
+    path = str(tmp_path / "no-such-dir" / "x.json") if target == "missing" else str(tmp_path) + "/"
+    code, out, err = run_cli(capsys, *command, "--out", path)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err
+
+
 def test_dump_invalid_selector(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, "dump", "series", "phi-9", "+1")

@@ -136,7 +136,7 @@ def test_divergent_pair_is_typed():
     bad = EndpointFn.piecewise(LogGerm.zero(-1), LogGerm.from_log_poly(Poly.one(), 1))
     with pytest.raises(DivergentLimitError):
         concomitant(bad, EndpointFn.from_poly(X), 1, params)
-    # the memos hold germs, not limits: a second call diverges again
+    # no memo caches the exception: a second call diverges again
     with pytest.raises(DivergentLimitError):
         concomitant(bad, EndpointFn.from_poly(X), 1, params)
 
@@ -161,6 +161,44 @@ def test_divergent_concomitant_names_endpoint_and_lines():
 small_polys = st.lists(
     st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)), min_size=1, max_size=5
 ).map(Poly)
+
+
+def _bracket_by_germ_lines(f, g, endpoint, params):
+    """[f, g](e) as the limit of the sum of the five germ lines (the reference route)."""
+    lines = con._concomitant_lines(f.germ_at(endpoint), g.germ_at(endpoint), params)
+    return sum(lines[1:], lines[0]).limit()
+
+
+@given(small_polys, small_polys, st.sampled_from([-1, 1]), st.sampled_from(PARAM_PAIRS))
+@settings(max_examples=40, deadline=None)
+def test_bracket_from_endpoint_values_matches_germ_lines_on_polynomials(p, q, endpoint, params):
+    f, g = EndpointFn.from_poly(p), EndpointFn.from_poly(q)
+    assert con._endpoint_values(f.germ_at(endpoint), params) is not None
+    assert concomitant(f, g, endpoint, params) == _bracket_by_germ_lines(f, g, endpoint, params)
+
+
+@pytest.mark.parametrize("params", [KrallParams(1, 2), KrallParams(Fraction(1, 3), Fraction(7, 2))])
+def test_bracket_from_endpoint_values_matches_germ_lines_on_canonical_functions(params):
+    pool = [EndpointFn.from_poly(p) for p in (X**3 - 2 * X, *seeded(3, seed=5, max_degree=6))]
+    for e in (-1, 1):
+        pool += [one_near(e), weight_near(e), weight_sq_near(e), quasi_probe(e, params)]
+    for endpoint in (-1, 1):
+        for f in pool:
+            assert con._endpoint_values(f.germ_at(endpoint), params) is not None
+            for g in pool:
+                assert concomitant(f, g, endpoint, params) == _bracket_by_germ_lines(f, g, endpoint, params)
+
+
+def test_endpoint_values_are_none_for_log_probes():
+    for params in PARAM_PAIRS:
+        for endpoint in (-1, 1):
+            probe = log_probe(endpoint, params).germ_at(endpoint)
+            assert con._endpoint_values(probe, params) is None
+            hits = con._endpoint_values.cache_info().hits
+            assert con._endpoint_values(probe, params) is None
+            assert con._endpoint_values.cache_info().hits == hits + 1  # None is cached, not re-derived
+            # the other endpoint's germ is zero, so has every limit
+            assert con._endpoint_values(log_probe(-endpoint, params).germ_at(endpoint), params) == (0, 0, 0, 0)
 
 
 def _endpoint_input(kind, p, q, endpoint):
@@ -459,7 +497,7 @@ def test_germ_memos_under_threads():
         )
         for p, e in keys
     ]
-    for memo in (_derivative, con._bracket_with_one_germ, con._lam_germ):
+    for memo in (_derivative, con._bracket_with_one_germ, con._lam_germ, con._endpoint_values):
         memo.cache_clear()
     errors = []
 
@@ -471,6 +509,7 @@ def test_germ_memos_under_threads():
                 germ = EndpointFn.from_poly(p).germ_at(e)
                 got = (concomitant_with_one(p, e, params), quasi_derivative(germ, params).limit())
                 assert got == expected[j]
+                assert con._endpoint_values(germ, params)[:2] == expected[j]
         except AssertionError as exc:
             errors.append(exc)
 
