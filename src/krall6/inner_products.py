@@ -99,9 +99,11 @@ def extended_inner(u: ExtendedVector, v: ExtendedVector, params: KrallParams) ->
 
 def gram_matrix(n_max: int, params: KrallParams) -> list[list[Fraction]]:
     """Gram matrix of the monic eigenpolynomials K_0..K_{n_max} under kappa, which is
-    symmetric (fp * gp == gp * fp): the upper triangle, computed once and mirrored."""
-    polys = [eigen_polynomial(n, params) for n in range(n_max + 1)]
-    upper = [[kappa_inner(pm, pn, params) for pn in polys[m:]] for m, pm in enumerate(polys)]
+    symmetric (fp * gp == gp * fp): the upper triangle, computed once and mirrored.
+    Each entry is `extended_inner` of the embedded pair (kappa, by the isometry), so
+    every K_n is evaluated at -1 and +1 once, not once per pair."""
+    vectors = [embed(eigen_polynomial(n, params)) for n in range(n_max + 1)]
+    upper = [[extended_inner(u, v, params) for v in vectors[m:]] for m, u in enumerate(vectors)]
     return [[upper[n][m - n] for n in range(m)] + row for m, row in enumerate(upper)]
 
 

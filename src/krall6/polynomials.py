@@ -91,12 +91,32 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+#: Decimal digits per piece in `_decimal`: below the least int-to-str limit
+#: Python accepts (640 digits), so no piece is ever refused.
+_PIECE_DIGITS = 512
+_PIECE = 10**_PIECE_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """The decimal text of an int of any size, with the bytes `str(n)` has where no
+    limit applies, built from pieces of `_PIECE_DIGITS` digits; the process-wide
+    int-to-str limit is read nowhere and changed nowhere."""
+    if -_PIECE < n < _PIECE:
+        return str(n)
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    pieces = []
+    while n >= _PIECE:
+        n, low = divmod(n, _PIECE)
+        pieces.append(f"{low:0{_PIECE_DIGITS}d}")
+    return sign + str(n) + "".join(reversed(pieces))
+
+
 def format_rational(value: Scalar) -> str:
-    """Render a rational in the "p/q" (or "p") text format."""
+    """Render a rational in the "p/q" (or "p") text format, at any size."""
     value = as_fraction(value)
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _decimal(value.numerator)
+    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
 
 
 _set = object.__setattr__

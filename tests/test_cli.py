@@ -135,6 +135,23 @@ DEEP_DUMP_SHA256 = {
             ("phi-minus-1", "-1", "a6adb96bdff3edcd54cc4077d88d1c55b42426be46198a2a8a52fa8bcc7fd636"),
         )
     },
+    **{
+        ("series", label, endpoint, "--order", "120"): digest
+        for label, endpoint, digest in (
+            ("phi-3", "+1", "359b2e855874357a2707226805bbcf1d3a2ce4e5a3ee9aee2e24040caeb1afc7"),
+            ("phi-3", "-1", "f47c19caf0e700270554c09f6bfe5ee32ed757acfc2e0e6555d9c7c165703ef2"),
+            ("phi-2", "+1", "b4a7af594dd1fe4acd2b412a6a6411f8405abc759b3460d723238f40578a2516"),
+            ("phi-2", "-1", "c27e641c98dacd001f021d430ff17aa2569f288be7d884a957283b3b9dfb08f6"),
+            ("phi-1", "+1", "9de993efd187a8c71718fa6c4fa71074f2df280368fb77f23f2eef4e4752a3f6"),
+            ("phi-1", "-1", "acb67c12d5a63c83c760f33ea0abaf045fb3982162c411e12ceb3a2682b3507f"),
+            ("phi-hat-1", "+1", "f9c80a4d931fbd5e0063dc47f7e00e0620cf0fc8fab98817c8f4f8fe7e415563"),
+            ("phi-hat-1", "-1", "3e41503816f3a73546b4d679cc6e66fb44130c80b127a5b7f66746f0a581b048"),
+            ("phi-0", "+1", "a1cadd86e95a3f9da5d5147bf961f55238bfd519b646546179eb6c68fc8e71e5"),
+            ("phi-0", "-1", "66e07ff8021ffcabbac8eb610a1094d256484f3c968f5d705fb995fbfa52b881"),
+            ("phi-minus-1", "+1", "d54d9be97d54ec7a211bd4ed7df5c6a32e31aa64c6e257d558f3ddd00f7268db"),
+            ("phi-minus-1", "-1", "6265a67ab0c0d13c91689e70bc9ac2ea88421082f4fcc92e628a3964e839ad38"),
+        )
+    },
 }
 
 

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from krall6.frobenius import (
     LocalExpression,
+    MIN_ORDER,
     ObstructionUnexpectedError,
     SOLUTION_LABELS,
     SeriesSolution,
     _SOLUTIONS,
+    _solve_single,
     corrupted,
     deficiency_index,
     is_square_integrable,
@@ -384,3 +386,81 @@ def test_integer_pass_on_long_series(r, C, E, endpoint, params):
     sol = SeriesSolution(endpoint, r, "random", 12, (C, E))
     assert residual_order(sol, params) == min((s for s, _ in image), default=None)
     assert sol.leading_exponent() == min((s for s, _ in terms), default=None)
+
+
+# ---------------------------------------------------------------------------
+# the solver against an all-Fraction reference
+# ---------------------------------------------------------------------------
+
+
+def reference_solve(local, label, order):
+    """The two-level recurrence with one loop for every order: linear forms (`Poly`s,
+    p_i is x^i) up to `settle`, plain Fractions past it, each divided by its pivot."""
+    r, with_log, targets = _SOLUTIONS[label]
+    pivots = [local.at(r + n)[0][0] for n in range(order + 1)]
+    settle = max([n for n, pivot in enumerate(pivots) if pivot == 0] + [m for (m, _), _ in targets])
+    e, c = [], []
+    rows = {}
+    params = 0
+
+    def reduce(form):
+        for i in range(form.degree or 0, 0, -1):
+            if i in rows and form[i]:
+                form = form - rows[i] * form[i]
+        return form
+
+    def resolve_constraint(form):
+        form = reduce(form)
+        if form.degree:
+            rows[form.degree] = form.monic()
+        elif form:
+            raise ObstructionUnexpectedError(f"{label}: nonzero constant {form[0]}")
+
+    def solve(rest, pivot):
+        nonlocal params
+        if pivot:
+            return rest * (-1 / pivot)
+        resolve_constraint(rest)
+        params += 1
+        return Poly.monomial(params)
+
+    for n in range(order + 1):
+        tail1 = tail0 = Poly() if n <= settle else Fraction(0)
+        for d in local.stencil:
+            m = n - d
+            if d and m >= 0:
+                value, slope = local.at(r + m)[d]
+                tail1 = tail1 + e[m] * value
+                tail0 = tail0 + c[m] * value + e[m] * slope
+        e.append(solve(tail1, pivots[n]) if with_log else tail1)
+        c.append(solve(tail0 + e[n] * local.at(r + n)[0][1], pivots[n]))
+        if n == settle:
+            for (m, level), value in targets:
+                resolve_constraint((e if level else c)[m] - value)
+            for i in range(1, params + 1):
+                rows.setdefault(i, Poly.monomial(i))
+            e, c = [reduce(form)[0] for form in e], [reduce(form)[0] for form in c]
+    return SeriesSolution(local.endpoint, r, label, order, (Poly(c), Poly(e)))
+
+
+SOLVER_PAIRS = MORE_PAIRS + [
+    KrallParams(Fraction(1, 10**6), Fraction(10**6, 7)),
+    KrallParams(Fraction(7, 3), Fraction(5, 11)),
+]
+
+
+@pytest.mark.parametrize("endpoint", (-1, 1))
+@pytest.mark.parametrize("params", SOLVER_PAIRS)
+def test_integer_window_matches_fraction_reference(endpoint, params):
+    # orders MIN_ORDER, one past it, and two longer runs; every label
+    local = local_expression(endpoint, params)
+    for order in (MIN_ORDER, MIN_ORDER + 1, 20, 40):
+        for label in SOLUTION_LABELS:
+            assert _solve_single(local, label, order) == reference_solve(local, label, order)
+
+
+@pytest.mark.parametrize("endpoint", (-1, 1))
+def test_integer_window_matches_fraction_reference_at_order_120(endpoint):
+    local = local_expression(endpoint, KrallParams(Fraction(1, 100), 3))
+    for label in SOLUTION_LABELS:
+        assert _solve_single(local, label, 120) == reference_solve(local, label, 120)

@@ -111,6 +111,21 @@ def test_gram_matrix_equals_both_triangles(params):
         assert gram_matrix(n_max, params) == [[kappa_inner(f, g, params) for g in polys] for f in polys]
 
 
+def test_gram_matrix_reads_each_endpoint_value_once(monkeypatch):
+    params = KrallParams(Fraction(1, 100), 3)
+    polys = [eigen_polynomial(n, params) for n in range(9)]
+    points = []
+    real_call = Poly.__call__
+
+    def counting(self, point):
+        points.append(point)
+        return real_call(self, point)
+
+    monkeypatch.setattr(Poly, "__call__", counting)
+    gram_matrix(8, params)
+    assert sorted(points) == [-1] * len(polys) + [1] * len(polys)
+
+
 rationals = st.builds(Fraction, st.integers(-10**4, 10**4), st.integers(1, 10**3))
 
 

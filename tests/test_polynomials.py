@@ -1,7 +1,10 @@
 """Exact polynomial and rational-function algebra."""
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +40,52 @@ def test_parse_and_format_rational():
     for bad in ("abc", "0.5", "1/x", "1/2/3", "1/", ""):
         with pytest.raises(ValueError, match="p/q"):
             parse_rational(bad)
+
+
+def unlimited_str(n: int) -> str:
+    """str(n) with the int-to-str digit limit (where the interpreter has one) lifted."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        return str(n)
+    old = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        return str(n)
+    finally:
+        set_limit(old)
+
+
+def test_format_rational_at_any_size():
+    sevens = 7 * (10**6000 - 1) // 9  # 6,000 sevens, coprime to 10
+    assert format_rational(Fraction(-sevens, 10**5000)) == "-" + "7" * 6000 + "/1" + "0" * 5000
+    # interior zeros fill whole pieces
+    assert format_rational(Fraction(10**5000 + 7, 3)) == "1" + "0" * 4999 + "7/3"
+    p = Poly([Fraction(sevens, 10**5000), 10**5000 + 7])
+    assert p.format_coeffs() == "7" * 6000 + "/1" + "0" * 5000 + ",1" + "0" * 4999 + "7"
+    for n in (10**512 - 1, 10**512, -(10**512), 10**5120, 3**12000, -(3**10500) * 10**700 + 1):
+        assert format_rational(n) == unlimited_str(n)
+        f = Fraction(n, 7**6000 + 2)
+        assert format_rational(f) == f"{unlimited_str(f.numerator)}/{unlimited_str(f.denominator)}"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit")
+def test_import_leaves_the_int_str_limit_alone():
+    # the least limit Python accepts; rendering must still work and the limit stay put
+    script = (
+        "import sys; from fractions import Fraction; import krall6, krall6.cli; "
+        "assert sys.get_int_max_str_digits() == 640; "
+        "assert krall6.format_rational(Fraction(10**5000 + 7, 3)) == '1' + '0' * 4999 + '7/3'; "
+        "assert sys.get_int_max_str_digits() == 640"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=640", "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_poly_text_roundtrip():
