@@ -22,7 +22,7 @@ import time
 
 from .concomitant import probe_functions, boundary_condition_functions
 from .extension import gkn_symmetry_check, independence_certificate, operator_matrix
-from .frobenius import MIN_ORDER, SOLUTION_LABELS, solution_basis
+from .frobenius import MIN_ORDER, SOLUTION_LABELS, series_solution
 from .inner_products import ExtendedVector, gram_matrix
 from .operator import KrallParams, eigen_polynomial, legendre_type
 from .polynomials import parse_rational
@@ -168,8 +168,7 @@ def _command_dump(args) -> int:
         if args.order < MIN_ORDER:
             return _usage(f"series order must be at least {MIN_ORDER}")
         endpoint = 1 if args.endpoint == "+1" else -1
-        basis = solution_basis(endpoint, args.order, params)
-        sol = next(s for s in basis if s.label == args.label)
+        sol = series_solution(endpoint, args.label, args.order, params)
         _emit(sol.format_series() + "\n", args.out)
         return 0
     if args.nmax < 0:

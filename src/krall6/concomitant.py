@@ -276,12 +276,13 @@ def symplectic_form(f, g, params: KrallParams) -> Fraction:
 def greens_formula_check(f: Poly, g: Poly, params: KrallParams) -> tuple[Fraction, Fraction]:
     """(LHS, RHS) of Green's formula for global polynomials.
 
-    LHS = integral(l[f] g - f l[g]) by exact termwise integration;
+    LHS = integral(l[f] g - f l[g]) by exact termwise integration, each
+    integral one dot product with a moment vector (no product is built);
     RHS = the symplectic boundary form.  Equality is the caller's assertion.
     """
     lf = apply_expression(f, params)
     lg = apply_expression(g, params)
-    lhs = (lf * g - f * lg).integrate_unit_interval()
+    lhs = lf.integrate_product(g) - f.integrate_product(lg)
     rhs = symplectic_form(f, g, params)
     return lhs, rhs
 

@@ -345,16 +345,22 @@ def _solve_single(local: LocalExpression, label: str, order: int) -> SeriesSolut
     return SeriesSolution(local.endpoint, r, label, order, (Poly(c), Poly(e)))
 
 
-def solution_basis(endpoint: int, order: int, params: KrallParams) -> list[SeriesSolution]:
-    """The six canonical truncated solutions at one endpoint.
+def series_solution(endpoint: int, label: str, order: int, params: KrallParams) -> SeriesSolution:
+    """The canonical truncated solution `label` (one of SOLUTION_LABELS) at one endpoint.
 
     `order` is the truncation order N (>= MIN_ORDER): coefficients are solved
-    for offsets 0..N, so the residual of each solution starts above t^{r+N-3}.
+    for offsets 0..N, so the residual of the solution starts above t^{r+N-3}.
     """
     if order < MIN_ORDER:
         raise ValueError(f"truncation order must be at least {MIN_ORDER}")
-    local = local_expression(endpoint, params)
-    return [_solve_single(local, label, order) for label in SOLUTION_LABELS]
+    if label not in _SOLUTIONS:
+        raise ValueError(f"unknown solution label {label!r}; expected one of {', '.join(SOLUTION_LABELS)}")
+    return _solve_single(local_expression(endpoint, params), label, order)
+
+
+def solution_basis(endpoint: int, order: int, params: KrallParams) -> list[SeriesSolution]:
+    """The six canonical truncated solutions at one endpoint: `series_solution` of each label."""
+    return [series_solution(endpoint, label, order, params) for label in SOLUTION_LABELS]
 
 
 def basis_findings(basis: list[SeriesSolution]) -> list[str]:

@@ -87,6 +87,18 @@ class LogGerm:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
 
+    @staticmethod
+    def _make(endpoint: int, terms: dict[int, RationalFn]) -> "LogGerm":
+        """A germ over `terms` as given: a dict no one else holds, of non-negative
+        powers to nonzero terms.  Negation and scaling by a nonzero factor keep
+        every term nonzero and come here; a sum can cancel a term to zero, so
+        sums, products of germs and derivatives go through the constructor's filter."""
+        g = object.__new__(LogGerm)
+        object.__setattr__(g, "endpoint", endpoint)
+        object.__setattr__(g, "terms", terms)
+        object.__setattr__(g, "_hash", None)
+        return g
+
     def __setattr__(self, name, value):
         raise AttributeError("LogGerm is immutable")
 
@@ -135,7 +147,7 @@ class LogGerm:
         return LogGerm(self.endpoint, terms)
 
     def __neg__(self) -> "LogGerm":
-        return LogGerm(self.endpoint, {k: -r for k, r in self.terms.items()})
+        return LogGerm._make(self.endpoint, {k: -r for k, r in self.terms.items()})
 
     def __sub__(self, other: "LogGerm") -> "LogGerm":
         return self + (-other)
@@ -150,7 +162,10 @@ class LogGerm:
             return LogGerm(self.endpoint, terms)
         if isinstance(other, (int, Fraction, Poly, RationalFn)):
             factor = RationalFn._coerce(other)
-            return LogGerm(self.endpoint, {k: r * factor for k, r in self.terms.items()})
+            if factor.is_zero():
+                return LogGerm._make(self.endpoint, {})
+            # a product of nonzero rational functions is nonzero
+            return LogGerm._make(self.endpoint, {k: r * factor for k, r in self.terms.items()})
         return NotImplemented
 
     def __rmul__(self, other) -> "LogGerm":

@@ -8,6 +8,14 @@ exactly the measure under which the degree-n eigenpolynomials of the
 sixth-order expression are orthogonal.  `mu_inner` is the equal-jump (B = A)
 special case matching the fourth-order Legendre-type instance.
 
+The form is bilinear over the moments of the measure (the integral of x^k
+is 2/(k+1) for even k, 0 for odd k, plus (-1)^k/A and 1/B), so no product
+f g is built: `kappa_moments` gives (f, x^k) for k below a count as ints
+over one denominator, from `Poly.moments` and f(-1), f(1), and (f, g) is
+one integer dot product of g's numerators with them and one Fraction
+(`Poly.integrate_against`).  `gram_matrix` computes one such vector per K_n
+and `expansion_coefficients` one per call, then only dot products.
+
 The extended space pairs a function with two endpoint coordinates:
 (f, a, b) with inner product a1*a2/A + integral f g + b1*b2/B; the endpoint
 part alone is `w_inner`.  `ExtendedVector` is the one type for its vectors
@@ -22,6 +30,8 @@ for global polynomials; piecewise endpoint functions raise
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -41,15 +51,24 @@ def _as_global_poly(f, operation: str) -> Poly:
     raise TypeError(f"{operation} expects a polynomial")
 
 
+def kappa_moments(f: Poly, count: int, params: KrallParams) -> tuple[list[int], int]:
+    """(mu, den) with mu[k] / den = kappa(f, x^k) for k < count: the moments of f against
+    the measure, ints over one denominator, so kappa(f, g) = g.integrate_against((mu, den))
+    for any g of degree below `count`.  f is evaluated at -1 and +1 once."""
+    nu, den = f.moments(count)
+    lo, hi = f(-1) / params.A, f(1) / params.B
+    common = math.lcm(den, lo.denominator, hi.denominator)
+    scale = common // den
+    lo, hi = lo.numerator * (common // lo.denominator), hi.numerator * (common // hi.denominator)
+    # kappa(f, x^k) = f(-1) (-1)^k / A + integral x^k f + f(1) / B
+    return [v * scale + (hi - lo if k % 2 else hi + lo) for k, v in enumerate(nu)], common
+
+
 def kappa_inner(f, g, params: KrallParams) -> Fraction:
     """Jump 1/A at -1, Lebesgue on (-1,1), jump 1/B at +1.  Exact."""
     fp = _as_global_poly(f, "kappa_inner")
     gp = _as_global_poly(g, "kappa_inner")
-    return (
-        fp(-1) * gp(-1) / params.A
-        + (fp * gp).integrate_unit_interval()
-        + fp(1) * gp(1) / params.B
-    )
+    return gp.integrate_against(kappa_moments(fp, (gp.degree or 0) + 1, params))
 
 
 def mu_inner(f, g, A: Scalar) -> Fraction:
@@ -94,28 +113,40 @@ def extended_inner(u: ExtendedVector, v: ExtendedVector, params: KrallParams) ->
     """a1*a2/A + integral f g + b1*b2/B, exact (function parts global)."""
     fp = _as_global_poly(u.fn, "extended_inner")
     gp = _as_global_poly(v.fn, "extended_inner")
-    return (fp * gp).integrate_unit_interval() + w_inner((u.a, u.b), (v.a, v.b), params)
+    return fp.integrate_product(gp) + w_inner((u.a, u.b), (v.a, v.b), params)
 
 
 def gram_matrix(n_max: int, params: KrallParams) -> list[list[Fraction]]:
     """Gram matrix of the monic eigenpolynomials K_0..K_{n_max} under kappa, which is
-    symmetric (fp * gp == gp * fp): the upper triangle, computed once and mirrored.
-    Each entry is `extended_inner` of the embedded pair (kappa, by the isometry), so
-    every K_n is evaluated at -1 and +1 once, not once per pair."""
-    vectors = [embed(eigen_polynomial(n, params)) for n in range(n_max + 1)]
-    upper = [[extended_inner(u, v, params) for v in vectors[m:]] for m, u in enumerate(vectors)]
+    symmetric: the upper triangle, computed once and mirrored.  Row m takes one
+    `kappa_moments` vector of K_m, and entry (m, n) is the dot product of K_n's
+    numerators with it, one Fraction each: every K_n is evaluated at -1 and +1 once,
+    not once per pair, and no product is built."""
+    polys = [eigen_polynomial(n, params) for n in range(n_max + 1)]
+    upper = []
+    for m, k_m in enumerate(polys):
+        moments = kappa_moments(k_m, n_max + 1, params)
+        upper.append([k_n.integrate_against(moments) for k_n in polys[m:]])
     return [[upper[n][m - n] for n in range(m)] + row for m, row in enumerate(upper)]
 
 
 def expansion_coefficients(f: Poly, params: KrallParams) -> list[Fraction]:
-    """Orthogonal-projection coefficients of f onto K_0..K_{deg f}."""
+    """Orthogonal-projection coefficients of f onto K_0..K_{deg f}: kappa(f, K_n) from
+    one `kappa_moments` vector of f, over the memoised kappa(K_n, K_n)."""
     if f.is_zero():
         return []
-    out = []
-    for n in range(f.degree + 1):
-        k_n = eigen_polynomial(n, params)
-        out.append(kappa_inner(f, k_n, params) / kappa_inner(k_n, k_n, params))
-    return out
+    moments = kappa_moments(f, f.degree + 1, params)
+    return [
+        eigen_polynomial(n, params).integrate_against(moments) / _squared_norm(n, params)
+        for n in range(f.degree + 1)
+    ]
+
+
+@functools.lru_cache(maxsize=4096)
+def _squared_norm(n: int, params: KrallParams) -> Fraction:
+    """kappa(K_n, K_n), memoised per (n, params) like `eigen_polynomial`."""
+    k_n = eigen_polynomial(n, params)
+    return kappa_inner(k_n, k_n, params)
 
 
 def expansion_reconstruction(f: Poly, params: KrallParams) -> Poly:

@@ -17,6 +17,9 @@ of the denominators, derivatives scale the numerators, `scaled_sum` adds
 shifted, term-by-term scaled polynomials over one denominator with a single
 normalisation, and evaluation at p/q is Horner's rule over ints with one
 division at the end (`value_and_slope` gives p and p' in one pass).
+`moments` gives the integrals of x^k p over [-1, 1] as ints over one
+denominator, so the integral of a product is one integer dot product
+(`integrate_against`, `integrate_product`) and the product is never built.
 Division is fraction-free long division, so `poly_gcd` builds no Fraction
 per coefficient either.  `Poly.coeffs`, the tuple of Fraction
 coefficients, is built on each read, for rendering only;
@@ -63,6 +66,7 @@ Output text formats (reports, witnesses and dumps):
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -340,12 +344,37 @@ class Poly:
         """The lowest power with a nonzero coefficient, or None for the zero polynomial."""
         return next((i for i, c in enumerate(self._n) if c), None)
 
-    def integrate_unit_interval(self) -> Fraction:
-        """Exact integral over [-1, 1]; odd monomials contribute 0."""
+    def moments(self, count: int) -> tuple[list[int], int]:
+        """(nu, den) with nu[k] / den = integral over [-1, 1] of x^k p(x), for k < count.
+
+        nu[k] = sum_i n_i H[i + k] over the numerators, with H[j] = 2D/(j+1)
+        for even j and 0 for odd j, D the lcm of the odd numbers up to the
+        table size len(n) + count - 1, and den = D times the denominator:
+        ints over one denominator, so an integral of p times any polynomial
+        of degree below `count` is one integer dot product (`integrate_against`).
+        """
         n = self._n
-        den = math.lcm(*range(1, len(n) + 1, 2))
-        total = sum(2 * n[i] * (den // (i + 1)) for i in range(0, len(n), 2))
-        return Fraction(total, den * self._d)
+        evens, odds = n[0::2], n[1::2]
+        table, lcm_odd = _moment_table(len(n) + count - 1)
+        # i + k even pairs n_i with H[i + k] = table[(i + k) // 2]
+        nu = [sum(map(operator.mul, odds if k % 2 else evens, table[(k + 1) // 2 :])) for k in range(count)]
+        return nu, lcm_odd * self._d
+
+    def integrate_against(self, moments: tuple[list[int], int]) -> Fraction:
+        """The integral of self against a measure given by `moments` = (nu, den), nu[k] / den
+        its integral of x^k for k up to at least the degree of self: one dot product and
+        one Fraction.  With p.moments(count), the integral of self times p over [-1, 1]."""
+        nu, den = moments
+        return Fraction(sum(map(operator.mul, self._n, nu)), den * self._d)
+
+    def integrate_product(self, other: "Poly") -> Fraction:
+        """Exact integral of self * other over [-1, 1], without building the product."""
+        return self.integrate_against(other.moments(len(self._n)))
+
+    def integrate_unit_interval(self) -> Fraction:
+        """Exact integral over [-1, 1]: the first moment; odd monomials contribute 0."""
+        nu, den = self.moments(1)
+        return Fraction(nu[0], den)
 
     def compose(self, inner: "Poly") -> "Poly":
         """Exact composition self(inner(x)) by Horner's rule."""
@@ -455,6 +484,15 @@ class Poly:
 
 _ZERO = Poly()
 _ONE = Poly([1])
+
+
+def _moment_table(size: int) -> tuple[tuple[int, ...], int]:
+    """((H[0], H[2], ...), D) for a table of `size` entries: H[j] = 2D/(j+1) = the
+    integral of x^j over [-1, 1] times D, D = lcm of the odd numbers up to size.
+    Built per call: it is cheap next to the dot products, and a memo of the
+    tables raised peak memory more than it saved time."""
+    lcm_odd = math.lcm(*range(1, size + 1, 2))
+    return tuple(2 * lcm_odd // (j + 1) for j in range(0, size, 2)), lcm_odd
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

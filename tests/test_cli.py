@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -212,6 +213,26 @@ def test_dump_series(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("endpoint +1; exponent 1; log-degree 1; order 14")
     assert any(line.startswith("(0, 1) 3") for line in lines)
+
+
+def test_dump_series_solves_one_label(capsys, monkeypatch):
+    from krall6 import frobenius as fro
+    from krall6.operator import KrallParams
+
+    params = KrallParams(Fraction(1, 100), 3)
+    expected = next(s for s in fro.solution_basis(1, 40, params) if s.label == "phi-minus-1")
+    solved = []
+    real = fro._solve_single
+
+    def counting(local, label, order):
+        solved.append(label)
+        return real(local, label, order)
+
+    monkeypatch.setattr(fro, "_solve_single", counting)
+    code, out, _ = run_cli(capsys, "dump", "series", "phi-minus-1", "+1", "--order", "40", "--A", "1/100", "--B", "3")
+    assert code == 0
+    assert solved == ["phi-minus-1"]
+    assert out == expected.format_series() + "\n"
 
 
 def test_dump_matrix_operator(capsys):

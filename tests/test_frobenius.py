@@ -20,6 +20,7 @@ from krall6.frobenius import (
     l2_classification,
     local_expression,
     residual_order,
+    series_solution,
     solution_basis,
 )
 from krall6.operator import KrallParams, power_stencil
@@ -252,6 +253,15 @@ def test_series_dump_format(basis_plus):
 def test_truncation_order_validation():
     with pytest.raises(ValueError):
         solution_basis(1, 8, KrallParams(1, 1))
+
+
+def test_series_solution_validation():
+    params = KrallParams(1, 1)
+    with pytest.raises(ValueError):
+        series_solution(1, "phi-0", 8, params)
+    with pytest.raises(ValueError, match="unknown solution label"):
+        series_solution(1, "phi-9", 12, params)
+    assert [series_solution(-1, label, 12, params) for label in SOLUTION_LABELS] == solution_basis(-1, 12, params)
 
 
 @pytest.mark.parametrize("endpoint", (-1, 1))

@@ -264,3 +264,17 @@ def test_limit_is_linear(endpoint, g_terms, h_terms, j, k, a, b):
     elif g.has_limit() or h.has_limit():
         # the limit class is a vector space: convergent plus divergent diverges
         assert not combo.has_limit()
+
+
+@given(st.sampled_from([-1, 1]), log_terms, st.sampled_from([0, Fraction(-3, 2), 2, Poly([1, -1]), W]))
+@settings(max_examples=40, deadline=None)
+def test_negation_and_scaling_match_the_validating_constructor(endpoint, terms, factor):
+    # both skip the constructor's copy and zero filter; a zero factor gives the zero germ
+    g = LogGerm(endpoint, terms)
+    neg = -g
+    assert neg == LogGerm(endpoint, {k: -r for k, r in g.terms.items()})
+    scaled = g * factor
+    assert scaled == LogGerm(endpoint, {k: r * RationalFn._coerce(factor) for k, r in g.terms.items()})
+    for germ in (neg, scaled):
+        assert all(not r.is_zero() for r in germ.terms.values())
+    assert scaled.is_zero() == (g.is_zero() or factor == 0)

@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krall6 import inner_products
 from krall6.germs import UnspecifiedInteriorError
 from krall6.inner_products import (
     ExtendedVector,
     embed,
+    expansion_coefficients,
     expansion_reconstruction,
     extended_inner,
     gram_matrix,
     kappa_inner,
+    kappa_moments,
     mu_inner,
 )
 from krall6.concomitant import one_near
@@ -29,6 +32,11 @@ def rand_poly(rng, max_degree=8):
     return Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(degree + 1)])
 
 
+def ref_kappa(f, g, params):
+    """kappa by the product route: build f g, then integrate it."""
+    return f(-1) * g(-1) / params.A + (f * g).integrate_unit_interval() + f(1) * g(1) / params.B
+
+
 def test_kappa_examples():
     assert kappa_inner(Poly.one(), Poly.one(), KrallParams(1, 1)) == 4
     assert kappa_inner(Poly.x(), Poly.one(), KrallParams(2, 2)) == 0
@@ -40,6 +48,14 @@ def test_kappa_examples():
     assert k1(-1) / params.A == Fraction(-6, 7)
     assert k1.integrate_unit_interval() == Fraction(2, 7)
     assert k1(1) / params.B == Fraction(4, 7)
+
+
+def test_kappa_moments_are_kappa_against_monomials():
+    rng = random.Random(17)
+    for params in PARAM_PAIRS + [KrallParams(Fraction(1, 100), 3)]:
+        for f in [Poly(), Poly([Fraction(-3, 4)])] + [rand_poly(rng) for _ in range(4)]:
+            mu, den = kappa_moments(f, 6, params)
+            assert [Fraction(v, den) for v in mu] == [ref_kappa(f, Poly.monomial(k), params) for k in range(6)]
 
 
 def test_mu_examples():
@@ -105,10 +121,51 @@ def test_gram_diagonal_positive(params):
 
 @pytest.mark.parametrize("params", PARAM_PAIRS + [KrallParams(Fraction(1, 100), 3)])
 def test_gram_matrix_equals_both_triangles(params):
-    # the matrix computes the upper triangle and mirrors it; build both halves here
+    # the matrix computes the upper triangle from moment vectors and mirrors it;
+    # build both halves here by the product route
     for n_max in (0, 3, 8):
         polys = [eigen_polynomial(n, params) for n in range(n_max + 1)]
-        assert gram_matrix(n_max, params) == [[kappa_inner(f, g, params) for g in polys] for f in polys]
+        assert gram_matrix(n_max, params) == [[ref_kappa(f, g, params) for g in polys] for f in polys]
+
+
+def test_deep_gram_matrix_matches_the_product_route():
+    # K_0..K_32 at the spectral-deep parameters, entry by entry
+    params = KrallParams(Fraction(1, 100), 3)
+    polys = [eigen_polynomial(n, params) for n in range(33)]
+    gram = gram_matrix(32, params)
+    for m, f in enumerate(polys):
+        for n, g in enumerate(polys):
+            assert gram[m][n] == ref_kappa(f, g, params), (m, n)
+
+
+@pytest.mark.parametrize("params", PARAM_PAIRS + [KrallParams(Fraction(1, 100), 3)])
+def test_expansion_coefficients_match_the_product_route(params):
+    rng = random.Random(31)
+    for f in [Poly(), Poly([Fraction(2, 3)])] + [rand_poly(rng, 24) for _ in range(3)]:
+        polys = [eigen_polynomial(n, params) for n in range((f.degree or 0) + 1)] if f else []
+        want = [ref_kappa(f, k, params) / ref_kappa(k, k, params) for k in polys]
+        assert expansion_coefficients(f, params) == want
+
+
+def test_inner_products_build_no_product(monkeypatch):
+    """The moment route: no `Poly.__mul__` in the Gram matrix, the expansions or kappa."""
+    params = KrallParams(Fraction(1, 100), 3)
+    for n in range(13):
+        eigen_polynomial(n, params)  # warm the K_n memo, whose stencil multiplies
+    inner_products._squared_norm.cache_clear()
+    f, g = rand_poly(random.Random(3), 12), rand_poly(random.Random(4), 12)
+    products = []
+    real_mul = Poly.__mul__
+
+    def counting(self, other):
+        products.append((self, other))
+        return real_mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    gram_matrix(8, params)
+    expansion_coefficients(f, params)
+    kappa_inner(f, g, params)
+    assert products == []
 
 
 def test_gram_matrix_reads_each_endpoint_value_once(monkeypatch):

@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from krall6.polynomials import (
@@ -135,6 +135,20 @@ def test_integration_linearity(p, q, c):
     lhs = (p + q * c).integrate_unit_interval()
     rhs = p.integrate_unit_interval() + c * q.integrate_unit_interval()
     assert lhs == rhs
+
+
+@given(polys, polys)
+@example(Poly(), Poly([3]))
+@example(Poly([Fraction(-5, 2)]), Poly([Fraction(4, 3)]))
+@example(Poly([Fraction(1, 3), 0, Fraction(-7, 6)]), Poly([Fraction(2, 5), Fraction(3, 7), 0, Fraction(1, 8)]))
+@settings(max_examples=100, deadline=None)
+def test_moment_kernel_matches_the_product_route(p, q):
+    # the integral of p q from q's moment vector, with no product built
+    product = (p * q).integrate_unit_interval()
+    assert p.integrate_product(q) == product == q.integrate_product(p)
+    assert p.integrate_against(q.moments((p.degree or 0) + 4)) == product
+    nu, den = q.moments(4)
+    assert [Fraction(v, den) for v in nu] == [(q * Poly.monomial(k)).integrate_unit_interval() for k in range(4)]
 
 
 @given(polys, polys)
@@ -511,6 +525,13 @@ def test_calculus_matches_reference(pa, k, x):
     assert p(x) == ref_eval(a, x) and type(p(x)) is Fraction
     assert p(x.numerator) == ref_eval(a, Fraction(x.numerator))
     assert p.integrate_unit_interval() == ref_integral(a)
+
+
+@given(pairs, pairs)
+@settings(max_examples=80, deadline=None)
+def test_integral_of_a_product_matches_reference(pa, pb):
+    (p, a), (q, b) = pa, pb
+    assert p.integrate_product(q) == ref_integral(ref_mul(a, b))
 
 
 @given(pairs, divisors)
