@@ -66,10 +66,8 @@ import functools
 from fractions import Fraction
 
 from .germs import DivergentLimitError, EndpointFn, LogGerm
-from .operator import KrallParams, apply_expression
+from .operator import WEIGHT, KrallParams, apply_expression
 from .polynomials import Poly
-
-WEIGHT = Poly([1, 0, -1])  # w(x) = 1 - x^2
 
 
 # ---------------------------------------------------------------------------

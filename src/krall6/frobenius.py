@@ -1,16 +1,14 @@
 """Frobenius series solutions of l[y] = 0 at the regular singular endpoints.
 
-In the local coordinate t = x - e (e = +1 or -1) the order-6 coefficient of
-the expression vanishes to order exactly 3 at t = 0, so both endpoints are
-regular singular points.  Applying the expression to a formal power t^s
-yields a four-term stencil
-
-    l[t^s] = sum_{d=0}^{3} rho_d(s) t^{s-3+d},
-
-where each rho_d is a polynomial in s from `operator.power_stencil` centred
-at the endpoint (nothing is transcribed).  rho_0 is the indicial
-polynomial; at either endpoint it factors as +-8 (s-3)(s-2)(s-1)^2 s (s+1),
-so the indicial roots are {3, 2, 1, 1, 0, -1}.
+In the local coordinate t = x - e (e = +1 or -1) the expression maps a
+formal power t^s to the stencil of `operator.power_stencil` centred at the
+endpoint (nothing is transcribed), l[t^s] = sum_d rho_d(s) t^{s-pole+d},
+with pole = -(lowest shift) and d = 0, 1, ...  The expression's order n is
+the highest degree in s of any rho_d, and rho_0 is the indicial polynomial:
+Fuchs's condition, deg rho_0 = n, makes the endpoint a regular singular
+point, and `LocalExpression` checks it.  Here pole = 3 and d = 0..3 at both
+endpoints; rho_0 factors as +-8 (s-3)(s-2)(s-1)^2 s (s+1), so the indicial
+roots are {3, 2, 1, 1, 0, -1}.
 
 Series with a single log level, y = sum_m t^{r+m} (c_m + e_m ln|t|), satisfy
 
@@ -48,7 +46,7 @@ emitted as a reduced `Fraction`.
 
 A solution is y = t^r (C(t) + E(t) ln|t|), C and E the `Poly`s whose t^m
 coefficients are c_m and e_m.  With theta = t d/dt, rho(r+theta) scales the
-t^m coefficient by rho(r+m), so l[y] = t^{r-3} (C' + E' ln|t|) with
+t^m coefficient by rho(r+m), so l[y] = t^{r-pole} (C' + E' ln|t|) with
 C' = sum_d t^d [rho_d(r+theta) C + rho_d'(r+theta) E] and
 E' = sum_d t^d rho_d(r+theta) E, each level one integer pass over one
 denominator (`Poly.scaled_sum`), and dy/dt = t^{r-1} ((r+theta) C + E +
@@ -133,26 +131,30 @@ def _valuation(levels) -> Optional[int]:
 
 @dataclass(frozen=True)
 class LocalExpression:
-    """The expression at one endpoint: `stencil[d]` is rho_{d-3} of `power_stencil`
-    there, in ascending d, `table[s]` the row `at(s)` once it is asked for, and
-    `scale` the lcm of the stencil's coefficient denominators, so q times any
-    entry of a row is an int."""
+    """The expression at one endpoint: `pole` is minus the lowest shift of
+    `power_stencil` there, `stencil[d]` its rho_{d-pole} in ascending d,
+    `table[s]` the row `at(s)` once it is asked for, and `scale` the lcm of
+    the stencil's coefficient denominators, so q times any entry of a row is
+    an int.  ArithmeticError where Fuchs's condition fails."""
 
     endpoint: int
     params: KrallParams
     stencil: dict = field(hash=False, compare=False, default=None)
+    pole: int = field(hash=False, compare=False, default=0)
     scale: int = field(hash=False, compare=False, default=1, repr=False)
     table: dict = field(hash=False, compare=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.endpoint not in (-1, 1):
             raise ValueError("endpoint must be -1 or +1")
-        stencil = {
-            shift + 3: rho for shift, rho in sorted(power_stencil(self.params, self.endpoint).items())
-        }
-        if min(stencil) < 0:
-            raise AssertionError("not a regular singular point structure")
+        shifts = power_stencil(self.params, self.endpoint)
+        pole = -min(shifts)
+        stencil = {shift + pole: rho for shift, rho in sorted(shifts.items())}
+        order = max(rho.degree for rho in stencil.values())
+        if stencil[0].degree != order:
+            raise ArithmeticError(f"irregular singular point at {self.endpoint:+d}: deg rho_0 < order {order}")
         object.__setattr__(self, "stencil", stencil)
+        object.__setattr__(self, "pole", pole)
         scale = math.lcm(*(c.denominator for rho in stencil.values() for c in rho.coeffs))
         object.__setattr__(self, "scale", scale)
 
@@ -181,7 +183,7 @@ class LocalExpression:
         return sorted(roots, reverse=True)
 
     def apply_to_series(self, r: int, levels: tuple) -> tuple[Poly, Poly]:
-        """(C', E') with l[t^r (C + E ln|t|)] = t^{r-3} (C' + E' ln|t|), from the rows `at(r+m)`:
+        """(C', E') with l[t^r (C + E ln|t|)] = t^{r-pole} (C' + E' ln|t|), from the rows `at(r+m)`:
         each level is one integer pass (`Poly.scaled_sum`), normalised once."""
         C, E = levels
         rows = [self.at(r + m) for m in range(_size(levels))]
@@ -349,7 +351,7 @@ def series_solution(endpoint: int, label: str, order: int, params: KrallParams) 
     """The canonical truncated solution `label` (one of SOLUTION_LABELS) at one endpoint.
 
     `order` is the truncation order N (>= MIN_ORDER): coefficients are solved
-    for offsets 0..N, so the residual of the solution starts above t^{r+N-3}.
+    for offsets 0..N, so the residual of the solution starts above t^{r+N-pole}.
     """
     if order < MIN_ORDER:
         raise ValueError(f"truncation order must be at least {MIN_ORDER}")
@@ -396,7 +398,7 @@ def residual_order(sol: SeriesSolution, params: KrallParams) -> Optional[int]:
     """
     local = local_expression(sol.endpoint, params)
     valuation = _valuation(local.apply_to_series(sol.exponent, sol.levels))
-    return None if valuation is None else sol.exponent - 3 + valuation
+    return None if valuation is None else sol.exponent - local.pole + valuation
 
 
 def corrupted(sol: SeriesSolution) -> SeriesSolution:

@@ -18,6 +18,10 @@ of the factored form carry +6A instead of -6A in the x^2 coefficient of pi;
 only the -6A sign reproduces the expanded coefficients (the mismatch lands in
 the y' and y'' lines).  The expanded form is normative throughout.
 
+Both forms are data, (b6, ..., b1) and the (pi, P, Q) of
+sum_k (-1)^k (p_k y^(k))^(k); the order is the length of a tuple, written
+nowhere else, and `_apply` is the one kernel for any coefficient tuple.
+
 Eigenvalues: l[.] preserves polynomial degree, and the degree-n eigenvalue is
 
     lambda_n = n(n+1)(n^4 + 2n^3 + (3A+3B-1)n^2 + (3A+3B-2)n + 12AB).
@@ -63,22 +67,18 @@ CLOSED_FORM_VARIANTS = (
 )
 
 
-_W = Poly([1, 0, -1])  # w(x) = 1 - x^2
-_Q = _W**3
+#: w(x) = 1 - x^2, the weight whose powers vanish at both endpoints.
+WEIGHT = Poly([1, 0, -1])
 
 
 def _expression_coefficients(A: Fraction, B: Fraction) -> tuple[Poly, Poly, Poly, Poly, Poly, Poly]:
     x = Poly.x()
-    x2m1 = Poly([-1, 0, 1])
+    x2m1 = -WEIGHT
     b6 = x2m1 ** 3
     b5 = 18 * x * x2m1 ** 2
     b4 = x2m1 * Poly([-3 * A - 3 * B - 36, 0, 3 * A + 3 * B + 96])
     b3 = (24 * A + 24 * B + 168) * x * x2m1
-    b2 = Poly([
-        -12 * A * B - 30 * A - 30 * B - 72,
-        12 * B - 12 * A,
-        12 * A * B + 42 * A + 42 * B + 72,
-    ])
+    b2 = Poly([-12 * A * B - 30 * A - 30 * B - 72, 12 * B - 12 * A, 12 * A * B + 42 * A + 42 * B + 72])
     b1 = Poly([12 * B - 12 * A, 24 * A * B + 12 * A + 12 * B])
     return b6, b5, b4, b3, b2, b1
 
@@ -95,9 +95,11 @@ class KrallParams:
         object.__setattr__(self, "B", as_fraction(self.B))
         if self.A <= 0 or self.B <= 0:
             raise ValueError("parameters A and B must be positive")
+        A, B = self.A, self.B
+        pi = Poly([12 * A * B + 18 * A + 18 * B + 24, 12 * A - 12 * B, -6 * A - 6 * B - 12 * A * B])
         # not dataclass fields: equality, hash and repr see only (A, B)
-        object.__setattr__(self, "_p_poly", _W * (Poly([12]) + self.alpha * _W))
-        object.__setattr__(self, "_coefficients", _expression_coefficients(self.A, self.B))
+        object.__setattr__(self, "_symmetric", (pi, WEIGHT * (Poly([12]) + self.alpha * WEIGHT), WEIGHT**3))
+        object.__setattr__(self, "_coefficients", _expression_coefficients(A, B))
 
     @property
     def alpha(self) -> Fraction:
@@ -105,21 +107,23 @@ class KrallParams:
 
     def pi_poly(self) -> Poly:
         """pi(x) = (-6A-6B-12AB)x^2 + (12A-12B)x + (12AB+18A+18B+24)."""
-        A, B = self.A, self.B
-        return Poly([12 * A * B + 18 * A + 18 * B + 24, 12 * A - 12 * B, -6 * A - 6 * B - 12 * A * B])
+        return self._symmetric[0]
 
     def pi_poly_sign_variant(self) -> Poly:
         """The sign-discrepant variant (+6A in the x^2 coefficient)."""
-        A, B = self.A, self.B
-        return Poly([12 * A * B + 18 * A + 18 * B + 24, 12 * A - 12 * B, 6 * A - 6 * B - 12 * A * B])
+        return self.pi_poly() + Poly.monomial(2, 12 * self.A)
 
     def q_poly(self) -> Poly:
         """Q(x) = (1-x^2)^3."""
-        return _Q
+        return self._symmetric[2]
 
     def p_poly(self) -> Poly:
-        """P(x) = (1-x^2)(12 + alpha(1-x^2)), computed once per instance."""
-        return self._p_poly
+        """P(x) = (1-x^2)(12 + alpha(1-x^2))."""
+        return self._symmetric[1]
+
+    def symmetric_coefficients(self) -> tuple[Poly, Poly, Poly]:
+        """(pi, P, Q): the p_k of l[y] = sum_k (-1)^k (p_k y^(k))^(k), computed once per instance."""
+        return self._symmetric
 
     def expression_coefficients(self) -> tuple[Poly, Poly, Poly, Poly, Poly, Poly]:
         """Coefficients (b6, b5, b4, b3, b2, b1) of the expanded form, computed once per instance."""
@@ -147,15 +151,21 @@ def _lift(f, kernel, operation: str):
     raise TypeError(f"{operation} expects a Poly or EndpointFn")
 
 
+def _orders(coeffs):
+    """(k, b_k) pairs of a highest-first coefficient tuple (b_m, ..., b_1): its length is the order."""
+    return zip(range(len(coeffs), 0, -1), coeffs)
+
+
+def _apply(coeffs, y):
+    """sum_k b_k y^(k) over a highest-first coefficient tuple; y is a Poly or a LogGerm."""
+    terms = [y.derivative(order) * b for order, b in _orders(coeffs)]
+    return sum(terms[1:], terms[0])
+
+
 def apply_expression(f, params: KrallParams):
     """Apply the expanded sixth-order expression; returns the class of `f`."""
     coeffs = params.expression_coefficients()
-
-    def kernel(y):
-        terms = [y.derivative(order) * b for order, b in zip(range(6, 0, -1), coeffs)]
-        return sum(terms[1:], terms[0])
-
-    return _lift(f, kernel, "apply_expression")
+    return _lift(f, lambda y: _apply(coeffs, y), "apply_expression")
 
 
 def _falling_factorial_poly(order: int) -> Poly:
@@ -176,7 +186,7 @@ def power_stencil(params: KrallParams, center: Scalar) -> Mapping[int, Poly]:
     """
     t = Poly([center, 1])  # x = center + t
     stencil: dict[int, Poly] = {}
-    for order, b in zip(range(6, 0, -1), params.expression_coefficients()):
+    for order, b in _orders(params.expression_coefficients()):
         ff = _falling_factorial_poly(order)
         for i, c in enumerate(b.compose(t).coeffs):
             if c != 0:
@@ -185,36 +195,36 @@ def power_stencil(params: KrallParams, center: Scalar) -> Mapping[int, Poly]:
 
 
 def apply_expression_factored(f, params: KrallParams):
-    """Apply the Lagrangian symmetric form -(Qy''')''' + (Py'')'' - (pi y')'.
+    """Apply the Lagrangian symmetric form sum_k (-1)^k (p_k y^(k))^(k).
 
+    With (p_1, p_2, p_3) = (pi, P, Q) this is -(Qy''')''' + (Py'')'' - (pi y')'.
     pi is the corrected one that reproduces the expanded form; the sign
     variant is compared only coefficient-wise, in `expansion_consistency_report`.
     """
-    q, pp, pi = params.q_poly(), params.p_poly(), params.pi_poly()
+    symmetric = params.symmetric_coefficients()
 
     def kernel(y):
-        term1 = (y.derivative(3) * q).derivative(3)
-        term2 = (y.derivative(2) * pp).derivative(2)
-        term3 = (y.derivative(1) * pi).derivative(1)
-        return -term1 + term2 - term3
+        # sign the terms, not p_k: y^(k) p_k is the germ whose memoised derivatives the concomitant reads
+        terms = [(y.derivative(k) * p).derivative(k) for k, p in enumerate(symmetric, 1)]
+        return sum((-t if k % 2 else t for k, t in enumerate(terms[1:], 2)), -terms[0])
 
     return _lift(f, kernel, "apply_expression_factored")
 
 
 def expanded_coefficients_of_factored(params: KrallParams, pi_variant: str = "corrected"):
-    """Symbolically expand the factored form into (b6..b1) via Leibniz."""
-    pi = params.pi_poly() if pi_variant == "corrected" else params.pi_poly_sign_variant()
-    q, p = params.q_poly(), params.p_poly()
-    # -(Q y''')''' = -(Q''' y''' + 3 Q'' y^(4) + 3 Q' y^(5) + Q y^(6))
-    # (P y'')''   = P'' y'' + 2 P' y''' + P y^(4)
-    # -(pi y')'   = -pi' y' - pi y''
-    b6 = -q
-    b5 = -3 * q.derivative()
-    b4 = -3 * q.derivative(2) + p
-    b3 = -q.derivative(3) + 2 * p.derivative()
-    b2 = p.derivative(2) - pi
-    b1 = -pi.derivative()
-    return b6, b5, b4, b3, b2, b1
+    """Symbolically expand the factored form into (b6..b1) via Leibniz.
+
+    (p_k y^(k))^(k) = sum_j C(k, j-k) p_k^(2k-j) y^(j) over j = k..2k, so each
+    k adds (-1)^k C(k, j-k) p_k^(2k-j) to b_j.
+    """
+    symmetric = params.symmetric_coefficients()
+    if pi_variant != "corrected":
+        symmetric = (params.pi_poly_sign_variant(), *symmetric[1:])
+    b = [Poly()] * (2 * len(symmetric) + 1)
+    for k, p in enumerate(symmetric, 1):
+        for j in range(k, 2 * k + 1):
+            b[j] = b[j] + (-1) ** k * math.comb(k, j - k) * p.derivative(2 * k - j)
+    return tuple(b[:0:-1])
 
 
 def expansion_consistency_report(params: KrallParams) -> dict:
@@ -229,7 +239,7 @@ def expansion_consistency_report(params: KrallParams) -> dict:
         got = expanded_coefficients_of_factored(params, variant)
         per_order = {}
         diffs = {}
-        for order, (want, have) in zip(range(6, 0, -1), zip(target, got)):
+        for order, (want, have) in _orders(list(zip(target, got))):
             per_order[order] = want == have
             if want != have:
                 diffs[order] = (have - want).format_coeffs()
@@ -242,36 +252,32 @@ def expansion_consistency_report(params: KrallParams) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _quartic(n: Fraction, params: KrallParams) -> Fraction:
+    """n^4+2n^3+(3A+3B-1)n^2+(3A+3B-2)n+12AB, the factor both eigenvalue printings share."""
+    A, B = params.A, params.B
+    return n**4 + 2 * n**3 + (3 * A + 3 * B - 1) * n**2 + (3 * A + 3 * B - 2) * n + 12 * A * B
+
+
 def eigenvalue(n: int, params: KrallParams) -> Fraction:
     """lambda_n = n(n+1)(n^4+2n^3+(3A+3B-1)n^2+(3A+3B-2)n+12AB)."""
-    A, B = params.A, params.B
     n = Fraction(n)
-    return n * (n + 1) * (n**4 + 2 * n**3 + (3 * A + 3 * B - 1) * n**2 + (3 * A + 3 * B - 2) * n + 12 * A * B)
+    return n * (n + 1) * _quartic(n, params)
 
 
 def eigenvalue_shifted_factor_variant(n: int, params: KrallParams) -> Fraction:
     """The n(n-1) leading-factor variant; fails the oracle at n = 1."""
-    A, B = params.A, params.B
     n = Fraction(n)
-    return n * (n - 1) * (n**4 + 2 * n**3 + (3 * A + 3 * B - 1) * n**2 + (3 * A + 3 * B - 2) * n + 12 * A * B)
+    return n * (n - 1) * _quartic(n, params)
 
 
 def leading_coefficient_oracle(n: int, params: KrallParams) -> Fraction:
     """Coefficient of x^n in l[x^n], computed term by term.
 
-    Independent of `eigenvalue`: sums (falling factorial) x (leading
-    coefficient) over the six terms of the expression.
+    Independent of `eigenvalue`: sums [x^k]b_k * n!/(n-k)! over the terms
+    b_k y^(k) of the expression (no b_k has degree above k).
     """
-    A, B = params.A, params.B
-    leads = [
-        (6, Fraction(1)),
-        (5, Fraction(18)),
-        (4, 3 * A + 3 * B + 96),
-        (3, 24 * A + 24 * B + 168),
-        (2, 12 * A * B + 42 * A + 42 * B + 72),
-        (1, 24 * A * B + 12 * A + 12 * B),
-    ]
-    return sum((lead * math.perm(n, k) for k, lead in leads), Fraction(0))
+    coeffs = params.expression_coefficients()
+    return sum((b[k] * math.perm(n, k) for k, b in _orders(coeffs)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +384,7 @@ def apply_legendre_type(f: Poly, A: Scalar) -> Poly:
     """(1-x^2)^2 y'''' + 8x(x^2-1)y''' + (4A+12)(x^2-1)y'' + 8Axy'."""
     A = as_fraction(A)
     x = Poly.x()
-    w = Poly([1, 0, -1])
-    x2m1 = -w
-    return (
-        w**2 * f.derivative(4)
-        + 8 * x * x2m1 * f.derivative(3)
-        + (4 * A + 12) * x2m1 * f.derivative(2)
-        + 8 * A * x * f.derivative(1)
-    )
+    return _apply((WEIGHT**2, -8 * x * WEIGHT, -(4 * A + 12) * WEIGHT, 8 * A * x), f)
 
 
 def legendre_type(n: int, A: Scalar) -> tuple[Poly, Fraction]:

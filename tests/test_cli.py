@@ -114,11 +114,13 @@ def test_run_all_parameter_sweep(capsys, a, b):
     assert payload["summary"]["inconclusive"] == len(DOCUMENTED_INCONCLUSIVE)
 
 
-#: sha256 of dumps that reach further than `run all`: K_32 and all twelve
-#: order-40 Frobenius series (six labels at both endpoints), at A=1/100, B=3.
+#: sha256 of dumps that reach further than `run all`: K_32, the degree-14
+#: Legendre-type polynomial and all twelve order-40 Frobenius series (six
+#: labels at both endpoints), at A=1/100, B=3.
 #: A change to either solver must leave every one byte-identical.
 DEEP_DUMP_SHA256 = {
     ("poly", "K", "32"): "7c28d9deb7bcbb5e5f2ec88f65b610c9f394e4bfdab3c77c54e183f122c04789",
+    ("poly", "legendre", "14"): "a523e8ec110fbd78aa12822619172c26ba5a135c83a48de6fdbc54784f438789",
     **{
         ("series", label, endpoint, "--order", "40"): digest
         for label, endpoint, digest in (

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import krall6.frobenius as fro
 from krall6.frobenius import (
     LocalExpression,
     MIN_ORDER,
@@ -48,6 +49,30 @@ def test_indicial_polynomial_is_parameter_free():
     a = LocalExpression(1, KrallParams(1, 1)).indicial_polynomial()
     b = LocalExpression(1, KrallParams(Fraction(3, 2), Fraction(5, 2))).indicial_polynomial()
     assert a == b
+
+
+@pytest.mark.parametrize("endpoint", (-1, 1))
+def test_pole_order_is_read_from_the_stencil(endpoint):
+    for params in MORE_PAIRS:
+        local = LocalExpression(endpoint, params)
+        assert local.pole == 3 == -min(power_stencil(params, endpoint))
+        assert list(local.stencil) == [0, 1, 2, 3]
+
+
+def test_fuchs_condition_rejects_an_irregular_singular_point(monkeypatch):
+    # b6 = (x-1)^4 (x+1)^3 with b5..b1 unchanged: at +1 the lowest shift is
+    # still -3 (from b5 and b4), but b6 / b5 has a double pole there, and the
+    # indicial row has degree 5, not the order 6.  At -1 nothing changes.
+    params = KrallParams(1, 2)
+    _, *rest = params.expression_coefficients()
+    coeffs = (Poly([-1, 1]) ** 4 * Poly([1, 1]) ** 3, *rest)
+    monkeypatch.setattr(KrallParams, "expression_coefficients", lambda self: coeffs)
+    stencil = power_stencil.__wrapped__
+    monkeypatch.setattr(fro, "power_stencil", stencil)
+    assert min(stencil(params, 1)) == -3 and stencil(params, 1)[-3].degree == 5
+    with pytest.raises(ArithmeticError, match=r"irregular singular point at \+1"):
+        LocalExpression(1, params)
+    assert LocalExpression(-1, params).indicial_polynomial().degree == 6
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,11 @@
 """The sixth-order expression: forms, eigenvalues, eigenpolynomials."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import krall6.operator as op
 from krall6.concomitant import log_probe
@@ -19,6 +22,7 @@ from krall6.operator import (
     eigen_polynomial,
     eigenvalue,
     eigenvalue_shifted_factor_variant,
+    expanded_coefficients_of_factored,
     expansion_consistency_report,
     leading_coefficient_oracle,
     legendre_type,
@@ -214,3 +218,117 @@ def test_q_and_p_polynomials(params):
     twin = KrallParams(params.A, params.B)
     assert twin == params and hash(twin) == hash(params)
     assert repr(params) == f"KrallParams(A={params.A!r}, B={params.B!r})"
+
+
+# ---------------------------------------------------------------------------
+# the hand-written sixth- and fourth-order forms, kept as references for the
+# generic coefficient-tuple code
+# ---------------------------------------------------------------------------
+
+small_polys = st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)), max_size=9).map(Poly)
+positive_rationals = st.builds(Fraction, st.integers(1, 40), st.integers(1, 12))
+
+
+def printed_leading_coefficients(params):
+    """{k: [x^k] b_k}, as printed with the expression."""
+    A, B = params.A, params.B
+    return {
+        6: Fraction(1),
+        5: Fraction(18),
+        4: 3 * A + 3 * B + 96,
+        3: 24 * A + 24 * B + 168,
+        2: 12 * A * B + 42 * A + 42 * B + 72,
+        1: 24 * A * B + 12 * A + 12 * B,
+    }
+
+
+def factored_reference(y, params):
+    """-(Q y''')''' + (P y'')'' - (pi y')', one term per line."""
+    q, pp, pi = params.q_poly(), params.p_poly(), params.pi_poly()
+    term1 = (y.derivative(3) * q).derivative(3)
+    term2 = (y.derivative(2) * pp).derivative(2)
+    term3 = (y.derivative(1) * pi).derivative(1)
+    return -term1 + term2 - term3
+
+
+def leibniz_reference(params, pi):
+    """(b6, ..., b1) of the factored form with the given pi, by the unrolled Leibniz rule."""
+    q, p = params.q_poly(), params.p_poly()
+    # -(Q y''')''' = -(Q''' y''' + 3 Q'' y^(4) + 3 Q' y^(5) + Q y^(6))
+    # (P y'')''   = P'' y'' + 2 P' y''' + P y^(4)
+    # -(pi y')'   = -pi' y' - pi y''
+    b6 = -q
+    b5 = -3 * q.derivative()
+    b4 = -3 * q.derivative(2) + p
+    b3 = -q.derivative(3) + 2 * p.derivative()
+    b2 = p.derivative(2) - pi
+    b1 = -pi.derivative()
+    return b6, b5, b4, b3, b2, b1
+
+
+def legendre_type_reference(f, A):
+    """(1-x^2)^2 y'''' + 8x(x^2-1)y''' + (4A+12)(x^2-1)y'' + 8Axy', written out."""
+    w = Poly([1, 0, -1])
+    x2m1 = -w
+    return (
+        w**2 * f.derivative(4)
+        + 8 * X * x2m1 * f.derivative(3)
+        + (4 * A + 12) * x2m1 * f.derivative(2)
+        + 8 * A * X * f.derivative(1)
+    )
+
+
+def test_expression_leading_coefficients_are_the_printed_ones():
+    for params in PARAM_PAIRS + EXTRA_PAIRS:
+        coeffs = params.expression_coefficients()
+        printed = printed_leading_coefficients(params)
+        assert len(coeffs) == len(printed)
+        for k, b in zip(range(6, 0, -1), coeffs):
+            assert b.degree <= k and b[k] == printed[k]
+
+
+def test_oracle_is_the_top_coefficient_of_the_monomial_image():
+    for params in PARAM_PAIRS + EXTRA_PAIRS:
+        printed = printed_leading_coefficients(params)
+        for n in range(41):
+            image = apply_expression(Poly.monomial(n), params)
+            assert leading_coefficient_oracle(n, params) == image[n]
+            assert image[n] == sum(lead * math.perm(n, k) for k, lead in printed.items())
+
+
+@given(small_polys, st.sampled_from(PARAM_PAIRS + EXTRA_PAIRS))
+@settings(max_examples=40, deadline=None)
+def test_factored_form_equals_its_three_term_reference(y, params):
+    assert apply_expression_factored(y, params) == factored_reference(y, params)
+
+
+def test_factored_form_equals_its_reference_on_log_probes():
+    for params in PARAM_PAIRS + EXTRA_PAIRS:
+        for e in (-1, 1):
+            probe = log_probe(e, params)
+            assert apply_expression_factored(probe, params) == factored_reference(probe, params)
+
+
+@given(positive_rationals, positive_rationals)
+@settings(max_examples=30, deadline=None)
+def test_leibniz_expansion_equals_the_unrolled_lines(a, b):
+    params = KrallParams(a, b)
+    corrected = leibniz_reference(params, params.pi_poly())
+    assert expanded_coefficients_of_factored(params) == corrected == params.expression_coefficients()
+    variant = leibniz_reference(params, params.pi_poly_sign_variant())
+    assert expanded_coefficients_of_factored(params, "sign-variant") == variant
+
+
+def test_pi_and_its_sign_variant_are_the_printed_ones():
+    for params in PARAM_PAIRS + EXTRA_PAIRS:
+        A, B = params.A, params.B
+        constant, linear = 12 * A * B + 18 * A + 18 * B + 24, 12 * A - 12 * B
+        assert params.pi_poly() == Poly([constant, linear, -6 * A - 6 * B - 12 * A * B])
+        assert params.pi_poly_sign_variant() == Poly([constant, linear, 6 * A - 6 * B - 12 * A * B])
+        assert params.symmetric_coefficients() == (params.pi_poly(), params.p_poly(), params.q_poly())
+
+
+@given(small_polys, positive_rationals)
+@settings(max_examples=40, deadline=None)
+def test_legendre_type_equals_its_written_out_sum(f, a):
+    assert apply_legendre_type(f, a) == legendre_type_reference(f, a)
