@@ -1,43 +1,45 @@
 """Bilinear concomitant, quasi-derivative, Green's formula, limit identities.
 
-Integrating the sixth-order expression by parts produces a boundary bilinear
-form [f, g] whose endpoint limits carry all boundary-condition information.
-With w = 1-x^2, alpha = 3A+3B+6, Q = w^3, P = w(12+alpha w) and pi as in
-`operator`, the concomitant is built from two auxiliary combinations:
+Integrating l[y] = sum_k (-1)^k (p_k y^(k))^(k) by parts produces a boundary
+bilinear form [f, g] whose endpoint limits carry all boundary-condition
+information.  Both are read off one chain of quasi-derivatives,
+`operator.quasi_derivatives`: for (p_1, ..., p_m) it gives f^[m], ...,
+f^[2m-1], with l[f] = (f^[2m-1])' and
 
-    B[f]   = -(Q f''')'' + (P f'')' - pi f'     (the "bracket with one")
-    Lam[f] = -(Q f''')'  +  P f''               (the quasi-derivative)
+    [f, g] = sum_{j<m} (-1)^j (f^[2m-1-j] g^(j) - g^[2m-1-j] f^(j)).
 
-    [f, g] = B[f] g - B[g] f - Lam[f] g' + Lam[g] f' - Q (f''' g'' - f'' g''')
+For the (pi, P, Q) of `operator`, with w = 1-x^2, alpha = 3A+3B+6, Q = w^3
+and P = w(12+alpha w), the chain is
 
-Lam is written once, in `quasi_derivative_terms`; B is computed from it as
-B[f] = Lam[f]' - pi f'.
+    f^[3] = -Q f'''
+    f^[4] = Lam[f] = -(Q f''')' + P f''      (the quasi-derivative)
+    f^[5] = B[f]   = Lam[f]' - pi f'          (the "bracket with one")
 
-The five summands are kept in exactly this grouping so that divergence
-diagnostics point at individual sub-expressions: `_concomitant_lines` is
-the one place they are written, `concomitant` sums them when some factor
+`_concomitant_lines` writes [f, g] as its 2m summands, the f-line then the
+g-line for each j: at order six B[f] g, -B[g] f, -Lam[f] g', Lam[g] f',
+-Q f''' g'', Q g''' f''.  The grouping lets divergence diagnostics point at
+individual sub-expressions: `concomitant` sums the lines when some factor
 has no endpoint limit and names the diverging lines when the sum has none
-either, and the endpoint reductions take lines 3-5 from it.  All scalars
-are real rationals, so complex conjugation is the identity and
+either, and the endpoint reductions take the lines for j >= 1 from it.  All
+scalars are real rationals, so complex conjugation is the identity and
 [f, g] = -[g, f].
 
 Endpoint limits are germ-valuation limits (`germs.LogGerm.limit`); divergence
 raises `DivergentLimitError`, the typed signal that an input pair lies
 outside the limit class.
 
-B[f] and Lam[f] on a germ are memoised: each (germ, params) pair is worked
-out once and served to every later bracket, Omega, membership check,
-quasi-derivative limit and reduction.  A third memo, `_endpoint_values`,
-holds the limits B[f](e), Lam[f](e), f(e), f'(e) when they and the limits of
-f'' and f''' exist, and None otherwise.  When both germs of a pair have
-values, `concomitant` sums their products instead of building the five
-lines: the limit of a product of convergent factors is the product of their
-limits, and line 5 drops out because Q vanishes at e.  All three memos are
+The chain of a germ is memoised: `_germ_chain` works out each (germ, params)
+pair once and serves Lam, B, the bracket lines and the endpoint values.  A
+second memo, `_endpoint_values`, holds the limits g^(j)(e) and
+(-1)^j g^[2m-1-j](e) for j < m as ints over one denominator, or None when
+any of them fails.  When both germs of a pair have values, `concomitant` is
+two integer dot products and one `Fraction`: the limit of a product of
+convergent factors is the product of their limits.  Both memos are
 `functools.lru_cache`s bounded at 4096 entries and keyed by value (`LogGerm`
 and `KrallParams` hash by value), like the germ derivatives they read
-(`germs._derivative`).  The first two hold germs, never limits; the third
-holds limit values or None, never a `DivergentLimitError`, so a divergent
-pair takes the five-line route on every call and raises there.
+(`germs._derivative`).  The chain memo holds germs, never limits; the other
+holds ints or None, never a `DivergentLimitError`, so a divergent pair takes
+the germ-line route on every call and raises there.
 
 The module also provides:
 
@@ -47,7 +49,7 @@ The module also provides:
   * the canonical test functions of the theory (piecewise weights, the
     quasi-derivative probes, log-bearing probes, piecewise constants);
   * closed-form endpoint reduction formulas valid on the reduced domain, each
-    cross-checked against the direct five-term limit;
+    cross-checked against the direct limit of the bracket lines;
   * membership predicates for the reduced domain (quasi-derivative vanishing
     at both endpoints) and for the separated auxiliary domain.
 
@@ -63,10 +65,12 @@ residual +32 f' -- confirms 32.  See the errata suite.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
+from operator import mul
 
 from .germs import DivergentLimitError, EndpointFn, LogGerm
-from .operator import WEIGHT, KrallParams, apply_expression
+from .operator import WEIGHT, KrallParams, apply_expression, quasi_derivatives
 from .polynomials import Poly
 
 
@@ -90,10 +94,15 @@ def weight_sq_near(endpoint: int) -> EndpointFn:
     return EndpointFn.poly_near(endpoint, WEIGHT**2)
 
 
+def _near_far(endpoint: int, params: KrallParams) -> tuple[Fraction, Fraction]:
+    """(near, far): the parameter of `endpoint`, then the other's; (A, B) at +1, (B, A) at -1."""
+    return (params.A, params.B) if endpoint == 1 else (params.B, params.A)
+
+
 def _probe_poly(endpoint: int, params: KrallParams) -> Poly:
-    """h_e = (1/2)w + (1/8)(C+2)w^2, with C = A at +1 and C = B at -1."""
-    c = params.A if endpoint == 1 else params.B
-    return Fraction(1, 2) * WEIGHT + Fraction(1, 8) * (c + 2) * WEIGHT**2
+    """h_e = (1/2)w + (1/8)(near+2)w^2."""
+    near, _ = _near_far(endpoint, params)
+    return Fraction(1, 2) * WEIGHT + Fraction(1, 8) * (near + 2) * WEIGHT**2
 
 
 def quasi_probe(endpoint: int, params: KrallParams) -> EndpointFn:
@@ -146,40 +155,45 @@ def probe_functions(params: KrallParams) -> list[EndpointFn]:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4096)
+def _germ_chain(g: LogGerm, params: KrallParams) -> tuple[LogGerm, ...]:
+    """`quasi_derivatives` of a germ, (-Q g''', Lam[g], B[g]), memoised per (germ, params)."""
+    return quasi_derivatives(params.symmetric_coefficients(), g)
+
+
+def _chain(f, params: KrallParams) -> tuple:
+    """The quasi-derivative chain of a Poly or LogGerm; a germ's is memoised."""
+    if isinstance(f, LogGerm):
+        return _germ_chain(f, params)
+    return quasi_derivatives(params.symmetric_coefficients(), f)
+
+
+def _germ(f, endpoint: int) -> LogGerm:
+    return EndpointFn.from_poly(f).germ_at(endpoint)
+
+
 def quasi_derivative_terms(f, params: KrallParams):
-    """The two summands of Lam[f], in order: -((1-x^2)^3 f''')' and P f''.
+    """The two summands of Lam[f] = f^[4], in order: (f^[3])' = -((1-x^2)^3 f''')' and P f''.
 
-    This is the one place the Lam formula is written: B, the germ-level
-    concomitant and the endpoint reductions go through it too.  Each summand
-    is of f's class (Poly, EndpointFn or LogGerm in, the same out; a scalar
-    is taken as a global constant).  For a log-bearing f the summands can
-    diverge separately even where their sum has a limit.
+    Each is of f's class (Poly or LogGerm).  For a log-bearing f the
+    summands can diverge separately even where their sum has a limit.
     """
-    if not isinstance(f, (Poly, LogGerm)):
-        f = EndpointFn.from_poly(f)
-    return -(f.derivative(3) * params.q_poly()).derivative(), f.derivative(2) * params.p_poly()
-
-
-def _lam(f, params: KrallParams):
-    q_term, p_term = quasi_derivative_terms(f, params)
-    return q_term + p_term
-
-
-_lam_germ = functools.lru_cache(maxsize=4096)(_lam)
+    *_, before, lam, _ = _chain(f, params)
+    head = before.derivative()
+    return head, lam - head
 
 
 def quasi_derivative(f, params: KrallParams):
-    """Lam[f] = -((1-x^2)^3 f''')' + (1-x^2)(12+alpha(1-x^2)) f''.
+    """Lam[f] = -((1-x^2)^3 f''')' + (1-x^2)(12+alpha(1-x^2)) f'', entry -2 of the chain.
 
-    Returns the same class as f (Poly, EndpointFn or LogGerm); a germ's Lam
-    is memoised per (germ, params).
+    Returns the same class as f (Poly or LogGerm).
     """
-    return _lam_germ(f, params) if isinstance(f, LogGerm) else _lam(f, params)
+    return _chain(f, params)[-2]
 
 
 def quasi_derivative_at(f, endpoint: int, params: KrallParams) -> Fraction:
-    """Endpoint limit of the quasi-derivative, taken on f's memoised germ."""
-    return _lam_germ(EndpointFn.from_poly(f).germ_at(endpoint), params).limit()
+    """Endpoint limit of the quasi-derivative, taken on f's memoised germ chain."""
+    return _germ_chain(_germ(f, endpoint), params)[-2].limit()
 
 
 def quasi_derivative_terms_at(f, endpoint: int, params: KrallParams) -> tuple[Fraction, Fraction]:
@@ -189,81 +203,68 @@ def quasi_derivative_terms_at(f, endpoint: int, params: KrallParams) -> tuple[Fr
     log probes the limits are 8 and 24, at both endpoints and for every
     (A, B): the stated constant 24 is the P f'' part alone.
     """
-    q_term, p_term = quasi_derivative_terms(EndpointFn.from_poly(f).germ_at(endpoint), params)
+    q_term, p_term = quasi_derivative_terms(_germ(f, endpoint), params)
     return q_term.limit(), p_term.limit()
 
 
-@functools.lru_cache(maxsize=4096)
-def _bracket_with_one_germ(g: LogGerm, params: KrallParams) -> LogGerm:
-    """B[f] = -(Q f''')'' + (P f'')' - pi f' on a germ, written as Lam[f]' - pi f'."""
-    return _lam_germ(g, params).derivative() - g.derivative(1) * params.pi_poly()
-
-
 def _concomitant_lines(fg: LogGerm, gg: LogGerm, params: KrallParams) -> tuple[LogGerm, ...]:
-    """The five summands of [f, g] as germs at one endpoint, in the order
-    B[f] g, -B[g] f, -Lam[f] g', Lam[g] f', -Q (f''' g'' - f'' g''')."""
-    return (
-        _bracket_with_one_germ(fg, params) * gg,
-        -(_bracket_with_one_germ(gg, params) * fg),
-        -(quasi_derivative(fg, params) * gg.derivative(1)),
-        quasi_derivative(gg, params) * fg.derivative(1),
-        -((fg.derivative(3) * gg.derivative(2) - fg.derivative(2) * gg.derivative(3)) * params.q_poly()),
-    )
+    """The 2m summands of [f, g] as germs at one endpoint: for each j < m,
+    (-1)^j f^[2m-1-j] g^(j), then -(-1)^j g^[2m-1-j] f^(j)."""
+    f_chain, g_chain = _germ_chain(fg, params), _germ_chain(gg, params)
+    lines = []
+    for j in range(len(f_chain)):
+        f_line, g_line = f_chain[-1 - j] * gg.derivative(j), g_chain[-1 - j] * fg.derivative(j)
+        lines += (-f_line, g_line) if j % 2 else (f_line, -g_line)
+    return tuple(lines)
 
 
 @functools.lru_cache(maxsize=4096)
-def _endpoint_values(g: LogGerm, params: KrallParams) -> tuple[Fraction, Fraction, Fraction, Fraction] | None:
-    """(B[g](e), Lam[g](e), g(e), g'(e)), or None when any of g, g', g'', g''',
-    B[g] and Lam[g] has no limit at the germ's endpoint e.
+def _endpoint_values(g: LogGerm, params: KrallParams) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
+    """(d, (d g^(j)(e))_j, (d (-1)^j g^[2m-1-j](e))_j) for j < m, ints over one
+    denominator d, or None when any of these limits fails at g's endpoint e.
 
-    g''' and g'' are tried first, so a log-bearing germ fails before B[g] and
-    Lam[g] are built.  A divergence is cached as None, never as an exception.
+    The derivatives are tried first, so a log-bearing germ fails before its
+    chain is built.  A divergence is cached as None, never as an exception.
     """
     try:
-        g.derivative(3).limit()
-        g.derivative(2).limit()
-        return (
-            _bracket_with_one_germ(g, params).limit(),
-            _lam_germ(g, params).limit(),
-            g.limit(),
-            g.derivative(1).limit(),
-        )
+        values = [g.derivative(j).limit() for j in range(len(params.symmetric_coefficients()))]
+        quasi = [-q.limit() if j % 2 else q.limit() for j, q in enumerate(reversed(_germ_chain(g, params)))]
     except DivergentLimitError:
         return None
+    d = math.lcm(*(v.denominator for v in values + quasi))
+    return d, *(tuple(v.numerator * (d // v.denominator) for v in vs) for vs in (values, quasi))
 
 
 def concomitant(f, g, endpoint: int, params: KrallParams) -> Fraction:
     """Endpoint limit of the bilinear concomitant [f, g](endpoint).
 
-    When every factor of the five lines has a limit, the limit of the sum is
-    B[f] g - B[g] f - Lam[f] g' + Lam[g] f' taken on the factors' limits at e
-    (line 5 drops out: Q vanishes at e), read off `_endpoint_values`.
-    Otherwise the five germ lines are built and their sum's limit taken.
+    When every factor of the bracket lines has a limit, the limit of the sum
+    is sum_j (-1)^j (f^[2m-1-j](e) g^(j)(e) - g^[2m-1-j](e) f^(j)(e)), two
+    integer dot products over `_endpoint_values`.  Otherwise the germ lines
+    are built and their sum's limit taken.
 
     Raises DivergentLimitError when the pair is outside the limit class; its
-    detail names the endpoint and the lines (1-5, in the order of the module
-    docstring) that diverge on their own.
+    detail names the endpoint and the lines (numbered from 1, in the order
+    of the module docstring) that diverge on their own.
     """
-    fg = EndpointFn.from_poly(f).germ_at(endpoint)
-    gg = EndpointFn.from_poly(g).germ_at(endpoint)
+    fg, gg = _germ(f, endpoint), _germ(g, endpoint)
     fv, gv = _endpoint_values(fg, params), _endpoint_values(gg, params)
     if fv is not None and gv is not None:
-        (bf, lam_f, f0, f1), (bg, lam_g, g0, g1) = fv, gv
-        return bf * g0 - bg * f0 - lam_f * g1 + lam_g * f1
+        (f_den, f_values, f_quasi), (g_den, g_values, g_quasi) = fv, gv
+        return Fraction(sum(map(mul, f_quasi, g_values)) - sum(map(mul, g_quasi, f_values)), f_den * g_den)
     lines = _concomitant_lines(fg, gg, params)
     try:
         return sum(lines[1:], lines[0]).limit()
     except DivergentLimitError as exc:
         diverging = ", ".join(str(i) for i, line in enumerate(lines, 1) if not line.has_limit())
         raise DivergentLimitError(
-            endpoint, f"[f, g]({endpoint:+d}) lines {diverging} of 5 diverge; sum: {exc.detail}"
+            endpoint, f"[f, g]({endpoint:+d}) lines {diverging} of {len(lines)} diverge; sum: {exc.detail}"
         ) from None
 
 
 def concomitant_with_one(f, endpoint: int, params: KrallParams) -> Fraction:
-    """Endpoint limit of B[f] (equals concomitant(f, 1, endpoint) exactly)."""
-    f = EndpointFn.from_poly(f)
-    return _bracket_with_one_germ(f.germ_at(endpoint), params).limit()
+    """Endpoint limit of B[f], the chain's last entry (equals concomitant(f, 1, endpoint) exactly)."""
+    return _germ_chain(_germ(f, endpoint), params)[-1].limit()
 
 
 def symplectic_form(f, g, params: KrallParams) -> Fraction:
@@ -291,32 +292,29 @@ def greens_formula_check(f: Poly, g: Poly, params: KrallParams) -> tuple[Fractio
 
 
 def reduced_concomitant(f, g, endpoint: int, params: KrallParams) -> Fraction:
-    """Closed form of [f, g](e) on the reduced domain.
-
-    At +1: -24(f''g - g''f)(1) - 24(A+1)(f'g - g'f)(1); the -1 version flips
-    the second-derivative sign and uses B.
+    """Closed form of [f, g](e) on the reduced domain:
+    -24e(f''g - g''f)(e) - 24(near+1)(f'g - g'f)(e), near = A at +1 and B at -1.
     """
     f = EndpointFn.from_poly(f)
     g = EndpointFn.from_poly(g)
     fe, ge = f.value_at(endpoint), g.value_at(endpoint)
     f1, g1 = f.derivative(1).value_at(endpoint), g.derivative(1).value_at(endpoint)
     f2, g2 = f.derivative(2).value_at(endpoint), g.derivative(2).value_at(endpoint)
-    if endpoint == 1:
-        return -24 * (f2 * ge - g2 * fe) - 24 * (params.A + 1) * (f1 * ge - g1 * fe)
-    return 24 * (f2 * ge - g2 * fe) - 24 * (params.B + 1) * (f1 * ge - g1 * fe)
+    near, _ = _near_far(endpoint, params)
+    return -24 * endpoint * (f2 * ge - g2 * fe) - 24 * (near + 1) * (f1 * ge - g1 * fe)
+
+
+def _weight_closed_form(fe: Fraction, endpoint: int, params: KrallParams) -> Fraction:
+    """[f, 1-x^2](e) on the reduced domain: -48e(near+2) f(e)."""
+    near, _ = _near_far(endpoint, params)
+    return -48 * endpoint * (near + 2) * fe
 
 
 def bracket_weight_reduction(f, endpoint: int, params: KrallParams) -> Fraction:
-    """[f, 1-x^2](e) via the quasi-derivative:
-
-    +1: 2 Lam[f](1) - 48(A+2) f(1);  -1: -2 Lam[f](-1) + 48(B+2) f(-1).
-    """
+    """[f, 1-x^2](e) via the quasi-derivative: e(2 Lam[f](e) - 48(near+2) f(e))."""
     f = EndpointFn.from_poly(f)
     lam = quasi_derivative_at(f, endpoint, params)
-    fe = f.value_at(endpoint)
-    if endpoint == 1:
-        return 2 * lam - 48 * (params.A + 2) * fe
-    return -2 * lam + 48 * (params.B + 2) * fe
+    return 2 * endpoint * lam + _weight_closed_form(f.value_at(endpoint), endpoint, params)
 
 
 def bracket_weight_sq_reduction(f, endpoint: int, params: KrallParams) -> Fraction:
@@ -328,38 +326,34 @@ def bracket_weight_sq_reduction(f, endpoint: int, params: KrallParams) -> Fracti
 def general_endpoint_reduction(f, g, endpoint: int, params: KrallParams) -> Fraction:
     """[f, g](e) decomposed as bracket-with-one terms plus a residual limit:
 
-    [f,1](e) g(e) - [g,1](e) f(e)
-        + lim( -Lam[f] g' + Lam[g] f' - (1-x^2)^3 (f''' g'' - f'' g''') ).
+    [f,1](e) g(e) - [g,1](e) f(e) + lim (the bracket lines for j >= 1), that is
+    lim( -Lam[f] g' + Lam[g] f' - (1-x^2)^3 f''' g'' + (1-x^2)^3 g''' f'' ).
     """
     f = EndpointFn.from_poly(f)
     g = EndpointFn.from_poly(g)
-    *_, line3, line4, line5 = _concomitant_lines(f.germ_at(endpoint), g.germ_at(endpoint), params)
-    residual = line3 + line4 + line5
+    _, _, *rest = _concomitant_lines(f.germ_at(endpoint), g.germ_at(endpoint), params)
     head = (
         concomitant_with_one(f, endpoint, params) * g.value_at(endpoint)
         - concomitant_with_one(g, endpoint, params) * f.value_at(endpoint)
     )
-    return head + residual.limit()
+    return head + sum(rest[1:], rest[0]).limit()
 
 
 def log_probe_reduction(f, endpoint: int, params: KrallParams) -> Fraction:
     """[f, log_probe(e)](e) decomposed as constant * f(e) plus a residual limit.
 
-    At +1 the constant is 32A+12B-16; at -1 it is -(32B+12A-16).  The
-    residual is -Lam[f] probe' + 32 f' - (1-x^2)^3(f''' probe'' - probe''' f'')
-    whose +32 f' term is the probe's own quasi-derivative limit showing up.
+    The constant is e(32 near + 12 far - 16): 32A+12B-16 at +1 and
+    -(32B+12A-16) at -1.  The residual is the bracket lines for j >= 1 with
+    Lam[probe] f' replaced by 32 f', the probe's own quasi-derivative limit:
+    -Lam[f] probe' + 32 f' - (1-x^2)^3(f''' probe'' - probe''' f'').
     Only defined when every sub-limit exists (polynomials qualify).
     """
     f = EndpointFn.from_poly(f)
-    probe = log_probe(endpoint, params)
     fg = f.germ_at(endpoint)
-    *_, line3, _, line5 = _concomitant_lines(fg, probe.germ_at(endpoint), params)
-    residual = line3 + fg.derivative(1) * 32 + line5
-    if endpoint == 1:
-        constant = 32 * params.A + 12 * params.B - 16
-    else:
-        constant = -(32 * params.B + 12 * params.A - 16)
-    return constant * f.value_at(endpoint) + residual.limit()
+    _, _, line3, _, *rest = _concomitant_lines(fg, log_probe(endpoint, params).germ_at(endpoint), params)
+    residual = sum(rest, line3 + fg.derivative(1) * 32)
+    near, far = _near_far(endpoint, params)
+    return endpoint * (32 * near + 12 * far - 16) * f.value_at(endpoint) + residual.limit()
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +456,7 @@ def maximal_domain_suite(f, params: KrallParams, tag: str) -> list[dict]:
 
 
 def general_reduction_suite(f, g, params: KrallParams, tag: str) -> list[dict]:
-    """Direct five-term limit vs the general endpoint reduction, both ends."""
+    """Direct bracket limit vs the general endpoint reduction, both ends."""
     rows = []
     for endpoint in (-1, 1):
         rows.append(
@@ -505,13 +499,12 @@ def reduced_domain_suite(f, g, params: KrallParams, tag: str) -> list[dict]:
             }
         )
         fe = EndpointFn.from_poly(f).value_at(endpoint)
-        weight_rhs = -48 * (params.A + 2) * fe if endpoint == 1 else 48 * (params.B + 2) * fe
         rows.append(
             {
                 "name": f"{tag}:weight-closed-form:e={endpoint:+d}",
                 "paper_item": "bracket-weight-closed-form",
                 "lhs": concomitant(f, EndpointFn.from_poly(WEIGHT), endpoint, params),
-                "rhs": weight_rhs,
+                "rhs": _weight_closed_form(fe, endpoint, params),
             }
         )
         rows.append(

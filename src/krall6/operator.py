@@ -20,7 +20,10 @@ the y' and y'' lines).  The expanded form is normative throughout.
 
 Both forms are data, (b6, ..., b1) and the (pi, P, Q) of
 sum_k (-1)^k (p_k y^(k))^(k); the order is the length of a tuple, written
-nowhere else, and `_apply` is the one kernel for any coefficient tuple.
+nowhere else.  `_apply` is the one kernel for an expanded tuple, and
+`quasi_derivatives` the one kernel for a symmetric tuple (p_1, ..., p_m):
+its chain y^[m], ..., y^[2m-1] gives l[y] = (y^[2m-1])', and `concomitant`
+reads Lam, B and the Lagrange bracket off the same chain.
 
 Eigenvalues: l[.] preserves polynomial degree, and the degree-n eigenvalue is
 
@@ -105,21 +108,9 @@ class KrallParams:
     def alpha(self) -> Fraction:
         return 3 * self.A + 3 * self.B + 6
 
-    def pi_poly(self) -> Poly:
-        """pi(x) = (-6A-6B-12AB)x^2 + (12A-12B)x + (12AB+18A+18B+24)."""
-        return self._symmetric[0]
-
     def pi_poly_sign_variant(self) -> Poly:
-        """The sign-discrepant variant (+6A in the x^2 coefficient)."""
-        return self.pi_poly() + Poly.monomial(2, 12 * self.A)
-
-    def q_poly(self) -> Poly:
-        """Q(x) = (1-x^2)^3."""
-        return self._symmetric[2]
-
-    def p_poly(self) -> Poly:
-        """P(x) = (1-x^2)(12 + alpha(1-x^2))."""
-        return self._symmetric[1]
+        """pi with the sign-discrepant +6A in its x^2 coefficient."""
+        return self._symmetric[0] + Poly.monomial(2, 12 * self.A)
 
     def symmetric_coefficients(self) -> tuple[Poly, Poly, Poly]:
         """(pi, P, Q): the p_k of l[y] = sum_k (-1)^k (p_k y^(k))^(k), computed once per instance."""
@@ -194,21 +185,30 @@ def power_stencil(params: KrallParams, center: Scalar) -> Mapping[int, Poly]:
     return MappingProxyType(stencil)
 
 
-def apply_expression_factored(f, params: KrallParams):
-    """Apply the Lagrangian symmetric form sum_k (-1)^k (p_k y^(k))^(k).
+def quasi_derivatives(symmetric, y) -> tuple:
+    """(y^[m], ..., y^[2m-1]): the quasi-derivatives of sum_k (-1)^k (p_k y^(k))^(k).
 
-    With (p_1, p_2, p_3) = (pi, P, Q) this is -(Qy''')''' + (Py'')'' - (pi y')'.
+    With symmetric = (p_1, ..., p_m), y^[m] = (-1)^m p_m y^(m) and
+    y^[m+i] = (y^[m+i-1])' + (-1)^(m-i) p_(m-i) y^(m-i), so l[y] = (y^[2m-1])'.
+    For (pi, P, Q) the chain is (-Q y''', Lam[y], B[y]).  y and every entry are
+    a Poly or a LogGerm.
+    """
+    chain = []
+    for k in range(len(symmetric), 0, -1):
+        term = y.derivative(k) * symmetric[k - 1]
+        term = -term if k % 2 else term
+        chain.append(chain[-1].derivative() + term if chain else term)
+    return tuple(chain)
+
+
+def apply_expression_factored(f, params: KrallParams):
+    """Apply the Lagrangian symmetric form -(Qy''')''' + (Py'')'' - (pi y')' as (y^[5])'.
+
     pi is the corrected one that reproduces the expanded form; the sign
     variant is compared only coefficient-wise, in `expansion_consistency_report`.
     """
     symmetric = params.symmetric_coefficients()
-
-    def kernel(y):
-        # sign the terms, not p_k: y^(k) p_k is the germ whose memoised derivatives the concomitant reads
-        terms = [(y.derivative(k) * p).derivative(k) for k, p in enumerate(symmetric, 1)]
-        return sum((-t if k % 2 else t for k, t in enumerate(terms[1:], 2)), -terms[0])
-
-    return _lift(f, kernel, "apply_expression_factored")
+    return _lift(f, lambda y: quasi_derivatives(symmetric, y)[-1].derivative(), "apply_expression_factored")
 
 
 def expanded_coefficients_of_factored(params: KrallParams, pi_variant: str = "corrected"):

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +91,23 @@ def test_run_all_report_digest_is_pinned_at_unequal_parameters(capsys):
     code, out, _ = run_cli(capsys, "run", "all", "--A", "1/3", "--B", "7/2", "--nmax", "8", "--seed", "3")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == RUN_ALL_THIRD_SEVEN_HALVES_SHA256
+
+
+def test_run_all_report_is_independent_of_the_hash_seed():
+    """Two fresh interpreters with different PYTHONHASHSEEDs print the same report.
+
+    The germ memos are keyed by value, so hash order must never reach the
+    output; within one process the hash seed is fixed and cannot show this.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = [sys.executable, "-m", "krall6", "run", "all", "--A", "1/3", "--B", "7/2", "--nmax", "8", "--seed", "3"]
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        outputs.append(subprocess.run(argv, env=env, capture_output=True, check=True, timeout=300).stdout)
+    assert outputs[0] == outputs[1]
+    assert hashlib.sha256(outputs[0]).hexdigest() == RUN_ALL_THIRD_SEVEN_HALVES_SHA256
 
 
 #: The two cases `run all` reports as inconclusive at any (A, B): the

@@ -147,24 +147,25 @@ def test_divergent_concomitant_names_endpoint_and_lines():
     with pytest.raises(DivergentLimitError) as info:
         concomitant(bare_log, EndpointFn.from_poly(X), 1, params)
     assert info.value.endpoint == 1
-    assert info.value.detail.startswith("[f, g](+1) lines 1, 2, 3 of 5 diverge; sum: ")
+    assert info.value.detail.startswith("[f, g](+1) lines 1, 2, 3 of 6 diverge; sum: ")
     # each named line diverges on its own, and the others converge
     lines = con._concomitant_lines(bare_log.germ_at(1), EndpointFn.from_poly(X).germ_at(1), params)
-    assert [line.has_limit() for line in lines] == [False, False, False, True, True]
+    assert [line.has_limit() for line in lines] == [False, False, False, True, True, True]
     # lines 3 and 4 of [probe, probe] diverge separately but cancel in the sum
     probe = log_probe(1, params).germ_at(1)
     lines = con._concomitant_lines(probe, probe, params)
-    assert [line.has_limit() for line in lines] == [True, True, False, False, True]
+    assert [line.has_limit() for line in lines] == [True, True, False, False, True, True]
     assert concomitant(log_probe(1, params), log_probe(1, params), 1, params) == 0
 
 
 small_polys = st.lists(
     st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)), min_size=1, max_size=5
 ).map(Poly)
+endpoints = st.sampled_from([-1, 1])
 
 
 def _bracket_by_germ_lines(f, g, endpoint, params):
-    """[f, g](e) as the limit of the sum of the five germ lines (the reference route)."""
+    """[f, g](e) as the limit of the sum of the germ lines (the reference route)."""
     lines = con._concomitant_lines(f.germ_at(endpoint), g.germ_at(endpoint), params)
     return sum(lines[1:], lines[0]).limit()
 
@@ -198,7 +199,7 @@ def test_endpoint_values_are_none_for_log_probes():
             assert con._endpoint_values(probe, params) is None
             assert con._endpoint_values.cache_info().hits == hits + 1  # None is cached, not re-derived
             # the other endpoint's germ is zero, so has every limit
-            assert con._endpoint_values(log_probe(-endpoint, params).germ_at(endpoint), params) == (0, 0, 0, 0)
+            assert con._endpoint_values(log_probe(-endpoint, params).germ_at(endpoint), params) == (1, (0, 0, 0), (0, 0, 0))
 
 
 def _endpoint_input(kind, p, q, endpoint):
@@ -216,43 +217,73 @@ def _chained_derivative(g, n):
     return g
 
 
-def _bracket_with_one_by_definition(g, params):
-    """B[f] = -(Q f''')'' + (P f'')' - pi f' on chained first derivatives, no memo."""
-    q, p, pi = params.q_poly(), params.p_poly(), params.pi_poly()
+def _reference_lam_and_b(g, params):
+    """Lam[g] = -(Q g''')' + P g'' and B[g] = Lam[g]' - pi g', written out on chained first derivatives, no memo."""
+    pi, p, q = params.symmetric_coefficients()
     d = _chained_derivative
-    return -d(d(g, 3) * q, 2) + d(d(g, 2) * p, 1) - d(g, 1) * pi
+    lam = -d(d(g, 3) * q, 1) + d(g, 2) * p
+    return lam, d(lam, 1) - d(g, 1) * pi
 
 
-@given(
-    st.sampled_from(["global", "piecewise", "log"]),
-    small_polys,
-    small_polys,
-    st.sampled_from([-1, 1]),
-    st.sampled_from(PARAM_PAIRS),
-)
+def _reference_lines(fg, gg, params):
+    """The hand-written five-line bracket at order six:
+    B[f] g, -B[g] f, -Lam[f] g', Lam[g] f', -Q (f''' g'' - f'' g''')."""
+    (lam_f, b_f), (lam_g, b_g) = _reference_lam_and_b(fg, params), _reference_lam_and_b(gg, params)
+    d, q = _chained_derivative, params.symmetric_coefficients()[2]
+    return (
+        b_f * gg,
+        -(b_g * fg),
+        -(lam_f * d(gg, 1)),
+        lam_g * d(fg, 1),
+        -((d(fg, 3) * d(gg, 2) - d(fg, 2) * d(gg, 3)) * q),
+    )
+
+
+kinds = st.sampled_from(["global", "piecewise", "log"])
+
+
+@given(kinds, kinds, small_polys, small_polys, small_polys, small_polys, endpoints, st.sampled_from(PARAM_PAIRS))
+@settings(max_examples=40, deadline=None)
+def test_chain_bracket_lines_match_the_five_line_reference(kind_f, kind_g, p, q, r, s, endpoint, params):
+    f, g = _endpoint_input(kind_f, p, q, endpoint), _endpoint_input(kind_g, r, s, endpoint)
+    fg, gg = f.germ_at(endpoint), g.germ_at(endpoint)
+    lines, reference = con._concomitant_lines(fg, gg, params), _reference_lines(fg, gg, params)
+    assert lines[:4] == reference[:4]
+    reference_sum = sum(reference[1:], reference[0])
+    assert sum(lines[1:], lines[0]) == reference_sum
+    if reference_sum.has_limit():
+        assert concomitant(f, g, endpoint, params) == reference_sum.limit()
+    else:
+        with pytest.raises(DivergentLimitError):
+            concomitant(f, g, endpoint, params)
+
+
+@given(kinds, small_polys, small_polys, endpoints, st.sampled_from(PARAM_PAIRS))
 @settings(max_examples=30, deadline=None)
 def test_memoised_germ_data_matches_a_fresh_computation(kind, p, q, endpoint, params):
     g = _endpoint_input(kind, p, q, endpoint).germ_at(endpoint)
     fresh = LogGerm(endpoint, dict(g.terms))
     assert fresh is not g and fresh == g
+    lam, b = _reference_lam_and_b(fresh, params)
+    expected = (-(_chained_derivative(fresh, 3) * params.symmetric_coefficients()[2]), lam, b)
+    assert con._germ_chain.__wrapped__(fresh, params) == expected
     for _ in range(2):  # a miss, then a hit
-        assert con._bracket_with_one_germ(g, params) == _bracket_with_one_by_definition(fresh, params)
-        assert quasi_derivative(g, params) == con._lam(fresh, params)
+        assert con._germ_chain(g, params) == expected
+        assert quasi_derivative(g, params) == lam
 
 
 def test_germ_memos_are_keyed_by_params():
     p1, p2 = KrallParams(1, 2), KrallParams(Fraction(1, 3), Fraction(7, 2))
     for f in (X, X * X, log_probe(1, p1)):
         g = EndpointFn.from_poly(f).germ_at(1)
-        b1, b2 = con._bracket_with_one_germ(g, p1), con._bracket_with_one_germ(g, p2)
+        b1, b2 = con._germ_chain(g, p1)[-1], con._germ_chain(g, p2)[-1]
         assert b1 != b2
-        assert b2 == con._bracket_with_one_germ.__wrapped__(LogGerm(1, dict(g.terms)), p2)
+        assert b2 == con._germ_chain.__wrapped__(LogGerm(1, dict(g.terms)), p2)[-1]
     g = EndpointFn.from_poly(X * X).germ_at(-1)
     assert quasi_derivative(g, p1) != quasi_derivative(g, p2)
-    assert quasi_derivative(g, p2) == con._lam(LogGerm(-1, dict(g.terms)), p2)
+    assert quasi_derivative(g, p2) == con._germ_chain.__wrapped__(LogGerm(-1, dict(g.terms)), p2)[-2]
 
 
-endpoints = st.sampled_from([-1, 1])
 scalars = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 3))
 
 
@@ -492,12 +523,12 @@ def test_germ_memos_under_threads():
     keys = [(p, e) for p in polys for e in (-1, 1)]
     expected = [
         (
-            con._bracket_with_one_germ.__wrapped__(LogGerm.from_poly(p, e), params).limit(),
-            con._lam(LogGerm.from_poly(p, e), params).limit(),
+            con._germ_chain.__wrapped__(LogGerm.from_poly(p, e), params)[-1].limit(),
+            con._germ_chain.__wrapped__(LogGerm.from_poly(p, e), params)[-2].limit(),
         )
         for p, e in keys
     ]
-    for memo in (_derivative, con._bracket_with_one_germ, con._lam_germ, con._endpoint_values):
+    for memo in (_derivative, con._germ_chain, con._endpoint_values):
         memo.cache_clear()
     errors = []
 
@@ -509,7 +540,8 @@ def test_germ_memos_under_threads():
                 germ = EndpointFn.from_poly(p).germ_at(e)
                 got = (concomitant_with_one(p, e, params), quasi_derivative(germ, params).limit())
                 assert got == expected[j]
-                assert con._endpoint_values(germ, params)[:2] == expected[j]
+                d, _, quasi = con._endpoint_values(germ, params)
+                assert (Fraction(quasi[0], d), -Fraction(quasi[1], d)) == expected[j]
         except AssertionError as exc:
             errors.append(exc)
 

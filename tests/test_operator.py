@@ -27,8 +27,10 @@ from krall6.operator import (
     leading_coefficient_oracle,
     legendre_type,
     power_stencil,
+    quasi_derivatives,
 )
 from krall6.polynomials import Poly
+from krall6.suites import seeded_polynomials
 
 PARAM_PAIRS = [KrallParams(1, 1), KrallParams(1, 2), KrallParams(Fraction(3, 2), Fraction(5, 2))]
 #: a small A and a pair with A = B < 1, for the solver tests
@@ -213,8 +215,9 @@ def test_degree_preservation():
 @pytest.mark.parametrize("params", [KrallParams(1, 2), KrallParams(Fraction(1, 3), Fraction(7, 2))])
 def test_q_and_p_polynomials(params):
     w = Poly([1, 0, -1])
-    assert params.q_poly() == w**3
-    assert params.p_poly() == w * (12 + params.alpha * w)
+    _, p, q = params.symmetric_coefficients()
+    assert q == w**3
+    assert p == w * (12 + params.alpha * w)
     twin = KrallParams(params.A, params.B)
     assert twin == params and hash(twin) == hash(params)
     assert repr(params) == f"KrallParams(A={params.A!r}, B={params.B!r})"
@@ -244,7 +247,7 @@ def printed_leading_coefficients(params):
 
 def factored_reference(y, params):
     """-(Q y''')''' + (P y'')'' - (pi y')', one term per line."""
-    q, pp, pi = params.q_poly(), params.p_poly(), params.pi_poly()
+    pi, pp, q = params.symmetric_coefficients()
     term1 = (y.derivative(3) * q).derivative(3)
     term2 = (y.derivative(2) * pp).derivative(2)
     term3 = (y.derivative(1) * pi).derivative(1)
@@ -253,7 +256,7 @@ def factored_reference(y, params):
 
 def leibniz_reference(params, pi):
     """(b6, ..., b1) of the factored form with the given pi, by the unrolled Leibniz rule."""
-    q, p = params.q_poly(), params.p_poly()
+    _, p, q = params.symmetric_coefficients()
     # -(Q y''')''' = -(Q''' y''' + 3 Q'' y^(4) + 3 Q' y^(5) + Q y^(6))
     # (P y'')''   = P'' y'' + 2 P' y''' + P y^(4)
     # -(pi y')'   = -pi' y' - pi y''
@@ -313,7 +316,7 @@ def test_factored_form_equals_its_reference_on_log_probes():
 @settings(max_examples=30, deadline=None)
 def test_leibniz_expansion_equals_the_unrolled_lines(a, b):
     params = KrallParams(a, b)
-    corrected = leibniz_reference(params, params.pi_poly())
+    corrected = leibniz_reference(params, params.symmetric_coefficients()[0])
     assert expanded_coefficients_of_factored(params) == corrected == params.expression_coefficients()
     variant = leibniz_reference(params, params.pi_poly_sign_variant())
     assert expanded_coefficients_of_factored(params, "sign-variant") == variant
@@ -323,12 +326,53 @@ def test_pi_and_its_sign_variant_are_the_printed_ones():
     for params in PARAM_PAIRS + EXTRA_PAIRS:
         A, B = params.A, params.B
         constant, linear = 12 * A * B + 18 * A + 18 * B + 24, 12 * A - 12 * B
-        assert params.pi_poly() == Poly([constant, linear, -6 * A - 6 * B - 12 * A * B])
+        assert params.symmetric_coefficients()[0] == Poly([constant, linear, -6 * A - 6 * B - 12 * A * B])
         assert params.pi_poly_sign_variant() == Poly([constant, linear, 6 * A - 6 * B - 12 * A * B])
-        assert params.symmetric_coefficients() == (params.pi_poly(), params.p_poly(), params.q_poly())
 
 
 @given(small_polys, positive_rationals)
 @settings(max_examples=40, deadline=None)
 def test_legendre_type_equals_its_written_out_sum(f, a):
     assert apply_legendre_type(f, a) == legendre_type_reference(f, a)
+
+
+# ---------------------------------------------------------------------------
+# the quasi-derivative chain at order four
+# ---------------------------------------------------------------------------
+
+LEGENDRE_A = [Fraction(5), Fraction(2, 7), Fraction(3, 2)]
+
+
+def legendre_type_symmetric(A):
+    """(p_1, p_2) of (p_2 y'')'' - (p_1 y')' = apply_legendre_type: (8 + 4A(1-x^2), (1-x^2)^2)."""
+    w = Poly([1, 0, -1])
+    return Poly([8]) + 4 * A * w, w**2
+
+
+@pytest.mark.parametrize("a", LEGENDRE_A)
+def test_fourth_order_chain_gives_the_legendre_type_expression(a):
+    symmetric = legendre_type_symmetric(a)
+    for y in seeded_polynomials(5, 12):
+        chain = quasi_derivatives(symmetric, y)
+        assert len(chain) == 2
+        assert chain[-1].derivative() == apply_legendre_type(y, a)
+
+
+@pytest.mark.parametrize("a", LEGENDRE_A)
+def test_fourth_order_chain_satisfies_greens_formula(a):
+    """integral(l f g - f l g) = sum_{j<2} (-1)^j (f^[3-j] g^(j) - g^[3-j] f^(j)) from -1 to 1."""
+    symmetric = legendre_type_symmetric(a)
+
+    def bracket(f, g, e):
+        fc, gc = quasi_derivatives(symmetric, f), quasi_derivatives(symmetric, g)
+        return sum(
+            (-1) ** j * (fc[-1 - j](e) * g.derivative(j)(e) - gc[-1 - j](e) * f.derivative(j)(e)) for j in range(2)
+        )
+
+    polys = seeded_polynomials(9, 12)
+    lhs_values = []
+    for f, g in zip(polys[::2], polys[1::2]):
+        lf, lg = apply_legendre_type(f, a), apply_legendre_type(g, a)
+        lhs_values.append(lf.integrate_product(g) - f.integrate_product(lg))
+        assert lhs_values[-1] == bracket(f, g, 1) - bracket(f, g, -1)
+    assert any(lhs_values)  # the boundary form is not identically zero on these pairs
