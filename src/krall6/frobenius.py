@@ -35,14 +35,15 @@ second coefficient forced to -(A+1)/2 by a constraint two orders later, so
 naive pin-to-zero would falsely obstruct.  Parameters settle at the last
 resonance (or the highest target offset, if later): there the targets are
 applied, the parameters still free are pinned to 0, and every form becomes
-its constant.  Past `settle` no pivot vanishes, and the recurrence runs on
-ints: each row is read scaled by `LocalExpression.scale` (the lcm of the
-stencil's denominators), the last three c_m and e_m are numerators over one
-common denominator D, each order multiplies D by the square of the scaled
-pivot, and one gcd of D with the window per order keeps D at the size of
-the reduced coefficients (2,073-2,272 bits at order 120 for A = 1/100,
-B = 3, against 9,991-10,389 without it).  Each coefficient is
-emitted as a reduced `Fraction`.
+its constant.  The rows are ints scaled by q = `LocalExpression.scale` (the
+lcm of the stencil's denominators); both levels are homogeneous in them.
+Past `settle` no pivot vanishes, and the recurrence runs on ints: the last
+three c_m and e_m are numerators over one common denominator D, each order
+multiplies D and the window by P^2 (P the scaled pivot) and divides all by
+g = gcd(P^2, e_n, c_n), which keeps D at the size of the reduced
+coefficients (2,073-2,272 bits at order 120 for A = 1/100, B = 3, the same
+as the full gcd of D and the window, against 9,991-10,389 without either).
+`Poly._ratios` emits the (numerator, D) pairs; no `Fraction` is built.
 
 A solution is y = t^r (C(t) + E(t) ln|t|), C and E the `Poly`s whose t^m
 coefficients are c_m and e_m.  With theta = t d/dt, rho(r+theta) scales the
@@ -133,9 +134,9 @@ def _valuation(levels) -> Optional[int]:
 class LocalExpression:
     """The expression at one endpoint: `pole` is minus the lowest shift of
     `power_stencil` there, `stencil[d]` its rho_{d-pole} in ascending d,
-    `table[s]` the row `at(s)` once it is asked for, and `scale` the lcm of
-    the stencil's coefficient denominators, so q times any entry of a row is
-    an int.  ArithmeticError where Fuchs's condition fails."""
+    `table[s]` the row `at(s)` once it is asked for, and `scale` the lcm q of
+    the stencil's coefficient denominators, by which every row is scaled to
+    ints.  ArithmeticError where Fuchs's condition fails."""
 
     endpoint: int
     params: KrallParams
@@ -159,10 +160,14 @@ class LocalExpression:
         object.__setattr__(self, "scale", scale)
 
     def at(self, s: int) -> dict:
-        """{d: (rho_d(s), rho_d'(s))}, worked out once per s and kept in `table`."""
+        """{d: (q rho_d(s), q rho_d'(s))} as ints (q = `scale`), kept in `table` once worked out."""
         row = self.table.get(s)
         if row is None:
-            row = self.table[s] = {d: rho.value_and_slope(s) for d, rho in self.stencil.items()}
+            q = self.scale
+            row = self.table[s] = {
+                d: tuple(x.numerator * (q // x.denominator) for x in rho.value_and_slope(s))
+                for d, rho in self.stencil.items()
+            }
         return row
 
     def indicial_polynomial(self) -> Poly:
@@ -184,13 +189,14 @@ class LocalExpression:
 
     def apply_to_series(self, r: int, levels: tuple) -> tuple[Poly, Poly]:
         """(C', E') with l[t^r (C + E ln|t|)] = t^{r-pole} (C' + E' ln|t|), from the rows `at(r+m)`:
-        each level is one integer pass (`Poly.scaled_sum`), normalised once."""
+        each level is one integer pass (`Poly.scaled_sum`), divided by `scale` once."""
         C, E = levels
         rows = [self.at(r + m) for m in range(_size(levels))]
         value_terms = [(d, E, [row[d][0] for row in rows]) for d in self.stencil]
         slope_terms = [(d, E, [row[d][1] for row in rows]) for d in self.stencil]
         out_c = Poly.scaled_sum([(d, C, values) for d, _, values in value_terms] + slope_terms)
-        return out_c, Poly.scaled_sum(value_terms)
+        unscale = Fraction(1, self.scale)
+        return out_c * unscale, Poly.scaled_sum(value_terms) * unscale
 
 
 @functools.lru_cache(maxsize=64)
@@ -254,14 +260,13 @@ def _solve_single(local: LocalExpression, label: str, order: int) -> SeriesSolut
     x^i).  `solve` gives each coefficient from coefficient * pivot + rest = 0,
     or, for a zero pivot, constrains rest = 0 and returns a fresh parameter.
     At `settle` the targets are applied, the free parameters pinned to 0, and
-    every coefficient becomes its constant.  No pivot past `settle` is zero,
-    so the later orders run on ints: the last `width` coefficients of each
-    level are numerators over one denominator `den`, and each row is read
-    scaled by q = `local.scale`, giving v_d = q rho_d and s_d = q rho_d'.
-    With T1 = sum E v_d and T0 = sum (C v_d + E s_d) over the window, P and
-    S0 the scaled pivot and its slope, the new pair is e_n = -T1 P and
-    c_n = T1 S0 - T0 P over den P^2; the window is rescaled by P^2 and then
-    divided by gcd(den, *window), which keeps den at the reduced size.
+    every coefficient becomes its constant.  The rows `local.at` are scaled by
+    q = `local.scale`: v_d = q rho_d and s_d = q rho_d'.  No pivot past `settle`
+    is zero, so the later orders run on ints: the last `width` coefficients of
+    each level are numerators over one denominator `den`.  With T1 = sum E v_d
+    and T0 = sum (C v_d + E s_d) over the window, P and S0 the scaled pivot and
+    its slope, the new pair is e_n = -T1 P and c_n = T1 S0 - T0 P over den P^2;
+    den and the window are rescaled by P^2, and all divided by gcd(P^2, e_n, c_n).
     """
     r, with_log, targets = _SOLUTIONS[label]
     pivots = [local.at(r + n)[0][0] for n in range(order + 1)]
@@ -292,7 +297,7 @@ def _solve_single(local: LocalExpression, label: str, order: int) -> SeriesSolut
     def solve(rest: Poly, pivot: Fraction, context: str) -> Poly:
         nonlocal params
         if pivot:
-            return rest * (-1 / pivot)
+            return rest * Fraction(-1, pivot)
         resolve_constraint(rest, context)
         params += 1
         return Poly.monomial(params)
@@ -315,12 +320,8 @@ def _solve_single(local: LocalExpression, label: str, order: int) -> SeriesSolut
         rows.setdefault(i, Poly.monomial(i))
     e, c = [reduce(form)[0] for form in e], [reduce(form)[0] for form in c]
 
-    q = local.scale
-
-    def scaled(s: int, d: int) -> tuple[int, int]:
-        value, slope = local.at(s)[d]
-        return value.numerator * (q // value.denominator), slope.numerator * (q // slope.denominator)
-
+    # (numerator, denominator) of each coefficient of C and of E
+    pairs = [[(f.numerator, f.denominator) for f in level] for level in (c, e)]
     # window[-d] is the numerator of the coefficient d orders back; zeros before offset 0
     width = max(local.stencil)
     ew, cw = ([0] * width + e)[-width:], ([0] * width + c)[-width:]
@@ -330,21 +331,20 @@ def _solve_single(local: LocalExpression, label: str, order: int) -> SeriesSolut
         t1 = t0 = 0
         for d in local.stencil:
             if d and n - d >= 0:
-                value, slope = scaled(r + n - d, d)
+                value, slope = local.at(r + n - d)[d]
                 t1 += ew[-d] * value
                 t0 += cw[-d] * value + ew[-d] * slope
-        pivot, slope = scaled(r + n, 0)
-        square = pivot * pivot
-        ew = [x * square for x in ew[1:]] + [-t1 * pivot]
-        cw = [x * square for x in cw[1:]] + [t1 * slope - t0 * pivot]
-        den *= square
-        g = math.gcd(den, *ew, *cw)
-        den //= g
-        ew, cw = [x // g for x in ew], [x // g for x in cw]
-        e.append(Fraction(ew[-1], den))
-        c.append(Fraction(cw[-1], den))
+        pivot, slope = local.at(r + n)[0]
+        new_e, new_c = -t1 * pivot, t1 * slope - t0 * pivot
+        g = math.gcd(pivot * pivot, new_e, new_c)
+        rescale = pivot * pivot // g  # den and the window times P^2, everything over g
+        ew = [x * rescale for x in ew[1:]] + [new_e // g]
+        cw = [x * rescale for x in cw[1:]] + [new_c // g]
+        den *= rescale
+        pairs[0].append((cw[-1], den))
+        pairs[1].append((ew[-1], den))
 
-    return SeriesSolution(local.endpoint, r, label, order, (Poly(c), Poly(e)))
+    return SeriesSolution(local.endpoint, r, label, order, tuple(map(Poly._ratios, pairs)))
 
 
 def series_solution(endpoint: int, label: str, order: int, params: KrallParams) -> SeriesSolution:

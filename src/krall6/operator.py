@@ -295,27 +295,43 @@ def eigen_polynomial(n: int, params: KrallParams) -> Poly:
     rho_0(m) - lambda_n is lambda_m - lambda_n, so the eigenvalues are
     distinct exactly when it vanishes only at m = n; then c_n = 1 and each
     lower c_m follows from the window of higher ones that the stencil's
-    shifts reach.
+    shifts reach.  It runs on ints: rho_j is read as q rho_j (q the lcm of the
+    stencil's denominators), the window holds numerators over one denominator,
+    each step multiplies both by the scaled pivot P and divides by
+    gcd(P, new numerator), and `Poly._ratios` emits the coefficients.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     lam = eigenvalue(n, params)
     stencil = power_stencil(params, 0)
-    pivots = []
+    q = math.lcm(*(c.denominator for rho in stencil.values() for c in rho.coeffs))
+    horner = {shift: [int(q * c) for c in reversed(rho.coeffs)] for shift, rho in stencil.items()}
+
+    def row(shift: int, m: int) -> int:  # q rho_shift(m), by Horner's rule on ints
+        value = 0
+        for c in horner[shift]:
+            value = value * m + c
+        return value
+
+    diagonal, scaled_lam = [row(0, m) for m in range(n + 1)], q * lam
     for m in range(n):
-        pivots.append(stencil[0](m) - lam)
-        if pivots[m] == 0:
+        if diagonal[m] == scaled_lam:
             raise DegenerateEigenvalueError(
                 f"lambda_{m} = lambda_{n} = {format_rational(lam)} for {params.label()}"
             )
-    if stencil[0](n) != lam:
+    if diagonal[n] != scaled_lam:
         raise ValueError(f"no eigenpolynomial of degree {n}: lambda = {format_rational(lam)} is not rho_0({n})")
-    window = [(-shift, rho) for shift, rho in stencil.items() if shift < 0]
-    c = [Fraction(0)] * n + [Fraction(1)]
+    shifts = [-shift for shift in stencil if shift < 0]
+    window = [1] + [0] * (max(shifts) - 1)  # window[j-1]: the numerator of c_(m+j) over den
+    den, pairs = 1, [(1, 1)]
     for m in range(n - 1, -1, -1):
-        rest = sum((rho(m + j) * c[m + j] for j, rho in window if m + j <= n), Fraction(0))
-        c[m] = -rest / pivots[m]
-    return Poly(c)
+        pivot = diagonal[m] - diagonal[n]
+        new = -sum(row(-j, m + j) * window[j - 1] for j in shifts if window[j - 1])
+        g = math.gcd(pivot, new)
+        window = [new // g] + [x * (pivot // g) for x in window[:-1]]
+        den *= pivot // g
+        pairs.append((window[0], den))
+    return Poly._ratios(pairs[::-1])
 
 
 def closed_form_polynomial(n: int, params: KrallParams, variant: str = "sum-end") -> Poly:

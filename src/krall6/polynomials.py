@@ -140,9 +140,13 @@ class Poly:
     __slots__ = ("_n", "_d")
 
     def __new__(cls, coeffs: Iterable[Scalar] = ()):
-        fs = [as_fraction(c) for c in coeffs]
-        den = math.lcm(*[f.denominator for f in fs])
-        return Poly._make([f.numerator * (den // f.denominator) for f in fs], den)
+        return Poly._ratios([(f.numerator, f.denominator) for f in map(as_fraction, coeffs)])
+
+    @staticmethod
+    def _ratios(pairs) -> "Poly":
+        """sum (n_i / d_i) x^i over int pairs (n_i, d_i), any nonzero d_i: one lcm, one `_make`."""
+        den = math.lcm(*[d for _, d in pairs])
+        return Poly._make([n * (den // d) for n, d in pairs], den)
 
     @staticmethod
     def _make(ints, den: int) -> "Poly":
@@ -333,7 +337,7 @@ class Poly:
         return Fraction(acc * q, self._d * q_power)
 
     def value_and_slope(self, point: int) -> tuple[Fraction, Fraction]:
-        """(p(point), p'(point)) by one Horner pass over the numerators, ints at an int point."""
+        """(p(point), p'(point)) as Fractions, by one Horner pass over the numerators (ints)."""
         value = slope = 0
         for c in reversed(self._n):
             slope = slope * point + value

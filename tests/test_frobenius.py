@@ -199,11 +199,11 @@ def test_one_power_stencil_per_endpoint():
     local = LocalExpression(1, params)
     assert list(local.stencil) == sorted(local.stencil)
     for s in range(-1, 8):
-        # each row, keyed by d, is rho_d and rho_d' evaluated term by term
+        # each row, keyed by d, is rho_d and rho_d' evaluated term by term, times the scale
         assert local.at(s) == {
             d: (
-                sum(c * s**i for i, c in enumerate(rho.coeffs)),
-                sum(i * c * s ** (i - 1) for i, c in enumerate(rho.coeffs) if i),
+                local.scale * sum(c * s**i for i, c in enumerate(rho.coeffs)),
+                local.scale * sum(i * c * s ** (i - 1) for i, c in enumerate(rho.coeffs) if i),
             )
             for d, rho in local.stencil.items()
         }
@@ -454,7 +454,7 @@ def reference_solve(local, label, order):
     def solve(rest, pivot):
         nonlocal params
         if pivot:
-            return rest * (-1 / pivot)
+            return rest * Fraction(-1, pivot)
         resolve_constraint(rest)
         params += 1
         return Poly.monomial(params)
@@ -496,6 +496,31 @@ def test_integer_window_matches_fraction_reference(endpoint, params):
 
 @pytest.mark.parametrize("endpoint", (-1, 1))
 def test_integer_window_matches_fraction_reference_at_order_120(endpoint):
-    local = local_expression(endpoint, KrallParams(Fraction(1, 100), 3))
-    for label in SOLUTION_LABELS:
-        assert _solve_single(local, label, 120) == reference_solve(local, label, 120)
+    # and at order 200 on the widest pair, whose window numerators run to thousands of bits
+    for params, order in (
+        (KrallParams(Fraction(1, 100), 3), 120),
+        (KrallParams(Fraction(1, 10**6), Fraction(10**6, 7)), 200),
+    ):
+        local = local_expression(endpoint, params)
+        for label in SOLUTION_LABELS:
+            assert _solve_single(local, label, order) == reference_solve(local, label, order)
+
+
+def test_solver_builds_no_fraction_past_settle(monkeypatch):
+    """Past `settle` the window stays ints and `Poly._ratios` emits them: no order adds a
+    `Fraction`, so order 120 builds as many as order 40."""
+    local = local_expression(1, KrallParams(Fraction(1, 100), 3))
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(fro, "Fraction", counting)
+    counts = []
+    for order in (40, 120):
+        built.clear()
+        for label in SOLUTION_LABELS:
+            _solve_single(local, label, order)
+        counts.append(len(built))
+    assert counts[0] == counts[1]

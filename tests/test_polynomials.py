@@ -608,3 +608,20 @@ def test_scaled_sum_reads_only_the_values_it_needs():
     assert Poly.scaled_sum([(0, Poly(), [])]) == Poly.scaled_sum([]) == Poly()
     with pytest.raises(ValueError):
         Poly.scaled_sum([(0, p, [1, 2])])
+
+
+ratio_pairs = st.lists(
+    st.tuples(st.one_of(st.just(0), st.integers(-10**30, 10**30)), st.integers(-40, 40).filter(bool)), max_size=9
+)
+
+
+@given(ratio_pairs, st.integers(0, 3))
+@example([], 0)
+@example([(0, -3), (5, -7)], 2)
+@settings(max_examples=80, deadline=None)
+def test_ratios_constructor_matches_fraction_route(pairs, trailing):
+    # zero numerators, trailing zeros, negative denominators and the empty list
+    pairs = pairs + [(0, 1 + k) for k in range(trailing)]
+    got = Poly._ratios(pairs)
+    assert_normal_form(got)
+    assert got == Poly([Fraction(n, d) for n, d in pairs])
