@@ -28,18 +28,24 @@ Endpoint limits are germ-valuation limits (`germs.LogGerm.limit`); divergence
 raises `DivergentLimitError`, the typed signal that an input pair lies
 outside the limit class.
 
-The chain of a germ is memoised: `_germ_chain` works out each (germ, params)
-pair once and serves Lam, B, the bracket lines and the endpoint values.  A
-second memo, `_endpoint_values`, holds the limits g^(j)(e) and
-(-1)^j g^[2m-1-j](e) for j < m as ints over one denominator, or None when
-any of them fails.  When both germs of a pair have values, `concomitant` is
-two integer dot products and one `Fraction`: the limit of a product of
-convergent factors is the product of their limits.  Both memos are
-`functools.lru_cache`s bounded at 4096 entries and keyed by value (`LogGerm`
-and `KrallParams` hash by value), like the germ derivatives they read
-(`germs._derivative`).  The chain memo holds germs, never limits; the other
-holds ints or None, never a `DivergentLimitError`, so a divergent pair takes
-the germ-line route on every call and raises there.
+Three memos serve the brackets.  `_germ_chain` works out the chain of each
+(germ, params) pair once and serves Lam, B and the bracket lines.  An
+endpoint record holds f^(j)(e) and (-1)^j f^[2m-1-j](e) for j < m as ints
+over one denominator: `_poly_records` fills both endpoints' records of a
+global polynomial at once, by evaluating its Poly chain at -1 and +1, and
+`_endpoint_values` fills a germ's from the limits of its chain, or holds
+None when any of them fails.  A `Poly` or a global `EndpointFn` takes the
+polynomial record and builds no germ; every other input takes its germ's.
+When both factors of a pair have records, `concomitant` is two integer dot
+products and one `Fraction` (the limit of a product of convergent factors
+is the product of their limits), and B(e) and Lam(e) are read from the
+record; only a germ without one (a log-bearing germ) takes the chain's
+limits.  All three memos are `functools.lru_cache`s bounded at 4096 entries
+and keyed by value (`Poly`, `LogGerm` and `KrallParams` hash by value), like
+the germ derivatives they read (`germs._derivative`).  The chain memo holds
+germs, never limits; the records are ints or None, never a
+`DivergentLimitError`, so a divergent pair takes the germ-line route on
+every call and raises there.
 
 The module also provides:
 
@@ -69,7 +75,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .germs import DivergentLimitError, EndpointFn, LogGerm
+from .germs import DivergentLimitError, EndpointFn, LogGerm, _check_endpoint
 from .operator import WEIGHT, KrallParams, apply_expression, quasi_derivatives
 from .polynomials import Poly
 
@@ -192,8 +198,8 @@ def quasi_derivative(f, params: KrallParams):
 
 
 def quasi_derivative_at(f, endpoint: int, params: KrallParams) -> Fraction:
-    """Endpoint limit of the quasi-derivative, taken on f's memoised germ chain."""
-    return _germ_chain(_germ(f, endpoint), params)[-2].limit()
+    """Endpoint limit of the quasi-derivative Lam[f], the chain's entry -2."""
+    return _quasi_at(f, endpoint, params, 1)
 
 
 def quasi_derivative_terms_at(f, endpoint: int, params: KrallParams) -> tuple[Fraction, Fraction]:
@@ -218,6 +224,14 @@ def _concomitant_lines(fg: LogGerm, gg: LogGerm, params: KrallParams) -> tuple[L
     return tuple(lines)
 
 
+def _as_record(values: list[Fraction], quasi: list[Fraction]) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(d, d values, d (-1)^j quasi[j]) over the lcm d of every denominator, for
+    values = (g^(j)(e))_j and quasi = (g^[2m-1-j](e))_j, j < m."""
+    quasi = [-v if j % 2 else v for j, v in enumerate(quasi)]
+    d = math.lcm(*(v.denominator for v in values + quasi))
+    return d, *(tuple(v.numerator * (d // v.denominator) for v in vs) for vs in (values, quasi))
+
+
 @functools.lru_cache(maxsize=4096)
 def _endpoint_values(g: LogGerm, params: KrallParams) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
     """(d, (d g^(j)(e))_j, (d (-1)^j g^[2m-1-j](e))_j) for j < m, ints over one
@@ -228,11 +242,37 @@ def _endpoint_values(g: LogGerm, params: KrallParams) -> tuple[int, tuple[int, .
     """
     try:
         values = [g.derivative(j).limit() for j in range(len(params.symmetric_coefficients()))]
-        quasi = [-q.limit() if j % 2 else q.limit() for j, q in enumerate(reversed(_germ_chain(g, params)))]
+        quasi = [q.limit() for q in reversed(_germ_chain(g, params))]
     except DivergentLimitError:
         return None
-    d = math.lcm(*(v.denominator for v in values + quasi))
-    return d, *(tuple(v.numerator * (d // v.denominator) for v in vs) for vs in (values, quasi))
+    return _as_record(values, quasi)
+
+
+@functools.lru_cache(maxsize=4096)
+def _poly_records(p: Poly, params: KrallParams) -> tuple[tuple, tuple]:
+    """The `_endpoint_values` records of a global polynomial at -1 and at +1,
+    read off its Poly chain by evaluation: no germ is built and no limit taken."""
+    quasi = quasi_derivatives(params.symmetric_coefficients(), p)[::-1]
+    values = [p.derivative(j) for j in range(len(quasi))]
+    return tuple(_as_record([v(e) for v in values], [q(e) for q in quasi]) for e in (-1, 1))
+
+
+def _record_at(f, endpoint: int, params: KrallParams):
+    """f's record at `endpoint`: a Poly's or a global EndpointFn's from `_poly_records`,
+    any other input's from `_endpoint_values` of its germ (None where a limit fails)."""
+    p = f.poly if isinstance(f, EndpointFn) else f
+    if isinstance(p, Poly):
+        return _poly_records(p, params)[_check_endpoint(endpoint) > 0]
+    return _endpoint_values(_germ(f, endpoint), params)
+
+
+def _quasi_at(f, endpoint: int, params: KrallParams, j: int) -> Fraction:
+    """f^[2m-1-j](e) from f's record, or from its germ chain's limit where it has none."""
+    record = _record_at(f, endpoint, params)
+    if record is None:
+        return _germ_chain(_germ(f, endpoint), params)[-1 - j].limit()
+    d, _, quasi = record
+    return Fraction(-quasi[j] if j % 2 else quasi[j], d)
 
 
 def concomitant(f, g, endpoint: int, params: KrallParams) -> Fraction:
@@ -240,19 +280,18 @@ def concomitant(f, g, endpoint: int, params: KrallParams) -> Fraction:
 
     When every factor of the bracket lines has a limit, the limit of the sum
     is sum_j (-1)^j (f^[2m-1-j](e) g^(j)(e) - g^[2m-1-j](e) f^(j)(e)), two
-    integer dot products over `_endpoint_values`.  Otherwise the germ lines
-    are built and their sum's limit taken.
+    integer dot products over the two endpoint records.  Otherwise the germ
+    lines are built and their sum's limit taken.
 
     Raises DivergentLimitError when the pair is outside the limit class; its
     detail names the endpoint and the lines (numbered from 1, in the order
     of the module docstring) that diverge on their own.
     """
-    fg, gg = _germ(f, endpoint), _germ(g, endpoint)
-    fv, gv = _endpoint_values(fg, params), _endpoint_values(gg, params)
+    fv, gv = _record_at(f, endpoint, params), _record_at(g, endpoint, params)
     if fv is not None and gv is not None:
         (f_den, f_values, f_quasi), (g_den, g_values, g_quasi) = fv, gv
         return Fraction(sum(map(mul, f_quasi, g_values)) - sum(map(mul, g_quasi, f_values)), f_den * g_den)
-    lines = _concomitant_lines(fg, gg, params)
+    lines = _concomitant_lines(_germ(f, endpoint), _germ(g, endpoint), params)
     try:
         return sum(lines[1:], lines[0]).limit()
     except DivergentLimitError as exc:
@@ -264,7 +303,7 @@ def concomitant(f, g, endpoint: int, params: KrallParams) -> Fraction:
 
 def concomitant_with_one(f, endpoint: int, params: KrallParams) -> Fraction:
     """Endpoint limit of B[f], the chain's last entry (equals concomitant(f, 1, endpoint) exactly)."""
-    return _germ_chain(_germ(f, endpoint), params)[-1].limit()
+    return _quasi_at(f, endpoint, params, 0)
 
 
 def symplectic_form(f, g, params: KrallParams) -> Fraction:

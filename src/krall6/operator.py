@@ -103,6 +103,10 @@ class KrallParams:
         # not dataclass fields: equality, hash and repr see only (A, B)
         object.__setattr__(self, "_symmetric", (pi, WEIGHT * (Poly([12]) + self.alpha * WEIGHT), WEIGHT**3))
         object.__setattr__(self, "_coefficients", _expression_coefficients(A, B))
+        object.__setattr__(self, "_hash", hash((A, B)))
+
+    def __hash__(self):  # hash((A, B)) as the dataclass's, computed once: every memo keyed by params hashes it
+        return self._hash
 
     @property
     def alpha(self) -> Fraction:
@@ -285,6 +289,16 @@ def leading_coefficient_oracle(n: int, params: KrallParams) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _integer_stencil(params: KrallParams) -> tuple[int, Mapping[int, tuple[int, ...]]]:
+    """(q, {shift: q rho_shift's coefficients, highest first}) for `power_stencil(params, 0)`,
+    q the lcm of its denominators: the int Horner rows of `eigen_polynomial`, once per params."""
+    stencil = power_stencil(params, 0)
+    q = math.lcm(*(c.denominator for rho in stencil.values() for c in rho.coeffs))
+    rows = {shift: tuple(int(q * c) for c in reversed(rho.coeffs)) for shift, rho in stencil.items()}
+    return q, MappingProxyType(rows)
+
+
 @functools.lru_cache(maxsize=4096)
 def eigen_polynomial(n: int, params: KrallParams) -> Poly:
     """The monic degree-n eigenpolynomial K_n, by the banded stencil recurrence.
@@ -303,9 +317,7 @@ def eigen_polynomial(n: int, params: KrallParams) -> Poly:
     if n < 0:
         raise ValueError("n must be non-negative")
     lam = eigenvalue(n, params)
-    stencil = power_stencil(params, 0)
-    q = math.lcm(*(c.denominator for rho in stencil.values() for c in rho.coeffs))
-    horner = {shift: [int(q * c) for c in reversed(rho.coeffs)] for shift, rho in stencil.items()}
+    q, horner = _integer_stencil(params)
 
     def row(shift: int, m: int) -> int:  # q rho_shift(m), by Horner's rule on ints
         value = 0
@@ -321,7 +333,7 @@ def eigen_polynomial(n: int, params: KrallParams) -> Poly:
             )
     if diagonal[n] != scaled_lam:
         raise ValueError(f"no eigenpolynomial of degree {n}: lambda = {format_rational(lam)} is not rho_0({n})")
-    shifts = [-shift for shift in stencil if shift < 0]
+    shifts = [-shift for shift in horner if shift < 0]
     window = [1] + [0] * (max(shifts) - 1)  # window[j-1]: the numerator of c_(m+j) over den
     den, pairs = 1, [(1, 1)]
     for m in range(n - 1, -1, -1):
@@ -334,39 +346,36 @@ def eigen_polynomial(n: int, params: KrallParams) -> Poly:
     return Poly._ratios(pairs[::-1])
 
 
+@functools.lru_cache(maxsize=4096)
 def closed_form_polynomial(n: int, params: KrallParams, variant: str = "sum-end") -> Poly:
-    """Literal evaluation of the closed-form coefficient sum under one parse.
+    """The closed-form coefficient sum under one parse, memoised per (n, params, variant).
 
-    The displayed inner factor has an unbalanced parenthesis; `variant`
-    selects the reading (see CLOSED_FORM_VARIANTS).
+    The coefficient of x^(n-j) is (-1)^(j//2) (2n-j)! q_j / (2^(n+1) (n-(j+1)//2)! (j//2)! (n-j)! S),
+    S = n^2+n+A+B, with q_j = e_j(C + 2jS) + o_j(4B-4A), C = n^4+(2A+2B-1)n^2+4AB,
+    e_j = (2+(-1)^j)/2 and o_j = (1-(-1)^j)/2.  The displayed inner factor has
+    an unbalanced parenthesis; `variant` selects the reading (see
+    CLOSED_FORM_VARIANTS): "before-j-term" reads q_j = e_j C + 2jS + o_j(4B-4A),
+    "even-selector" e_j = (1+(-1)^j)/2.  It runs on ints: with A = a/D and
+    B = b/D, D = den(A) den(B), each quantity is scaled by D^2 and each weight
+    doubled, and every coefficient is one int pair for `Poly._ratios`.
     """
     if variant not in CLOSED_FORM_VARIANTS:
         raise ValueError(f"unknown closed-form variant {variant!r}")
     A, B = params.A, params.B
-    n_f = Fraction(n)
-    coeffs = [Fraction(0)] * (n + 1)
+    D = A.denominator * B.denominator
+    a, b = A.numerator * B.denominator, B.numerator * A.denominator
+    s = D * D * (n * n + n) + D * (a + b)  # D^2 S
+    core = D * D * n**4 + (2 * a + 2 * b - D) * D * n * n + 4 * a * b  # D^2 C
+    jump = 4 * D * (b - a)  # D^2 (4B - 4A)
+    even_selector, sum_end = variant.startswith("even-selector"), variant.endswith("sum-end")
+    pairs = []  # from x^n down
     for j in range(n + 1):
-        even_weight = (
-            Fraction(2 + (-1) ** j, 2) if not variant.startswith("even-selector") else Fraction(1 + (-1) ** j, 2)
-        )
-        odd_weight = Fraction(1 - (-1) ** j, 2)
-        core = n_f**4 + (2 * A + 2 * B - 1) * n_f**2 + 4 * A * B
-        j_term = 2 * j * (n_f**2 + n_f + A + B)
-        if variant.endswith("sum-end"):
-            q = even_weight * (core + j_term) + odd_weight * (4 * B - 4 * A)
-        else:
-            q = even_weight * core + j_term + odd_weight * (4 * B - 4 * A)
-        sign = Fraction((-1) ** (j // 2))
-        num = sign * math.factorial(2 * n - j) * q
-        den = (
-            Fraction(2) ** (n + 1)
-            * math.factorial(n - ((j + 1) // 2))
-            * math.factorial(j // 2)
-            * math.factorial(n - j)
-            * (n_f**2 + n_f + A + B)
-        )
-        coeffs[n - j] += num / den
-    return Poly(coeffs)
+        even, odd = (1 if even_selector else 2) + (-1) ** j, 1 - (-1) ** j  # 2 e_j, 2 o_j
+        q = even * (core + 2 * j * s) + odd * jump if sum_end else even * core + 4 * j * s + odd * jump
+        num = (-1) ** (j // 2) * math.factorial(2 * n - j) * q
+        den = 2 ** (n + 2) * math.factorial(n - (j + 1) // 2) * math.factorial(j // 2) * math.factorial(n - j) * s
+        pairs.append((num, den))
+    return Poly._ratios(pairs[::-1])
 
 
 def closed_form_comparison(n: int, params: KrallParams) -> dict:

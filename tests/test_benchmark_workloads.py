@@ -37,7 +37,7 @@ def test_germ_layer_never_runs_euclid(monkeypatch, capsys):
 
     monkeypatch.setattr(polynomials, "poly_gcd", euclid)
     monkeypatch.setattr(polynomials.Poly, "divmod", euclid)
-    for memo in (germs._derivative, concomitant._germ_chain, concomitant._endpoint_values):
+    for memo in (germs._derivative, concomitant._germ_chain, concomitant._endpoint_values, concomitant._poly_records):
         memo.cache_clear()
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workload = importlib.import_module("workloads").WORKLOADS["endpoint-log"]

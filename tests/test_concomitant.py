@@ -202,6 +202,37 @@ def test_endpoint_values_are_none_for_log_probes():
             assert con._endpoint_values(log_probe(-endpoint, params).germ_at(endpoint), params) == (1, (0, 0, 0), (0, 0, 0))
 
 
+@given(small_polys, st.sampled_from(PARAM_PAIRS + [KrallParams(Fraction(1, 10**6), Fraction(10**6, 7))]))
+@settings(max_examples=40, deadline=None)
+def test_poly_record_matches_germ_record(p, params):
+    """The records read off the Poly chain at -1 and +1 are the germ route's, int for int."""
+    records = con._poly_records(p, params)
+    assert records == tuple(con._endpoint_values(LogGerm.from_poly(p, e), params) for e in (-1, 1))
+
+
+def _limit_or_divergent(read):
+    try:
+        return read()
+    except DivergentLimitError:
+        return DivergentLimitError
+
+
+@pytest.mark.parametrize("params", [KrallParams(1, 2), KrallParams(Fraction(1, 3), Fraction(7, 2))])
+def test_record_reads_match_chain_limits(params):
+    """B(e) and Lam(e) from the records equal the germ chain's limits; the log
+    probes have no record at their endpoint and take the chain's limit."""
+    pool = [X**3 - 2 * X, *seeded(4, seed=7, max_degree=8), EndpointFn.from_poly(X**4)]
+    for e in (-1, 1):
+        pool += [one_near(e), weight_near(e), quasi_probe(e, params), log_probe(e, params)]
+    for endpoint in (-1, 1):
+        assert con._record_at(log_probe(endpoint, params), endpoint, params) is None
+        for f in pool:
+            chain = con._germ_chain.__wrapped__(EndpointFn.from_poly(f).germ_at(endpoint), params)
+            for read, entry in ((concomitant_with_one, chain[-1]), (quasi_derivative_at, chain[-2])):
+                got = _limit_or_divergent(lambda: read(f, endpoint, params))
+                assert got == _limit_or_divergent(entry.limit)
+
+
 def _endpoint_input(kind, p, q, endpoint):
     """A global polynomial, a one-sided polynomial, or p + q ln(1-x^2) near `endpoint`."""
     if kind == "global":
@@ -528,7 +559,7 @@ def test_germ_memos_under_threads():
         )
         for p, e in keys
     ]
-    for memo in (_derivative, con._germ_chain, con._endpoint_values):
+    for memo in (_derivative, con._germ_chain, con._endpoint_values, con._poly_records):
         memo.cache_clear()
     errors = []
 

@@ -194,6 +194,65 @@ def test_closed_form_comparison_outcomes():
                 assert outcome["even-selector-sum-end"]["matches"]
 
 
+def _closed_form_by_fractions(n, params, variant):
+    """The closed-form coefficient sum evaluated literally on Fractions, term by
+    term as displayed: the reference for the integer evaluation."""
+    A, B = params.A, params.B
+    n_f = Fraction(n)
+    coeffs = [Fraction(0)] * (n + 1)
+    for j in range(n + 1):
+        even_weight = (
+            Fraction(2 + (-1) ** j, 2) if not variant.startswith("even-selector") else Fraction(1 + (-1) ** j, 2)
+        )
+        odd_weight = Fraction(1 - (-1) ** j, 2)
+        core = n_f**4 + (2 * A + 2 * B - 1) * n_f**2 + 4 * A * B
+        j_term = 2 * j * (n_f**2 + n_f + A + B)
+        if variant.endswith("sum-end"):
+            q = even_weight * (core + j_term) + odd_weight * (4 * B - 4 * A)
+        else:
+            q = even_weight * core + j_term + odd_weight * (4 * B - 4 * A)
+        sign = Fraction((-1) ** (j // 2))
+        num = sign * math.factorial(2 * n - j) * q
+        den = (
+            Fraction(2) ** (n + 1)
+            * math.factorial(n - ((j + 1) // 2))
+            * math.factorial(j // 2)
+            * math.factorial(n - j)
+            * (n_f**2 + n_f + A + B)
+        )
+        coeffs[n - j] += num / den
+    return Poly(coeffs)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        KrallParams(1, 2),
+        KrallParams(Fraction(1, 3), Fraction(7, 2)),
+        KrallParams(Fraction(1, 100), 3),
+        KrallParams(5, 5),
+        KrallParams(Fraction(7, 3), Fraction(5, 11)),
+        KrallParams(Fraction(1, 10**6), Fraction(10**6, 7)),
+    ],
+    ids=KrallParams.label,
+)
+def test_closed_form_on_ints_matches_fraction_reference(params):
+    for variant in CLOSED_FORM_VARIANTS:
+        for n in range(25):
+            got, want = closed_form_polynomial(n, params, variant), _closed_form_by_fractions(n, params, variant)
+            assert (got._n, got._d) == (want._n, want._d), (n, variant)
+    assert closed_form_polynomial(3, params, "sum-end") is closed_form_polynomial(3, params, "sum-end")
+    with pytest.raises(ValueError, match="unknown closed-form variant"):
+        closed_form_polynomial(3, params, "sum")
+
+
+def test_params_hash_by_value():
+    assert hash(KrallParams(1, 2)) == hash((Fraction(1), Fraction(2)))
+    assert hash(KrallParams(Fraction(2, 4), 3)) == hash(KrallParams(Fraction(1, 2), Fraction(6, 2)))
+    assert KrallParams(Fraction(2, 4), 3) == KrallParams(Fraction(1, 2), Fraction(6, 2))
+    assert {KrallParams(1, 2): 0}[KrallParams(Fraction(2, 2), 2)] == 0
+
+
 def test_legendre_type():
     p0, mu0 = legendre_type(0, 1)
     assert mu0 == 0 and p0.degree == 0
