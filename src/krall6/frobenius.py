@@ -6,7 +6,8 @@ endpoint (nothing is transcribed), l[t^s] = sum_d rho_d(s) t^{s-pole+d},
 with pole = -(lowest shift) and d = 0, 1, ...  The expression's order n is
 the highest degree in s of any rho_d, and rho_0 is the indicial polynomial:
 Fuchs's condition, deg rho_0 = n, makes the endpoint a regular singular
-point, and `LocalExpression` checks it.  Here pole = 3 and d = 0..3 at both
+point, and `operator.LocalExpression`, the type `eigen_polynomial` reads at
+centre 0, checks it.  Here pole = 3 and d = 0..3 at both
 endpoints; rho_0 factors as +-8 (s-3)(s-2)(s-1)^2 s (s+1), so the indicial
 roots are {3, 2, 1, 1, 0, -1}.
 
@@ -16,9 +17,10 @@ Series with a single log level, y = sum_m t^{r+m} (c_m + e_m ln|t|), satisfy
     level 0 :  sum_{m+d=n} [ c_m rho_d(r+m) + e_m rho_d'(r+m) ]    = 0
 
 for every n (using l[t^s ln|t|] = d/ds l[t^s]), with rho_d(s) and rho_d'(s)
-read from one table per endpoint (`LocalExpression.at`, one value-and-slope
-Horner pass per row) that the six labels, `residual_order` and the suite
-share through the memoised `local_expression`.  Up to `settle` (below) the solver
+read as ints from one table per endpoint (`LocalExpression.at`, one integer
+Horner pass per row, no `Fraction`) that the six labels, `residual_order` and
+the suite share through the memoised `operator.local_expression`.  Up to
+`settle` (below) the solver
 keeps every coefficient as an exact linear form in the free parameters p_1,
 p_2, ... introduced at resonances (orders where rho_0(r+n) = 0), held as the
 `Poly` const + sum_i a_i x^i, so forms add and scale as polynomials do.  One elimination rule
@@ -79,14 +81,13 @@ operator is d_+ + d_- - 6 = 4.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Optional
 
-from .operator import KrallParams, power_stencil
+from .operator import KrallParams, LocalExpression, local_expression
 from .polynomials import Poly, format_rational
 
 #: The smallest truncation order `solution_basis` accepts; `deficiency_index`
@@ -123,86 +124,6 @@ def _size(levels) -> int:
 def _valuation(levels) -> Optional[int]:
     """The lowest power of t with a nonzero coefficient in either level."""
     return min((p.valuation() for p in levels if p), default=None)
-
-
-# ---------------------------------------------------------------------------
-# the local expression and its stencil
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LocalExpression:
-    """The expression at one endpoint: `pole` is minus the lowest shift of
-    `power_stencil` there, `stencil[d]` its rho_{d-pole} in ascending d,
-    `table[s]` the row `at(s)` once it is asked for, and `scale` the lcm q of
-    the stencil's coefficient denominators, by which every row is scaled to
-    ints.  ArithmeticError where Fuchs's condition fails."""
-
-    endpoint: int
-    params: KrallParams
-    stencil: dict = field(hash=False, compare=False, default=None)
-    pole: int = field(hash=False, compare=False, default=0)
-    scale: int = field(hash=False, compare=False, default=1, repr=False)
-    table: dict = field(hash=False, compare=False, default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if self.endpoint not in (-1, 1):
-            raise ValueError("endpoint must be -1 or +1")
-        shifts = power_stencil(self.params, self.endpoint)
-        pole = -min(shifts)
-        stencil = {shift + pole: rho for shift, rho in sorted(shifts.items())}
-        order = max(rho.degree for rho in stencil.values())
-        if stencil[0].degree != order:
-            raise ArithmeticError(f"irregular singular point at {self.endpoint:+d}: deg rho_0 < order {order}")
-        object.__setattr__(self, "stencil", stencil)
-        object.__setattr__(self, "pole", pole)
-        scale = math.lcm(*(c.denominator for rho in stencil.values() for c in rho.coeffs))
-        object.__setattr__(self, "scale", scale)
-
-    def at(self, s: int) -> dict:
-        """{d: (q rho_d(s), q rho_d'(s))} as ints (q = `scale`), kept in `table` once worked out."""
-        row = self.table.get(s)
-        if row is None:
-            q = self.scale
-            row = self.table[s] = {
-                d: tuple(x.numerator * (q // x.denominator) for x in rho.value_and_slope(s))
-                for d, rho in self.stencil.items()
-            }
-        return row
-
-    def indicial_polynomial(self) -> Poly:
-        """rho_0(s), computed from the local coefficients."""
-        return self.stencil[0]
-
-    def indicial_roots(self) -> list[int]:
-        """Integer roots with multiplicity, descending; fails loudly otherwise."""
-        p = self.indicial_polynomial()
-        roots = []
-        for candidate in range(10, -11, -1):
-            mult, p, _ = p.split_root(candidate)
-            roots += [candidate] * mult
-        if p.degree not in (None, 0):
-            raise ArithmeticError(
-                f"indicial polynomial has a non-integer factor: {p.format_coeffs()}"
-            )
-        return sorted(roots, reverse=True)
-
-    def apply_to_series(self, r: int, levels: tuple) -> tuple[Poly, Poly]:
-        """(C', E') with l[t^r (C + E ln|t|)] = t^{r-pole} (C' + E' ln|t|), from the rows `at(r+m)`:
-        each level is one integer pass (`Poly.scaled_sum`), divided by `scale` once."""
-        C, E = levels
-        rows = [self.at(r + m) for m in range(_size(levels))]
-        value_terms = [(d, E, [row[d][0] for row in rows]) for d in self.stencil]
-        slope_terms = [(d, E, [row[d][1] for row in rows]) for d in self.stencil]
-        out_c = Poly.scaled_sum([(d, C, values) for d, _, values in value_terms] + slope_terms)
-        unscale = Fraction(1, self.scale)
-        return out_c * unscale, Poly.scaled_sum(value_terms) * unscale
-
-
-@functools.lru_cache(maxsize=64)
-def local_expression(endpoint: int, params: KrallParams) -> LocalExpression:
-    """The shared `LocalExpression` at (endpoint, params); the bound caps the tables kept."""
-    return LocalExpression(endpoint, params)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +211,7 @@ def _solve_single(local: LocalExpression, label: str, order: int) -> SeriesSolut
             rows[form.degree] = form.monic()
         elif form:
             raise ObstructionUnexpectedError(
-                f"{label} at endpoint {local.endpoint:+d}: {context} leaves "
+                f"{label} at endpoint {local.center:+d}: {context} leaves "
                 f"nonzero constant {form[0]}"
             )
 
@@ -344,7 +265,7 @@ def _solve_single(local: LocalExpression, label: str, order: int) -> SeriesSolut
         pairs[0].append((cw[-1], den))
         pairs[1].append((ew[-1], den))
 
-    return SeriesSolution(local.endpoint, r, label, order, tuple(map(Poly._ratios, pairs)))
+    return SeriesSolution(local.center, r, label, order, tuple(map(Poly._ratios, pairs)))
 
 
 def series_solution(endpoint: int, label: str, order: int, params: KrallParams) -> SeriesSolution:
@@ -353,6 +274,8 @@ def series_solution(endpoint: int, label: str, order: int, params: KrallParams) 
     `order` is the truncation order N (>= MIN_ORDER): coefficients are solved
     for offsets 0..N, so the residual of the solution starts above t^{r+N-pole}.
     """
+    if endpoint not in (-1, 1):
+        raise ValueError("endpoint must be -1 or +1")
     if order < MIN_ORDER:
         raise ValueError(f"truncation order must be at least {MIN_ORDER}")
     if label not in _SOLUTIONS:

@@ -34,9 +34,12 @@ computes the coefficient of x^n in l[x^n] independently via falling
 factorials, and the alternative n(n-1) printing fails that oracle already at
 n = 1 (it gives 0 while l[x] = (24AB+12A+12B)x + 12B-12A is nonzero).
 
-`power_stencil` gives l on powers (x - c)^s; at c = 0 its shifts lie in
--6..0, a banded recurrence that `eigen_polynomial` runs down from c_n = 1 to
-the monic ground truth, and at c = +-1 it is the Frobenius stencil.
+`power_stencil` gives l on powers (x - c)^s, and `LocalExpression` is the
+one integer form of it at any integer centre c: a table of int rows
+q rho_d(s), q rho_d'(s), each filled once by one Horner pass, shared through
+the memoised `local_expression`.  At c = 0 the shifts lie in -6..0, a banded
+recurrence that `eigen_polynomial` runs down from c_n = 1 to the monic ground
+truth; at c = +-1 the same rows drive the Frobenius solver and its residuals.
 `closed_form_polynomial` implements the explicit coefficient-sum formula
 under several parse variants of its ambiguous inner parenthesis and
 `closed_form_comparison` documents which variant (if any) is proportional to
@@ -50,8 +53,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Mapping
 
 from .germs import EndpointFn
 from .polynomials import Poly, Scalar, as_fraction, format_rational
@@ -171,13 +172,12 @@ def _falling_factorial_poly(order: int) -> Poly:
     return out
 
 
-@functools.lru_cache(maxsize=4096)
-def power_stencil(params: KrallParams, center: Scalar) -> Mapping[int, Poly]:
+def power_stencil(params: KrallParams, center: Scalar) -> dict[int, Poly]:
     """{shift: rho_shift} with l[t^s] = sum rho_shift(s) t^(s+shift), t = x - center.
 
     The t^i coefficient of b_k times s(s-1)...(s-k+1) adds to rho_{i-k}.  At
-    center 0 the shifts lie in -6..0 and rho_0(n) = lambda_n.  Memoised per
-    (params, center); the mapping is read-only because every caller shares it.
+    center 0 the shifts lie in -6..0 and rho_0(n) = lambda_n.  Built afresh on
+    each call: `local_expression` keeps the one integer form of it per centre.
     """
     t = Poly([center, 1])  # x = center + t
     stencil: dict[int, Poly] = {}
@@ -186,7 +186,87 @@ def power_stencil(params: KrallParams, center: Scalar) -> Mapping[int, Poly]:
         for i, c in enumerate(b.compose(t).coeffs):
             if c != 0:
                 stencil[i - order] = stencil.get(i - order, Poly()) + c * ff
-    return MappingProxyType(stencil)
+    return stencil
+
+
+@dataclass(frozen=True)
+class LocalExpression:
+    """The expression at an integer centre c, on powers t^s, t = x - c.
+
+    `pole` is minus the lowest shift of `power_stencil` there and `stencil[d]`
+    its rho_{d-pole}, in ascending d, so l[t^s] = sum_d rho_d(s) t^(s-pole+d);
+    `scale` is the lcm q of the stencil's coefficient denominators, and
+    `table[s]` the int row `at(s)` once it is complete.  Equality, hash and
+    repr see only (center, params).  ArithmeticError where Fuchs's condition
+    fails (deg rho_0 below the order).
+    """
+
+    center: int
+    params: KrallParams
+
+    def __post_init__(self):
+        shifts = power_stencil(self.params, self.center)
+        pole = -min(shifts)
+        stencil = {shift + pole: rho for shift, rho in sorted(shifts.items())}
+        order = max(rho.degree for rho in stencil.values())
+        if stencil[0].degree != order:
+            raise ArithmeticError(f"irregular singular point at {self.center:+d}: deg rho_0 < order {order}")
+        q = math.lcm(*(c.denominator for rho in stencil.values() for c in rho.coeffs))
+        # q rho_d's coefficients as ints, highest first: the one Horner row kernel's input
+        horner = {
+            d: tuple(c.numerator * (q // c.denominator) for c in reversed(rho.coeffs)) for d, rho in stencil.items()
+        }
+        for name, value in (("stencil", stencil), ("pole", pole), ("scale", q), ("table", {}), ("_horner", horner)):
+            object.__setattr__(self, name, value)
+
+    def at(self, s: int) -> dict:
+        """{d: (q rho_d(s), q rho_d'(s))} as ints (q = `scale`), by one Horner pass per d;
+        the row goes into `table` only once it is complete, so threads may share the table."""
+        row = self.table.get(s)
+        if row is None:
+            row = {}
+            for d, coeffs in self._horner.items():
+                value = slope = 0
+                for c in coeffs:
+                    slope = slope * s + value
+                    value = value * s + c
+                row[d] = value, slope
+            self.table[s] = row
+        return row
+
+    def indicial_polynomial(self) -> Poly:
+        """rho_0(s), computed from the local coefficients."""
+        return self.stencil[0]
+
+    def indicial_roots(self) -> list[int]:
+        """Integer roots with multiplicity, descending; fails loudly otherwise."""
+        p = self.indicial_polynomial()
+        roots = []
+        for candidate in range(10, -11, -1):
+            mult, p, _ = p.split_root(candidate)
+            roots += [candidate] * mult
+        if p.degree not in (None, 0):
+            raise ArithmeticError(
+                f"indicial polynomial has a non-integer factor: {p.format_coeffs()}"
+            )
+        return sorted(roots, reverse=True)
+
+    def apply_to_series(self, r: int, levels: tuple) -> tuple[Poly, Poly]:
+        """(C', E') with l[t^r (C + E ln|t|)] = t^{r-pole} (C' + E' ln|t|), from the rows `at(r+m)`:
+        each level is one integer pass (`Poly.scaled_sum`), divided by `scale` once."""
+        C, E = levels
+        rows = [self.at(r + m) for m in range(max((p.degree + 1 for p in levels if p), default=0))]
+        value_terms = [(d, E, [row[d][0] for row in rows]) for d in self.stencil]
+        slope_terms = [(d, E, [row[d][1] for row in rows]) for d in self.stencil]
+        out_c = Poly.scaled_sum([(d, C, values) for d, _, values in value_terms] + slope_terms)
+        unscale = Fraction(1, self.scale)
+        return out_c * unscale, Poly.scaled_sum(value_terms) * unscale
+
+
+@functools.lru_cache(maxsize=64)
+def local_expression(center: int, params: KrallParams) -> LocalExpression:
+    """The shared `LocalExpression` at (center, params); the bound caps the tables kept."""
+    return LocalExpression(center, params)
 
 
 def quasi_derivatives(symmetric, y) -> tuple:
@@ -289,43 +369,28 @@ def leading_coefficient_oracle(n: int, params: KrallParams) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=64)
-def _integer_stencil(params: KrallParams) -> tuple[int, Mapping[int, tuple[int, ...]]]:
-    """(q, {shift: q rho_shift's coefficients, highest first}) for `power_stencil(params, 0)`,
-    q the lcm of its denominators: the int Horner rows of `eigen_polynomial`, once per params."""
-    stencil = power_stencil(params, 0)
-    q = math.lcm(*(c.denominator for rho in stencil.values() for c in rho.coeffs))
-    rows = {shift: tuple(int(q * c) for c in reversed(rho.coeffs)) for shift, rho in stencil.items()}
-    return q, MappingProxyType(rows)
-
-
 @functools.lru_cache(maxsize=4096)
 def eigen_polynomial(n: int, params: KrallParams) -> Poly:
     """The monic degree-n eigenpolynomial K_n, by the banded stencil recurrence.
 
-    With l[x^m] = sum_j rho_j(m) x^(m+j) from `power_stencil(params, 0)`
-    (shifts j <= 0), the x^m coefficient of (l - lambda_n) K_n is
+    With l[x^m] = sum_j rho_j(m) x^(m+j) at centre 0 (shifts j <= 0), the
+    x^m coefficient of (l - lambda_n) K_n is
     (rho_0(m) - lambda_n) c_m + sum_{j<0} rho_j(m-j) c_{m-j}.  The pivot
     rho_0(m) - lambda_n is lambda_m - lambda_n, so the eigenvalues are
     distinct exactly when it vanishes only at m = n; then c_n = 1 and each
     lower c_m follows from the window of higher ones that the stencil's
-    shifts reach.  It runs on ints: rho_j is read as q rho_j (q the lcm of the
-    stencil's denominators), the window holds numerators over one denominator,
+    shifts reach.  It runs on ints: rho_j(m) is read as the row value
+    q rho_j(m) of `local_expression(0, params)` (rows 0..n, each worked out
+    once per params), the window holds numerators over one denominator,
     each step multiplies both by the scaled pivot P and divides by
     gcd(P, new numerator), and `Poly._ratios` emits the coefficients.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     lam = eigenvalue(n, params)
-    q, horner = _integer_stencil(params)
-
-    def row(shift: int, m: int) -> int:  # q rho_shift(m), by Horner's rule on ints
-        value = 0
-        for c in horner[shift]:
-            value = value * m + c
-        return value
-
-    diagonal, scaled_lam = [row(0, m) for m in range(n + 1)], q * lam
+    local = local_expression(0, params)
+    top = local.pole  # rho_0 sits at d = pole, rho_j at d = pole + j
+    diagonal, scaled_lam = [local.at(m)[top][0] for m in range(n + 1)], local.scale * lam
     for m in range(n):
         if diagonal[m] == scaled_lam:
             raise DegenerateEigenvalueError(
@@ -333,12 +398,13 @@ def eigen_polynomial(n: int, params: KrallParams) -> Poly:
             )
     if diagonal[n] != scaled_lam:
         raise ValueError(f"no eigenpolynomial of degree {n}: lambda = {format_rational(lam)} is not rho_0({n})")
-    shifts = [-shift for shift in horner if shift < 0]
+    shifts = [top - d for d in local.stencil if d < top]
     window = [1] + [0] * (max(shifts) - 1)  # window[j-1]: the numerator of c_(m+j) over den
     den, pairs = 1, [(1, 1)]
     for m in range(n - 1, -1, -1):
         pivot = diagonal[m] - diagonal[n]
-        new = -sum(row(-j, m + j) * window[j - 1] for j in shifts if window[j - 1])
+        # a zero window entry (c_(m+j) = 0, as for every m+j > n) reads no row
+        new = -sum(local.at(m + j)[top - j][0] * window[j - 1] for j in shifts if window[j - 1])
         g = math.gcd(pivot, new)
         window = [new // g] + [x * (pivot // g) for x in window[:-1]]
         den *= pivot // g

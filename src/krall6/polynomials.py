@@ -16,7 +16,8 @@ sides to one denominator, products convolve the numerators over the product
 of the denominators, derivatives scale the numerators, `scaled_sum` adds
 shifted, term-by-term scaled polynomials over one denominator with a single
 normalisation, and evaluation at p/q is Horner's rule over ints with one
-division at the end (`value_and_slope` gives p and p' in one pass).
+division at the end (the integer value-and-slope rows of the expression's
+stencil are `operator.LocalExpression.at`, on its own int coefficients).
 `moments` gives the integrals of x^k p over [-1, 1] as ints over one
 denominator, so the integral of a product is one integer dot product
 (`integrate_against`, `integrate_product`) and the product is never built.
@@ -335,14 +336,6 @@ class Poly:
             q_power *= q
         # acc = sum n_i p^i q^(deg - i) and q_power = q^(deg + 1)
         return Fraction(acc * q, self._d * q_power)
-
-    def value_and_slope(self, point: int) -> tuple[Fraction, Fraction]:
-        """(p(point), p'(point)) as Fractions, by one Horner pass over the numerators (ints)."""
-        value = slope = 0
-        for c in reversed(self._n):
-            slope = slope * point + value
-            value = value * point + c
-        return Fraction(value, self._d), Fraction(slope, self._d)
 
     def valuation(self):
         """The lowest power with a nonzero coefficient, or None for the zero polynomial."""

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import krall6.frobenius as fro
+import krall6.operator as op
 from krall6.frobenius import (
     LocalExpression,
     MIN_ORDER,
@@ -24,7 +25,7 @@ from krall6.frobenius import (
     series_solution,
     solution_basis,
 )
-from krall6.operator import KrallParams, power_stencil
+from krall6.operator import KrallParams, eigen_polynomial, power_stencil
 from krall6.polynomials import Poly
 
 PARAM_PAIRS = [KrallParams(1, 1), KrallParams(1, 2), KrallParams(Fraction(3, 2), Fraction(5, 2))]
@@ -67,9 +68,7 @@ def test_fuchs_condition_rejects_an_irregular_singular_point(monkeypatch):
     _, *rest = params.expression_coefficients()
     coeffs = (Poly([-1, 1]) ** 4 * Poly([1, 1]) ** 3, *rest)
     monkeypatch.setattr(KrallParams, "expression_coefficients", lambda self: coeffs)
-    stencil = power_stencil.__wrapped__
-    monkeypatch.setattr(fro, "power_stencil", stencil)
-    assert min(stencil(params, 1)) == -3 and stencil(params, 1)[-3].degree == 5
+    assert min(power_stencil(params, 1)) == -3 and power_stencil(params, 1)[-3].degree == 5
     with pytest.raises(ArithmeticError, match=r"irregular singular point at \+1"):
         LocalExpression(1, params)
     assert LocalExpression(-1, params).indicial_polynomial().degree == 6
@@ -168,7 +167,7 @@ def test_frobenius_suite_builds_each_basis_once(monkeypatch):
         raise AssertionError("the suite already holds both bases")
 
     built = []
-    real_local = fro.LocalExpression
+    real_local = op.LocalExpression
 
     def building(endpoint, params):
         built.append(endpoint)
@@ -176,8 +175,8 @@ def test_frobenius_suite_builds_each_basis_once(monkeypatch):
 
     monkeypatch.setattr(fro, "solution_basis", counting)
     monkeypatch.setattr(fro, "deficiency_index", rebuilding)
-    monkeypatch.setattr(fro, "LocalExpression", building)
-    fro.local_expression.cache_clear()
+    monkeypatch.setattr(op, "LocalExpression", building)
+    op.local_expression.cache_clear()
     cases = {c.name: c for c in suite_frobenius(RunConfig(A=1, B=2)).cases}
     assert calls == [-1, 1]
     # one shared local expression (and rho table) per endpoint
@@ -185,29 +184,36 @@ def test_frobenius_suite_builds_each_basis_once(monkeypatch):
     assert (cases["deficiency-index"].lhs, cases["deficiency-index"].verdict) == ("4", "pass")
 
 
-def test_one_power_stencil_per_endpoint():
+def test_one_power_stencil_per_endpoint(monkeypatch):
     # parameters no other test uses, so the memo starts without this pair
     params = KrallParams(Fraction(7, 11), Fraction(13, 5))
-    misses = power_stencil.cache_info().misses
-    bases = [solution_basis(1, 12, params) for _ in range(2)]
-    for sol in bases[0]:
-        residual_order(sol, params)
-    assert power_stencil.cache_info().misses - misses == 1
-    stencil = power_stencil(params, 1)
-    with pytest.raises(TypeError):
-        stencil[0] = Poly()
-    local = LocalExpression(1, params)
-    assert list(local.stencil) == sorted(local.stencil)
-    for s in range(-1, 8):
-        # each row, keyed by d, is rho_d and rho_d' evaluated term by term, times the scale
-        assert local.at(s) == {
-            d: (
-                local.scale * sum(c * s**i for i, c in enumerate(rho.coeffs)),
-                local.scale * sum(i * c * s ** (i - 1) for i, c in enumerate(rho.coeffs) if i),
-            )
-            for d, rho in local.stencil.items()
-        }
-    assert set(local.table) == set(range(-1, 8))
+    built = []
+    real_stencil = op.power_stencil
+
+    def building(params, center):
+        built.append(center)
+        return real_stencil(params, center)
+
+    monkeypatch.setattr(op, "power_stencil", building)
+    for _ in range(2):
+        solution_basis(-1, 12, params)
+        for sol in solution_basis(1, 12, params):
+            residual_order(sol, params)
+        for n in range(12):
+            eigen_polynomial(n, params)
+    # one stencil, one `LocalExpression`, per (centre, params)
+    assert sorted(built) == [-1, 0, 1]
+    for center in (-1, 0, 1):
+        local = local_expression(center, params)
+        stencil = real_stencil(params, center)
+        assert local.pole == -min(stencil) and list(local.stencil) == sorted(local.stencil)
+        for s in range(-1, 8):
+            # each row, keyed by d = shift + pole, is q (rho(s), rho'(s)) of the stencil
+            assert local.at(s) == {
+                shift + local.pole: (local.scale * rho(s), local.scale * rho.derivative()(s))
+                for shift, rho in stencil.items()
+            }
+        assert set(range(-1, 8)) <= set(local.table)
 
 
 def test_six_labels_share_one_rho_table(monkeypatch):
@@ -215,24 +221,33 @@ def test_six_labels_share_one_rho_table(monkeypatch):
     params = KrallParams(Fraction(5, 9), Fraction(4, 3))
     local = local_expression(1, params)
     assert not local.table
-    stencil = {id(rho): d for d, rho in local.stencil.items()}
-    evaluations = []
-    real_kernel = Poly.value_and_slope
+    fills = []
+    real_at = op.LocalExpression.at
 
-    def counting(self, point):
-        if id(self) in stencil:
-            evaluations.append((stencil[id(self)], point))
-        return real_kernel(self, point)
+    def counting(self, s):
+        if self is local and s not in self.table:
+            fills.append(s)
+        return real_at(self, s)
 
-    monkeypatch.setattr(Poly, "value_and_slope", counting)
+    monkeypatch.setattr(op.LocalExpression, "at", counting)
     basis = solution_basis(1, 40, params)
-    # every (d, s) pair the six labels need, each worked out once
-    assert len(evaluations) == len(set(evaluations)) == 4 * len(range(-1, 3 + 40 + 1))
-    assert set(local.table) == set(range(-1, 3 + 40 + 1))
+    # every row the six labels need, each worked out once, with all four d
+    assert sorted(fills) == list(range(-1, 3 + 40 + 1)) == sorted(local.table)
+    assert all(list(row) == [0, 1, 2, 3] for row in local.table.values())
     # the residuals read the rows the basis filled and add none
     for sol in basis:
         assert residual_order(sol, params) == sol.exponent + 40 - 2
-    assert len(evaluations) == 4 * len(local.table) == 4 * 45
+    assert len(fills) == len(local.table) == 45
+
+
+@pytest.mark.parametrize("endpoint", (0, 2))
+def test_series_need_an_endpoint(endpoint):
+    # `LocalExpression` takes any centre; the series are defined at the endpoints only
+    params = KrallParams(1, 2)
+    with pytest.raises(ValueError, match=r"endpoint must be -1 or \+1"):
+        series_solution(endpoint, "phi-0", MIN_ORDER, params)
+    with pytest.raises(ValueError, match=r"endpoint must be -1 or \+1"):
+        solution_basis(endpoint, MIN_ORDER, params)
 
 
 def test_derivative_classification(basis_plus):
@@ -475,7 +490,7 @@ def reference_solve(local, label, order):
             for i in range(1, params + 1):
                 rows.setdefault(i, Poly.monomial(i))
             e, c = [reduce(form)[0] for form in e], [reduce(form)[0] for form in c]
-    return SeriesSolution(local.endpoint, r, label, order, (Poly(c), Poly(e)))
+    return SeriesSolution(local.center, r, label, order, (Poly(c), Poly(e)))
 
 
 SOLVER_PAIRS = MORE_PAIRS + [

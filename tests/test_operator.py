@@ -1,6 +1,8 @@
 """The sixth-order expression: forms, eigenvalues, eigenpolynomials."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,7 @@ from krall6.operator import (
     expansion_consistency_report,
     leading_coefficient_oracle,
     legendre_type,
+    local_expression,
     power_stencil,
     quasi_derivatives,
 )
@@ -171,6 +174,50 @@ def test_degenerate_eigenvalues_detected(monkeypatch):
     monkeypatch.setattr(op, "eigenvalue", lambda n, p: Fraction(7))
     with pytest.raises(ValueError, match="no eigenpolynomial of degree 2: lambda = 7 is not rho_0"):
         eigen_polynomial.__wrapped__(2, params)
+
+
+def test_cold_eigenpolynomials_fill_one_row_per_degree(monkeypatch):
+    # K_0..K_32 read the centre-0 rows 0..32 only: a shifted row past n meets a zero window entry
+    params = KrallParams(Fraction(1, 100), 3)
+    fresh = op.LocalExpression(0, params)
+    monkeypatch.setattr(op, "local_expression", lambda center, p: fresh)
+    for n in range(33):
+        assert eigen_polynomial.__wrapped__(n, params) == eigen_polynomial(n, params)
+    assert sorted(fresh.table) == list(range(33))
+
+
+def test_shared_row_tables_under_threads():
+    # K_0..K_20 and a +1 basis from 8 threads on cold tables: each row is stored only once complete
+    from krall6.frobenius import solution_basis
+
+    params = KrallParams(Fraction(5, 13), Fraction(9, 4))
+    expected = ([eigen_polynomial(n, params) for n in range(21)], solution_basis(1, 40, params))
+    for memo in (eigen_polynomial, local_expression):
+        memo.cache_clear()
+    errors = []
+
+    def worker(offset):
+        try:
+            for k in range(21):
+                n = (k + offset) % 21
+                assert eigen_polynomial(n, params) == expected[0][n]
+            assert solution_basis(1, 40, params) == expected[1]
+        except AssertionError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert sorted(local_expression(0, params).table) == list(range(21))
 
 
 def test_closed_form_variant_n0():
