@@ -1,16 +1,19 @@
 """Command-line front end: verification suites and exact artifact dumps.
 
     krall6 run [SUITE ...] --A 1 --B 2 --nmax 8 [--series-order 20]
-               [--seed 987] [--format json|csv] [--out PATH] [--serial]
+               [--seed 987] [--out PATH] [--serial]
     krall6 dump poly {K|legendre} N --A .. --B ..
     krall6 dump series LABEL {+1|-1} [--order 20] --A .. --B ..
     krall6 dump matrix {operator|gram|probe|brackets} [--nmax N] --A .. --B ..
 
-`run` may also be invoked implicitly (suite names as the first argument).
-Exit status: 0 when no case fails, 1 on any verification failure, 2 on
-usage errors and when `--out` cannot be written.  Output is byte-identical
-across reruns with the same configuration; when writing to a file, a single
-timestamp goes into a "<out>.meta.json" sidecar, never into the report body.
+`run` always writes the JSON report bundle and may also be invoked
+implicitly (suite names as the first argument); `dump matrix` is the only
+CSV output.  Argument ranges are checked once, by the library: its
+ValueError becomes a usage error.  Exit status: 0 when no case fails, 1 on
+any verification failure, 2 on usage errors and when `--out` cannot be
+written.  Output is byte-identical across reruns with the same
+configuration; when writing to a file, a single timestamp goes into a
+"<out>.meta.json" sidecar, never into the report body.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import time
 
 from .concomitant import probe_functions, boundary_condition_functions
 from .extension import gkn_symmetry_check, independence_certificate, operator_matrix
-from .frobenius import MIN_ORDER, SOLUTION_LABELS, series_solution
+from .frobenius import SOLUTION_LABELS, series_solution
 from .inner_products import ExtendedVector, gram_matrix
 from .operator import KrallParams, eigen_polynomial, legendre_type
 from .polynomials import parse_rational
@@ -57,7 +60,6 @@ def build_parser() -> _Parser:
     _add_param_options(run_p)
     run_p.add_argument("--series-order", type=int, default=20, dest="series_order")
     run_p.add_argument("--seed", type=int, default=987, help="seed for the random-polynomial cases")
-    run_p.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
     run_p.add_argument("--out", default=None, help="write output to this path (default stdout)")
     run_p.add_argument("--serial", action="store_true",
                        help="accepted for compatibility; suites always run sequentially")
@@ -88,16 +90,9 @@ def build_parser() -> _Parser:
 
 def _parse_param(name: str, text: str):
     try:
-        value = parse_rational(text)
+        return parse_rational(text)
     except ValueError as exc:
         raise SystemExit(_usage(f"--{name}: {exc}")) from None
-    if value <= 0:
-        raise SystemExit(_usage(f"{name} must be positive"))
-    return value
-
-
-def _parse_params(args) -> KrallParams:
-    return KrallParams(_parse_param("A", args.A), _parse_param("B", args.B))
 
 
 def _usage(message: str) -> int:
@@ -120,31 +115,14 @@ def _emit(text: str, out_path):
 
 
 def _command_run(args) -> int:
-    params = _parse_params(args)
-    try:
-        config = RunConfig(
-            A=params.A,
-            B=params.B,
-            nmax=args.nmax,
-            series_order=args.series_order,
-            suites=tuple(args.suites) if args.suites else ("all",),
-            seed=args.seed,
-        )
-        selected = config.selected_suites()
-    except ValueError as exc:
-        return _usage(str(exc))
-
-    if args.fmt == "csv":
-        matrix_suites = {"gram", "operator-matrix"}
-        if len(selected) != 1 or selected[0] not in matrix_suites:
-            return _usage("--format csv requires exactly one of the suites: gram, operator-matrix")
-        if selected[0] == "gram":
-            matrix = gram_matrix(config.nmax, config.params)
-        else:
-            matrix = operator_matrix(config.nmax, config.params)
-        _emit(matrix_to_csv(matrix), args.out)
-        return 0
-
+    config = RunConfig(
+        A=_parse_param("A", args.A),
+        B=_parse_param("B", args.B),
+        nmax=args.nmax,
+        series_order=args.series_order,
+        suites=tuple(args.suites),
+        seed=args.seed,
+    )
     reports = run_suites(config)
     _emit(bundle_to_json(reports), args.out)
     failed = sum(r.failed for r in reports)
@@ -154,10 +132,8 @@ def _command_run(args) -> int:
 def _command_dump(args) -> int:
     if args.kind is None:
         return _usage("dump needs one of: poly, series, matrix")
-    params = _parse_params(args)
+    params = KrallParams(_parse_param("A", args.A), _parse_param("B", args.B))
     if args.kind == "poly":
-        if args.n < 0:
-            return _usage("polynomial index must be non-negative")
         if args.family == "K":
             poly = eigen_polynomial(args.n, params)
         else:
@@ -165,14 +141,10 @@ def _command_dump(args) -> int:
         _emit(poly.format_coeffs() + "\n", args.out)
         return 0
     if args.kind == "series":
-        if args.order < MIN_ORDER:
-            return _usage(f"series order must be at least {MIN_ORDER}")
         endpoint = 1 if args.endpoint == "+1" else -1
         sol = series_solution(endpoint, args.label, args.order, params)
         _emit(sol.format_series() + "\n", args.out)
         return 0
-    if args.nmax < 0:
-        return _usage("nmax must be non-negative")
     if args.which == "operator":
         matrix = operator_matrix(args.nmax, params)
     elif args.which == "gram":

@@ -87,6 +87,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Optional
 
+from .germs import _check_endpoint
 from .operator import KrallParams, LocalExpression, local_expression
 from .polynomials import Poly, format_rational
 
@@ -274,8 +275,7 @@ def series_solution(endpoint: int, label: str, order: int, params: KrallParams) 
     `order` is the truncation order N (>= MIN_ORDER): coefficients are solved
     for offsets 0..N, so the residual of the solution starts above t^{r+N-pole}.
     """
-    if endpoint not in (-1, 1):
-        raise ValueError("endpoint must be -1 or +1")
+    _check_endpoint(endpoint)
     if order < MIN_ORDER:
         raise ValueError(f"truncation order must be at least {MIN_ORDER}")
     if label not in _SOLUTIONS:

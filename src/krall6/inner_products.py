@@ -122,6 +122,8 @@ def gram_matrix(n_max: int, params: KrallParams) -> list[list[Fraction]]:
     `kappa_moments` vector of K_m, and entry (m, n) is the dot product of K_n's
     numerators with it, one Fraction each: every K_n is evaluated at -1 and +1 once,
     not once per pair, and no product is built."""
+    if n_max < 0:
+        raise ValueError("nmax must be non-negative")
     polys = [eigen_polynomial(n, params) for n in range(n_max + 1)]
     upper = []
     for m, k_m in enumerate(polys):

@@ -97,8 +97,9 @@ class KrallParams:
     def __post_init__(self):
         object.__setattr__(self, "A", as_fraction(self.A))
         object.__setattr__(self, "B", as_fraction(self.B))
-        if self.A <= 0 or self.B <= 0:
-            raise ValueError("parameters A and B must be positive")
+        for name in ("A", "B"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         A, B = self.A, self.B
         pi = Poly([12 * A * B + 18 * A + 18 * B + 24, 12 * A - 12 * B, -6 * A - 6 * B - 12 * A * B])
         # not dataclass fields: equality, hash and repr see only (A, B)
@@ -425,6 +426,8 @@ def closed_form_polynomial(n: int, params: KrallParams, variant: str = "sum-end"
     B = b/D, D = den(A) den(B), each quantity is scaled by D^2 and each weight
     doubled, and every coefficient is one int pair for `Poly._ratios`.
     """
+    if n < 0:
+        raise ValueError("n must be non-negative")
     if variant not in CLOSED_FORM_VARIANTS:
         raise ValueError(f"unknown closed-form variant {variant!r}")
     A, B = params.A, params.B
@@ -488,7 +491,7 @@ def legendre_type(n: int, A: Scalar) -> tuple[Poly, Fraction]:
         raise ValueError("n must be non-negative")
     A = as_fraction(A)
     if A <= 0:
-        raise ValueError("parameter A must be positive")
+        raise ValueError("A must be positive")
     n_f = Fraction(n)
     mu = n_f * (n_f + 1) * (n_f**2 + n_f + 4 * A - 2)
     coeffs = [Fraction(0)] * (n + 1)

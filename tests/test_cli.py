@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -137,7 +138,8 @@ def test_run_all_parameter_sweep(capsys, a, b):
 
 #: sha256 of dumps that reach further than `run all`: K_32, the degree-14
 #: Legendre-type polynomial and all twelve order-40 Frobenius series (six
-#: labels at both endpoints), at A=1/100, B=3.
+#: labels at both endpoints), at A=1/100, B=3, and two exact matrices (the
+#: Gram matrix of K_0..K_12 and the operator matrix of K_0..K_6).
 #: A change to either solver must leave every one byte-identical.
 DEEP_DUMP_SHA256 = {
     ("poly", "K", "32"): "7c28d9deb7bcbb5e5f2ec88f65b610c9f394e4bfdab3c77c54e183f122c04789",
@@ -176,10 +178,13 @@ DEEP_DUMP_SHA256 = {
             ("phi-minus-1", "-1", "6265a67ab0c0d13c91689e70bc9ac2ea88421082f4fcc92e628a3964e839ad38"),
         )
     },
+    ("matrix", "gram", "--nmax", "12"): "2f8f762cab2ff3f05b13cf5a241109032fc31d0d9179e23e6cb46008d89d421f",
+    ("matrix", "operator", "--nmax", "6"): "88a97b9f5d2dbc4daa1ec1b776eb0b754caeacb32e661490723d147e3d4c18f5",
 }
 
 
-@pytest.mark.parametrize("selector", sorted(DEEP_DUMP_SHA256))
+# matrix pins last, so the earlier pins keep their parametrize ids
+@pytest.mark.parametrize("selector", sorted(DEEP_DUMP_SHA256, key=lambda s: (s[0] == "matrix", s)))
 def test_deep_dump_digests_are_pinned(capsys, selector):
     code, out, _ = run_cli(capsys, "dump", *selector, "--A", "1/100", "--B", "3")
     assert code == 0
@@ -187,7 +192,7 @@ def test_deep_dump_digests_are_pinned(capsys, selector):
 
 
 def test_gram_csv_matrix(capsys):
-    code, out, _ = run_cli(capsys, "gram", "--A", "1", "--B", "2", "--nmax", "2", "--format", "csv")
+    code, out, _ = run_cli(capsys, "dump", "matrix", "gram", "--A", "1", "--B", "2", "--nmax", "2")
     assert code == 0
     rows = [line.split(",") for line in out.strip().splitlines()]
     assert len(rows) == 3 and all(len(r) == 3 for r in rows)
@@ -195,10 +200,20 @@ def test_gram_csv_matrix(capsys):
     assert rows[0][0] == "7/2"  # 1/A + 2 + 1/B at A=1, B=2
 
 
-def test_csv_requires_matrix_suite(capsys):
-    code, _, err = run_cli(capsys, "run", "green", "--format", "csv")
-    assert code == 2
-    assert "csv" in err
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("dump", "poly", "K", "-1"), "n must be non-negative"),
+        (("dump", "poly", "legendre", "-1", "--A", "3/2"), "n must be non-negative"),
+        (("dump", "series", "phi-0", "+1", "--order", "5"), "truncation order must be at least 12"),
+        (("run", "eigen", "--A", "0"), "A must be positive"),
+    ],
+)
+def test_library_range_error_is_usage_error(capsys, argv, message):
+    # the CLI checks no range itself: the library's ValueError is the message
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_negative_parameter_is_usage_error(capsys):
@@ -280,6 +295,21 @@ def test_dump_matrix_probe_and_brackets(capsys):
     code, out, _ = run_cli(capsys, "dump", "matrix", "brackets", "--A", "1", "--B", "2")
     assert code == 0
     assert all(cell == "0" for row in out.strip().splitlines() for cell in row.split(","))
+
+
+def _readme_cli_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line.split("#", 1)[0]) for line in block.splitlines() if line.strip()]
+
+
+def test_readme_cli_commands_succeed(capsys):
+    commands = _readme_cli_commands()
+    assert len(commands) >= 7 and all(argv[0] == "krall6" for argv in commands)
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv[1:])
+        assert (code, err) == (0, ""), argv
+        assert out
 
 
 def test_out_file_and_timestamp_sidecar(tmp_path, capsys):

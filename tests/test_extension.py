@@ -220,6 +220,11 @@ def test_operator_matrix_diagonal(params):
             assert matrix[m][n] == expected
 
 
+def test_operator_matrix_rejects_a_negative_nmax():
+    with pytest.raises(ValueError, match="^nmax must be non-negative$"):
+        operator_matrix(-1, KrallParams(1, 2))
+
+
 def test_operator_symmetry_on_seeded_pairs():
     params = KrallParams(Fraction(3, 2), Fraction(5, 2))
     vectors = [embed(p) for p in seeded(10, seed=19)]

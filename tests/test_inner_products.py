@@ -128,6 +128,12 @@ def test_gram_matrix_equals_both_triangles(params):
         assert gram_matrix(n_max, params) == [[ref_kappa(f, g, params) for g in polys] for f in polys]
 
 
+def test_gram_matrix_rejects_a_negative_nmax():
+    # an empty matrix would pass for the Gram matrix of no polynomials
+    with pytest.raises(ValueError, match="^nmax must be non-negative$"):
+        gram_matrix(-1, KrallParams(1, 2))
+
+
 def test_deep_gram_matrix_matches_the_product_route():
     # K_0..K_32 at the spectral-deep parameters, entry by entry
     params = KrallParams(Fraction(1, 100), 3)

@@ -42,9 +42,9 @@ X = Poly.x()
 
 
 def test_params_validate():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^A must be positive$"):
         KrallParams(0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^B must be positive$"):
         KrallParams(1, Fraction(-1, 2))
     p = KrallParams(Fraction(3, 2), Fraction(5, 2))
     assert p.alpha == 3 * Fraction(3, 2) + 3 * Fraction(5, 2) + 6
@@ -291,6 +291,8 @@ def test_closed_form_on_ints_matches_fraction_reference(params):
     assert closed_form_polynomial(3, params, "sum-end") is closed_form_polynomial(3, params, "sum-end")
     with pytest.raises(ValueError, match="unknown closed-form variant"):
         closed_form_polynomial(3, params, "sum")
+    with pytest.raises(ValueError, match="^n must be non-negative$"):  # not the zero polynomial
+        closed_form_polynomial(-1, params)
 
 
 def test_params_hash_by_value():
