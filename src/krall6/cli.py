@@ -2,18 +2,20 @@
 
     krall6 run [SUITE ...] --A 1 --B 2 --nmax 8 [--series-order 20]
                [--seed 987] [--out PATH] [--serial]
-    krall6 dump poly {K|legendre} N --A .. --B ..
+    krall6 dump poly {K|legendre} N --A .. --B ..    (legendre reads --A only)
     krall6 dump series LABEL {+1|-1} [--order 20] --A .. --B ..
     krall6 dump matrix {operator|gram|probe|brackets} [--nmax N] --A .. --B ..
 
 `run` always writes the JSON report bundle and may also be invoked
 implicitly (suite names as the first argument); `dump matrix` is the only
-CSV output.  Argument ranges are checked once, by the library: its
-ValueError becomes a usage error.  Exit status: 0 when no case fails, 1 on
-any verification failure, 2 on usage errors and when `--out` cannot be
-written.  Output is byte-identical across reruns with the same
-configuration; when writing to a file, a single timestamp goes into a
-"<out>.meta.json" sidecar, never into the report body.
+CSV output.  Argument ranges are checked once, by the library.  Every
+usage error -- one argparse finds, a malformed or out-of-range argument, an
+`--out` that cannot be written -- is a ValueError that `main` turns into
+exit status 2, so `main` returns 2 and never raises for one.  Exit status:
+0 when no case fails, 1 on any verification failure, 2 on usage errors.
+Output is byte-identical across reruns with the same configuration; when
+writing to a file, a single timestamp goes into a "<out>.meta.json"
+sidecar, never into the report body.
 """
 
 from __future__ import annotations
@@ -39,8 +41,7 @@ VERIFICATION_FAILURE = 1
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        raise ValueError(message)
 
 
 def _add_param_options(parser, with_nmax=True):
@@ -92,12 +93,7 @@ def _parse_param(name: str, text: str):
     try:
         return parse_rational(text)
     except ValueError as exc:
-        raise SystemExit(_usage(f"--{name}: {exc}")) from None
-
-
-def _usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return USAGE_ERROR
+        raise ValueError(f"--{name}: {exc}") from None
 
 
 def _emit(text: str, out_path):
@@ -111,7 +107,7 @@ def _emit(text: str, out_path):
             json.dump({"generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}, handle)
             handle.write("\n")
     except OSError as exc:
-        raise SystemExit(_usage(f"cannot write {out_path}: {exc.strerror or exc}")) from None
+        raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from None
 
 
 def _command_run(args) -> int:
@@ -131,14 +127,15 @@ def _command_run(args) -> int:
 
 def _command_dump(args) -> int:
     if args.kind is None:
-        return _usage("dump needs one of: poly, series, matrix")
-    params = KrallParams(_parse_param("A", args.A), _parse_param("B", args.B))
+        raise ValueError("dump needs one of: poly, series, matrix")
+    A = _parse_param("A", args.A)
+    if args.kind == "poly" and args.family == "legendre":
+        # the fourth-order instance reads A alone
+        _emit(legendre_type(args.n, A)[0].format_coeffs() + "\n", args.out)
+        return 0
+    params = KrallParams(A, _parse_param("B", args.B))
     if args.kind == "poly":
-        if args.family == "K":
-            poly = eigen_polynomial(args.n, params)
-        else:
-            poly = legendre_type(args.n, params.A)[0]
-        _emit(poly.format_coeffs() + "\n", args.out)
+        _emit(eigen_polynomial(args.n, params).format_coeffs() + "\n", args.out)
         return 0
     if args.kind == "series":
         endpoint = 1 if args.endpoint == "+1" else -1
@@ -166,18 +163,17 @@ def main(argv=None) -> int:
     if argv and argv[0] not in ("run", "dump", "-h", "--help"):
         argv = ["run"] + argv
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help()
-        return USAGE_ERROR
     try:
+        args = parser.parse_args(argv)
+        if args.command is None:
+            parser.print_help()
+            return USAGE_ERROR
         if args.command == "run":
             return _command_run(args)
         return _command_dump(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     except ValueError as exc:
-        return _usage(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

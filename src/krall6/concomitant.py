@@ -28,24 +28,25 @@ Endpoint limits are germ-valuation limits (`germs.LogGerm.limit`); divergence
 raises `DivergentLimitError`, the typed signal that an input pair lies
 outside the limit class.
 
-Three memos serve the brackets.  `_germ_chain` works out the chain of each
-(germ, params) pair once and serves Lam, B and the bracket lines.  An
-endpoint record holds f^(j)(e) and (-1)^j f^[2m-1-j](e) for j < m as ints
-over one denominator: `_poly_records` fills both endpoints' records of a
-global polynomial at once, by evaluating its Poly chain at -1 and +1, and
-`_endpoint_values` fills a germ's from the limits of its chain, or holds
-None when any of them fails.  A `Poly` or a global `EndpointFn` takes the
-polynomial record and builds no germ; every other input takes its germ's.
-When both factors of a pair have records, `concomitant` is two integer dot
-products and one `Fraction` (the limit of a product of convergent factors
-is the product of their limits), and B(e) and Lam(e) are read from the
-record; only a germ without one (a log-bearing germ) takes the chain's
-limits.  All three memos are `functools.lru_cache`s bounded at 4096 entries
-and keyed by value (`Poly`, `LogGerm` and `KrallParams` hash by value), like
-the germ derivatives they read (`germs._derivative`).  The chain memo holds
-germs, never limits; the records are ints or None, never a
-`DivergentLimitError`, so a divergent pair takes the germ-line route on
-every call and raises there.
+Three memos serve the brackets.  An endpoint record holds f^(j)(e) and
+(-1)^j f^[2m-1-j](e) for j < m as ints over one denominator, and an input
+has one at e exactly when it is a polynomial near e.  `_poly_records` is
+the one record filler: it fills both endpoints' records of a polynomial at
+once, by evaluating its Poly chain at -1 and +1, with no germ and no limit.
+A `Poly` or a global `EndpointFn` reads it directly; every other input goes
+through its germ, and `_endpoint_values` hands a germ that is a polynomial
+near its endpoint (no log term, no pole) that polynomial's record and every
+other germ None.  When both factors of a pair have records, `concomitant`
+is two integer dot products and one `Fraction` (evaluation at e, since both
+are polynomials near e), and B(e) and Lam(e) are read from the record.
+Every other input -- a log-bearing germ, say -- takes the germ-line route:
+`_germ_chain` works out the chain of each (germ, params) pair once and
+serves Lam, B and the bracket lines, whose limits are taken there.  All
+three memos are `functools.lru_cache`s bounded at 4096 entries and keyed by
+value (`Poly`, `LogGerm` and `KrallParams` hash by value), like the germ
+derivatives they read (`germs._derivative`).  The chain memo holds germs,
+never limits, and the records are ints or None, so a divergent pair takes
+the germ-line route on every call and raises there.
 
 The module also provides:
 
@@ -167,34 +168,18 @@ def _germ_chain(g: LogGerm, params: KrallParams) -> tuple[LogGerm, ...]:
     return quasi_derivatives(params.symmetric_coefficients(), g)
 
 
-def _chain(f, params: KrallParams) -> tuple:
-    """The quasi-derivative chain of a Poly or LogGerm; a germ's is memoised."""
-    if isinstance(f, LogGerm):
-        return _germ_chain(f, params)
-    return quasi_derivatives(params.symmetric_coefficients(), f)
-
-
 def _germ(f, endpoint: int) -> LogGerm:
     return EndpointFn.from_poly(f).germ_at(endpoint)
-
-
-def quasi_derivative_terms(f, params: KrallParams):
-    """The two summands of Lam[f] = f^[4], in order: (f^[3])' = -((1-x^2)^3 f''')' and P f''.
-
-    Each is of f's class (Poly or LogGerm).  For a log-bearing f the
-    summands can diverge separately even where their sum has a limit.
-    """
-    *_, before, lam, _ = _chain(f, params)
-    head = before.derivative()
-    return head, lam - head
 
 
 def quasi_derivative(f, params: KrallParams):
     """Lam[f] = -((1-x^2)^3 f''')' + (1-x^2)(12+alpha(1-x^2)) f'', entry -2 of the chain.
 
-    Returns the same class as f (Poly or LogGerm).
+    Returns the same class as f (Poly or LogGerm); a germ's chain is memoised.
     """
-    return _chain(f, params)[-2]
+    if isinstance(f, LogGerm):
+        return _germ_chain(f, params)[-2]
+    return quasi_derivatives(params.symmetric_coefficients(), f)[-2]
 
 
 def quasi_derivative_at(f, endpoint: int, params: KrallParams) -> Fraction:
@@ -203,14 +188,17 @@ def quasi_derivative_at(f, endpoint: int, params: KrallParams) -> Fraction:
 
 
 def quasi_derivative_terms_at(f, endpoint: int, params: KrallParams) -> tuple[Fraction, Fraction]:
-    """Endpoint limits of the two summands of Lam[f] taken separately.
+    """Endpoint limits of the two summands of Lam[f] = f^[4] taken separately,
+    in order: (f^[3])' = -((1-x^2)^3 f''')' and P f''.
 
-    Raises DivergentLimitError when a summand alone has no limit.  For the
-    log probes the limits are 8 and 24, at both endpoints and for every
-    (A, B): the stated constant 24 is the P f'' part alone.
+    Raises DivergentLimitError when a summand alone has no limit, which a
+    log-bearing f can do even where the sum has one.  For the log probes the
+    limits are 8 and 24, at both endpoints and for every (A, B): the stated
+    constant 24 is the P f'' part alone.
     """
-    q_term, p_term = quasi_derivative_terms(_germ(f, endpoint), params)
-    return q_term.limit(), p_term.limit()
+    *_, before, lam, _ = _germ_chain(_germ(f, endpoint), params)
+    head = before.derivative()
+    return head.limit(), (lam - head).limit()
 
 
 def _concomitant_lines(fg: LogGerm, gg: LogGerm, params: KrallParams) -> tuple[LogGerm, ...]:
@@ -224,42 +212,34 @@ def _concomitant_lines(fg: LogGerm, gg: LogGerm, params: KrallParams) -> tuple[L
     return tuple(lines)
 
 
-def _as_record(values: list[Fraction], quasi: list[Fraction]) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """(d, d values, d (-1)^j quasi[j]) over the lcm d of every denominator, for
-    values = (g^(j)(e))_j and quasi = (g^[2m-1-j](e))_j, j < m."""
-    quasi = [-v if j % 2 else v for j, v in enumerate(quasi)]
-    d = math.lcm(*(v.denominator for v in values + quasi))
-    return d, *(tuple(v.numerator * (d // v.denominator) for v in vs) for vs in (values, quasi))
+@functools.lru_cache(maxsize=4096)
+def _poly_records(p: Poly, params: KrallParams) -> tuple[tuple, tuple]:
+    """p's endpoint records at -1 and at +1, each (d, (d p^(j)(e))_j,
+    (d (-1)^j p^[2m-1-j](e))_j) for j < m, ints over one denominator d, read
+    off p's Poly chain by evaluation: no germ is built and no limit taken."""
+    quasi = quasi_derivatives(params.symmetric_coefficients(), p)[::-1]
+    values = [p.derivative(j) for j in range(len(quasi))]
+    records = []
+    for e in (-1, 1):
+        row = [v(e) for v in values], [-q(e) if j % 2 else q(e) for j, q in enumerate(quasi)]
+        d = math.lcm(*(v.denominator for vs in row for v in vs))
+        records.append((d, *(tuple(v.numerator * (d // v.denominator) for v in vs) for vs in row)))
+    return tuple(records)
 
 
 @functools.lru_cache(maxsize=4096)
 def _endpoint_values(g: LogGerm, params: KrallParams) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
-    """(d, (d g^(j)(e))_j, (d (-1)^j g^[2m-1-j](e))_j) for j < m, ints over one
-    denominator d, or None when any of these limits fails at g's endpoint e.
-
-    The derivatives are tried first, so a log-bearing germ fails before its
-    chain is built.  A divergence is cached as None, never as an exception.
-    """
-    try:
-        values = [g.derivative(j).limit() for j in range(len(params.symmetric_coefficients()))]
-        quasi = [q.limit() for q in reversed(_germ_chain(g, params))]
-    except DivergentLimitError:
+    """g's record at its endpoint from `_poly_records` when g is a polynomial
+    there (the zero germ, or one log-free term without a pole), else None."""
+    r = g.terms.get(0)
+    if g.terms.keys() - {0} or (r is not None and not r.is_polynomial()):
         return None
-    return _as_record(values, quasi)
-
-
-@functools.lru_cache(maxsize=4096)
-def _poly_records(p: Poly, params: KrallParams) -> tuple[tuple, tuple]:
-    """The `_endpoint_values` records of a global polynomial at -1 and at +1,
-    read off its Poly chain by evaluation: no germ is built and no limit taken."""
-    quasi = quasi_derivatives(params.symmetric_coefficients(), p)[::-1]
-    values = [p.derivative(j) for j in range(len(quasi))]
-    return tuple(_as_record([v(e) for v in values], [q(e) for q in quasi]) for e in (-1, 1))
+    return _poly_records(Poly([]) if r is None else r.q, params)[g.endpoint > 0]
 
 
 def _record_at(f, endpoint: int, params: KrallParams):
     """f's record at `endpoint`: a Poly's or a global EndpointFn's from `_poly_records`,
-    any other input's from `_endpoint_values` of its germ (None where a limit fails)."""
+    any other input's from `_endpoint_values` of its germ (None unless a polynomial)."""
     p = f.poly if isinstance(f, EndpointFn) else f
     if isinstance(p, Poly):
         return _poly_records(p, params)[_check_endpoint(endpoint) > 0]
@@ -278,8 +258,8 @@ def _quasi_at(f, endpoint: int, params: KrallParams, j: int) -> Fraction:
 def concomitant(f, g, endpoint: int, params: KrallParams) -> Fraction:
     """Endpoint limit of the bilinear concomitant [f, g](endpoint).
 
-    When every factor of the bracket lines has a limit, the limit of the sum
-    is sum_j (-1)^j (f^[2m-1-j](e) g^(j)(e) - g^[2m-1-j](e) f^(j)(e)), two
+    When f and g are both polynomials near e, the bracket is
+    sum_j (-1)^j (f^[2m-1-j](e) g^(j)(e) - g^[2m-1-j](e) f^(j)(e)), two
     integer dot products over the two endpoint records.  Otherwise the germ
     lines are built and their sum's limit taken.
 
@@ -537,13 +517,12 @@ def reduced_domain_suite(f, g, params: KrallParams, tag: str) -> list[dict]:
                 "rhs": reduced_concomitant(f, g, endpoint, params),
             }
         )
-        fe = EndpointFn.from_poly(f).value_at(endpoint)
         rows.append(
             {
                 "name": f"{tag}:weight-closed-form:e={endpoint:+d}",
                 "paper_item": "bracket-weight-closed-form",
                 "lhs": concomitant(f, EndpointFn.from_poly(WEIGHT), endpoint, params),
-                "rhs": _weight_closed_form(fe, endpoint, params),
+                "rhs": _weight_closed_form(EndpointFn.from_poly(f).value_at(endpoint), endpoint, params),
             }
         )
         rows.append(
@@ -551,7 +530,7 @@ def reduced_domain_suite(f, g, params: KrallParams, tag: str) -> list[dict]:
                 "name": f"{tag}:weight-sq-closed-form:e={endpoint:+d}",
                 "paper_item": "bracket-weight-sq-closed-form",
                 "lhs": concomitant(f, EndpointFn.from_poly(WEIGHT**2), endpoint, params),
-                "rhs": endpoint * 192 * fe,
+                "rhs": bracket_weight_sq_reduction(f, endpoint, params),
             }
         )
     return rows

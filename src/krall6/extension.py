@@ -151,26 +151,14 @@ def domain_membership(u: ExtendedVector, params: KrallParams) -> tuple[bool, dic
     f = EndpointFn.from_poly(u.fn)
     lam_minus = quasi_derivative_at(f, -1, params)
     lam_plus = quasi_derivative_at(f, 1, params)
-    reduced_ok = (
-        u.a == f.value_at(-1)
-        and u.b == f.value_at(1)
-        and lam_minus == 0
-        and lam_plus == 0
-    )
+    a_match, b_match = u.a == f.value_at(-1), u.b == f.value_at(1)
+    reduced_ok = a_match and b_match and lam_minus == 0 and lam_plus == 0
     if direct_ok != reduced_ok:
         raise AssertionError(
             f"membership routes disagree: direct={direct}, reduced="
-            f"(a-match={u.a == f.value_at(-1)}, b-match={u.b == f.value_at(1)}, "
-            f"lam=({lam_minus},{lam_plus}))"
+            f"(a-match={a_match}, b-match={b_match}, lam=({lam_minus},{lam_plus}))"
         )
-    witness = {
-        "conditions": direct,
-        "lam_minus": lam_minus,
-        "lam_plus": lam_plus,
-        "a_matches": u.a == f.value_at(-1),
-        "b_matches": u.b == f.value_at(1),
-    }
-    return direct_ok, witness
+    return direct_ok, {"conditions": direct, "lam_minus": lam_minus, "lam_plus": lam_plus}
 
 
 def apply_extended(u: ExtendedVector, params: KrallParams) -> ExtendedVector:

@@ -334,9 +334,29 @@ def test_unwritable_out_path_is_usage_error(tmp_path, capsys, command, target):
 
 
 def test_dump_invalid_selector(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(capsys, "dump", "series", "phi-9", "+1")
-    assert exc.value.code == 2
+    code, out, err = run_cli(capsys, "dump", "series", "phi-9", "+1")
+    assert code == 2 and out == ""
+    assert "error: argument label: invalid choice: 'phi-9'" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("run", "--nmax", "x"), "error: argument --nmax: invalid int value: 'x'"),
+        (("run", "--bogus"), "error: unrecognized arguments: --bogus"),
+    ],
+)
+def test_argparse_error_is_usage_error(capsys, argv, message):
+    # an error argparse finds comes back from main as 2, like the library's
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: krall6 ") and err.endswith(message + "\n")
+
+
+def test_dump_poly_legendre_ignores_B(capsys):
+    code, out, err = run_cli(capsys, "dump", "poly", "legendre", "2", "--A", "3/2", "--B", "0")
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, "dump", "poly", "legendre", "2", "--A", "3/2") == (0, out, "")
 
 
 def test_dump_without_kind_is_usage_error(capsys):

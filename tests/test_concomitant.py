@@ -1,9 +1,11 @@
 """Concomitant limits, quasi-derivative, Green's formula, domain predicates."""
 
+import math
 import random
 import sys
 import threading
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +38,7 @@ from krall6.concomitant import (
 )
 from krall6.germs import DivergentLimitError, EndpointFn, LogGerm, _derivative, _differentiate
 from krall6.operator import KrallParams
-from krall6.polynomials import Poly
+from krall6.polynomials import Poly, RationalFn
 
 PARAM_PAIRS = [KrallParams(1, 1), KrallParams(1, 2), KrallParams(Fraction(3, 2), Fraction(5, 2))]
 X = Poly.x()
@@ -198,16 +200,81 @@ def test_endpoint_values_are_none_for_log_probes():
             hits = con._endpoint_values.cache_info().hits
             assert con._endpoint_values(probe, params) is None
             assert con._endpoint_values.cache_info().hits == hits + 1  # None is cached, not re-derived
-            # the other endpoint's germ is zero, so has every limit
+            # the other endpoint's germ is zero, a polynomial, so has a record
             assert con._endpoint_values(log_probe(-endpoint, params).germ_at(endpoint), params) == (1, (0, 0, 0), (0, 0, 0))
+
+
+def _limit_record(g, params):
+    """g's endpoint record from limits: the limits of its derivatives and of its
+    unmemoised chain, as ints over one denominator; None where one diverges.
+    The reference for the records `_poly_records` reads off by evaluation."""
+    try:
+        values = [g.derivative(j).limit() for j in range(len(params.symmetric_coefficients()))]
+        quasi = [q.limit() for q in reversed(con._germ_chain.__wrapped__(g, params))]
+    except DivergentLimitError:
+        return None
+    quasi = [-v if j % 2 else v for j, v in enumerate(quasi)]
+    d = math.lcm(*(v.denominator for v in values + quasi))
+    return d, *(tuple(v.numerator * (d // v.denominator) for v in vs) for vs in (values, quasi))
 
 
 @given(small_polys, st.sampled_from(PARAM_PAIRS + [KrallParams(Fraction(1, 10**6), Fraction(10**6, 7))]))
 @settings(max_examples=40, deadline=None)
 def test_poly_record_matches_germ_record(p, params):
-    """The records read off the Poly chain at -1 and +1 are the germ route's, int for int."""
+    """The records read off the Poly chain at -1 and +1 are the limits' records, int for int."""
     records = con._poly_records(p, params)
+    assert records == tuple(_limit_record(LogGerm.from_poly(p, e), params) for e in (-1, 1))
     assert records == tuple(con._endpoint_values(LogGerm.from_poly(p, e), params) for e in (-1, 1))
+
+
+def _far_pole_near(e):
+    """1/(1+ex) near e, 0 near -e: log-free with every limit at e, but not a polynomial."""
+    return EndpointFn._one_sided(LogGerm(e, {0: RationalFn(Poly.one(), Poly([1, e]))}))
+
+
+@pytest.mark.parametrize("params", [KrallParams(1, 2), KrallParams(Fraction(1, 3), Fraction(7, 2))])
+def test_endpoint_record_exists_exactly_for_polynomial_germs(params):
+    for e in (-1, 1):
+        polynomial = [
+            EndpointFn.from_poly(X**3 - 2 * X),
+            EndpointFn.from_poly(Poly.one()),
+            one_near(e),
+            weight_sq_near(e),
+            quasi_probe(e, params),
+            one_near(-e),  # zero near e
+            log_probe(-e, params),  # zero near e
+        ]
+        other = [
+            log_probe(e, params),
+            log_probe(e, params) * Fraction(-3, 2) + EndpointFn.poly_near(e, X**2 + 1),
+            EndpointFn.log_poly_near(e, WEIGHT**3),
+            _far_pole_near(e),
+        ]
+        for f, has_record in [(f, True) for f in polynomial] + [(f, False) for f in other]:
+            g = f.germ_at(e)
+            record = con._endpoint_values(g, params)
+            assert (record is not None) == has_record, f
+            assert (con._record_at(f, e, params) is not None) == has_record
+            if has_record:
+                assert record == _limit_record(g, params)
+
+
+@pytest.mark.parametrize("params", [KrallParams(1, 2), KrallParams(Fraction(1, 3), Fraction(7, 2))])
+def test_germ_with_every_limit_but_no_polynomial_takes_the_germ_lines(params):
+    """(1-x^2)^3 ln(1-x^2) and 1/(1+ex) have every limit a record holds, yet
+    no record: their brackets, B(e) and Lam(e) come from the germ lines and
+    the chain, and equal what the limits' record gives."""
+    for e in (-1, 1):
+        for f in (EndpointFn.log_poly_near(e, WEIGHT**3), _far_pole_near(e)):
+            assert con._endpoint_values(f.germ_at(e), params) is None
+            d, values, quasi = _limit_record(f.germ_at(e), params)
+            assert concomitant_with_one(f, e, params) == Fraction(quasi[0], d)
+            assert quasi_derivative_at(f, e, params) == Fraction(-quasi[1], d)
+            for p in seeded(5, seed=61, max_degree=8):
+                p_den, p_values, p_quasi = _limit_record(LogGerm.from_poly(p, e), params)
+                expected = Fraction(sum(map(mul, quasi, p_values)) - sum(map(mul, p_quasi, values)), d * p_den)
+                assert concomitant(f, p, e, params) == expected
+                assert concomitant(p, f, e, params) == -expected
 
 
 def _limit_or_divergent(read):
