@@ -53,7 +53,7 @@ def _add_param_options(parser, with_nmax=True):
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="krall6", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run verification suites")
     run_p.add_argument("suites", nargs="*", default=["all"], metavar="SUITE",
@@ -66,7 +66,7 @@ def build_parser() -> _Parser:
                        help="accepted for compatibility; suites always run sequentially")
 
     dump_p = sub.add_parser("dump", help="dump an exact artifact")
-    dump_sub = dump_p.add_subparsers(dest="kind")
+    dump_sub = dump_p.add_subparsers(dest="kind", required=True)
 
     poly_p = dump_sub.add_parser("poly", help="coefficient list of an eigenpolynomial")
     poly_p.add_argument("family", choices=("K", "legendre"))
@@ -126,8 +126,6 @@ def _command_run(args) -> int:
 
 
 def _command_dump(args) -> int:
-    if args.kind is None:
-        raise ValueError("dump needs one of: poly, series, matrix")
     A = _parse_param("A", args.A)
     if args.kind == "poly" and args.family == "legendre":
         # the fourth-order instance reads A alone
@@ -165,9 +163,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command is None:
-            parser.print_help()
-            return USAGE_ERROR
         if args.command == "run":
             return _command_run(args)
         return _command_dump(args)

@@ -33,12 +33,12 @@ Three memos serve the brackets.  An endpoint record holds f^(j)(e) and
 has one at e exactly when it is a polynomial near e.  `_poly_records` is
 the one record filler: it fills both endpoints' records of a polynomial at
 once, by evaluating its Poly chain at -1 and +1, with no germ and no limit.
-A `Poly` or a global `EndpointFn` reads it directly; every other input goes
-through its germ, and `_endpoint_values` hands a germ that is a polynomial
-near its endpoint (no log term, no pole) that polynomial's record and every
-other germ None.  When both factors of a pair have records, `concomitant`
-is two integer dot products and one `Fraction` (evaluation at e, since both
-are polynomials near e), and B(e) and Lam(e) are read from the record.
+A `Poly` reads it directly; an `EndpointFn` goes through its germ, and
+`_endpoint_values` hands a germ that is a polynomial near its endpoint (no
+log term, no pole) that polynomial's record and every other germ None.
+When both factors of a pair have records, `concomitant` is two integer dot
+products and one `Fraction` (evaluation at e, since both are polynomials
+near e), and B(e) and Lam(e) are read from the record.
 Every other input -- a log-bearing germ, say -- takes the germ-line route:
 `_germ_chain` works out the chain of each (germ, params) pair once and
 serves Lam, B and the bracket lines, whose limits are taken there.  All
@@ -76,7 +76,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .germs import DivergentLimitError, EndpointFn, LogGerm, _check_endpoint
+from .germs import DivergentLimitError, EndpointFn, LogGerm, _check_endpoint, germ_at, value_at
 from .operator import WEIGHT, KrallParams, apply_expression, quasi_derivatives
 from .polynomials import Poly
 
@@ -168,10 +168,6 @@ def _germ_chain(g: LogGerm, params: KrallParams) -> tuple[LogGerm, ...]:
     return quasi_derivatives(params.symmetric_coefficients(), g)
 
 
-def _germ(f, endpoint: int) -> LogGerm:
-    return EndpointFn.from_poly(f).germ_at(endpoint)
-
-
 def quasi_derivative(f, params: KrallParams):
     """Lam[f] = -((1-x^2)^3 f''')' + (1-x^2)(12+alpha(1-x^2)) f'', entry -2 of the chain.
 
@@ -196,7 +192,7 @@ def quasi_derivative_terms_at(f, endpoint: int, params: KrallParams) -> tuple[Fr
     limits are 8 and 24, at both endpoints and for every (A, B): the stated
     constant 24 is the P f'' part alone.
     """
-    *_, before, lam, _ = _germ_chain(_germ(f, endpoint), params)
+    *_, before, lam, _ = _germ_chain(germ_at(f, endpoint), params)
     head = before.derivative()
     return head.limit(), (lam - head).limit()
 
@@ -238,19 +234,18 @@ def _endpoint_values(g: LogGerm, params: KrallParams) -> tuple[int, tuple[int, .
 
 
 def _record_at(f, endpoint: int, params: KrallParams):
-    """f's record at `endpoint`: a Poly's or a global EndpointFn's from `_poly_records`,
-    any other input's from `_endpoint_values` of its germ (None unless a polynomial)."""
-    p = f.poly if isinstance(f, EndpointFn) else f
-    if isinstance(p, Poly):
-        return _poly_records(p, params)[_check_endpoint(endpoint) > 0]
-    return _endpoint_values(_germ(f, endpoint), params)
+    """f's record at `endpoint`: a Poly's from `_poly_records`, any other input's
+    from `_endpoint_values` of its germ (None unless a polynomial there)."""
+    if isinstance(f, Poly):
+        return _poly_records(f, params)[_check_endpoint(endpoint) > 0]
+    return _endpoint_values(germ_at(f, endpoint), params)
 
 
 def _quasi_at(f, endpoint: int, params: KrallParams, j: int) -> Fraction:
     """f^[2m-1-j](e) from f's record, or from its germ chain's limit where it has none."""
     record = _record_at(f, endpoint, params)
     if record is None:
-        return _germ_chain(_germ(f, endpoint), params)[-1 - j].limit()
+        return _germ_chain(germ_at(f, endpoint), params)[-1 - j].limit()
     d, _, quasi = record
     return Fraction(-quasi[j] if j % 2 else quasi[j], d)
 
@@ -271,7 +266,7 @@ def concomitant(f, g, endpoint: int, params: KrallParams) -> Fraction:
     if fv is not None and gv is not None:
         (f_den, f_values, f_quasi), (g_den, g_values, g_quasi) = fv, gv
         return Fraction(sum(map(mul, f_quasi, g_values)) - sum(map(mul, g_quasi, f_values)), f_den * g_den)
-    lines = _concomitant_lines(_germ(f, endpoint), _germ(g, endpoint), params)
+    lines = _concomitant_lines(germ_at(f, endpoint), germ_at(g, endpoint), params)
     try:
         return sum(lines[1:], lines[0]).limit()
     except DivergentLimitError as exc:
@@ -314,11 +309,8 @@ def reduced_concomitant(f, g, endpoint: int, params: KrallParams) -> Fraction:
     """Closed form of [f, g](e) on the reduced domain:
     -24e(f''g - g''f)(e) - 24(near+1)(f'g - g'f)(e), near = A at +1 and B at -1.
     """
-    f = EndpointFn.from_poly(f)
-    g = EndpointFn.from_poly(g)
-    fe, ge = f.value_at(endpoint), g.value_at(endpoint)
-    f1, g1 = f.derivative(1).value_at(endpoint), g.derivative(1).value_at(endpoint)
-    f2, g2 = f.derivative(2).value_at(endpoint), g.derivative(2).value_at(endpoint)
+    fe, f1, f2 = (value_at(f, endpoint, j) for j in range(3))
+    ge, g1, g2 = (value_at(g, endpoint, j) for j in range(3))
     near, _ = _near_far(endpoint, params)
     return -24 * endpoint * (f2 * ge - g2 * fe) - 24 * (near + 1) * (f1 * ge - g1 * fe)
 
@@ -331,15 +323,13 @@ def _weight_closed_form(fe: Fraction, endpoint: int, params: KrallParams) -> Fra
 
 def bracket_weight_reduction(f, endpoint: int, params: KrallParams) -> Fraction:
     """[f, 1-x^2](e) via the quasi-derivative: e(2 Lam[f](e) - 48(near+2) f(e))."""
-    f = EndpointFn.from_poly(f)
     lam = quasi_derivative_at(f, endpoint, params)
-    return 2 * endpoint * lam + _weight_closed_form(f.value_at(endpoint), endpoint, params)
+    return 2 * endpoint * lam + _weight_closed_form(value_at(f, endpoint), endpoint, params)
 
 
 def bracket_weight_sq_reduction(f, endpoint: int, params: KrallParams) -> Fraction:
     """[f, (1-x^2)^2](e) = +-192 f(+-1)."""
-    f = EndpointFn.from_poly(f)
-    return endpoint * 192 * f.value_at(endpoint)
+    return endpoint * 192 * value_at(f, endpoint)
 
 
 def general_endpoint_reduction(f, g, endpoint: int, params: KrallParams) -> Fraction:
@@ -348,12 +338,10 @@ def general_endpoint_reduction(f, g, endpoint: int, params: KrallParams) -> Frac
     [f,1](e) g(e) - [g,1](e) f(e) + lim (the bracket lines for j >= 1), that is
     lim( -Lam[f] g' + Lam[g] f' - (1-x^2)^3 f''' g'' + (1-x^2)^3 g''' f'' ).
     """
-    f = EndpointFn.from_poly(f)
-    g = EndpointFn.from_poly(g)
-    _, _, *rest = _concomitant_lines(f.germ_at(endpoint), g.germ_at(endpoint), params)
+    _, _, *rest = _concomitant_lines(germ_at(f, endpoint), germ_at(g, endpoint), params)
     head = (
-        concomitant_with_one(f, endpoint, params) * g.value_at(endpoint)
-        - concomitant_with_one(g, endpoint, params) * f.value_at(endpoint)
+        concomitant_with_one(f, endpoint, params) * value_at(g, endpoint)
+        - concomitant_with_one(g, endpoint, params) * value_at(f, endpoint)
     )
     return head + sum(rest[1:], rest[0]).limit()
 
@@ -367,12 +355,11 @@ def log_probe_reduction(f, endpoint: int, params: KrallParams) -> Fraction:
     -Lam[f] probe' + 32 f' - (1-x^2)^3(f''' probe'' - probe''' f'').
     Only defined when every sub-limit exists (polynomials qualify).
     """
-    f = EndpointFn.from_poly(f)
-    fg = f.germ_at(endpoint)
-    _, _, line3, _, *rest = _concomitant_lines(fg, log_probe(endpoint, params).germ_at(endpoint), params)
+    fg = germ_at(f, endpoint)
+    _, _, line3, _, *rest = _concomitant_lines(fg, germ_at(log_probe(endpoint, params), endpoint), params)
     residual = sum(rest, line3 + fg.derivative(1) * 32)
     near, far = _near_far(endpoint, params)
-    return endpoint * (32 * near + 12 * far - 16) * f.value_at(endpoint) + residual.limit()
+    return endpoint * (32 * near + 12 * far - 16) * value_at(f, endpoint) + residual.limit()
 
 
 # ---------------------------------------------------------------------------
@@ -433,17 +420,15 @@ def maximal_domain_suite(f, params: KrallParams, tag: str) -> list[dict]:
     reduction; and for the log probes the constants-and-residual reduction.
     Each row has name/lhs/rhs; equality is the caller's assertion.
     """
-    f = EndpointFn.from_poly(f)
     rows = []
     w = WEIGHT
     for endpoint in (-1, 1):
         for j in (1, 2, 3):
-            germ = (f.derivative(j) * w**j).germ_at(endpoint)
             rows.append(
                 {
                     "name": f"{tag}:weighted-derivative-vanishing:j={j}:e={endpoint:+d}",
                     "paper_item": "vanishing-weighted-derivatives",
-                    "lhs": germ.limit(),
+                    "lhs": value_at(f.derivative(j) * w**j, endpoint),
                     "rhs": Fraction(0),
                 }
             )
@@ -451,7 +436,7 @@ def maximal_domain_suite(f, params: KrallParams, tag: str) -> list[dict]:
             {
                 "name": f"{tag}:bracket-weight-reduction:e={endpoint:+d}",
                 "paper_item": "bracket-weight-reduction",
-                "lhs": concomitant(f, EndpointFn.from_poly(w), endpoint, params),
+                "lhs": concomitant(f, w, endpoint, params),
                 "rhs": bracket_weight_reduction(f, endpoint, params),
             }
         )
@@ -459,7 +444,7 @@ def maximal_domain_suite(f, params: KrallParams, tag: str) -> list[dict]:
             {
                 "name": f"{tag}:bracket-weight-sq-reduction:e={endpoint:+d}",
                 "paper_item": "bracket-weight-sq-reduction",
-                "lhs": concomitant(f, EndpointFn.from_poly(w**2), endpoint, params),
+                "lhs": concomitant(f, w**2, endpoint, params),
                 "rhs": bracket_weight_sq_reduction(f, endpoint, params),
             }
         )
@@ -467,7 +452,7 @@ def maximal_domain_suite(f, params: KrallParams, tag: str) -> list[dict]:
             {
                 "name": f"{tag}:bracket-weight-cube-vanishing:e={endpoint:+d}",
                 "paper_item": "bracket-weight-cube-vanishing",
-                "lhs": concomitant(f, EndpointFn.from_poly(w**3), endpoint, params),
+                "lhs": concomitant(f, w**3, endpoint, params),
                 "rhs": Fraction(0),
             }
         )
@@ -506,7 +491,7 @@ def reduced_domain_suite(f, g, params: KrallParams, tag: str) -> list[dict]:
                 "name": f"{tag}:two-route-bracket-with-one:e={endpoint:+d}",
                 "paper_item": "bracket-with-one-two-routes",
                 "lhs": concomitant_with_one(f, endpoint, params),
-                "rhs": concomitant(f, EndpointFn.from_poly(Poly.one()), endpoint, params),
+                "rhs": concomitant(f, Poly.one(), endpoint, params),
             }
         )
         rows.append(
@@ -521,15 +506,15 @@ def reduced_domain_suite(f, g, params: KrallParams, tag: str) -> list[dict]:
             {
                 "name": f"{tag}:weight-closed-form:e={endpoint:+d}",
                 "paper_item": "bracket-weight-closed-form",
-                "lhs": concomitant(f, EndpointFn.from_poly(WEIGHT), endpoint, params),
-                "rhs": _weight_closed_form(EndpointFn.from_poly(f).value_at(endpoint), endpoint, params),
+                "lhs": concomitant(f, WEIGHT, endpoint, params),
+                "rhs": _weight_closed_form(value_at(f, endpoint), endpoint, params),
             }
         )
         rows.append(
             {
                 "name": f"{tag}:weight-sq-closed-form:e={endpoint:+d}",
                 "paper_item": "bracket-weight-sq-closed-form",
-                "lhs": concomitant(f, EndpointFn.from_poly(WEIGHT**2), endpoint, params),
+                "lhs": concomitant(f, WEIGHT**2, endpoint, params),
                 "rhs": bracket_weight_sq_reduction(f, endpoint, params),
             }
         )

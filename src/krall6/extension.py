@@ -47,7 +47,7 @@ from .concomitant import (
     reduced_concomitant,
     symplectic_form,
 )
-from .germs import EndpointFn
+from .germs import value_at
 from .inner_products import ExtendedVector, embed, extended_inner, gram_matrix, w_inner
 from .operator import KrallParams, apply_expression, eigen_polynomial, eigenvalue
 
@@ -148,10 +148,9 @@ def domain_membership(u: ExtendedVector, params: KrallParams) -> tuple[bool, dic
     """
     direct = boundary_condition_values(u, params)
     direct_ok = all(v == 0 for v in direct)
-    f = EndpointFn.from_poly(u.fn)
-    lam_minus = quasi_derivative_at(f, -1, params)
-    lam_plus = quasi_derivative_at(f, 1, params)
-    a_match, b_match = u.a == f.value_at(-1), u.b == f.value_at(1)
+    lam_minus = quasi_derivative_at(u.fn, -1, params)
+    lam_plus = quasi_derivative_at(u.fn, 1, params)
+    a_match, b_match = u.a == value_at(u.fn, -1), u.b == value_at(u.fn, 1)
     reduced_ok = a_match and b_match and lam_minus == 0 and lam_plus == 0
     if direct_ok != reduced_ok:
         raise AssertionError(

@@ -32,11 +32,12 @@ and germs at different endpoints never compare equal, so never share.  The
 memo holds germs only, never limits.  A germ computes its hash on the first
 lookup and keeps it.
 
-`EndpointFn` is the tagged union the rest of the library passes around:
-either a single global polynomial, or a pair of germs (one per endpoint) with
-the middle of the interval deliberately unrepresented.  Any operation that
-would need mid-interval values of a piecewise function raises
-`UnspecifiedInteriorError` instead of inventing data.
+A function known on the whole interval is a `Poly`.  `EndpointFn` is a pair
+of germs, one per endpoint, with the middle of the interval deliberately
+unrepresented; any operation that would need its mid-interval values raises
+`UnspecifiedInteriorError` instead of inventing data.  `germ_at` and
+`value_at` read either kind: a polynomial's germ, or its derivatives at an
+endpoint by evaluation; an `EndpointFn`'s own germ, or its germ's limits.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class DivergentLimitError(ArithmeticError):
 
 
 class UnspecifiedInteriorError(TypeError):
-    """An operation required mid-interval values of a piecewise function."""
+    """An operation required mid-interval values of an `EndpointFn`."""
 
 
 def _check_endpoint(endpoint: int) -> int:
@@ -232,20 +233,13 @@ def _add_term(terms: dict[int, RationalFn], k: int, r: RationalFn) -> None:
 
 
 class EndpointFn:
-    """A global polynomial, or a pair of endpoint germs with unspecified middle."""
+    """A pair of endpoint germs, one per endpoint, with the middle unspecified."""
 
-    __slots__ = ("poly", "germ_minus", "germ_plus")
+    __slots__ = ("germ_minus", "germ_plus")
 
-    def __init__(self, poly: Optional[Poly], germ_minus: Optional[LogGerm], germ_plus: Optional[LogGerm]):
-        if poly is not None:
-            if germ_minus is not None or germ_plus is not None:
-                raise ValueError("global polynomial carries no explicit germs")
-        else:
-            if germ_minus is None or germ_plus is None:
-                raise ValueError("piecewise function needs germs at both endpoints")
-            if germ_minus.endpoint != -1 or germ_plus.endpoint != 1:
-                raise ValueError("germs attached to the wrong endpoints")
-        object.__setattr__(self, "poly", poly)
+    def __init__(self, germ_minus: LogGerm, germ_plus: LogGerm):
+        if germ_minus.endpoint != -1 or germ_plus.endpoint != 1:
+            raise ValueError("germs attached to the wrong endpoints")
         object.__setattr__(self, "germ_minus", germ_minus)
         object.__setattr__(self, "germ_plus", germ_plus)
 
@@ -255,24 +249,10 @@ class EndpointFn:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def from_poly(p) -> "EndpointFn":
-        if isinstance(p, EndpointFn):
-            return p
-        if isinstance(p, (int, Fraction)):
-            p = Poly([p])
-        if not isinstance(p, Poly):
-            raise TypeError("from_poly expects a Poly")
-        return EndpointFn(p, None, None)
-
-    @staticmethod
-    def piecewise(germ_minus: LogGerm, germ_plus: LogGerm) -> "EndpointFn":
-        return EndpointFn(None, germ_minus, germ_plus)
-
-    @staticmethod
     def _one_sided(germ: LogGerm) -> "EndpointFn":
         """`germ` at its endpoint, identically 0 near the other endpoint."""
         z = LogGerm.zero(-germ.endpoint)
-        return EndpointFn.piecewise(*((z, germ) if germ.endpoint == 1 else (germ, z)))
+        return EndpointFn(*((z, germ) if germ.endpoint == 1 else (germ, z)))
 
     @staticmethod
     def poly_near(endpoint: int, p: Poly) -> "EndpointFn":
@@ -284,55 +264,31 @@ class EndpointFn:
         """p(x) * ln(1-x^2) near `endpoint`, 0 near the other endpoint."""
         return EndpointFn._one_sided(LogGerm.from_log_poly(p, endpoint))
 
-    # -- structure --------------------------------------------------------
-
-    def is_global(self) -> bool:
-        return self.poly is not None
-
-    def germ_at(self, endpoint: int) -> LogGerm:
-        _check_endpoint(endpoint)
-        if self.poly is not None:
-            return LogGerm.from_poly(self.poly, endpoint)
-        return self.germ_plus if endpoint == 1 else self.germ_minus
-
-    def require_global(self, operation: str) -> Poly:
-        if self.poly is None:
-            raise UnspecifiedInteriorError(
-                f"{operation} needs mid-interval values, but this function is only"
-                " specified near the endpoints"
-            )
-        return self.poly
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, EndpointFn):
             return NotImplemented
-        if self.is_global() and other.is_global():
-            return self.poly == other.poly
-        return self.germ_at(-1) == other.germ_at(-1) and self.germ_at(1) == other.germ_at(1)
+        return self.germ_minus == other.germ_minus and self.germ_plus == other.germ_plus
 
     # -- algebra ------------------------------------------------------------
 
     def map(self, kernel) -> "EndpointFn":
-        """`kernel` (written once for Poly and LogGerm) applied to the global
-        polynomial, or to each endpoint germ of a piecewise function."""
-        if self.is_global():
-            return EndpointFn.from_poly(kernel(self.poly))
-        return EndpointFn.piecewise(kernel(self.germ_minus), kernel(self.germ_plus))
+        """`kernel` (written once for Poly and LogGerm) applied to each endpoint germ."""
+        return EndpointFn(kernel(self.germ_minus), kernel(self.germ_plus))
 
     def __add__(self, other) -> "EndpointFn":
-        other = EndpointFn.from_poly(other)
-        if self.is_global() and other.is_global():
-            return EndpointFn.from_poly(self.poly + other.poly)
-        return EndpointFn.piecewise(
-            self.germ_at(-1) + other.germ_at(-1), self.germ_at(1) + other.germ_at(1)
-        )
+        """Sum with another EndpointFn, a Poly or an exact scalar."""
+        return EndpointFn(self.germ_minus + germ_at(other, -1), self.germ_plus + germ_at(other, 1))
+
+    __radd__ = __add__
 
     def __neg__(self) -> "EndpointFn":
         return self.map(lambda f: -f)
 
     def __sub__(self, other) -> "EndpointFn":
-        other = EndpointFn.from_poly(other)
         return self + (-other)
+
+    def __rsub__(self, other) -> "EndpointFn":
+        return -self + other
 
     def __mul__(self, other) -> "EndpointFn":
         """Multiplication by an exact scalar or a global polynomial."""
@@ -346,14 +302,29 @@ class EndpointFn:
     def derivative(self, order: int = 1) -> "EndpointFn":
         return self.map(lambda f: f.derivative(order))
 
-    def value_at(self, endpoint: int) -> Fraction:
-        """Endpoint value as a germ limit (exact polynomial evaluation if global)."""
-        _check_endpoint(endpoint)
-        if self.poly is not None:
-            return self.poly(endpoint)
-        return self.germ_at(endpoint).limit()
-
     def __repr__(self) -> str:
-        if self.is_global():
-            return f"EndpointFn({self.poly!r})"
         return f"EndpointFn(minus={self.germ_minus!r}, plus={self.germ_plus!r})"
+
+
+def _as_poly(f) -> Poly:
+    """f as a Poly: a Poly itself, or an exact scalar as a constant."""
+    p = Poly._coerce(f)
+    if p is NotImplemented:
+        raise TypeError(f"expected a polynomial, not {type(f).__name__}")
+    return p
+
+
+def germ_at(f, endpoint: int) -> LogGerm:
+    """f's germ at `endpoint`: a polynomial's (an exact scalar is a constant one),
+    or an EndpointFn's own."""
+    _check_endpoint(endpoint)
+    if isinstance(f, EndpointFn):
+        return f.germ_plus if endpoint == 1 else f.germ_minus
+    return LogGerm.from_poly(_as_poly(f), endpoint)
+
+
+def value_at(f, endpoint: int, order: int = 0) -> Fraction:
+    """f^(order)(e): a polynomial's by evaluation, an EndpointFn's as its germ's limit."""
+    if isinstance(f, EndpointFn):
+        return germ_at(f, endpoint).derivative(order).limit()
+    return _as_poly(f).derivative(order)(_check_endpoint(endpoint))

@@ -24,8 +24,8 @@ f to (f, f(-1), f(1)) and is an isometry onto its image:
 extended_inner(embed f, embed g) = kappa_inner(f, g).
 
 Inner products integrate over the whole interval, so they are only defined
-for global polynomials; piecewise endpoint functions raise
-`UnspecifiedInteriorError` (their middles are deliberately unrepresented).
+for polynomials (a `Poly`, or an exact scalar as a constant); an `EndpointFn`
+raises `UnspecifiedInteriorError` (its middle is deliberately unrepresented).
 """
 
 from __future__ import annotations
@@ -36,19 +36,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .germs import EndpointFn
+from .germs import EndpointFn, UnspecifiedInteriorError, _as_poly, value_at
 from .operator import KrallParams, eigen_polynomial
 from .polynomials import Poly, Scalar, as_fraction
 
 
 def _as_global_poly(f, operation: str) -> Poly:
-    if isinstance(f, Poly):
-        return f
     if isinstance(f, EndpointFn):
-        return f.require_global(operation)
-    if isinstance(f, (int, Fraction)):
-        return Poly([f])
-    raise TypeError(f"{operation} expects a polynomial")
+        raise UnspecifiedInteriorError(
+            f"{operation} needs mid-interval values, but this function is only"
+            " specified near the endpoints"
+        )
+    return _as_poly(f)
 
 
 def kappa_moments(f: Poly, count: int, params: KrallParams) -> tuple[list[int], int]:
@@ -96,12 +95,10 @@ class ExtendedVector:
 
 
 def embed(f) -> ExtendedVector:
-    """f |-> (f, f(-1), f(1))."""
-    if isinstance(f, Poly):
-        return ExtendedVector(f, f(-1), f(1))
-    if isinstance(f, EndpointFn):
-        return ExtendedVector(f, f.value_at(-1), f.value_at(1))
-    raise TypeError("embed expects a Poly or EndpointFn")
+    """f |-> (f, f(-1), f(1)) for a Poly or an EndpointFn."""
+    if not isinstance(f, (Poly, EndpointFn)):
+        raise TypeError("embed expects a Poly or EndpointFn")
+    return ExtendedVector(f, value_at(f, -1), value_at(f, 1))
 
 
 def w_inner(u: tuple, v: tuple, params: KrallParams) -> Fraction:

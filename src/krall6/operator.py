@@ -138,8 +138,7 @@ class KrallParams:
 def _lift(f, kernel, operation: str):
     """Apply `kernel` (written once for Poly and LogGerm) to f, keeping f's class.
 
-    A Poly stays a Poly, a global EndpointFn maps its polynomial, and a
-    piecewise EndpointFn maps each endpoint germ.
+    A Poly stays a Poly, and an EndpointFn maps each endpoint germ.
     """
     if isinstance(f, Poly):
         return kernel(f)
@@ -222,7 +221,7 @@ class LocalExpression:
 
     def at(self, s: int) -> dict:
         """{d: (q rho_d(s), q rho_d'(s))} as ints (q = `scale`), by one Horner pass per d;
-        the row goes into `table` only once it is complete, so threads may share the table."""
+        the row goes into `table` only once it is complete, so an interrupted pass leaves none."""
         row = self.table.get(s)
         if row is None:
             row = {}

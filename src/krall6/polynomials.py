@@ -237,6 +237,8 @@ class Poly:
 
     def __add__(self, other) -> "Poly":
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         a, b, da, db = self._n, other._n, self._d, other._d
         if da != db:
             g = math.gcd(da, db)
@@ -256,10 +258,12 @@ class Poly:
         return Poly._make([-c for c in self._n], self._d)
 
     def __sub__(self, other) -> "Poly":
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other) -> "Poly":
-        return self._coerce(other) - self
+        other = self._coerce(other)
+        return other if other is NotImplemented else other - self
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -310,11 +314,13 @@ class Poly:
 
     @staticmethod
     def _coerce(other) -> "Poly":
+        """other as a Poly, or NotImplemented when it is not an exact scalar or a
+        Poly, so that Python tries the other operand's reflected method."""
         if isinstance(other, Poly):
             return other
         if isinstance(other, (int, Fraction)):
             return Poly._make((other.numerator,), other.denominator)
-        raise TypeError(f"cannot coerce {type(other).__name__} to Poly")
+        return NotImplemented
 
     # -- calculus -----------------------------------------------------
 

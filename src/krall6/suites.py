@@ -28,7 +28,7 @@ from .extension import (
     operator_matrix,
     operator_symmetry_gaps,
 )
-from .germs import DivergentLimitError, EndpointFn
+from .germs import DivergentLimitError, EndpointFn, LogGerm
 from .inner_products import (
     ExtendedVector,
     embed,
@@ -286,13 +286,13 @@ def suite_green(config: RunConfig) -> Report:
     return report
 
 
-def _canonical_functions(params: KrallParams) -> list[tuple[str, EndpointFn]]:
+def _canonical_functions(params: KrallParams) -> list[tuple[str, Poly | EndpointFn]]:
     w = con.WEIGHT
     return [
-        ("one", EndpointFn.from_poly(Poly.one())),
-        ("weight", EndpointFn.from_poly(w)),
-        ("weight-sq", EndpointFn.from_poly(w**2)),
-        ("weight-cube", EndpointFn.from_poly(w**3)),
+        ("one", Poly.one()),
+        ("weight", w),
+        ("weight-sq", w**2),
+        ("weight-cube", w**3),
         ("one-near-minus", con.one_near(-1)),
         ("one-near-plus", con.one_near(1)),
         ("weight-near-plus", con.weight_near(1)),
@@ -311,7 +311,7 @@ def suite_concomitant(config: RunConfig) -> Report:
     report = Report("concomitant", params)
     seeded = seeded_polynomials(config.seed + 1, 10)
     functions = _canonical_functions(params) + [
-        (f"seeded-{i:02d}", EndpointFn.from_poly(p)) for i, p in enumerate(seeded)
+        (f"seeded-{i:02d}", p) for i, p in enumerate(seeded)
     ]
 
     for tag, f in functions:
@@ -358,10 +358,10 @@ def suite_concomitant(config: RunConfig) -> Report:
 
     # general endpoint reduction on mixed pairs
     pairs = [
-        ("x|log-probe-plus", EndpointFn.from_poly(Poly.x()), con.log_probe(1, params)),
-        ("seeded|seeded", EndpointFn.from_poly(seeded[0]), EndpointFn.from_poly(seeded[1])),
-        ("seeded|weight-sq", EndpointFn.from_poly(seeded[2]), EndpointFn.from_poly(con.WEIGHT**2)),
-        ("log-probe-plus|weight", con.log_probe(1, params), EndpointFn.from_poly(con.WEIGHT)),
+        ("x|log-probe-plus", Poly.x(), con.log_probe(1, params)),
+        ("seeded|seeded", seeded[0], seeded[1]),
+        ("seeded|weight-sq", seeded[2], con.WEIGHT**2),
+        ("log-probe-plus|weight", con.log_probe(1, params), con.WEIGHT),
     ]
     for tag, f, g in pairs:
         report.extend(make_case(**row) for row in con.general_reduction_suite(f, g, params, tag))
@@ -397,9 +397,7 @@ def suite_concomitant(config: RunConfig) -> Report:
 
     # a genuinely out-of-class input (bare logarithm germ) diverges in both
     # routes; reported as "not in checkable class", never guessed around
-    from .germs import LogGerm
-
-    bare_log = EndpointFn.piecewise(LogGerm.zero(-1), LogGerm.from_log_poly(Poly.one(), 1))
+    bare_log = EndpointFn(LogGerm.zero(-1), LogGerm.from_log_poly(Poly.one(), 1))
     try:
         con.log_probe_reduction(bare_log, 1, params)
         report.add(
@@ -429,10 +427,10 @@ def suite_delta(config: RunConfig) -> Report:
     report = Report("delta", params)
     w = con.WEIGHT
     member_cases = [
-        ("one", EndpointFn.from_poly(Poly.one()), True),
-        ("x", EndpointFn.from_poly(Poly.x()), True),
-        ("weight-sq", EndpointFn.from_poly(w**2), True),
-        ("seeded", EndpointFn.from_poly(seeded_polynomials(config.seed + 2, 1)[0]), True),
+        ("one", Poly.one(), True),
+        ("x", Poly.x(), True),
+        ("weight-sq", w**2, True),
+        ("seeded", seeded_polynomials(config.seed + 2, 1)[0], True),
         ("log-probe-plus", con.log_probe(1, params), False),
         ("log-probe-minus", con.log_probe(-1, params), False),
     ]
@@ -448,9 +446,9 @@ def suite_delta(config: RunConfig) -> Report:
             )
         )
     separated_cases = [
-        ("weight-cube", EndpointFn.from_poly(w**3), True),
-        ("one", EndpointFn.from_poly(Poly.one()), True),
-        ("x", EndpointFn.from_poly(Poly.x()), False),
+        ("weight-cube", w**3, True),
+        ("one", Poly.one(), True),
+        ("x", Poly.x(), False),
         ("one-near-plus", con.one_near(1), True),
     ]
     for tag, f, expected in separated_cases:
@@ -715,7 +713,7 @@ def suite_operator_matrix(config: RunConfig) -> Report:
             )
         )
     for i, fn in enumerate((con.one_near(1), con.weight_near(-1))):
-        u = ExtendedVector(fn, fn.value_at(-1), fn.value_at(1))
+        u = embed(fn)
         ok, _ = domain_membership(u, params)
         report.add(
             make_case(f"membership:piecewise:{i:02d}", "domain-membership", ok, True)

@@ -53,7 +53,6 @@ from krall6.frobenius import (
     residual_order,
     solution_basis,
 )
-from krall6.germs import EndpointFn
 from krall6.inner_products import ExtendedVector, embed, expansion_reconstruction, gram_matrix
 from krall6.operator import (
     KrallParams,
@@ -123,10 +122,10 @@ def test_criterion_04_greens_formula():
 
 def _canonical_for_acceptance(params):
     return [
-        EndpointFn.from_poly(Poly.one()),
-        EndpointFn.from_poly(WEIGHT),
-        EndpointFn.from_poly(WEIGHT**2),
-        EndpointFn.from_poly(WEIGHT**3),
+        Poly.one(),
+        WEIGHT,
+        WEIGHT**2,
+        WEIGHT**3,
         one_near(-1),
         one_near(1),
         weight_near(1),
@@ -144,7 +143,7 @@ def test_criterion_05_limit_identities():
     params = KrallParams(1, 2)
     ok = True
     functions = _canonical_for_acceptance(params)
-    functions += [EndpointFn.from_poly(p) for p in seeded_polynomials(SEED + 1, 10)]
+    functions += seeded_polynomials(SEED + 1, 10)
     for i, f in enumerate(functions):
         for row in maximal_domain_suite(f, params, f"f{i}"):
             ok = ok and row["lhs"] == row["rhs"]

@@ -362,4 +362,13 @@ def test_dump_poly_legendre_ignores_B(capsys):
 def test_dump_without_kind_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "dump")
     assert code == 2 and out == ""
-    assert "dump needs one of: poly, series, matrix" in err
+    assert err.startswith("usage: krall6 dump ")
+    assert err.endswith("error: the following arguments are required: kind\n")
+
+
+def test_no_command_is_usage_error(capsys):
+    # `krall6` alone is a usage error on stderr, like any other, not help on stdout
+    code, out, err = run_cli(capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: krall6 ")
+    assert err.endswith("error: the following arguments are required: command\n")

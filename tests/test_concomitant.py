@@ -36,7 +36,7 @@ from krall6.concomitant import (
     weight_near,
     weight_sq_near,
 )
-from krall6.germs import DivergentLimitError, EndpointFn, LogGerm, _derivative, _differentiate
+from krall6.germs import DivergentLimitError, EndpointFn, LogGerm, _derivative, _differentiate, germ_at
 from krall6.operator import KrallParams
 from krall6.polynomials import Poly, RationalFn
 
@@ -90,8 +90,8 @@ def test_probe_symplectic_form_is_one_sided():
 def test_probe_identity_extracts_quasi_derivative():
     params = KrallParams(Fraction(3, 2), Fraction(5, 2))
     functions = [
-        EndpointFn.from_poly(X**3),
-        EndpointFn.from_poly(WEIGHT**2),
+        X**3,
+        WEIGHT**2,
         log_probe(1, params),
         log_probe(-1, params),
         one_near(1),
@@ -111,7 +111,7 @@ def test_concomitant_examples():
     # against the squared weight near +1: 192 f(1)
     assert concomitant(X, weight_sq_near(1), 1, params) == 192
     # against the cubed weight: zero at both ends
-    w3 = EndpointFn.from_poly(WEIGHT**3)
+    w3 = WEIGHT**3
     for g in seeded(5, seed=3):
         for e in (-1, 1):
             assert concomitant(g, w3, e, params) == 0
@@ -119,7 +119,7 @@ def test_concomitant_examples():
 
 def test_antisymmetry_on_pairs():
     params = KrallParams(1, 2)
-    pool = [EndpointFn.from_poly(p) for p in seeded(4, seed=8, max_degree=6)]
+    pool = seeded(4, seed=8, max_degree=6)
     pool += [log_probe(1, params), weight_near(-1), quasi_probe(1, params)]
     for i, f in enumerate(pool):
         for g in pool[i:]:
@@ -135,26 +135,26 @@ def test_antisymmetry_on_pairs():
 def test_divergent_pair_is_typed():
     params = KrallParams(1, 1)
     # a bare log germ is outside the limit class against x
-    bad = EndpointFn.piecewise(LogGerm.zero(-1), LogGerm.from_log_poly(Poly.one(), 1))
+    bad = EndpointFn(LogGerm.zero(-1), LogGerm.from_log_poly(Poly.one(), 1))
     with pytest.raises(DivergentLimitError):
-        concomitant(bad, EndpointFn.from_poly(X), 1, params)
+        concomitant(bad, X, 1, params)
     # no memo caches the exception: a second call diverges again
     with pytest.raises(DivergentLimitError):
-        concomitant(bad, EndpointFn.from_poly(X), 1, params)
+        concomitant(bad, X, 1, params)
 
 
 def test_divergent_concomitant_names_endpoint_and_lines():
     params = KrallParams(1, 2)
-    bare_log = EndpointFn.piecewise(LogGerm.zero(-1), LogGerm.from_log_poly(Poly.one(), 1))
+    bare_log = EndpointFn(LogGerm.zero(-1), LogGerm.from_log_poly(Poly.one(), 1))
     with pytest.raises(DivergentLimitError) as info:
-        concomitant(bare_log, EndpointFn.from_poly(X), 1, params)
+        concomitant(bare_log, X, 1, params)
     assert info.value.endpoint == 1
     assert info.value.detail.startswith("[f, g](+1) lines 1, 2, 3 of 6 diverge; sum: ")
     # each named line diverges on its own, and the others converge
-    lines = con._concomitant_lines(bare_log.germ_at(1), EndpointFn.from_poly(X).germ_at(1), params)
+    lines = con._concomitant_lines(germ_at(bare_log, 1), germ_at(X, 1), params)
     assert [line.has_limit() for line in lines] == [False, False, False, True, True, True]
     # lines 3 and 4 of [probe, probe] diverge separately but cancel in the sum
-    probe = log_probe(1, params).germ_at(1)
+    probe = germ_at(log_probe(1, params), 1)
     lines = con._concomitant_lines(probe, probe, params)
     assert [line.has_limit() for line in lines] == [True, True, False, False, True, True]
     assert concomitant(log_probe(1, params), log_probe(1, params), 1, params) == 0
@@ -168,26 +168,25 @@ endpoints = st.sampled_from([-1, 1])
 
 def _bracket_by_germ_lines(f, g, endpoint, params):
     """[f, g](e) as the limit of the sum of the germ lines (the reference route)."""
-    lines = con._concomitant_lines(f.germ_at(endpoint), g.germ_at(endpoint), params)
+    lines = con._concomitant_lines(germ_at(f, endpoint), germ_at(g, endpoint), params)
     return sum(lines[1:], lines[0]).limit()
 
 
 @given(small_polys, small_polys, st.sampled_from([-1, 1]), st.sampled_from(PARAM_PAIRS))
 @settings(max_examples=40, deadline=None)
 def test_bracket_from_endpoint_values_matches_germ_lines_on_polynomials(p, q, endpoint, params):
-    f, g = EndpointFn.from_poly(p), EndpointFn.from_poly(q)
-    assert con._endpoint_values(f.germ_at(endpoint), params) is not None
-    assert concomitant(f, g, endpoint, params) == _bracket_by_germ_lines(f, g, endpoint, params)
+    assert con._endpoint_values(germ_at(p, endpoint), params) is not None
+    assert concomitant(p, q, endpoint, params) == _bracket_by_germ_lines(p, q, endpoint, params)
 
 
 @pytest.mark.parametrize("params", [KrallParams(1, 2), KrallParams(Fraction(1, 3), Fraction(7, 2))])
 def test_bracket_from_endpoint_values_matches_germ_lines_on_canonical_functions(params):
-    pool = [EndpointFn.from_poly(p) for p in (X**3 - 2 * X, *seeded(3, seed=5, max_degree=6))]
+    pool = [X**3 - 2 * X, *seeded(3, seed=5, max_degree=6)]
     for e in (-1, 1):
         pool += [one_near(e), weight_near(e), weight_sq_near(e), quasi_probe(e, params)]
     for endpoint in (-1, 1):
         for f in pool:
-            assert con._endpoint_values(f.germ_at(endpoint), params) is not None
+            assert con._endpoint_values(germ_at(f, endpoint), params) is not None
             for g in pool:
                 assert concomitant(f, g, endpoint, params) == _bracket_by_germ_lines(f, g, endpoint, params)
 
@@ -195,13 +194,13 @@ def test_bracket_from_endpoint_values_matches_germ_lines_on_canonical_functions(
 def test_endpoint_values_are_none_for_log_probes():
     for params in PARAM_PAIRS:
         for endpoint in (-1, 1):
-            probe = log_probe(endpoint, params).germ_at(endpoint)
+            probe = germ_at(log_probe(endpoint, params), endpoint)
             assert con._endpoint_values(probe, params) is None
             hits = con._endpoint_values.cache_info().hits
             assert con._endpoint_values(probe, params) is None
             assert con._endpoint_values.cache_info().hits == hits + 1  # None is cached, not re-derived
             # the other endpoint's germ is zero, a polynomial, so has a record
-            assert con._endpoint_values(log_probe(-endpoint, params).germ_at(endpoint), params) == (1, (0, 0, 0), (0, 0, 0))
+            assert con._endpoint_values(germ_at(log_probe(-endpoint, params), endpoint), params) == (1, (0, 0, 0), (0, 0, 0))
 
 
 def _limit_record(g, params):
@@ -236,8 +235,8 @@ def _far_pole_near(e):
 def test_endpoint_record_exists_exactly_for_polynomial_germs(params):
     for e in (-1, 1):
         polynomial = [
-            EndpointFn.from_poly(X**3 - 2 * X),
-            EndpointFn.from_poly(Poly.one()),
+            X**3 - 2 * X,
+            Poly.one(),
             one_near(e),
             weight_sq_near(e),
             quasi_probe(e, params),
@@ -251,7 +250,7 @@ def test_endpoint_record_exists_exactly_for_polynomial_germs(params):
             _far_pole_near(e),
         ]
         for f, has_record in [(f, True) for f in polynomial] + [(f, False) for f in other]:
-            g = f.germ_at(e)
+            g = germ_at(f, e)
             record = con._endpoint_values(g, params)
             assert (record is not None) == has_record, f
             assert (con._record_at(f, e, params) is not None) == has_record
@@ -266,8 +265,8 @@ def test_germ_with_every_limit_but_no_polynomial_takes_the_germ_lines(params):
     the chain, and equal what the limits' record gives."""
     for e in (-1, 1):
         for f in (EndpointFn.log_poly_near(e, WEIGHT**3), _far_pole_near(e)):
-            assert con._endpoint_values(f.germ_at(e), params) is None
-            d, values, quasi = _limit_record(f.germ_at(e), params)
+            assert con._endpoint_values(germ_at(f, e), params) is None
+            d, values, quasi = _limit_record(germ_at(f, e), params)
             assert concomitant_with_one(f, e, params) == Fraction(quasi[0], d)
             assert quasi_derivative_at(f, e, params) == Fraction(-quasi[1], d)
             for p in seeded(5, seed=61, max_degree=8):
@@ -288,13 +287,13 @@ def _limit_or_divergent(read):
 def test_record_reads_match_chain_limits(params):
     """B(e) and Lam(e) from the records equal the germ chain's limits; the log
     probes have no record at their endpoint and take the chain's limit."""
-    pool = [X**3 - 2 * X, *seeded(4, seed=7, max_degree=8), EndpointFn.from_poly(X**4)]
+    pool = [X**3 - 2 * X, *seeded(4, seed=7, max_degree=8), X**4]
     for e in (-1, 1):
         pool += [one_near(e), weight_near(e), quasi_probe(e, params), log_probe(e, params)]
     for endpoint in (-1, 1):
         assert con._record_at(log_probe(endpoint, params), endpoint, params) is None
         for f in pool:
-            chain = con._germ_chain.__wrapped__(EndpointFn.from_poly(f).germ_at(endpoint), params)
+            chain = con._germ_chain.__wrapped__(germ_at(f, endpoint), params)
             for read, entry in ((concomitant_with_one, chain[-1]), (quasi_derivative_at, chain[-2])):
                 got = _limit_or_divergent(lambda: read(f, endpoint, params))
                 assert got == _limit_or_divergent(entry.limit)
@@ -303,7 +302,7 @@ def test_record_reads_match_chain_limits(params):
 def _endpoint_input(kind, p, q, endpoint):
     """A global polynomial, a one-sided polynomial, or p + q ln(1-x^2) near `endpoint`."""
     if kind == "global":
-        return EndpointFn.from_poly(p)
+        return p
     if kind == "piecewise":
         return EndpointFn.poly_near(endpoint, p)
     return EndpointFn.poly_near(endpoint, p) + EndpointFn.log_poly_near(endpoint, q * WEIGHT)
@@ -344,7 +343,7 @@ kinds = st.sampled_from(["global", "piecewise", "log"])
 @settings(max_examples=40, deadline=None)
 def test_chain_bracket_lines_match_the_five_line_reference(kind_f, kind_g, p, q, r, s, endpoint, params):
     f, g = _endpoint_input(kind_f, p, q, endpoint), _endpoint_input(kind_g, r, s, endpoint)
-    fg, gg = f.germ_at(endpoint), g.germ_at(endpoint)
+    fg, gg = germ_at(f, endpoint), germ_at(g, endpoint)
     lines, reference = con._concomitant_lines(fg, gg, params), _reference_lines(fg, gg, params)
     assert lines[:4] == reference[:4]
     reference_sum = sum(reference[1:], reference[0])
@@ -359,7 +358,7 @@ def test_chain_bracket_lines_match_the_five_line_reference(kind_f, kind_g, p, q,
 @given(kinds, small_polys, small_polys, endpoints, st.sampled_from(PARAM_PAIRS))
 @settings(max_examples=30, deadline=None)
 def test_memoised_germ_data_matches_a_fresh_computation(kind, p, q, endpoint, params):
-    g = _endpoint_input(kind, p, q, endpoint).germ_at(endpoint)
+    g = germ_at(_endpoint_input(kind, p, q, endpoint), endpoint)
     fresh = LogGerm(endpoint, dict(g.terms))
     assert fresh is not g and fresh == g
     lam, b = _reference_lam_and_b(fresh, params)
@@ -373,11 +372,11 @@ def test_memoised_germ_data_matches_a_fresh_computation(kind, p, q, endpoint, pa
 def test_germ_memos_are_keyed_by_params():
     p1, p2 = KrallParams(1, 2), KrallParams(Fraction(1, 3), Fraction(7, 2))
     for f in (X, X * X, log_probe(1, p1)):
-        g = EndpointFn.from_poly(f).germ_at(1)
+        g = germ_at(f, 1)
         b1, b2 = con._germ_chain(g, p1)[-1], con._germ_chain(g, p2)[-1]
         assert b1 != b2
         assert b2 == con._germ_chain.__wrapped__(LogGerm(1, dict(g.terms)), p2)[-1]
-    g = EndpointFn.from_poly(X * X).germ_at(-1)
+    g = germ_at(X * X, -1)
     assert quasi_derivative(g, p1) != quasi_derivative(g, p2)
     assert quasi_derivative(g, p2) == con._germ_chain.__wrapped__(LogGerm(-1, dict(g.terms)), p2)[-2]
 
@@ -393,7 +392,7 @@ def endpoint_sums(params):
     nonzero.
     """
     single = st.one_of(
-        small_polys.map(EndpointFn.from_poly),
+        small_polys,
         st.builds(EndpointFn.poly_near, endpoints, small_polys),
         st.builds(lambda e, p, k: EndpointFn.log_poly_near(e, p * WEIGHT**k), endpoints, small_polys, st.integers(0, 3)),
         st.builds(lambda e, c: log_probe(e, params) * c, endpoints, scalars),
@@ -453,7 +452,7 @@ def test_bracket_with_one_closed_forms():
         for e in (-1, 1):
             direct = concomitant_with_one(f, e, params)
             assert direct == reduced_concomitant(f, 1, e, params)
-            assert direct == concomitant(f, EndpointFn.from_poly(Poly.one()), e, params)
+            assert direct == concomitant(f, Poly.one(), e, params)
 
 
 def test_pair_closed_form_on_reduced_domain():
@@ -467,13 +466,12 @@ def test_pair_closed_form_on_reduced_domain():
 
 def test_weight_reductions():
     params = KrallParams(1, 2)
-    w = EndpointFn.from_poly(WEIGHT)
-    w2 = EndpointFn.from_poly(WEIGHT**2)
+    w = WEIGHT
+    w2 = WEIGHT**2
     for f in seeded(6, seed=37):
-        fe = EndpointFn.from_poly(f)
         for e in (-1, 1):
-            assert concomitant(fe, w, e, params) == bracket_weight_reduction(fe, e, params)
-            assert concomitant(fe, w2, e, params) == bracket_weight_sq_reduction(fe, e, params)
+            assert concomitant(f, w, e, params) == bracket_weight_reduction(f, e, params)
+            assert concomitant(f, w2, e, params) == bracket_weight_sq_reduction(f, e, params)
     # for the log probe: [h, w](1) = 2*32 - 48(A+2)*0 = 64
     assert concomitant(log_probe(1, params), w, 1, params) == 64
     assert symplectic_form(log_probe(1, params), weight_near(1), params) == 64
@@ -482,9 +480,9 @@ def test_weight_reductions():
 def test_general_endpoint_reduction():
     params = KrallParams(1, 2)
     cases = [
-        (EndpointFn.from_poly(X), log_probe(1, params)),
-        (log_probe(1, params), EndpointFn.from_poly(WEIGHT)),
-        (EndpointFn.from_poly(seeded(1, seed=43)[0]), EndpointFn.from_poly(seeded(1, seed=44)[0])),
+        (X, log_probe(1, params)),
+        (log_probe(1, params), WEIGHT),
+        (seeded(1, seed=43)[0], seeded(1, seed=44)[0]),
     ]
     for f, g in cases:
         for e in (-1, 1):
@@ -506,33 +504,50 @@ def test_log_probe_reduction_constants():
 def test_maximal_domain_suite_rows_pass():
     params = KrallParams(1, 2)
     functions = [
-        EndpointFn.from_poly(Poly.one()),
-        EndpointFn.from_poly(WEIGHT**3),
+        Poly.one(),
+        WEIGHT**3,
         log_probe(1, params),
         log_probe(-1, params),
         quasi_probe(1, params),
         one_near(-1),
-    ] + [EndpointFn.from_poly(p) for p in seeded(4, seed=47)]
+    ] + seeded(4, seed=47)
     for i, f in enumerate(functions):
         for row in maximal_domain_suite(f, params, f"f{i}"):
             assert row["lhs"] == row["rhs"], row["name"]
 
 
+@pytest.mark.parametrize("params", [KrallParams(1, 2), KrallParams(Fraction(1, 3), Fraction(7, 2))])
+def test_polynomial_and_its_germ_pair_agree(params):
+    """A Poly reads its record directly and its values by evaluation; its germ
+    pair reaches the record through each germ and its values as germ limits."""
+    polys = seeded(8, seed=71, max_degree=8)
+    for p, q in zip(polys[::2], polys[1::2]):
+        pair_p, pair_q = (EndpointFn(germ_at(f, -1), germ_at(f, 1)) for f in (p, q))
+        for e in (-1, 1):
+            for f, g in ((pair_p, pair_q), (p, pair_q), (pair_p, q)):
+                assert concomitant(f, g, e, params) == concomitant(p, q, e, params)
+                assert reduced_concomitant(f, g, e, params) == reduced_concomitant(p, q, e, params)
+                assert general_endpoint_reduction(f, g, e, params) == general_endpoint_reduction(p, q, e, params)
+            assert concomitant_with_one(pair_p, e, params) == concomitant_with_one(p, e, params)
+            assert quasi_derivative_at(pair_p, e, params) == quasi_derivative_at(p, e, params)
+            assert log_probe_reduction(pair_p, e, params) == log_probe_reduction(p, e, params)
+
+
 def test_reduced_domain_membership():
     params = KrallParams(1, 2)
-    ok, witness = in_reduced_domain(EndpointFn.from_poly(seeded(1, seed=53)[0]), params)
+    ok, witness = in_reduced_domain(seeded(1, seed=53)[0], params)
     assert ok and witness[1] == 0 and witness[-1] == 0
     ok, witness = in_reduced_domain(log_probe(1, params), params)
     assert not ok and witness[1] == 32
-    ok, _ = in_reduced_domain(EndpointFn.from_poly(WEIGHT**2), params)
+    ok, _ = in_reduced_domain(WEIGHT**2, params)
     assert ok
 
 
 def test_separated_domain_membership():
     params = KrallParams(1, 2)
-    assert in_separated_domain(EndpointFn.from_poly(WEIGHT**3), params)
-    assert in_separated_domain(EndpointFn.from_poly(Poly.one()), params)
-    assert not in_separated_domain(EndpointFn.from_poly(X), params)
+    assert in_separated_domain(WEIGHT**3, params)
+    assert in_separated_domain(Poly.one(), params)
+    assert not in_separated_domain(X, params)
     assert in_separated_domain(one_near(1), params)
 
 
@@ -635,7 +650,7 @@ def test_germ_memos_under_threads():
             for k in range(len(keys)):
                 j = (k + offset) % len(keys)
                 p, e = keys[j]
-                germ = EndpointFn.from_poly(p).germ_at(e)
+                germ = germ_at(p, e)
                 got = (concomitant_with_one(p, e, params), quasi_derivative(germ, params).limit())
                 assert got == expected[j]
                 d, _, quasi = con._endpoint_values(germ, params)

@@ -66,14 +66,14 @@ def test_omega_table(params):
 
 def test_extended_symplectic_reduces_to_base_form():
     params = KrallParams(1, 2)
-    f = ExtendedVector.plain(EndpointFn.from_poly(X * X))
-    assert f == ExtendedVector(EndpointFn.from_poly(X * X), 0, 0)
+    f = ExtendedVector.plain(X * X)
+    assert f == ExtendedVector(X * X, 0, 0)
     y3 = ExtendedVector.plain(weight_near(1))
     from krall6.concomitant import symplectic_form
 
     assert extended_symplectic(f, y3, params) == symplectic_form(X * X, weight_near(1), params)
     # zero function with an endpoint part pairs against Omega of the partner
-    zero_fn = ExtendedVector(EndpointFn.from_poly(Poly()), 1, 0)
+    zero_fn = ExtendedVector(Poly(), 1, 0)
     assert extended_symplectic(zero_fn, y3, params) == w_inner((1, 0), omega(weight_near(1), params), params)
     assert extended_symplectic(zero_fn, y3, params) == 0  # Omega y3 lives in the +1 slot
 
@@ -84,7 +84,7 @@ def test_extended_symplectic_antisymmetry():
     pool = [ExtendedVector.plain(y) for y in boundary_condition_functions(params)]
     pool += [ExtendedVector.plain(t) for t in partial_gkn_pair()]
     pool += [
-        ExtendedVector(EndpointFn.from_poly(p), rng.randint(-3, 3), rng.randint(-3, 3))
+        ExtendedVector(p, rng.randint(-3, 3), rng.randint(-3, 3))
         for p in seeded(4, seed=3)
     ]
     for i, u in enumerate(pool):

@@ -14,7 +14,11 @@ from krall6.germs import (
     LogGerm,
     UnspecifiedInteriorError,
     _differentiate,
+    germ_at,
+    value_at,
 )
+from krall6.inner_products import kappa_inner
+from krall6.operator import KrallParams
 from krall6.polynomials import Poly, RationalFn
 
 W = Poly([1, 0, -1])
@@ -66,10 +70,9 @@ def test_limit_pole_diverges():
 def test_embedding_consistency():
     # germ limit of a global polynomial equals polynomial evaluation
     p = Poly([2, -3, 5, 1])
-    f = EndpointFn.from_poly(p)
     for e in (-1, 1):
-        assert f.germ_at(e).limit() == p(e)
-        assert f.value_at(e) == p(e)
+        assert germ_at(p, e).limit() == p(e)
+        assert value_at(p, e) == p(e)
 
 
 def test_derivative_of_convergent_germ_times_weight_vanishes():
@@ -90,37 +93,67 @@ def test_germ_multiplication_collects_log_powers():
 
 def test_piecewise_interior_is_off_limits():
     f = EndpointFn.poly_near(1, W)
+    params = KrallParams(1, 2)
     with pytest.raises(UnspecifiedInteriorError):
-        f.require_global("integration")
-    assert f.value_at(1) == 0
-    assert f.value_at(-1) == 0
-    assert EndpointFn.from_poly(W).require_global("integration") == W
+        kappa_inner(f, Poly.one(), params)
+    assert value_at(f, 1) == 0
+    assert value_at(f, -1) == 0
+    assert kappa_inner(W, Poly.one(), params) == Fraction(4, 3)
 
 
 def test_endpointfn_algebra_mixes_classes():
     f = EndpointFn.poly_near(1, Poly.one())
-    g = EndpointFn.from_poly(Poly.x())
+    g = Poly.x()
     s = f + g
-    assert not s.is_global()
-    assert s.value_at(1) == 2  # 1 + x at x=1
-    assert s.value_at(-1) == -1
-    assert (g * W).is_global()
-    assert (f * 3).value_at(1) == 3
+    assert isinstance(s, EndpointFn)
+    assert value_at(s, 1) == 2  # 1 + x at x=1
+    assert value_at(s, -1) == -1
+    assert isinstance(g * W, Poly)
+    assert value_at(f * 3, 1) == 3
+
+
+def test_poly_and_endpointfn_sum_in_either_order():
+    p = Poly([1, 2])
+    pieces = [
+        EndpointFn.poly_near(1, Poly.one()),
+        EndpointFn.poly_near(-1, W) + EndpointFn.log_poly_near(1, W * 3),
+        EndpointFn(LogGerm.from_log_poly(Poly.x(), -1), LogGerm(1, {0: RationalFn(Poly.one(), W)})),
+    ]
+    for f in pieces:
+        assert p + f == f + p
+        assert p - f == -(f - p)
+        assert (p + f) - p == f
+        assert f + Fraction(1, 2) == Fraction(1, 2) + f == f + Poly([Fraction(1, 2)])
+    for bad in (lambda: Poly.x() + "x", lambda: "x" + Poly.x(), lambda: Poly.x() - "x", lambda: "x" - Poly.x()):
+        with pytest.raises(TypeError):
+            bad()
+
+
+def test_readers_take_scalars_and_reject_other_types():
+    for e in (-1, 1):
+        assert germ_at(3, e) == LogGerm.from_poly(Poly([3]), e)
+        assert value_at(Fraction(3, 2), e) == Fraction(3, 2)
+        assert value_at(Fraction(3, 2), e, 1) == 0
+        with pytest.raises(TypeError):
+            germ_at("x", e)
+        with pytest.raises(TypeError):
+            value_at(None, e)
+    with pytest.raises(ValueError):
+        value_at(Poly.x(), 0)
 
 
 def test_derivative_order_on_endpointfn():
-    f = EndpointFn.from_poly(Poly.monomial(3))
-    assert f.derivative(2).poly == Poly([0, 6])
+    assert Poly.monomial(3).derivative(2) == Poly([0, 6])
     p = EndpointFn.poly_near(-1, Poly.monomial(2))
-    assert p.derivative(2).value_at(-1) == 2
-    assert p.derivative(2).value_at(1) == 0
+    assert value_at(p.derivative(2), -1) == 2
+    assert value_at(p.derivative(2), 1) == 0
 
 
 def test_endpoint_validation():
     with pytest.raises(ValueError):
         LogGerm.zero(0)
     with pytest.raises(ValueError):
-        EndpointFn.piecewise(LogGerm.zero(1), LogGerm.zero(1))
+        EndpointFn(LogGerm.zero(1), LogGerm.zero(1))
 
 
 def test_negative_derivative_order_raises():
@@ -133,7 +166,7 @@ def test_negative_derivative_order_raises():
     with pytest.raises(ValueError, match="non-negative"):
         EndpointFn.poly_near(1, W).derivative(-1)
     with pytest.raises(ValueError, match="non-negative"):
-        EndpointFn.from_poly(W).derivative(-1)
+        W.derivative(-1)
     assert g.derivative(0) is g
 
 
@@ -210,8 +243,7 @@ def test_derivative_memo_is_keyed_by_value():
         minus, plus = make(p, -1).derivative(2), make(p, 1).derivative(2)
         assert minus is not plus
         assert (minus.endpoint, plus.endpoint) == (-1, 1)
-    f = EndpointFn.from_poly(p)
-    assert f.germ_at(1).derivative(3) is LogGerm.from_poly(p, 1).derivative(3)
+    assert germ_at(p, 1).derivative(3) is LogGerm.from_poly(p, 1).derivative(3)
     # x^2 + 2x/(1-x^2) L from its fields, from a sum with the terms in the
     # other order, and as the derivative of x^3/3 - L^2/2
     direct = LogGerm(1, {0: RationalFn(Poly([0, 0, 1])), 1: RationalFn(Poly([0, 2]), W)})
@@ -278,3 +310,12 @@ def test_negation_and_scaling_match_the_validating_constructor(endpoint, terms, 
     for germ in (neg, scaled):
         assert all(not r.is_zero() for r in germ.terms.values())
     assert scaled.is_zero() == (g.is_zero() or factor == 0)
+
+
+@given(small_polys, st.sampled_from([-1, 1]), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_value_at_evaluation_matches_the_germ_limit(p, endpoint, order):
+    # a polynomial's value comes by evaluation, an EndpointFn's as a germ limit
+    via_germ = germ_at(p, endpoint).derivative(order).limit()
+    assert value_at(p, endpoint, order) == via_germ
+    assert value_at(EndpointFn(germ_at(p, -1), germ_at(p, 1)), endpoint, order) == via_germ

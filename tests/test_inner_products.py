@@ -106,6 +106,10 @@ def test_embed_examples_and_isometry():
         for _ in range(6):
             f, g = rand_poly(rng), rand_poly(rng)
             assert extended_inner(embed(f), embed(g), params) == kappa_inner(f, g, params)
+    assert embed(one_near(1)) == ExtendedVector(one_near(1), 0, 1)
+    for bad in ("x", None, 3, [1, 2]):
+        with pytest.raises(TypeError):
+            embed(bad)
 
 
 @pytest.mark.parametrize("params", PARAM_PAIRS)
