@@ -35,9 +35,8 @@ Building blocks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from . import linalg
 from .concomitant import (
@@ -50,6 +49,9 @@ from .concomitant import (
 from .germs import value_at
 from .inner_products import ExtendedVector, embed, extended_inner, gram_matrix, w_inner
 from .operator import KrallParams, apply_expression, eigen_polynomial, eigenvalue
+from .values import Value
+
+_set = object.__setattr__
 
 
 class NotInDomainError(ValueError):
@@ -85,13 +87,15 @@ def gkn_symmetry_check(candidates: Sequence[ExtendedVector], params: KrallParams
     return {"brackets": values, "all_zero": all(v == 0 for row in values for v in row)}
 
 
-@dataclass(frozen=True)
-class IndependenceCertificate:
+class IndependenceCertificate(Value):
     """Nonsingular probe matrix certifying independence modulo the minimal domain."""
 
-    matrix: tuple
-    det: Fraction
-    conclusive: bool
+    __slots__ = _fields = ("matrix", "det", "conclusive")
+
+    def __init__(self, matrix: tuple, det: Fraction, conclusive: bool):
+        _set(self, "matrix", matrix)
+        _set(self, "det", det)
+        _set(self, "conclusive", conclusive)
 
     def rows(self) -> list[list[Fraction]]:
         return [list(r) for r in self.matrix]

@@ -82,14 +82,15 @@ operator is d_+ + d_- - 6 = 4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Optional
 
 from .germs import _check_endpoint
 from .operator import KrallParams, LocalExpression, local_expression
 from .polynomials import Poly, format_rational
+from .values import Value
+
+_set = object.__setattr__
 
 #: The smallest truncation order `solution_basis` accepts; `deficiency_index`
 #: solves at this order.
@@ -122,7 +123,7 @@ def _size(levels) -> int:
     return max((p.degree + 1 for p in levels if p), default=0)
 
 
-def _valuation(levels) -> Optional[int]:
+def _valuation(levels) -> int | None:
     """The lowest power of t with a nonzero coefficient in either level."""
     return min((p.valuation() for p in levels if p), default=None)
 
@@ -132,15 +133,18 @@ def _valuation(levels) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeriesSolution:
-    """Truncated t^r (C(t) + E(t) ln|t|) at one endpoint; `levels` is (C, E)."""
+class SeriesSolution(Value):
+    """Truncated t^r (C(t) + E(t) ln|t|) at one endpoint; `levels` is (C, E),
+    Polys whose t^m coefficients are c_m and e_m."""
 
-    endpoint: int
-    exponent: int
-    label: str
-    order: int
-    levels: tuple  # (C, E): Polys whose t^m coefficients are c_m and e_m
+    __slots__ = _fields = ("endpoint", "exponent", "label", "order", "levels")
+
+    def __init__(self, endpoint: int, exponent: int, label: str, order: int, levels: tuple):
+        _set(self, "endpoint", endpoint)
+        _set(self, "exponent", exponent)
+        _set(self, "label", label)
+        _set(self, "order", order)
+        _set(self, "levels", levels)
 
     def coefficient(self, offset: int, level: int) -> Fraction:
         """c_offset (level 0) or e_offset (level 1); past the truncation it is unknown, not 0."""
@@ -153,7 +157,7 @@ class SeriesSolution:
     def log_degree(self) -> int:
         return 1 if self.levels[1] else 0
 
-    def leading_exponent(self) -> Optional[int]:
+    def leading_exponent(self) -> int | None:
         valuation = _valuation(self.levels)
         return None if valuation is None else self.exponent + valuation
 
@@ -162,7 +166,7 @@ class SeriesSolution:
         C, E = self.levels
         r_theta = range(self.exponent, self.exponent + _size(self.levels))
         levels = (Poly.scaled_sum([(0, C, r_theta)]) + E, Poly.scaled_sum([(0, E, r_theta)]))
-        return replace(self, exponent=self.exponent - 1, levels=levels)
+        return SeriesSolution(self.endpoint, self.exponent - 1, self.label, self.order, levels)
 
     def format_series(self) -> str:
         """Dump format: header line then one "(m, k) p/q" line per term."""
@@ -312,7 +316,7 @@ def basis_findings(basis: list[SeriesSolution]) -> list[str]:
     return findings
 
 
-def residual_order(sol: SeriesSolution, params: KrallParams) -> Optional[int]:
+def residual_order(sol: SeriesSolution, params: KrallParams) -> int | None:
     """Lowest absolute t-exponent where l[sol] has a nonzero coefficient.
 
     None means the truncated series solves the equation exactly (e.g. the

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Optional
 
 from .polynomials import Poly, RationalFn
 
@@ -76,7 +75,7 @@ class LogGerm:
 
     __slots__ = ("endpoint", "terms", "_hash")
 
-    def __init__(self, endpoint: int, terms: Optional[dict[int, RationalFn]] = None):
+    def __init__(self, endpoint: int, terms: dict[int, RationalFn] | None = None):
         _check_endpoint(endpoint)
         clean: dict[int, RationalFn] = {}
         for k, r in (terms or {}).items():

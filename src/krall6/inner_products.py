@@ -32,13 +32,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .germs import EndpointFn, UnspecifiedInteriorError, _as_poly, value_at
 from .operator import KrallParams, eigen_polynomial
 from .polynomials import Poly, Scalar, as_fraction
+from .values import Value
+
+_set = object.__setattr__
 
 
 def _as_global_poly(f, operation: str) -> Poly:
@@ -76,17 +77,15 @@ def mu_inner(f, g, A: Scalar) -> Fraction:
     return kappa_inner(f, g, KrallParams(A, A))
 
 
-@dataclass(frozen=True)
-class ExtendedVector:
+class ExtendedVector(Value):
     """(f, a, b) in L2(-1,1) (+) C2; a sits at the -1 slot, b at +1."""
 
-    fn: Union[Poly, EndpointFn]
-    a: Fraction
-    b: Fraction
+    __slots__ = _fields = ("fn", "a", "b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_fraction(self.a))
-        object.__setattr__(self, "b", as_fraction(self.b))
+    def __init__(self, fn: Poly | EndpointFn, a: Scalar, b: Scalar):
+        _set(self, "fn", fn)
+        _set(self, "a", as_fraction(a))
+        _set(self, "b", as_fraction(b))
 
     @staticmethod
     def plain(fn) -> "ExtendedVector":
@@ -95,9 +94,9 @@ class ExtendedVector:
 
 
 def embed(f) -> ExtendedVector:
-    """f |-> (f, f(-1), f(1)) for a Poly or an EndpointFn."""
-    if not isinstance(f, (Poly, EndpointFn)):
-        raise TypeError("embed expects a Poly or EndpointFn")
+    """f |-> (f, f(-1), f(1)) for an EndpointFn or a polynomial (an exact scalar is a constant)."""
+    if not isinstance(f, EndpointFn):
+        f = _as_poly(f)
     return ExtendedVector(f, value_at(f, -1), value_at(f, 1))
 
 

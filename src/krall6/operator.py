@@ -51,11 +51,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .germs import EndpointFn
+from .germs import EndpointFn, _as_poly
 from .polynomials import Poly, Scalar, as_fraction, format_rational
+from .values import Value
+
+_set = object.__setattr__
 
 
 class DegenerateEigenvalueError(ValueError):
@@ -87,27 +89,26 @@ def _expression_coefficients(A: Fraction, B: Fraction) -> tuple[Poly, Poly, Poly
     return b6, b5, b4, b3, b2, b1
 
 
-@dataclass(frozen=True)
-class KrallParams:
+class KrallParams(Value):
     """The parameter pair (A, B), both positive rationals."""
 
-    A: Fraction
-    B: Fraction
+    __slots__ = ("A", "B", "_symmetric", "_coefficients", "_hash")
+    _fields = ("A", "B")
 
-    def __post_init__(self):
-        object.__setattr__(self, "A", as_fraction(self.A))
-        object.__setattr__(self, "B", as_fraction(self.B))
-        for name in ("A", "B"):
-            if getattr(self, name) <= 0:
+    def __init__(self, A: Scalar, B: Scalar):
+        A, B = as_fraction(A), as_fraction(B)
+        for name, value in (("A", A), ("B", B)):
+            if value <= 0:
                 raise ValueError(f"{name} must be positive")
-        A, B = self.A, self.B
+        _set(self, "A", A)
+        _set(self, "B", B)
         pi = Poly([12 * A * B + 18 * A + 18 * B + 24, 12 * A - 12 * B, -6 * A - 6 * B - 12 * A * B])
-        # not dataclass fields: equality, hash and repr see only (A, B)
-        object.__setattr__(self, "_symmetric", (pi, WEIGHT * (Poly([12]) + self.alpha * WEIGHT), WEIGHT**3))
-        object.__setattr__(self, "_coefficients", _expression_coefficients(A, B))
-        object.__setattr__(self, "_hash", hash((A, B)))
+        # cached outside `_fields`: equality, hash and repr see only (A, B)
+        _set(self, "_symmetric", (pi, WEIGHT * (Poly([12]) + self.alpha * WEIGHT), WEIGHT**3))
+        _set(self, "_coefficients", _expression_coefficients(A, B))
+        _set(self, "_hash", hash((A, B)))
 
-    def __hash__(self):  # hash((A, B)) as the dataclass's, computed once: every memo keyed by params hashes it
+    def __hash__(self):  # hash((A, B)), computed once: every memo keyed by params hashes it
         return self._hash
 
     @property
@@ -135,16 +136,15 @@ class KrallParams:
 # ---------------------------------------------------------------------------
 
 
-def _lift(f, kernel, operation: str):
+def _lift(f, kernel):
     """Apply `kernel` (written once for Poly and LogGerm) to f, keeping f's class.
 
-    A Poly stays a Poly, and an EndpointFn maps each endpoint germ.
+    An EndpointFn maps each endpoint germ; anything else is read by
+    `germs._as_poly`, so a Poly stays a Poly and an exact scalar is a constant.
     """
-    if isinstance(f, Poly):
-        return kernel(f)
     if isinstance(f, EndpointFn):
         return f.map(kernel)
-    raise TypeError(f"{operation} expects a Poly or EndpointFn")
+    return kernel(_as_poly(f))
 
 
 def _orders(coeffs):
@@ -161,7 +161,7 @@ def _apply(coeffs, y):
 def apply_expression(f, params: KrallParams):
     """Apply the expanded sixth-order expression; returns the class of `f`."""
     coeffs = params.expression_coefficients()
-    return _lift(f, lambda y: _apply(coeffs, y), "apply_expression")
+    return _lift(f, lambda y: _apply(coeffs, y))
 
 
 def _falling_factorial_poly(order: int) -> Poly:
@@ -189,8 +189,7 @@ def power_stencil(params: KrallParams, center: Scalar) -> dict[int, Poly]:
     return stencil
 
 
-@dataclass(frozen=True)
-class LocalExpression:
+class LocalExpression(Value):
     """The expression at an integer centre c, on powers t^s, t = x - c.
 
     `pole` is minus the lowest shift of `power_stencil` there and `stencil[d]`
@@ -201,23 +200,26 @@ class LocalExpression:
     fails (deg rho_0 below the order).
     """
 
-    center: int
-    params: KrallParams
+    __slots__ = ("center", "params", "stencil", "pole", "scale", "table", "_horner")
+    _fields = ("center", "params")
 
-    def __post_init__(self):
-        shifts = power_stencil(self.params, self.center)
+    def __init__(self, center: int, params: KrallParams):
+        shifts = power_stencil(params, center)
         pole = -min(shifts)
         stencil = {shift + pole: rho for shift, rho in sorted(shifts.items())}
         order = max(rho.degree for rho in stencil.values())
         if stencil[0].degree != order:
-            raise ArithmeticError(f"irregular singular point at {self.center:+d}: deg rho_0 < order {order}")
+            raise ArithmeticError(f"irregular singular point at {center:+d}: deg rho_0 < order {order}")
         q = math.lcm(*(c.denominator for rho in stencil.values() for c in rho.coeffs))
         # q rho_d's coefficients as ints, highest first: the one Horner row kernel's input
         horner = {
             d: tuple(c.numerator * (q // c.denominator) for c in reversed(rho.coeffs)) for d, rho in stencil.items()
         }
-        for name, value in (("stencil", stencil), ("pole", pole), ("scale", q), ("table", {}), ("_horner", horner)):
-            object.__setattr__(self, name, value)
+        for name, value in (
+            ("center", center), ("params", params), ("stencil", stencil), ("pole", pole), ("scale", q),
+            ("table", {}), ("_horner", horner),
+        ):
+            _set(self, name, value)
 
     def at(self, s: int) -> dict:
         """{d: (q rho_d(s), q rho_d'(s))} as ints (q = `scale`), by one Horner pass per d;
@@ -292,7 +294,7 @@ def apply_expression_factored(f, params: KrallParams):
     variant is compared only coefficient-wise, in `expansion_consistency_report`.
     """
     symmetric = params.symmetric_coefficients()
-    return _lift(f, lambda y: quasi_derivatives(symmetric, y)[-1].derivative(), "apply_expression_factored")
+    return _lift(f, lambda y: quasi_derivatives(symmetric, y)[-1].derivative())
 
 
 def expanded_coefficients_of_factored(params: KrallParams, pi_variant: str = "corrected"):

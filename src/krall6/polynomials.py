@@ -68,10 +68,10 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Union
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 def as_fraction(value: Scalar) -> Fraction:

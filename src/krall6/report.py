@@ -19,11 +19,13 @@ CSV matrices are row-major with exact "p/q" cells, comma-separated.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .operator import KrallParams
 from .polynomials import Poly, format_rational
+from .values import MutableValue, Value
+
+_set = object.__setattr__
 
 
 def render_value(value) -> str:
@@ -45,14 +47,16 @@ def render_value(value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class Case:
-    name: str
-    paper_item: str
-    lhs: str
-    rhs: str
-    verdict: str
-    witness: str | None = None
+class Case(Value):
+    __slots__ = _fields = ("name", "paper_item", "lhs", "rhs", "verdict", "witness")
+
+    def __init__(self, name: str, paper_item: str, lhs: str, rhs: str, verdict: str, witness: str | None = None):
+        _set(self, "name", name)
+        _set(self, "paper_item", paper_item)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "verdict", verdict)
+        _set(self, "witness", witness)
 
     def to_dict(self) -> dict:
         return {
@@ -81,11 +85,13 @@ def make_case(name: str, paper_item: str, lhs, rhs, witness=None, inconclusive: 
     )
 
 
-@dataclass
-class Report:
-    suite: str
-    params: KrallParams
-    cases: list = field(default_factory=list)
+class Report(MutableValue):
+    _fields = ("suite", "params", "cases")
+
+    def __init__(self, suite: str, params: KrallParams, cases: list | None = None):
+        self.suite = suite
+        self.params = params
+        self.cases = [] if cases is None else cases
 
     def add(self, case: Case):
         self.cases.append(case)

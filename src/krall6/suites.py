@@ -13,7 +13,6 @@ Randomness is deterministic: `seeded_polynomials` with the config seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import concomitant as con
@@ -54,23 +53,32 @@ from .operator import (
 )
 from .polynomials import Poly, format_rational
 from .report import Report, make_case, render_value
+from .values import MutableValue
 
 
-@dataclass
-class RunConfig:
-    A: Fraction = Fraction(1)
-    B: Fraction = Fraction(1)
-    nmax: int = 8
-    series_order: int = 20
-    suites: tuple = ("all",)
-    seed: int = 987
+class RunConfig(MutableValue):
+    _fields = ("A", "B", "nmax", "series_order", "suites", "seed")
 
-    def __post_init__(self):
-        if self.nmax < 0:
+    def __init__(
+        self,
+        A: Fraction = Fraction(1),
+        B: Fraction = Fraction(1),
+        nmax: int = 8,
+        series_order: int = 20,
+        suites: tuple = ("all",),
+        seed: int = 987,
+    ):
+        if nmax < 0:
             raise ValueError("nmax must be non-negative")
-        if self.series_order < fro.MIN_ORDER:
+        if series_order < fro.MIN_ORDER:
             raise ValueError(f"series order must be at least {fro.MIN_ORDER}")
-        self.params = KrallParams(self.A, self.B)
+        self.A = A
+        self.B = B
+        self.nmax = nmax
+        self.series_order = series_order
+        self.suites = suites
+        self.seed = seed
+        self.params = KrallParams(A, B)
 
     def selected_suites(self) -> list[str]:
         if "all" in self.suites:

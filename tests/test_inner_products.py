@@ -107,9 +107,15 @@ def test_embed_examples_and_isometry():
             f, g = rand_poly(rng), rand_poly(rng)
             assert extended_inner(embed(f), embed(g), params) == kappa_inner(f, g, params)
     assert embed(one_near(1)) == ExtendedVector(one_near(1), 0, 1)
-    for bad in ("x", None, 3, [1, 2]):
+    for bad in ("x", None, 1.5, [1, 2]):
         with pytest.raises(TypeError):
             embed(bad)
+
+
+def test_embed_reads_an_exact_scalar_as_a_constant():
+    half = Fraction(1, 2)
+    assert embed(half) == embed(Poly([half])) == ExtendedVector(Poly([half]), half, half)
+    assert embed(3) == embed(Poly([3]))
 
 
 @pytest.mark.parametrize("params", PARAM_PAIRS)

@@ -335,6 +335,16 @@ def test_q_and_p_polynomials(params):
     assert repr(params) == f"KrallParams(A={params.A!r}, B={params.B!r})"
 
 
+@pytest.mark.parametrize("apply", [apply_expression, apply_expression_factored])
+def test_expression_reads_an_exact_scalar_as_a_constant(apply):
+    params = KrallParams(1, 2)
+    assert apply(3, params) == 0 and apply(Fraction(1, 2), params) == 0
+    assert apply(Poly.x(), params) == apply_expression(Poly.x(), params)
+    for bad in ("3", 1.5, None):
+        with pytest.raises(TypeError):
+            apply(bad, params)
+
+
 # ---------------------------------------------------------------------------
 # the hand-written sixth- and fourth-order forms, kept as references for the
 # generic coefficient-tuple code
