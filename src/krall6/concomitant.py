@@ -76,7 +76,16 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .germs import DivergentLimitError, EndpointFn, LogGerm, _check_endpoint, germ_at, value_at
+from .germs import (
+    DivergentLimitError,
+    EndpointFn,
+    LogGerm,
+    _as_global_poly,
+    _as_poly,
+    _check_endpoint,
+    germ_at,
+    value_at,
+)
 from .operator import WEIGHT, KrallParams, apply_expression, quasi_derivatives
 from .polynomials import Poly
 
@@ -171,10 +180,13 @@ def _germ_chain(g: LogGerm, params: KrallParams) -> tuple[LogGerm, ...]:
 def quasi_derivative(f, params: KrallParams):
     """Lam[f] = -((1-x^2)^3 f''')' + (1-x^2)(12+alpha(1-x^2)) f'', entry -2 of the chain.
 
-    Returns the same class as f (Poly or LogGerm); a germ's chain is memoised.
+    Returns the same class as f (a Poly, with an exact scalar read as a constant
+    one, a LogGerm or an EndpointFn); a germ's chain is memoised.
     """
     if isinstance(f, LogGerm):
         return _germ_chain(f, params)[-2]
+    if not isinstance(f, EndpointFn):
+        f = _as_poly(f)
     return quasi_derivatives(params.symmetric_coefficients(), f)[-2]
 
 
@@ -293,6 +305,7 @@ def greens_formula_check(f: Poly, g: Poly, params: KrallParams) -> tuple[Fractio
     integral one dot product with a moment vector (no product is built);
     RHS = the symplectic boundary form.  Equality is the caller's assertion.
     """
+    f, g = _as_global_poly(f, "greens_formula_check"), _as_global_poly(g, "greens_formula_check")
     lf = apply_expression(f, params)
     lg = apply_expression(g, params)
     lhs = lf.integrate_product(g) - f.integrate_product(lg)
@@ -315,16 +328,16 @@ def reduced_concomitant(f, g, endpoint: int, params: KrallParams) -> Fraction:
     return -24 * endpoint * (f2 * ge - g2 * fe) - 24 * (near + 1) * (f1 * ge - g1 * fe)
 
 
-def _weight_closed_form(fe: Fraction, endpoint: int, params: KrallParams) -> Fraction:
+def bracket_weight_closed_form(f, endpoint: int, params: KrallParams) -> Fraction:
     """[f, 1-x^2](e) on the reduced domain: -48e(near+2) f(e)."""
     near, _ = _near_far(endpoint, params)
-    return -48 * endpoint * (near + 2) * fe
+    return -48 * endpoint * (near + 2) * value_at(f, endpoint)
 
 
 def bracket_weight_reduction(f, endpoint: int, params: KrallParams) -> Fraction:
     """[f, 1-x^2](e) via the quasi-derivative: e(2 Lam[f](e) - 48(near+2) f(e))."""
     lam = quasi_derivative_at(f, endpoint, params)
-    return 2 * endpoint * lam + _weight_closed_form(value_at(f, endpoint), endpoint, params)
+    return 2 * endpoint * lam + bracket_weight_closed_form(f, endpoint, params)
 
 
 def bracket_weight_sq_reduction(f, endpoint: int, params: KrallParams) -> Fraction:
@@ -405,117 +418,3 @@ def in_separated_domain(f, params: KrallParams) -> bool:
         concomitant(f, one_near(1), 1, params) == 0
         and concomitant(f, one_near(-1), -1, params) == 0
     )
-
-
-# ---------------------------------------------------------------------------
-# identity suites (exact checks, reported as rows)
-# ---------------------------------------------------------------------------
-
-
-def maximal_domain_suite(f, params: KrallParams, tag: str) -> list[dict]:
-    """Limit identities valid on the whole maximal domain, per test function.
-
-    Covers: vanishing of (1-x^2)^j f^(j); the weight and squared-weight
-    bracket reductions; vanishing against (1-x^2)^3; the general endpoint
-    reduction; and for the log probes the constants-and-residual reduction.
-    Each row has name/lhs/rhs; equality is the caller's assertion.
-    """
-    rows = []
-    w = WEIGHT
-    for endpoint in (-1, 1):
-        for j in (1, 2, 3):
-            rows.append(
-                {
-                    "name": f"{tag}:weighted-derivative-vanishing:j={j}:e={endpoint:+d}",
-                    "paper_item": "vanishing-weighted-derivatives",
-                    "lhs": value_at(f.derivative(j) * w**j, endpoint),
-                    "rhs": Fraction(0),
-                }
-            )
-        rows.append(
-            {
-                "name": f"{tag}:bracket-weight-reduction:e={endpoint:+d}",
-                "paper_item": "bracket-weight-reduction",
-                "lhs": concomitant(f, w, endpoint, params),
-                "rhs": bracket_weight_reduction(f, endpoint, params),
-            }
-        )
-        rows.append(
-            {
-                "name": f"{tag}:bracket-weight-sq-reduction:e={endpoint:+d}",
-                "paper_item": "bracket-weight-sq-reduction",
-                "lhs": concomitant(f, w**2, endpoint, params),
-                "rhs": bracket_weight_sq_reduction(f, endpoint, params),
-            }
-        )
-        rows.append(
-            {
-                "name": f"{tag}:bracket-weight-cube-vanishing:e={endpoint:+d}",
-                "paper_item": "bracket-weight-cube-vanishing",
-                "lhs": concomitant(f, w**3, endpoint, params),
-                "rhs": Fraction(0),
-            }
-        )
-    return rows
-
-
-def general_reduction_suite(f, g, params: KrallParams, tag: str) -> list[dict]:
-    """Direct bracket limit vs the general endpoint reduction, both ends."""
-    rows = []
-    for endpoint in (-1, 1):
-        rows.append(
-            {
-                "name": f"{tag}:general-endpoint-reduction:e={endpoint:+d}",
-                "paper_item": "bracket-general-reduction",
-                "lhs": concomitant(f, g, endpoint, params),
-                "rhs": general_endpoint_reduction(f, g, endpoint, params),
-            }
-        )
-    return rows
-
-
-def reduced_domain_suite(f, g, params: KrallParams, tag: str) -> list[dict]:
-    """Closed-form reductions on the reduced domain vs direct limits."""
-    rows = []
-    for endpoint in (-1, 1):
-        rows.append(
-            {
-                "name": f"{tag}:bracket-with-one-closed-form:e={endpoint:+d}",
-                "paper_item": "bracket-with-one-closed-form",
-                "lhs": concomitant_with_one(f, endpoint, params),
-                "rhs": reduced_concomitant(f, 1, endpoint, params),
-            }
-        )
-        rows.append(
-            {
-                "name": f"{tag}:two-route-bracket-with-one:e={endpoint:+d}",
-                "paper_item": "bracket-with-one-two-routes",
-                "lhs": concomitant_with_one(f, endpoint, params),
-                "rhs": concomitant(f, Poly.one(), endpoint, params),
-            }
-        )
-        rows.append(
-            {
-                "name": f"{tag}:pair-closed-form:e={endpoint:+d}",
-                "paper_item": "bracket-pair-closed-form",
-                "lhs": concomitant(f, g, endpoint, params),
-                "rhs": reduced_concomitant(f, g, endpoint, params),
-            }
-        )
-        rows.append(
-            {
-                "name": f"{tag}:weight-closed-form:e={endpoint:+d}",
-                "paper_item": "bracket-weight-closed-form",
-                "lhs": concomitant(f, WEIGHT, endpoint, params),
-                "rhs": _weight_closed_form(value_at(f, endpoint), endpoint, params),
-            }
-        )
-        rows.append(
-            {
-                "name": f"{tag}:weight-sq-closed-form:e={endpoint:+d}",
-                "paper_item": "bracket-weight-sq-closed-form",
-                "lhs": concomitant(f, WEIGHT**2, endpoint, params),
-                "rhs": bracket_weight_sq_reduction(f, endpoint, params),
-            }
-        )
-    return rows

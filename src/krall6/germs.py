@@ -30,7 +30,8 @@ Derivatives are memoised by value: `derivative(n)` is served by
 order-(n-1) entry.  Equal germs share entries whichever objects hold them,
 and germs at different endpoints never compare equal, so never share.  The
 memo holds germs only, never limits.  A germ computes its hash on the first
-lookup and keeps it.
+lookup and keeps it.  `LogGerm` and `EndpointFn` are `values.Value`s, rebuilt
+by copy and pickle from (`endpoint`, `terms`) and from their two germs.
 
 A function known on the whole interval is a `Poly`.  `EndpointFn` is a pair
 of germs, one per endpoint, with the middle of the interval deliberately
@@ -38,6 +39,9 @@ unrepresented; any operation that would need its mid-interval values raises
 `UnspecifiedInteriorError` instead of inventing data.  `germ_at` and
 `value_at` read either kind: a polynomial's germ, or its derivatives at an
 endpoint by evaluation; an `EndpointFn`'s own germ, or its germ's limits.
+Every entry point that takes a polynomial reads it through `_as_poly` (an
+exact scalar is a constant, any other type a TypeError), or through
+`_as_global_poly` where it integrates over the interval.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ import functools
 from fractions import Fraction
 
 from .polynomials import Poly, RationalFn
+from .values import Value
 
 #: d/dx ln(1 - x^2) = -2x / (1 - x^2)
 LOG_DERIVATIVE = RationalFn(Poly([0, -2]), Poly([1, 0, -1]))
@@ -70,10 +75,11 @@ def _check_endpoint(endpoint: int) -> int:
     return endpoint
 
 
-class LogGerm:
+class LogGerm(Value):
     """Normal-form germ sum_k r_k(x) L(x)^k at one endpoint."""
 
     __slots__ = ("endpoint", "terms", "_hash")
+    _fields = ("endpoint", "terms")
 
     def __init__(self, endpoint: int, terms: dict[int, RationalFn] | None = None):
         _check_endpoint(endpoint)
@@ -99,9 +105,6 @@ class LogGerm:
         object.__setattr__(g, "_hash", None)
         return g
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LogGerm is immutable")
-
     # -- constructors ---------------------------------------------------
 
     @staticmethod
@@ -123,6 +126,7 @@ class LogGerm:
         return not self.terms
 
     def __eq__(self, other) -> bool:
+        # written out: memo lookups compare germs often, and `Value._key` is slower
         if not isinstance(other, LogGerm):
             return NotImplemented
         return self.endpoint == other.endpoint and self.terms == other.terms
@@ -231,19 +235,16 @@ def _add_term(terms: dict[int, RationalFn], k: int, r: RationalFn) -> None:
     terms[k] = terms[k] + r if k in terms else r
 
 
-class EndpointFn:
+class EndpointFn(Value):
     """A pair of endpoint germs, one per endpoint, with the middle unspecified."""
 
-    __slots__ = ("germ_minus", "germ_plus")
+    __slots__ = _fields = ("germ_minus", "germ_plus")
 
     def __init__(self, germ_minus: LogGerm, germ_plus: LogGerm):
         if germ_minus.endpoint != -1 or germ_plus.endpoint != 1:
             raise ValueError("germs attached to the wrong endpoints")
         object.__setattr__(self, "germ_minus", germ_minus)
         object.__setattr__(self, "germ_plus", germ_plus)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EndpointFn is immutable")
 
     # -- constructors ---------------------------------------------------
 
@@ -262,11 +263,6 @@ class EndpointFn:
     def log_poly_near(endpoint: int, p: Poly) -> "EndpointFn":
         """p(x) * ln(1-x^2) near `endpoint`, 0 near the other endpoint."""
         return EndpointFn._one_sided(LogGerm.from_log_poly(p, endpoint))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EndpointFn):
-            return NotImplemented
-        return self.germ_minus == other.germ_minus and self.germ_plus == other.germ_plus
 
     # -- algebra ------------------------------------------------------------
 
@@ -301,9 +297,6 @@ class EndpointFn:
     def derivative(self, order: int = 1) -> "EndpointFn":
         return self.map(lambda f: f.derivative(order))
 
-    def __repr__(self) -> str:
-        return f"EndpointFn(minus={self.germ_minus!r}, plus={self.germ_plus!r})"
-
 
 def _as_poly(f) -> Poly:
     """f as a Poly: a Poly itself, or an exact scalar as a constant."""
@@ -311,6 +304,17 @@ def _as_poly(f) -> Poly:
     if p is NotImplemented:
         raise TypeError(f"expected a polynomial, not {type(f).__name__}")
     return p
+
+
+def _as_global_poly(f, operation: str) -> Poly:
+    """f as a Poly for an `operation` that integrates over the interval: an
+    EndpointFn raises UnspecifiedInteriorError, any other input is read by `_as_poly`."""
+    if isinstance(f, EndpointFn):
+        raise UnspecifiedInteriorError(
+            f"{operation} needs mid-interval values, but this function is only"
+            " specified near the endpoints"
+        )
+    return _as_poly(f)
 
 
 def germ_at(f, endpoint: int) -> LogGerm:

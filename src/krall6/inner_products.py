@@ -34,21 +34,12 @@ import functools
 import math
 from fractions import Fraction
 
-from .germs import EndpointFn, UnspecifiedInteriorError, _as_poly, value_at
+from .germs import EndpointFn, _as_global_poly, _as_poly, value_at
 from .operator import KrallParams, eigen_polynomial
 from .polynomials import Poly, Scalar, as_fraction
 from .values import Value
 
 _set = object.__setattr__
-
-
-def _as_global_poly(f, operation: str) -> Poly:
-    if isinstance(f, EndpointFn):
-        raise UnspecifiedInteriorError(
-            f"{operation} needs mid-interval values, but this function is only"
-            " specified near the endpoints"
-        )
-    return _as_poly(f)
 
 
 def kappa_moments(f: Poly, count: int, params: KrallParams) -> tuple[list[int], int]:
@@ -131,6 +122,7 @@ def gram_matrix(n_max: int, params: KrallParams) -> list[list[Fraction]]:
 def expansion_coefficients(f: Poly, params: KrallParams) -> list[Fraction]:
     """Orthogonal-projection coefficients of f onto K_0..K_{deg f}: kappa(f, K_n) from
     one `kappa_moments` vector of f, over the memoised kappa(K_n, K_n)."""
+    f = _as_global_poly(f, "expansion_coefficients")
     if f.is_zero():
         return []
     moments = kappa_moments(f, f.degree + 1, params)

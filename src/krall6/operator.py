@@ -479,7 +479,8 @@ def apply_legendre_type(f: Poly, A: Scalar) -> Poly:
     """(1-x^2)^2 y'''' + 8x(x^2-1)y''' + (4A+12)(x^2-1)y'' + 8Axy'."""
     A = as_fraction(A)
     x = Poly.x()
-    return _apply((WEIGHT**2, -8 * x * WEIGHT, -(4 * A + 12) * WEIGHT, 8 * A * x), f)
+    coeffs = (WEIGHT**2, -8 * x * WEIGHT, -(4 * A + 12) * WEIGHT, 8 * A * x)
+    return _lift(f, lambda y: _apply(coeffs, y))
 
 
 def legendre_type(n: int, A: Scalar) -> tuple[Poly, Fraction]:

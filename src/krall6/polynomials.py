@@ -28,9 +28,10 @@ no polynomial keeps a second copy.  There is no floating point anywhere:
 every operation (arithmetic, differentiation, evaluation, integration over
 [-1, 1], composition, splitting off a root) is exact.
 
-A constant polynomial equals its scalar (``Poly([3]) == 3``) and hashes as
-it, and a polynomial `RationalFn` equals and hashes as its polynomial, so
-`==` and `hash` agree across the three types.
+Both types are `values.Value`s, rebuilt by copy and pickle from `coeffs` and
+from (`num`, `den`).  A constant polynomial equals its scalar
+(``Poly([3]) == 3``) and hashes as it, and a polynomial `RationalFn` equals
+and hashes as its polynomial, so `==` and `hash` agree across the three types.
 
 `RationalFn` exists because differentiating ln(1-x^2) produces
 -2x/(1-x^2); see `germs`.  Starting from polynomials, that is the only
@@ -70,6 +71,8 @@ import math
 import operator
 from collections.abc import Iterable
 from fractions import Fraction
+
+from .values import Value
 
 Scalar = int | Fraction
 
@@ -127,7 +130,7 @@ def format_rational(value: Scalar) -> str:
 _set = object.__setattr__
 
 
-class Poly:
+class Poly(Value):
     """Dense univariate polynomial over Q, immutable.
 
     ``Poly([a0, a1, a2])`` is a0 + a1*x + a2*x^2; the coefficients may be
@@ -139,6 +142,7 @@ class Poly:
     """
 
     __slots__ = ("_n", "_d")
+    _fields = ("coeffs",)
 
     def __new__(cls, coeffs: Iterable[Scalar] = ()):
         return Poly._ratios([(f.numerator, f.denominator) for f in map(as_fraction, coeffs)])
@@ -187,9 +191,6 @@ class Poly:
         return Poly([0] * power + [c])
 
     # -- structure ----------------------------------------------------
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -531,7 +532,7 @@ def _endpoint_power(a: int, b: int) -> Poly:
     return _U**a * _V**b
 
 
-class RationalFn:
+class RationalFn(Value):
     """r = q (1-x)^s (1+x)^t: a polynomial q and ints s, t <= 0, immutable.
 
     Normal form: q(1) != 0 when s < 0 and q(-1) != 0 when t < 0, and the
@@ -541,6 +542,7 @@ class RationalFn:
     """
 
     __slots__ = ("q", "s", "t")
+    _fields = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly = _ONE):
         if den.is_zero():
@@ -581,9 +583,6 @@ class RationalFn:
     def _make(q: Poly, s: int = 0, t: int = 0, plus: bool = True, minus: bool = True) -> "RationalFn":
         """A new value q (1-x)^s (1+x)^t in normal form; see `_fill`."""
         return object.__new__(RationalFn)._fill(q, s, t, plus, minus)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFn is immutable")
 
     @property
     def num(self) -> Poly:

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .operator import KrallParams
 from .polynomials import Poly, format_rational
-from .values import MutableValue, Value
+from .values import Value
 
 _set = object.__setattr__
 
@@ -85,13 +85,15 @@ def make_case(name: str, paper_item: str, lhs, rhs, witness=None, inconclusive: 
     )
 
 
-class Report(MutableValue):
-    _fields = ("suite", "params", "cases")
+class Report(Value):
+    """One suite's cases, a list that grows only through `add` and `extend` (so no hash)."""
+
+    __slots__ = _fields = ("suite", "params", "cases")
 
     def __init__(self, suite: str, params: KrallParams, cases: list | None = None):
-        self.suite = suite
-        self.params = params
-        self.cases = [] if cases is None else cases
+        _set(self, "suite", suite)
+        _set(self, "params", params)
+        _set(self, "cases", [] if cases is None else cases)
 
     def add(self, case: Case):
         self.cases.append(case)

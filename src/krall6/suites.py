@@ -27,7 +27,7 @@ from .extension import (
     operator_matrix,
     operator_symmetry_gaps,
 )
-from .germs import DivergentLimitError, EndpointFn, LogGerm
+from .germs import DivergentLimitError, EndpointFn, LogGerm, value_at
 from .inner_products import (
     ExtendedVector,
     embed,
@@ -53,11 +53,16 @@ from .operator import (
 )
 from .polynomials import Poly, format_rational
 from .report import Report, make_case, render_value
-from .values import MutableValue
+from .values import Value
+
+_set = object.__setattr__
 
 
-class RunConfig(MutableValue):
+class RunConfig(Value):
+    """The settings of one run; `params` is KrallParams(A, B), built once and kept outside `_fields`."""
+
     _fields = ("A", "B", "nmax", "series_order", "suites", "seed")
+    __slots__ = (*_fields, "params")
 
     def __init__(
         self,
@@ -72,13 +77,13 @@ class RunConfig(MutableValue):
             raise ValueError("nmax must be non-negative")
         if series_order < fro.MIN_ORDER:
             raise ValueError(f"series order must be at least {fro.MIN_ORDER}")
-        self.A = A
-        self.B = B
-        self.nmax = nmax
-        self.series_order = series_order
-        self.suites = suites
-        self.seed = seed
-        self.params = KrallParams(A, B)
+        _set(self, "A", A)
+        _set(self, "B", B)
+        _set(self, "nmax", nmax)
+        _set(self, "series_order", series_order)
+        _set(self, "suites", suites)
+        _set(self, "seed", seed)
+        _set(self, "params", KrallParams(A, B))
 
     def selected_suites(self) -> list[str]:
         if "all" in self.suites:
@@ -314,6 +319,87 @@ def _canonical_functions(params: KrallParams) -> list[tuple[str, Poly | Endpoint
     ]
 
 
+def _maximal_domain_cases(f, params: KrallParams, tag: str):
+    """Limit identities valid on the whole maximal domain, at both endpoints:
+    vanishing of (1-x^2)^j f^(j), the weight and squared-weight bracket
+    reductions, and vanishing of the bracket against (1-x^2)^3."""
+    w = con.WEIGHT
+    for e in (-1, 1):
+        for j in (1, 2, 3):
+            yield make_case(
+                f"{tag}:weighted-derivative-vanishing:j={j}:e={e:+d}",
+                "vanishing-weighted-derivatives",
+                value_at(f.derivative(j) * w**j, e),
+                Fraction(0),
+            )
+        yield make_case(
+            f"{tag}:bracket-weight-reduction:e={e:+d}",
+            "bracket-weight-reduction",
+            con.concomitant(f, w, e, params),
+            con.bracket_weight_reduction(f, e, params),
+        )
+        yield make_case(
+            f"{tag}:bracket-weight-sq-reduction:e={e:+d}",
+            "bracket-weight-sq-reduction",
+            con.concomitant(f, w**2, e, params),
+            con.bracket_weight_sq_reduction(f, e, params),
+        )
+        yield make_case(
+            f"{tag}:bracket-weight-cube-vanishing:e={e:+d}",
+            "bracket-weight-cube-vanishing",
+            con.concomitant(f, w**3, e, params),
+            Fraction(0),
+        )
+
+
+def _general_reduction_cases(f, g, params: KrallParams, tag: str):
+    """The direct bracket limit against the general endpoint reduction, at both endpoints."""
+    for e in (-1, 1):
+        yield make_case(
+            f"{tag}:general-endpoint-reduction:e={e:+d}",
+            "bracket-general-reduction",
+            con.concomitant(f, g, e, params),
+            con.general_endpoint_reduction(f, g, e, params),
+        )
+
+
+def _reduced_domain_cases(f, g, params: KrallParams, tag: str):
+    """Closed-form reductions on the reduced domain against direct limits, at both endpoints."""
+    w = con.WEIGHT
+    for e in (-1, 1):
+        with_one = con.concomitant_with_one(f, e, params)
+        yield make_case(
+            f"{tag}:bracket-with-one-closed-form:e={e:+d}",
+            "bracket-with-one-closed-form",
+            with_one,
+            con.reduced_concomitant(f, 1, e, params),
+        )
+        yield make_case(
+            f"{tag}:two-route-bracket-with-one:e={e:+d}",
+            "bracket-with-one-two-routes",
+            with_one,
+            con.concomitant(f, Poly.one(), e, params),
+        )
+        yield make_case(
+            f"{tag}:pair-closed-form:e={e:+d}",
+            "bracket-pair-closed-form",
+            con.concomitant(f, g, e, params),
+            con.reduced_concomitant(f, g, e, params),
+        )
+        yield make_case(
+            f"{tag}:weight-closed-form:e={e:+d}",
+            "bracket-weight-closed-form",
+            con.concomitant(f, w, e, params),
+            con.bracket_weight_closed_form(f, e, params),
+        )
+        yield make_case(
+            f"{tag}:weight-sq-closed-form:e={e:+d}",
+            "bracket-weight-sq-closed-form",
+            con.concomitant(f, w**2, e, params),
+            con.bracket_weight_sq_reduction(f, e, params),
+        )
+
+
 def suite_concomitant(config: RunConfig) -> Report:
     params = config.params
     report = Report("concomitant", params)
@@ -323,7 +409,7 @@ def suite_concomitant(config: RunConfig) -> Report:
     ]
 
     for tag, f in functions:
-        report.extend(make_case(**row) for row in con.maximal_domain_suite(f, params, tag))
+        report.extend(_maximal_domain_cases(f, params, tag))
         for endpoint in (-1, 1):
             via_probe, lam = con.quasi_derivative_probe_identity(f, endpoint, params)
             report.add(
@@ -372,12 +458,12 @@ def suite_concomitant(config: RunConfig) -> Report:
         ("log-probe-plus|weight", con.log_probe(1, params), con.WEIGHT),
     ]
     for tag, f, g in pairs:
-        report.extend(make_case(**row) for row in con.general_reduction_suite(f, g, params, tag))
+        report.extend(_general_reduction_cases(f, g, params, tag))
 
     # reduced-domain closed forms on seeded polynomials
     for i in range(0, 10, 2):
         f, g = seeded[i], seeded[i + 1]
-        report.extend(make_case(**row) for row in con.reduced_domain_suite(f, g, params, f"seeded-{i:02d}"))
+        report.extend(_reduced_domain_cases(f, g, params, f"seeded-{i:02d}"))
 
     # log-probe reduction identity on polynomials (constants 32A+12B-16 etc.)
     for i, f in enumerate(seeded[:4]):

@@ -1,15 +1,19 @@
-"""The one base of krall6's value classes: equality, hash, repr and immutability
-over a declared tuple of fields, written once.
+"""The one base of krall6's value classes: equality, hash, repr, immutability
+and copying over a declared tuple of fields, written once.
 
 A subclass names its fields in `_fields` (in constructor order) and its slots
 in `__slots__` (the fields and any cached values outside equality), and its
-`__init__` sets each slot with `object.__setattr__`.  Two values are equal
+constructor sets each slot with `object.__setattr__`.  Two values are equal
 when they are of the same class and their fields are equal; the hash is that
 of the field tuple; the repr is ``Name(field=value, ...)``; assignment raises
-`AttributeError`.  `MutableValue` keeps the equality and repr but allows
-assignment (its subclasses assign their fields as usual), and so has no hash.
-`copy.copy` (and pickle, where the fields pickle) rebuilds a value through
-its constructor, since assignment is closed.
+`AttributeError`.  A class whose equality or hash does more than compare the
+fields (a polynomial equals its constant scalar; a germ keeps its hash)
+defines its own, and still reads its fields back through `_fields`.
+
+`copy.copy`, `copy.deepcopy` and `pickle` rebuild every value through its
+constructor, called with the field tuple (`__reduce__`), so the constructor
+must accept its fields in `_fields` order.  Caches outside `_fields` are
+recomputed there, never copied.
 """
 
 
@@ -39,11 +43,3 @@ class Value:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-
-class MutableValue(Value):
-    """A `Value` whose fields may be reassigned, and so unhashable."""
-
-    __slots__ = ()
-    __setattr__ = object.__setattr__
-    __hash__ = None

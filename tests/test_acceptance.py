@@ -24,15 +24,12 @@ from krall6.cli import main as cli_main
 from krall6.concomitant import (
     boundary_condition_functions,
     concomitant,
-    general_reduction_suite,
     greens_formula_check,
     log_probe,
-    maximal_domain_suite,
     one_near,
     quasi_derivative_at,
     quasi_derivative_terms_at,
     quasi_probe,
-    reduced_domain_suite,
     weight_near,
     weight_sq_near,
     WEIGHT,
@@ -63,7 +60,14 @@ from krall6.operator import (
     leading_coefficient_oracle,
 )
 from krall6.polynomials import Poly
-from krall6.suites import RunConfig, seeded_polynomials, suite_errata
+from krall6.suites import (
+    RunConfig,
+    _general_reduction_cases,
+    _maximal_domain_cases,
+    _reduced_domain_cases,
+    seeded_polynomials,
+    suite_errata,
+)
 
 PARAM_PAIRS = [KrallParams(1, 1), KrallParams(1, 2), KrallParams(Fraction(3, 2), Fraction(5, 2))]
 SEED = 987
@@ -145,12 +149,12 @@ def test_criterion_05_limit_identities():
     functions = _canonical_for_acceptance(params)
     functions += seeded_polynomials(SEED + 1, 10)
     for i, f in enumerate(functions):
-        for row in maximal_domain_suite(f, params, f"f{i}"):
-            ok = ok and row["lhs"] == row["rhs"]
+        for case in _maximal_domain_cases(f, params, f"f{i}"):
+            ok = ok and case.verdict == "pass"
     pairs = [(functions[12], functions[1]), (functions[0], functions[12]), (functions[14], functions[15])]
     for f, g in pairs:
-        for row in general_reduction_suite(f, g, params, "pair"):
-            ok = ok and row["lhs"] == row["rhs"]
+        for case in _general_reduction_cases(f, g, params, "pair"):
+            ok = ok and case.verdict == "pass"
     verdict(5, ok, "maximal-domain limit identities hold exactly on canonical functions and 10 seeded polynomials")
 
 
@@ -197,8 +201,8 @@ def test_criterion_06_reduced_domain_closed_forms():
     polys = seeded_polynomials(SEED + 2, 10)
     ok = True
     for i in range(0, 10, 2):
-        for row in reduced_domain_suite(polys[i], polys[i + 1], params, f"s{i}"):
-            ok = ok and row["lhs"] == row["rhs"]
+        for case in _reduced_domain_cases(polys[i], polys[i + 1], params, f"s{i}"):
+            ok = ok and case.verdict == "pass"
     verdict(6, ok, "reduced-domain closed forms agree with direct limits on 10 seeded polynomials")
 
 

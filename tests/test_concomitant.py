@@ -24,7 +24,6 @@ from krall6.concomitant import (
     in_separated_domain,
     log_probe,
     log_probe_reduction,
-    maximal_domain_suite,
     one_near,
     quasi_derivative,
     quasi_derivative_at,
@@ -39,6 +38,7 @@ from krall6.concomitant import (
 from krall6.germs import DivergentLimitError, EndpointFn, LogGerm, _derivative, _differentiate, germ_at
 from krall6.operator import KrallParams
 from krall6.polynomials import Poly, RationalFn
+from krall6.suites import _maximal_domain_cases
 
 PARAM_PAIRS = [KrallParams(1, 1), KrallParams(1, 2), KrallParams(Fraction(3, 2), Fraction(5, 2))]
 X = Poly.x()
@@ -512,8 +512,8 @@ def test_maximal_domain_suite_rows_pass():
         one_near(-1),
     ] + seeded(4, seed=47)
     for i, f in enumerate(functions):
-        for row in maximal_domain_suite(f, params, f"f{i}"):
-            assert row["lhs"] == row["rhs"], row["name"]
+        for case in _maximal_domain_cases(f, params, f"f{i}"):
+            assert case.verdict == "pass", case.name
 
 
 @pytest.mark.parametrize("params", [KrallParams(1, 2), KrallParams(Fraction(1, 3), Fraction(7, 2))])

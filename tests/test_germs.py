@@ -17,8 +17,9 @@ from krall6.germs import (
     germ_at,
     value_at,
 )
-from krall6.inner_products import kappa_inner
-from krall6.operator import KrallParams
+from krall6.concomitant import greens_formula_check, quasi_derivative
+from krall6.inner_products import expansion_coefficients, expansion_reconstruction, kappa_inner
+from krall6.operator import KrallParams, apply_legendre_type
 from krall6.polynomials import Poly, RationalFn
 
 W = Poly([1, 0, -1])
@@ -140,6 +141,32 @@ def test_readers_take_scalars_and_reject_other_types():
             value_at(None, e)
     with pytest.raises(ValueError):
         value_at(Poly.x(), 0)
+
+
+P12 = KrallParams(1, 2)
+
+#: (entry point on one polynomial input, whether it integrates over the interval)
+POLYNOMIAL_ENTRY_POINTS = {
+    "expansion_coefficients": (lambda f: expansion_coefficients(f, P12), True),
+    "expansion_reconstruction": (lambda f: expansion_reconstruction(f, P12), True),
+    "greens_formula_check": (lambda f: (greens_formula_check(f, W, P12), greens_formula_check(W, f, P12)), True),
+    "quasi_derivative": (lambda f: quasi_derivative(f, P12), False),
+    "apply_legendre_type": (lambda f: apply_legendre_type(f, 1), False),
+}
+
+
+@pytest.mark.parametrize("name", POLYNOMIAL_ENTRY_POINTS)
+def test_polynomial_entry_points_read_scalars_as_constants(name):
+    call, integrates = POLYNOMIAL_ENTRY_POINTS[name]
+    for c in (3, Fraction(-1, 2)):
+        assert call(c) == call(Poly([c]))
+    if integrates:
+        with pytest.raises(UnspecifiedInteriorError):
+            call(EndpointFn.poly_near(1, Poly.x()))
+    for bad in ("3", 1.5, None):
+        with pytest.raises(TypeError) as caught:
+            call(bad)
+        assert caught.type is TypeError
 
 
 def test_derivative_order_on_endpointfn():

@@ -1,7 +1,11 @@
-"""The value classes: equality, hash, repr and immutability by declared fields,
-and an import of the CLI that loads no code generator."""
+"""The value classes: equality, hash, repr, immutability, copy and pickle by
+declared fields, for every class in krall6, and an import of the CLI that loads
+no code generator."""
 
 import copy
+import importlib
+import pickle
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,13 +13,17 @@ from pathlib import Path
 
 import pytest
 
+import krall6
+from krall6.concomitant import log_probe
 from krall6.extension import IndependenceCertificate
 from krall6.frobenius import SeriesSolution, series_solution
+from krall6.germs import LogGerm
 from krall6.inner_products import ExtendedVector
 from krall6.operator import KrallParams, LocalExpression
-from krall6.polynomials import Poly
+from krall6.polynomials import Poly, RationalFn
 from krall6.report import Case, Report
 from krall6.suites import RunConfig
+from krall6.values import Value
 
 P = KrallParams(1, 2)
 
@@ -79,7 +87,7 @@ def test_params_cache_is_outside_equality():
     assert params != (Fraction(1, 2), Fraction(3))
 
 
-def test_mutable_value_contract():
+def test_config_and_report_contract():
     config = RunConfig()
     assert (config.A, config.B, config.nmax, config.series_order, config.suites, config.seed) == (
         Fraction(1), Fraction(1), 8, 20, ("all",), 987
@@ -89,19 +97,76 @@ def test_mutable_value_contract():
         "RunConfig(A=Fraction(1, 1), B=Fraction(1, 1), nmax=8, series_order=20, suites=('all',), seed=987)"
     )
     assert RunConfig(nmax=3) == RunConfig(nmax=3) != config
-    config.seed = 1
-    assert config == RunConfig(seed=1)
+    assert RunConfig(seed=1) != config and hash(RunConfig(seed=1)) == hash(RunConfig(seed=1))
+    for field, value in (("seed", 1), ("A", Fraction(5)), ("params", KrallParams(5, 2)), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(config, field, value)
+    assert config == RunConfig() and config.params == KrallParams(1, 1)
+    assert RunConfig(A=5, B=2).params == KrallParams(5, 2)
 
     first, second = Report("eigen", P), Report("eigen", P)
     assert first.cases == [] and first.cases is not second.cases
     first.add(Case("a", "item", "1", "1", "pass"))
     assert second.cases == [] and first != second
     assert repr(second) == "Report(suite='eigen', params=KrallParams(A=Fraction(1, 1), B=Fraction(2, 1)), cases=[])"
-    second.cases = list(first.cases)
+    second.extend(first.cases)
     assert first == second
-    for value in (config, first):
-        with pytest.raises(TypeError):
-            hash(value)
+    with pytest.raises(AttributeError):
+        second.cases = []
+    with pytest.raises(TypeError):
+        hash(first)
+
+
+#: one instance of every value class, by class name
+INSTANCES = {
+    "Poly": lambda: Poly([Fraction(1, 2), 0, -3]),
+    "RationalFn": lambda: RationalFn(Poly([1, 2]), Poly([1, 0, -1])),
+    "LogGerm": lambda: LogGerm.from_log_poly(Poly([1, 0, -1]), 1).derivative(3),
+    "EndpointFn": lambda: log_probe(-1, P) + Poly.x(),
+    "KrallParams": lambda: KrallParams(Fraction(1, 3), Fraction(7, 2)),
+    "LocalExpression": lambda: LocalExpression(-1, P),
+    "ExtendedVector": lambda: ExtendedVector(log_probe(1, P), 1, "1/3"),
+    "IndependenceCertificate": lambda: IndependenceCertificate(((1, 2), (3, 4)), Fraction(-2), True),
+    "SeriesSolution": lambda: series_solution(1, "phi-2", 12, P),
+    "Case": lambda: Case("eigen:n=00", "item", "1", "1", "pass", "w"),
+    "Report": lambda: Report("eigen", P, [Case("a", "item", "1", "2", "fail")]),
+    "RunConfig": lambda: RunConfig(A=Fraction(1, 3), B=Fraction(7, 2), nmax=4, suites=("eigen", "gram"), seed=3),
+}
+
+
+def _krall6_classes():
+    """Every class defined in a krall6 module (`__main__` runs the CLI on import)."""
+    for info in pkgutil.iter_modules(krall6.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"krall6.{info.name}")
+        for obj in vars(module).values():
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                yield obj
+
+
+def test_one_value_contract_for_every_class():
+    classes = set(_krall6_classes())
+    slotted = {cls for cls in classes if "__slots__" in vars(cls) and not issubclass(cls, BaseException)}
+    assert {cls for cls in slotted if not issubclass(cls, Value)} == set()
+    assert [cls.__name__ for cls in classes if "__setattr__" in vars(cls)] == ["Value"]
+    values = {cls.__name__ for cls in classes if issubclass(cls, Value) and cls is not Value}
+    assert values == set(INSTANCES)
+
+
+@pytest.mark.parametrize("name", INSTANCES)
+def test_every_value_copies_and_pickles(name):
+    value = INSTANCES[name]()
+    assert type(value).__name__ == name
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and twin == value and value == twin
+        try:
+            digest = hash(value)
+        except TypeError:
+            with pytest.raises(TypeError):
+                hash(twin)
+        else:
+            assert hash(twin) == digest
 
 
 def test_series_derivative_is_termwise():
