@@ -87,16 +87,20 @@ def as_fraction(value: Scalar) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the "p/q" (or "p") text format; the denominator must be positive."""
+    """Parse the "p/q" (or "p") text format; the denominator must be positive.
+
+    Only the text `format_rational` writes is read: ASCII digits, a sign only on
+    p, and no spaces, underscores or other digits inside.
+    """
     text = text.strip()
     num_text, slash, den_text = text.partition("/")
-    try:
-        num, den = int(num_text), int(den_text) if slash else 1
-    except ValueError:
-        raise ValueError(f"expected an integer p or a fraction p/q, got {text!r}") from None
-    if den <= 0:
+    digits = num_text[1:] if num_text[:1] in ("-", "+") else num_text
+    if not (text.isascii() and digits.isdigit() and (den_text.isdigit() or not slash)):
+        raise ValueError(f"expected an integer p or a fraction p/q, got {text!r}")
+    den = int(den_text or 1)
+    if den == 0:
         raise ValueError(f"denominator must be positive in {text!r}")
-    return Fraction(num, den)
+    return Fraction(int(num_text), den)
 
 
 #: Decimal digits per piece in `_decimal`: below the least int-to-str limit

@@ -1,6 +1,6 @@
 """Report objects and their JSON/CSV renderings.
 
-A report is one suite's outcome: a list of cases, each with exact lhs/rhs
+A report is one suite's outcome: a tuple of cases, each with exact lhs/rhs
 text and a verdict in {pass, fail, inconclusive}.  Rendering is fully
 deterministic (cases sorted by name, no timestamps anywhere in the body);
 the CLI writes an optional sidecar file for the single run timestamp.
@@ -86,20 +86,14 @@ def make_case(name: str, paper_item: str, lhs, rhs, witness=None, inconclusive: 
 
 
 class Report(Value):
-    """One suite's cases, a list that grows only through `add` and `extend` (so no hash)."""
+    """One suite's cases, read once from any iterable into a tuple."""
 
     __slots__ = _fields = ("suite", "params", "cases")
 
-    def __init__(self, suite: str, params: KrallParams, cases: list | None = None):
+    def __init__(self, suite: str, params: KrallParams, cases=()):
         _set(self, "suite", suite)
         _set(self, "params", params)
-        _set(self, "cases", [] if cases is None else cases)
-
-    def add(self, case: Case):
-        self.cases.append(case)
-
-    def extend(self, cases):
-        self.cases.extend(cases)
+        _set(self, "cases", tuple(cases))
 
     def sorted_cases(self) -> list:
         return sorted(self.cases, key=lambda c: c.name)
@@ -124,13 +118,10 @@ class Report(Value):
 
 def bundle_to_json(reports: list[Report]) -> str:
     """Deterministic JSON for a list of reports (byte-identical across reruns)."""
+    dicts = [r.to_dict() for r in reports]
     payload = {
-        "reports": [r.to_dict() for r in reports],
-        "summary": {
-            "passed": sum(r.count("pass") for r in reports),
-            "failed": sum(r.count("fail") for r in reports),
-            "inconclusive": sum(r.count("inconclusive") for r in reports),
-        },
+        "reports": dicts,
+        "summary": {key: sum(d[key] for d in dicts) for key in ("passed", "failed", "inconclusive")},
     }
     return json.dumps(payload, indent=2) + "\n"
 

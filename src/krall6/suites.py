@@ -1,7 +1,9 @@
 """Verification suites: every exactly-checkable claim, as report cases.
 
-Each suite function takes a `RunConfig` and returns a `Report`.  Suites only
-assert identities that are true consequences of the definitions; the
+Each suite is a generator of `Case`s, registered once under its report name
+with `_suite`; the registered function takes a `RunConfig` and returns the
+suite's one `Report`, and `SUITE_NAMES` is the order of registration.  Suites
+only assert identities that are true consequences of the definitions; the
 `errata` suite additionally documents, with exact evidence, the four
 discrepancies between those definitions and constants quoted elsewhere
 (eigenvalue leading factor, the factored-form sign, the closed-form
@@ -107,196 +109,184 @@ def seeded_polynomials(seed: int, count: int) -> list[Poly]:
     return out
 
 
+#: report name -> the registered builder of that suite, in report order
+SUITE_BUILDERS = {}
+
+
+def _suite(name: str):
+    """Register a generator of a suite's `Case`s under its report name.
+
+    The registered function runs the generator to its end and returns the one
+    `Report` of its cases, so a call to it covers the whole suite.
+    """
+
+    def register(cases):
+        def build(config: RunConfig) -> Report:
+            return Report(name, config.params, cases(config))
+
+        build.__name__ = build.__qualname__ = cases.__name__
+        SUITE_BUILDERS[name] = build
+        return build
+
+    return register
+
+
 # ---------------------------------------------------------------------------
 # individual suites
 # ---------------------------------------------------------------------------
 
 
-def suite_eigen(config: RunConfig) -> Report:
+@_suite("eigen")
+def suite_eigen(config: RunConfig):
     params = config.params
-    report = Report("eigen", params)
     for n in range(config.nmax + 1):
         k_n = eigen_polynomial(n, params)
         lam = eigenvalue(n, params)
-        report.add(
-            make_case(
-                f"eigen-identity:n={n:02d}",
-                "expression-eigen-identity",
-                apply_expression(k_n, params),
-                lam * k_n,
-            )
+        yield make_case(
+            f"eigen-identity:n={n:02d}",
+            "expression-eigen-identity",
+            apply_expression(k_n, params),
+            lam * k_n,
         )
-        report.add(
-            make_case(
-                f"eigen-monic-degree:n={n:02d}",
-                "eigenpolynomial-degree",
-                (k_n.degree, k_n.leading_coefficient()),
-                (n, Fraction(1)),
-            )
+        yield make_case(
+            f"eigen-monic-degree:n={n:02d}",
+            "eigenpolynomial-degree",
+            (k_n.degree, k_n.leading_coefficient()),
+            (n, Fraction(1)),
         )
     for n in range(21):
-        report.add(
-            make_case(
-                f"eigenvalue-oracle:n={n:02d}",
-                "eigenvalue-oracle",
-                eigenvalue(n, params),
-                leading_coefficient_oracle(n, params),
-            )
+        yield make_case(
+            f"eigenvalue-oracle:n={n:02d}",
+            "eigenvalue-oracle",
+            eigenvalue(n, params),
+            leading_coefficient_oracle(n, params),
         )
     basis_checked = min(config.nmax, 12)
     for degree in range(basis_checked + 1):
         image = apply_expression(Poly.monomial(degree), params)
         want_degree = degree if (degree == 0 or eigenvalue(degree, params) != 0) else None
-        report.add(
-            make_case(
-                f"degree-preservation:n={degree:02d}",
-                "degree-preservation",
-                image.degree if degree > 0 else image.is_zero(),
-                want_degree if degree > 0 else True,
-            )
+        yield make_case(
+            f"degree-preservation:n={degree:02d}",
+            "degree-preservation",
+            image.degree if degree > 0 else image.is_zero(),
+            want_degree if degree > 0 else True,
         )
-    return report
 
 
-def suite_polys(config: RunConfig) -> Report:
+@_suite("polys")
+def suite_polys(config: RunConfig):
     params = config.params
-    report = Report("polys", params)
     for n in range(min(config.nmax, 8) + 1):
         outcome = closed_form_comparison(n, params)
         matching = sorted(v for v, r in outcome.items() if r["matches"])
         expected = sorted(CLOSED_FORM_VARIANTS) if n == 0 else ["even-selector-sum-end"]
-        report.add(
-            make_case(
-                f"closed-form-scalar-match:n={n}",
-                "closed-form-parse-comparison",
-                matching,
-                expected,
-                witness={v: r["scale"] for v, r in outcome.items() if r["matches"]},
-            )
+        yield make_case(
+            f"closed-form-scalar-match:n={n}",
+            "closed-form-parse-comparison",
+            matching,
+            expected,
+            witness={v: r["scale"] for v, r in outcome.items() if r["matches"]},
         )
     for n in range(min(config.nmax, 8) + 1):
         p_n, mu = legendre_type(n, params.A)
-        report.add(
-            make_case(
-                f"legendre-type-identity:n={n}",
-                "legendre-type-eigen-identity",
-                apply_legendre_type(p_n, params.A),
-                mu * p_n,
-                witness=f"mu_{n}={format_rational(mu)}",
-            )
+        yield make_case(
+            f"legendre-type-identity:n={n}",
+            "legendre-type-eigen-identity",
+            apply_legendre_type(p_n, params.A),
+            mu * p_n,
+            witness=f"mu_{n}={format_rational(mu)}",
         )
         if n >= 1:
-            report.add(
-                make_case(
-                    f"legendre-type-orthogonality:n={n}",
-                    "legendre-type-orthogonality",
-                    mu_inner(p_n, legendre_type(n - 1, params.A)[0], params.A),
-                    Fraction(0),
-                )
+            yield make_case(
+                f"legendre-type-orthogonality:n={n}",
+                "legendre-type-orthogonality",
+                mu_inner(p_n, legendre_type(n - 1, params.A)[0], params.A),
+                Fraction(0),
             )
     basis = [Poly.monomial(k) for k in range(13)]
     factored_ok = all(
         apply_expression(p, params) == apply_expression_factored(p, params) for p in basis
     )
-    report.add(
-        make_case(
-            "factored-form-agrees-on-basis",
-            "lagrangian-form-equivalence",
-            factored_ok,
-            True,
-        )
+    yield make_case(
+        "factored-form-agrees-on-basis",
+        "lagrangian-form-equivalence",
+        factored_ok,
+        True,
     )
     for endpoint in (-1, 1):
         probe = con.log_probe(endpoint, params)
-        report.add(
-            make_case(
-                f"factored-form-agrees-on-log-probe:e={endpoint:+d}",
-                "lagrangian-form-equivalence",
-                apply_expression(probe, params) == apply_expression_factored(probe, params),
-                True,
-            )
+        yield make_case(
+            f"factored-form-agrees-on-log-probe:e={endpoint:+d}",
+            "lagrangian-form-equivalence",
+            apply_expression(probe, params) == apply_expression_factored(probe, params),
+            True,
         )
-    return report
 
 
-def suite_gram(config: RunConfig) -> Report:
+@_suite("gram")
+def suite_gram(config: RunConfig):
     params = config.params
-    report = Report("gram", params)
     n_max = max(config.nmax, 10)
     gram = gram_matrix(n_max, params)
     offdiag = [
         (m, n, gram[m][n]) for m in range(n_max + 1) for n in range(n_max + 1) if m != n and gram[m][n] != 0
     ]
-    report.add(
-        make_case(
-            "gram-offdiagonal-zero",
-            "eigenpolynomial-orthogonality",
-            offdiag,
-            [],
-        )
+    yield make_case(
+        "gram-offdiagonal-zero",
+        "eigenpolynomial-orthogonality",
+        offdiag,
+        [],
     )
-    report.add(
-        make_case(
-            "gram-diagonal-positive",
-            "inner-product-positivity",
-            all(gram[n][n] > 0 for n in range(n_max + 1)),
-            True,
-            witness=[gram[n][n] for n in range(min(n_max, 4) + 1)],
-        )
+    yield make_case(
+        "gram-diagonal-positive",
+        "inner-product-positivity",
+        all(gram[n][n] > 0 for n in range(n_max + 1)),
+        True,
+        witness=[gram[n][n] for n in range(min(n_max, 4) + 1)],
     )
-    report.add(
-        make_case(
-            "embedding-isometry",
-            "embedding-isometry",
-            extended_inner(embed(Poly([1, 2])), embed(Poly([0, 0, 3])), params),
-            kappa_inner(Poly([1, 2]), Poly([0, 0, 3]), params),
-        )
+    yield make_case(
+        "embedding-isometry",
+        "embedding-isometry",
+        extended_inner(embed(Poly([1, 2])), embed(Poly([0, 0, 3])), params),
+        kappa_inner(Poly([1, 2]), Poly([0, 0, 3]), params),
     )
     for text, f in (("x^3", Poly.monomial(3)), ("x^4+x", Poly.monomial(4) + Poly.x())):
-        report.add(
-            make_case(
-                f"expansion-reconstruction:{text}",
-                "finite-expansion-exactness",
-                expansion_reconstruction(f, params),
-                f,
-            )
+        yield make_case(
+            f"expansion-reconstruction:{text}",
+            "finite-expansion-exactness",
+            expansion_reconstruction(f, params),
+            f,
         )
-    report.add(
-        make_case(
-            "completeness-analytic-claim",
-            "completeness-out-of-scope",
-            "",
-            "",
-            "the analytic completeness of the eigenpolynomials rests on a"
-            " classical density theorem and is out of scope; the finite"
-            " expansion-reconstruction cases above are the desk-scale"
-            " substitute",
-            inconclusive=True,
-        )
+    yield make_case(
+        "completeness-analytic-claim",
+        "completeness-out-of-scope",
+        "",
+        "",
+        "the analytic completeness of the eigenpolynomials rests on a"
+        " classical density theorem and is out of scope; the finite"
+        " expansion-reconstruction cases above are the desk-scale"
+        " substitute",
+        inconclusive=True,
     )
-    return report
 
 
-def suite_green(config: RunConfig) -> Report:
+@_suite("green")
+def suite_green(config: RunConfig):
     params = config.params
-    report = Report("green", params)
     polys = seeded_polynomials(config.seed, 40)
     for i in range(20):
         f, g = polys[2 * i], polys[2 * i + 1]
         lhs, rhs = con.greens_formula_check(f, g, params)
-        report.add(
-            make_case(
-                f"green-formula:pair={i:02d}",
-                "green-formula",
-                lhs,
-                rhs,
-                witness=f"deg f={f.degree}, deg g={g.degree}",
-            )
+        yield make_case(
+            f"green-formula:pair={i:02d}",
+            "green-formula",
+            lhs,
+            rhs,
+            witness=f"deg f={f.degree}, deg g={g.degree}",
         )
     f = polys[0]
     lhs, rhs = con.greens_formula_check(f, f, params)
-    report.add(make_case("green-formula:diagonal", "green-formula", (lhs, rhs), (Fraction(0), Fraction(0))))
-    return report
+    yield make_case("green-formula:diagonal", "green-formula", (lhs, rhs), (Fraction(0), Fraction(0)))
 
 
 def _canonical_functions(params: KrallParams) -> list[tuple[str, Poly | EndpointFn]]:
@@ -400,38 +390,34 @@ def _reduced_domain_cases(f, g, params: KrallParams, tag: str):
         )
 
 
-def suite_concomitant(config: RunConfig) -> Report:
+@_suite("concomitant")
+def suite_concomitant(config: RunConfig):
     params = config.params
-    report = Report("concomitant", params)
     seeded = seeded_polynomials(config.seed + 1, 10)
     functions = _canonical_functions(params) + [
         (f"seeded-{i:02d}", p) for i, p in enumerate(seeded)
     ]
 
     for tag, f in functions:
-        report.extend(_maximal_domain_cases(f, params, tag))
+        yield from _maximal_domain_cases(f, params, tag)
         for endpoint in (-1, 1):
             via_probe, lam = con.quasi_derivative_probe_identity(f, endpoint, params)
-            report.add(
-                make_case(
-                    f"{tag}:quasi-probe-identity:e={endpoint:+d}",
-                    "quasi-derivative-probe-identity",
-                    via_probe,
-                    lam,
-                )
+            yield make_case(
+                f"{tag}:quasi-probe-identity:e={endpoint:+d}",
+                "quasi-derivative-probe-identity",
+                via_probe,
+                lam,
             )
 
     # log-probe quasi-derivative limits (the machine-verified constants)
     for endpoint in (-1, 1):
         probe = con.log_probe(endpoint, params)
-        report.add(
-            make_case(
-                f"log-probe-quasi-derivative:e={endpoint:+d}",
-                "log-probe-quasi-derivative",
-                con.quasi_derivative_at(probe, endpoint, params),
-                Fraction(32),
-                witness="see errata suite: 24 is quoted elsewhere but is inconsistent",
-            )
+        yield make_case(
+            f"log-probe-quasi-derivative:e={endpoint:+d}",
+            "log-probe-quasi-derivative",
+            con.quasi_derivative_at(probe, endpoint, params),
+            Fraction(32),
+            witness="see errata suite: 24 is quoted elsewhere but is inconsistent",
         )
 
     # antisymmetry across pairs
@@ -445,10 +431,9 @@ def suite_concomitant(config: RunConfig) -> Report:
                     ba = con.concomitant(g, f, endpoint, params)
                 except DivergentLimitError as exc:
                     witness = f"[{tag_f}, {tag_g}]({endpoint:+d}) not in checkable class: {exc}"
-                    case = make_case(name, "concomitant-antisymmetry", "", "", witness, inconclusive=True)
+                    yield make_case(name, "concomitant-antisymmetry", "", "", witness, inconclusive=True)
                 else:
-                    case = make_case(name, "concomitant-antisymmetry", ab, -ba)
-                report.add(case)
+                    yield make_case(name, "concomitant-antisymmetry", ab, -ba)
 
     # general endpoint reduction on mixed pairs
     pairs = [
@@ -458,35 +443,31 @@ def suite_concomitant(config: RunConfig) -> Report:
         ("log-probe-plus|weight", con.log_probe(1, params), con.WEIGHT),
     ]
     for tag, f, g in pairs:
-        report.extend(_general_reduction_cases(f, g, params, tag))
+        yield from _general_reduction_cases(f, g, params, tag)
 
     # reduced-domain closed forms on seeded polynomials
     for i in range(0, 10, 2):
         f, g = seeded[i], seeded[i + 1]
-        report.extend(_reduced_domain_cases(f, g, params, f"seeded-{i:02d}"))
+        yield from _reduced_domain_cases(f, g, params, f"seeded-{i:02d}")
 
     # log-probe reduction identity on polynomials (constants 32A+12B-16 etc.)
     for i, f in enumerate(seeded[:4]):
         for endpoint in (-1, 1):
-            report.add(
-                make_case(
-                    f"log-probe-reduction:seeded-{i:02d}:e={endpoint:+d}",
-                    "log-probe-bracket-reduction",
-                    con.concomitant(f, con.log_probe(endpoint, params), endpoint, params),
-                    con.log_probe_reduction(f, endpoint, params),
-                )
+            yield make_case(
+                f"log-probe-reduction:seeded-{i:02d}:e={endpoint:+d}",
+                "log-probe-bracket-reduction",
+                con.concomitant(f, con.log_probe(endpoint, params), endpoint, params),
+                con.log_probe_reduction(f, endpoint, params),
             )
 
     # self-pairing: the log probe's own divergent pieces cancel structurally
     # inside the germ algebra, so the reduction stays checkable and equals
     # the direct limit (both are 0 by antisymmetry)
-    report.add(
-        make_case(
-            "log-probe-reduction:self-pairing",
-            "log-probe-bracket-reduction",
-            con.log_probe_reduction(con.log_probe(1, params), 1, params),
-            con.concomitant(con.log_probe(1, params), con.log_probe(1, params), 1, params),
-        )
+    yield make_case(
+        "log-probe-reduction:self-pairing",
+        "log-probe-bracket-reduction",
+        con.log_probe_reduction(con.log_probe(1, params), 1, params),
+        con.concomitant(con.log_probe(1, params), con.log_probe(1, params), 1, params),
     )
 
     # a genuinely out-of-class input (bare logarithm germ) diverges in both
@@ -494,31 +475,27 @@ def suite_concomitant(config: RunConfig) -> Report:
     bare_log = EndpointFn(LogGerm.zero(-1), LogGerm.from_log_poly(Poly.one(), 1))
     try:
         con.log_probe_reduction(bare_log, 1, params)
-        report.add(
-            make_case(
-                "log-probe-reduction:out-of-class-input",
-                "log-probe-bracket-reduction",
-                "limit unexpectedly exists",
-                "DivergentLimitError",
-            )
-        )
     except DivergentLimitError as exc:
-        report.add(
-            make_case(
-                "log-probe-reduction:out-of-class-input",
-                "log-probe-bracket-reduction",
-                "",
-                "",
-                f"not in checkable class: {exc}",
-                inconclusive=True,
-            )
+        yield make_case(
+            "log-probe-reduction:out-of-class-input",
+            "log-probe-bracket-reduction",
+            "",
+            "",
+            f"not in checkable class: {exc}",
+            inconclusive=True,
         )
-    return report
+    else:
+        yield make_case(
+            "log-probe-reduction:out-of-class-input",
+            "log-probe-bracket-reduction",
+            "limit unexpectedly exists",
+            "DivergentLimitError",
+        )
 
 
-def suite_delta(config: RunConfig) -> Report:
+@_suite("delta")
+def suite_delta(config: RunConfig):
     params = config.params
-    report = Report("delta", params)
     w = con.WEIGHT
     member_cases = [
         ("one", Poly.one(), True),
@@ -530,14 +507,12 @@ def suite_delta(config: RunConfig) -> Report:
     ]
     for tag, f, expected in member_cases:
         ok, witness = con.in_reduced_domain(f, params)
-        report.add(
-            make_case(
-                f"reduced-domain:{tag}",
-                "reduced-domain-membership",
-                ok,
-                expected,
-                witness={"lam_minus": witness[-1], "lam_plus": witness[1]},
-            )
+        yield make_case(
+            f"reduced-domain:{tag}",
+            "reduced-domain-membership",
+            ok,
+            expected,
+            witness={"lam_minus": witness[-1], "lam_plus": witness[1]},
         )
     separated_cases = [
         ("weight-cube", w**3, True),
@@ -546,128 +521,104 @@ def suite_delta(config: RunConfig) -> Report:
         ("one-near-plus", con.one_near(1), True),
     ]
     for tag, f, expected in separated_cases:
-        report.add(
-            make_case(
-                f"separated-domain:{tag}",
-                "separated-domain-membership",
-                con.in_separated_domain(f, params),
-                expected,
-            )
+        yield make_case(
+            f"separated-domain:{tag}",
+            "separated-domain-membership",
+            con.in_separated_domain(f, params),
+            expected,
         )
-    return report
 
 
-def suite_frobenius(config: RunConfig) -> Report:
+@_suite("frobenius")
+def suite_frobenius(config: RunConfig):
     params = config.params
-    report = Report("frobenius", params)
     l2_counts = []
     for endpoint in (-1, 1):
         local = fro.local_expression(endpoint, params)
-        report.add(
-            make_case(
-                f"indicial-roots:e={endpoint:+d}",
-                "indicial-roots",
-                local.indicial_roots(),
-                [3, 2, 1, 1, 0, -1],
-                witness=f"rho0 coeffs: {local.indicial_polynomial().format_coeffs()}",
-            )
+        yield make_case(
+            f"indicial-roots:e={endpoint:+d}",
+            "indicial-roots",
+            local.indicial_roots(),
+            [3, 2, 1, 1, 0, -1],
+            witness=f"rho0 coeffs: {local.indicial_polynomial().format_coeffs()}",
         )
         basis = fro.solution_basis(endpoint, config.series_order, params)
         by_label = {sol.label: sol for sol in basis}
-        report.add(
-            make_case(
-                f"leading-exponents:e={endpoint:+d}",
-                "frobenius-structure",
-                [sol.leading_exponent() for sol in basis],
-                [3, 2, 1, 1, 0, -1],
-            )
+        yield make_case(
+            f"leading-exponents:e={endpoint:+d}",
+            "frobenius-structure",
+            [sol.leading_exponent() for sol in basis],
+            [3, 2, 1, 1, 0, -1],
         )
-        report.add(
-            make_case(
-                f"log-degrees:e={endpoint:+d}",
-                "frobenius-structure",
-                [sol.log_degree() for sol in basis],
-                [0, 1, 0, 1, 1, 1],
-                witness="; ".join(fro.basis_findings(basis)),
-            )
+        yield make_case(
+            f"log-degrees:e={endpoint:+d}",
+            "frobenius-structure",
+            [sol.log_degree() for sol in basis],
+            [0, 1, 0, 1, 1, 1],
+            witness="; ".join(fro.basis_findings(basis)),
         )
         for sol in basis:
             r = fro.residual_order(sol, params)
-            report.add(
-                make_case(
-                    f"residual-order:{sol.label}:e={endpoint:+d}",
-                    "series-residual-order",
-                    r is None or r >= config.series_order - 6,
-                    True,
-                    witness=f"residual order {r if r is not None else 'inf'}",
-                )
+            yield make_case(
+                f"residual-order:{sol.label}:e={endpoint:+d}",
+                "series-residual-order",
+                r is None or r >= config.series_order - 6,
+                True,
+                witness=f"residual order {r if r is not None else 'inf'}",
             )
         phi1 = by_label["phi-1"]
         phihat = by_label["phi-hat-1"]
-        report.add(
-            make_case(
-                f"hat-solution-log-coupling:e={endpoint:+d}",
-                "hat-solution-log-coupling",
-                phihat.levels[1] == 3 * phi1.levels[0],
-                True,
-            )
+        yield make_case(
+            f"hat-solution-log-coupling:e={endpoint:+d}",
+            "hat-solution-log-coupling",
+            phihat.levels[1] == 3 * phi1.levels[0],
+            True,
         )
         classification = fro.l2_classification(basis)
         l2_counts.append(classification["count"])
-        report.add(
-            make_case(
-                f"l2-count:e={endpoint:+d}",
-                "square-integrability-count",
-                classification["count"],
-                5,
-                witness=classification["flags"],
-            )
+        yield make_case(
+            f"l2-count:e={endpoint:+d}",
+            "square-integrability-count",
+            classification["count"],
+            5,
+            witness=classification["flags"],
         )
-        report.add(
-            make_case(
-                f"second-derivative-not-l2:e={endpoint:+d}",
-                "hat-solution-second-derivative",
-                fro.is_square_integrable(phihat, 2),
-                False,
-            )
+        yield make_case(
+            f"second-derivative-not-l2:e={endpoint:+d}",
+            "hat-solution-second-derivative",
+            fro.is_square_integrable(phihat, 2),
+            False,
         )
         corrupt = fro.corrupted(by_label["phi-3"])
         bad = fro.residual_order(corrupt, params)
-        report.add(
-            make_case(
-                f"corruption-negative-control:e={endpoint:+d}",
-                "series-residual-order",
-                bad is not None and bad < config.series_order - 6,
-                True,
-                witness=f"residual order after corruption: {bad}",
-            )
+        yield make_case(
+            f"corruption-negative-control:e={endpoint:+d}",
+            "series-residual-order",
+            bad is not None and bad < config.series_order - 6,
+            True,
+            witness=f"residual order after corruption: {bad}",
         )
-    report.add(
-        make_case(
-            "deficiency-index",
-            "deficiency-index",
-            sum(l2_counts) - 6,
-            4,
-        )
+    yield make_case(
+        "deficiency-index",
+        "deficiency-index",
+        sum(l2_counts) - 6,
+        4,
     )
-    return report
 
 
-def suite_gkn(config: RunConfig) -> Report:
+@_suite("gkn")
+def suite_gkn(config: RunConfig):
     params = config.params
     A, B = params.A, params.B
-    report = Report("gkn", params)
     ys = con.boundary_condition_functions(params)
     candidates = [ExtendedVector.plain(y) for y in ys]
     check = gkn_symmetry_check(candidates, params)
-    report.add(
-        make_case(
-            "pairwise-brackets-zero",
-            "gkn-symmetry",
-            check["all_zero"],
-            True,
-            witness=check["brackets"],
-        )
+    yield make_case(
+        "pairwise-brackets-zero",
+        "gkn-symmetry",
+        check["all_zero"],
+        True,
+        witness=check["brackets"],
     )
     for j, y in enumerate(ys, start=1):
         expected = {
@@ -676,7 +627,7 @@ def suite_gkn(config: RunConfig) -> Report:
             3: (0, 48 * B * (A + 2)),
             4: (48 * A * (B + 2), 0),
         }[j]
-        report.add(make_case(f"omega-table:y{j}", "omega-table", omega(y, params), expected))
+        yield make_case(f"omega-table:y{j}", "omega-table", omega(y, params), expected)
     probes = [ExtendedVector.plain(p) for p in con.probe_functions(params)]
     cert = independence_certificate(candidates, probes, params)
     expected_matrix = [
@@ -685,48 +636,40 @@ def suite_gkn(config: RunConfig) -> Report:
         [Fraction(0), Fraction(0), Fraction(64), Fraction(0)],
         [Fraction(0), Fraction(0), Fraction(0), Fraction(64)],
     ]
-    report.add(
-        make_case(
-            "probe-matrix",
-            "independence-probe-matrix",
-            cert.rows(),
-            expected_matrix,
-            witness=(
-                "h-row entries are 64 = 2 x quasi-derivative limit 32; the value"
-                " 48 quoted elsewhere is inconsistent (see errata)"
-            ),
-        )
+    yield make_case(
+        "probe-matrix",
+        "independence-probe-matrix",
+        cert.rows(),
+        expected_matrix,
+        witness=(
+            "h-row entries are 64 = 2 x quasi-derivative limit 32; the value"
+            " 48 quoted elsewhere is inconsistent (see errata)"
+        ),
     )
-    report.add(
-        make_case(
-            "probe-matrix-nonsingular",
-            "independence-certificate",
-            cert.conclusive,
-            True,
-            witness=f"det={format_rational(cert.det)}",
-        )
+    yield make_case(
+        "probe-matrix-nonsingular",
+        "independence-certificate",
+        cert.conclusive,
+        True,
+        witness=f"det={format_rational(cert.det)}",
     )
     dup = independence_certificate(
         [candidates[0], candidates[0], candidates[2], candidates[3]], probes, params
     )
-    report.add(
-        make_case(
-            "duplicate-candidates-inconclusive",
-            "independence-certificate",
-            dup.conclusive,
-            False,
-        )
+    yield make_case(
+        "duplicate-candidates-inconclusive",
+        "independence-certificate",
+        dup.conclusive,
+        False,
     )
     # the seed pair: unit-scaled piecewise constants with x-weighted probes
     seeds = [ExtendedVector.plain(t) for t in con.partial_gkn_pair()]
     seed_check = gkn_symmetry_check(seeds, params)
-    report.add(
-        make_case(
-            "seed-pair-brackets-zero",
-            "partial-gkn-symmetry",
-            seed_check["all_zero"],
-            True,
-        )
+    yield make_case(
+        "seed-pair-brackets-zero",
+        "partial-gkn-symmetry",
+        seed_check["all_zero"],
+        True,
     )
     x = Poly.x()
     xprobes = [
@@ -734,39 +677,34 @@ def suite_gkn(config: RunConfig) -> Report:
         ExtendedVector.plain(EndpointFn.poly_near(1, x)),
     ]
     seed_cert = independence_certificate(seeds, xprobes, params)
-    report.add(
-        make_case(
-            "seed-pair-certificate",
-            "partial-gkn-independence",
-            (seed_cert.conclusive, seed_cert.rows()),
-            (
-                True,
-                [
-                    [24 * (B + 1), Fraction(0)],
-                    [Fraction(0), -24 * (A + 1)],
-                ],
-            ),
-        )
+    yield make_case(
+        "seed-pair-certificate",
+        "partial-gkn-independence",
+        (seed_cert.conclusive, seed_cert.rows()),
+        (
+            True,
+            [
+                [24 * (B + 1), Fraction(0)],
+                [Fraction(0), -24 * (A + 1)],
+            ],
+        ),
     )
     # a deliberately non-admissible family: swap one boundary function for a
     # probe with nonvanishing bracket
     bad = [candidates[2], ExtendedVector.plain(con.one_near(1))]
     bad_check = gkn_symmetry_check(bad, params)
-    report.add(
-        make_case(
-            "non-admissible-family-detected",
-            "gkn-symmetry",
-            bad_check["all_zero"],
-            False,
-            witness=bad_check["brackets"],
-        )
+    yield make_case(
+        "non-admissible-family-detected",
+        "gkn-symmetry",
+        bad_check["all_zero"],
+        False,
+        witness=bad_check["brackets"],
     )
-    return report
 
 
-def suite_operator_matrix(config: RunConfig) -> Report:
+@_suite("operator-matrix")
+def suite_operator_matrix(config: RunConfig):
     params = config.params
-    report = Report("operator-matrix", params)
     seeded = seeded_polynomials(config.seed + 3, 20)
 
     # 20 membership cases, members and non-members, both routes (the route
@@ -774,9 +712,7 @@ def suite_operator_matrix(config: RunConfig) -> Report:
     for i, p in enumerate(seeded[:10]):
         u = embed(p)
         ok, _ = domain_membership(u, params)
-        report.add(
-            make_case(f"membership:member:{i:02d}", "domain-membership", ok, True)
-        )
+        yield make_case(f"membership:member:{i:02d}", "domain-membership", ok, True)
     rng = random.Random(config.seed + 4)
     for i, p in enumerate(seeded[10:16]):
         u = embed(p)
@@ -785,46 +721,38 @@ def suite_operator_matrix(config: RunConfig) -> Report:
             ExtendedVector(u.fn, u.a + bump, u.b) if i % 2 == 0 else ExtendedVector(u.fn, u.a, u.b + bump)
         )
         ok, witness = domain_membership(broken, params)
-        report.add(
-            make_case(
-                f"membership:perturbed:{i:02d}",
-                "domain-membership",
-                ok,
-                False,
-                witness=witness["conditions"],
-            )
+        yield make_case(
+            f"membership:perturbed:{i:02d}",
+            "domain-membership",
+            ok,
+            False,
+            witness=witness["conditions"],
         )
     for i, endpoint in enumerate((1, -1)):
         probe = con.log_probe(endpoint, params)
         ok, witness = domain_membership(ExtendedVector(probe, 0, 0), params)
-        report.add(
-            make_case(
-                f"membership:log-probe:{i:02d}",
-                "domain-membership",
-                ok,
-                False,
-                witness={"lam_minus": witness["lam_minus"], "lam_plus": witness["lam_plus"]},
-            )
+        yield make_case(
+            f"membership:log-probe:{i:02d}",
+            "domain-membership",
+            ok,
+            False,
+            witness={"lam_minus": witness["lam_minus"], "lam_plus": witness["lam_plus"]},
         )
     for i, fn in enumerate((con.one_near(1), con.weight_near(-1))):
         u = embed(fn)
         ok, _ = domain_membership(u, params)
-        report.add(
-            make_case(f"membership:piecewise:{i:02d}", "domain-membership", ok, True)
-        )
+        yield make_case(f"membership:piecewise:{i:02d}", "domain-membership", ok, True)
 
     # operator forms agree on members (assertion inside apply_extended) and
     # eigenvectors verify componentwise
     for n in range(config.nmax + 1):
         r = eigen_verify(n, params)
-        report.add(
-            make_case(
-                f"eigenvector:n={n:02d}",
-                "eigenfunction-identity",
-                (r["fn_ok"], r["a_ok"], r["b_ok"]),
-                (True, True, True),
-                witness=f"lambda={format_rational(r['eigenvalue'])}",
-            )
+        yield make_case(
+            f"eigenvector:n={n:02d}",
+            "eigenfunction-identity",
+            (r["fn_ok"], r["a_ok"], r["b_ok"]),
+            (True, True, True),
+            witness=f"lambda={format_rational(r['eigenvalue'])}",
         )
 
     n_mat = min(config.nmax, 10)
@@ -833,39 +761,33 @@ def suite_operator_matrix(config: RunConfig) -> Report:
         [eigenvalue(n, params) if m == n else Fraction(0) for n in range(n_mat + 1)]
         for m in range(n_mat + 1)
     ]
-    report.add(
-        make_case(
-            "operator-matrix-diagonal",
-            "operator-matrix",
-            matrix,
-            expected,
-        )
+    yield make_case(
+        "operator-matrix-diagonal",
+        "operator-matrix",
+        matrix,
+        expected,
     )
 
     vectors = [embed(p) for p in seeded]
     pairs = [(i % len(seeded), (i * 7 + 3) % len(seeded)) for i in range(20)]
     gaps = operator_symmetry_gaps(vectors, pairs, params)
-    report.add(
-        make_case(
-            "operator-symmetry",
-            "operator-symmetry",
-            [g for g in gaps if g != 0],
-            [],
-        )
+    yield make_case(
+        "operator-symmetry",
+        "operator-symmetry",
+        [g for g in gaps if g != 0],
+        [],
     )
 
     u = ExtendedVector(Poly([0, 0, 1]), 1, 1)
     image = apply_extended(u, params)
-    report.add(
-        make_case(
-            "square-example",
-            "explicit-operator-form",
-            (image.a, image.b),
-            (
-                24 * params.A * 2 - 24 * params.A * (params.B + 1) * (-2),
-                24 * params.B * 2 + 24 * params.B * (params.A + 1) * 2,
-            ),
-        )
+    yield make_case(
+        "square-example",
+        "explicit-operator-form",
+        (image.a, image.b),
+        (
+            24 * params.A * 2 - 24 * params.A * (params.B + 1) * (-2),
+            24 * params.B * 2 + 24 * params.B * (params.A + 1) * 2,
+        ),
     )
 
     # the endpoint components continuously extend the expression itself:
@@ -873,55 +795,47 @@ def suite_operator_matrix(config: RunConfig) -> Report:
     A, B = params.A, params.B
     for i, f in enumerate(seeded[:5]):
         lf = apply_expression(f, params)
-        report.add(
-            make_case(
-                f"endpoint-value-identity:{i:02d}",
-                "expression-endpoint-values",
-                (lf(1), lf(-1)),
-                (
-                    24 * B * f.derivative(2)(1) + 24 * B * (A + 1) * f.derivative(1)(1),
-                    24 * A * f.derivative(2)(-1) - 24 * A * (B + 1) * f.derivative(1)(-1),
-                ),
-            )
-        )
-    return report
-
-
-def suite_errata(config: RunConfig) -> Report:
-    params = config.params
-    A, B = params.A, params.B
-    report = Report("errata", params)
-
-    oracle_1 = leading_coefficient_oracle(1, params)
-    report.add(
-        make_case(
-            "finding-1:eigenvalue-leading-factor",
-            "eigenvalue-leading-factor-discrepancy",
-            (eigenvalue(1, params), eigenvalue_shifted_factor_variant(1, params) == oracle_1),
-            (oracle_1, False),
-            witness=(
-                f"n(n+1) variant gives {format_rational(eigenvalue(1, params))} ="
-                f" oracle; n(n-1) variant gives"
-                f" {format_rational(eigenvalue_shifted_factor_variant(1, params))}"
+        yield make_case(
+            f"endpoint-value-identity:{i:02d}",
+            "expression-endpoint-values",
+            (lf(1), lf(-1)),
+            (
+                24 * B * f.derivative(2)(1) + 24 * B * (A + 1) * f.derivative(1)(1),
+                24 * A * f.derivative(2)(-1) - 24 * A * (B + 1) * f.derivative(1)(-1),
             ),
         )
+
+
+@_suite("errata")
+def suite_errata(config: RunConfig):
+    params = config.params
+
+    oracle_1 = leading_coefficient_oracle(1, params)
+    yield make_case(
+        "finding-1:eigenvalue-leading-factor",
+        "eigenvalue-leading-factor-discrepancy",
+        (eigenvalue(1, params), eigenvalue_shifted_factor_variant(1, params) == oracle_1),
+        (oracle_1, False),
+        witness=(
+            f"n(n+1) variant gives {format_rational(eigenvalue(1, params))} ="
+            f" oracle; n(n-1) variant gives"
+            f" {format_rational(eigenvalue_shifted_factor_variant(1, params))}"
+        ),
     )
 
     consistency = expansion_consistency_report(params)
-    report.add(
-        make_case(
-            "finding-2:lagrangian-third-term-sign",
-            "lagrangian-sign-discrepancy",
-            (
-                all(consistency["corrected"]["matches"].values()),
-                sorted(consistency["sign-variant"]["diffs"]),
-            ),
-            (True, [1, 2]),
-            witness=(
-                "sign-variant coefficient differences by derivative order: "
-                + render_value(consistency["sign-variant"]["diffs"])
-            ),
-        )
+    yield make_case(
+        "finding-2:lagrangian-third-term-sign",
+        "lagrangian-sign-discrepancy",
+        (
+            all(consistency["corrected"]["matches"].values()),
+            sorted(consistency["sign-variant"]["diffs"]),
+        ),
+        (True, [1, 2]),
+        witness=(
+            "sign-variant coefficient differences by derivative order: "
+            + render_value(consistency["sign-variant"]["diffs"])
+        ),
     )
 
     outcomes = {n: closed_form_comparison(n, params) for n in range(9)}
@@ -932,19 +846,17 @@ def suite_errata(config: RunConfig) -> Report:
     per_n = {
         f"n={n}": sorted(v for v, r in outcomes[n].items() if r["matches"]) for n in range(9)
     }
-    report.add(
-        make_case(
-            "finding-3:closed-form-parenthesis",
-            "closed-form-parse-discrepancy",
-            (printed_mismatch, fixed_match),
-            (True, True),
-            witness=(
-                "both displayed readings fail the kernel solver for 1<=n<=8 (they"
-                " break the equal-parameter parity symmetry); the even-term"
-                " selector reading (1+(-1)^j)/2 matches up to scalar for n<=8;"
-                " matching variants per degree: " + render_value(per_n)
-            ),
-        )
+    yield make_case(
+        "finding-3:closed-form-parenthesis",
+        "closed-form-parse-discrepancy",
+        (printed_mismatch, fixed_match),
+        (True, True),
+        witness=(
+            "both displayed readings fail the kernel solver for 1<=n<=8 (they"
+            " break the equal-parameter parity symmetry); the even-term"
+            " selector reading (1+(-1)^j)/2 matches up to scalar for n<=8;"
+            " matching variants per degree: " + render_value(per_n)
+        ),
     )
 
     lam_plus = con.quasi_derivative_at(con.log_probe(1, params), 1, params)
@@ -962,48 +874,34 @@ def suite_errata(config: RunConfig) -> Report:
         for f in (x, x * x)
         for e in (1, -1)
     )
-    report.add(
-        make_case(
-            "finding-4:log-probe-quasi-derivative",
-            "log-probe-constant-discrepancy",
-            (lam_plus, lam_minus, bracket_plus, bracket_minus, reduction_ok, split_plus, split_minus),
-            (Fraction(32), Fraction(32), Fraction(64), Fraction(64), True, (8, 24), (8, 24)),
-            witness=(
-                "the value 24 (and bracket 48) quoted elsewhere is inconsistent"
-                " with the probe definition: the bracket-reduction identity with"
-                " residual +32 f' and constants 32A+12B-16 / -(32B+12A-16) is"
-                " reproduced exactly, which forces quasi-derivative limit 32;"
-                " split into its two summands, the limit is"
-                f" {render_value(split_plus)} at +1 and {render_value(split_minus)}"
-                " at -1 as [-(Q h''')'; P h''], so the quoted 24 is the P h''"
-                " part alone, without the -(Q h''')' contribution (16 per unit"
-                " of w ln w)"
-            ),
-        )
+    yield make_case(
+        "finding-4:log-probe-quasi-derivative",
+        "log-probe-constant-discrepancy",
+        (lam_plus, lam_minus, bracket_plus, bracket_minus, reduction_ok, split_plus, split_minus),
+        (Fraction(32), Fraction(32), Fraction(64), Fraction(64), True, (8, 24), (8, 24)),
+        witness=(
+            "the value 24 (and bracket 48) quoted elsewhere is inconsistent"
+            " with the probe definition: the bracket-reduction identity with"
+            " residual +32 f' and constants 32A+12B-16 / -(32B+12A-16) is"
+            " reproduced exactly, which forces quasi-derivative limit 32;"
+            " split into its two summands, the limit is"
+            f" {render_value(split_plus)} at +1 and {render_value(split_minus)}"
+            " at -1 as [-(Q h''')'; P h''], so the quoted 24 is the P h''"
+            " part alone, without the -(Q h''')' contribution (16 per unit"
+            " of w ln w)"
+        ),
     )
-    return report
 
-
-SUITE_BUILDERS = {
-    "eigen": suite_eigen,
-    "polys": suite_polys,
-    "gram": suite_gram,
-    "green": suite_green,
-    "concomitant": suite_concomitant,
-    "delta": suite_delta,
-    "frobenius": suite_frobenius,
-    "gkn": suite_gkn,
-    "operator-matrix": suite_operator_matrix,
-    "errata": suite_errata,
-}
 
 SUITE_NAMES = tuple(SUITE_BUILDERS)
 
 
 def run_suites(config: RunConfig) -> list[Report]:
-    """Run the selected suites one after another, in report order.
+    """Build the selected suites' reports one after another, in report order.
 
-    The suites are pure-Python CPU work, so threads would only take turns on
-    the interpreter lock; the CLI's `--serial` is accepted and changes nothing.
+    Each suite is a generator of cases, and its registered builder collects
+    them into the suite's one `Report`.  The suites are pure-Python CPU work,
+    so threads would only take turns on the interpreter lock; the CLI's
+    `--serial` is accepted and changes nothing.
     """
     return [SUITE_BUILDERS[name](config) for name in config.selected_suites()]

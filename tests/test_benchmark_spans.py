@@ -49,5 +49,11 @@ def test_traced_run_passes(workload):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["failures"] == []
     assert result["untraced_spans"] == []
+    layers = result["layers"]
     if workload in ("verify-all", "endpoint-log"):
-        assert result["layers"]["germs.LogGerm.derivative.calls"] > 0
+        assert layers["germs.LogGerm.derivative.calls"] > 0
+    if workload == "verify-all":
+        # a builder that returned before its cases ran would read about 0 s here
+        for name in TRACING["SUITE_NAMES"]:
+            assert layers[f"suites.{name}.calls"] == 1, name
+        assert layers["suites.overlap_ratio"] >= 0.9

@@ -223,7 +223,7 @@ def test_negative_parameter_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("option", ["--A", "--B"])
-@pytest.mark.parametrize("literal", ["abc", "0.5", "1/x", "1/2/3"])
+@pytest.mark.parametrize("literal", ["abc", "0.5", "1/x", "1/2/3", "1_0"])
 def test_malformed_parameter_is_usage_error(capsys, option, literal):
     code, out, err = run_cli(capsys, "run", "eigen", option, literal)
     assert code == 2 and out == ""

@@ -37,7 +37,7 @@ def test_parse_and_format_rational():
     assert format_rational(Fraction(8, 2)) == "4"
     with pytest.raises(ValueError):
         parse_rational("1/-2")
-    for bad in ("abc", "0.5", "1/x", "1/2/3", "1/", ""):
+    for bad in ("abc", "0.5", "1/x", "1/2/3", "1/", "", "1_0", "\uff11", "\u0663/\u0664", " 3/ 4", "+3/+4"):
         with pytest.raises(ValueError, match="p/q"):
             parse_rational(bad)
 

@@ -104,17 +104,18 @@ def test_config_and_report_contract():
     assert config == RunConfig() and config.params == KrallParams(1, 1)
     assert RunConfig(A=5, B=2).params == KrallParams(5, 2)
 
-    first, second = Report("eigen", P), Report("eigen", P)
-    assert first.cases == [] and first.cases is not second.cases
-    first.add(Case("a", "item", "1", "1", "pass"))
-    assert second.cases == [] and first != second
-    assert repr(second) == "Report(suite='eigen', params=KrallParams(A=Fraction(1, 1), B=Fraction(2, 1)), cases=[])"
-    second.extend(first.cases)
-    assert first == second
-    with pytest.raises(AttributeError):
-        second.cases = []
-    with pytest.raises(TypeError):
-        hash(first)
+    case = Case("a", "item", "1", "1", "pass")
+    first, second = Report("eigen", P, [case]), Report("eigen", P, iter([case]))
+    assert first.cases == (case,) and type(second.cases) is tuple
+    assert first == second and hash(first) == hash(second)
+    assert Report("eigen", P) != first
+    assert repr(Report("eigen", P)) == (
+        "Report(suite='eigen', params=KrallParams(A=Fraction(1, 1), B=Fraction(2, 1)), cases=())"
+    )
+    for field, value in (("cases", ()), ("suite", "gram")):
+        with pytest.raises(AttributeError):
+            setattr(first, field, value)
+    assert not hasattr(first, "add") and not hasattr(first, "extend")
 
 
 #: one instance of every value class, by class name
