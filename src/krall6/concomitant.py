@@ -143,12 +143,13 @@ def log_probe(endpoint: int, params: KrallParams) -> EndpointFn:
     return EndpointFn.log_poly_near(endpoint, _probe_poly(endpoint, params))
 
 
-def boundary_condition_functions(params: KrallParams) -> list[EndpointFn]:
-    """The four piecewise weights generating the operator's boundary conditions.
+@functools.lru_cache(maxsize=64)
+def boundary_condition_functions(params: KrallParams) -> tuple[EndpointFn, ...]:
+    """The four piecewise weights generating the operator's boundary conditions (memoised).
 
     Order: w^2 near +1, w^2 near -1, w near +1, w near -1.
     """
-    return [weight_sq_near(1), weight_sq_near(-1), weight_near(1), weight_near(-1)]
+    return weight_sq_near(1), weight_sq_near(-1), weight_near(1), weight_near(-1)
 
 
 def partial_gkn_pair() -> list[EndpointFn]:
@@ -262,6 +263,19 @@ def _quasi_at(f, endpoint: int, params: KrallParams, j: int) -> Fraction:
     return Fraction(-quasi[j] if j % 2 else quasi[j], d)
 
 
+def _bracket_parts(f, g, endpoint: int, params: KrallParams, c=0, c2=0) -> tuple[int, int] | None:
+    """[f - c, g - c2](e) = [f, g](e) - c2 B[f](e) + c B[g](e), c and c2 rational constants, as
+    (numerator, denominator) from the records at e (None unless f and g both have one)."""
+    fv, gv = _record_at(f, endpoint, params), _record_at(g, endpoint, params)
+    if fv is None or gv is None:
+        return None
+    (f_den, f_values, f_quasi), (g_den, g_values, g_quasi) = fv, gv
+    q, q2 = c.denominator, c2.denominator
+    dot = (sum(map(mul, f_quasi, g_values)) - sum(map(mul, g_quasi, f_values))) * q * q2
+    shifts = g_quasi[0] * f_den * c.numerator * q2 - f_quasi[0] * g_den * c2.numerator * q
+    return dot + shifts, f_den * g_den * q * q2
+
+
 def concomitant(f, g, endpoint: int, params: KrallParams) -> Fraction:
     """Endpoint limit of the bilinear concomitant [f, g](endpoint).
 
@@ -274,10 +288,9 @@ def concomitant(f, g, endpoint: int, params: KrallParams) -> Fraction:
     detail names the endpoint and the lines (numbered from 1, in the order
     of the module docstring) that diverge on their own.
     """
-    fv, gv = _record_at(f, endpoint, params), _record_at(g, endpoint, params)
-    if fv is not None and gv is not None:
-        (f_den, f_values, f_quasi), (g_den, g_values, g_quasi) = fv, gv
-        return Fraction(sum(map(mul, f_quasi, g_values)) - sum(map(mul, g_quasi, f_values)), f_den * g_den)
+    parts = _bracket_parts(f, g, endpoint, params)
+    if parts is not None:
+        return Fraction(*parts)
     lines = _concomitant_lines(germ_at(f, endpoint), germ_at(g, endpoint), params)
     try:
         return sum(lines[1:], lines[0]).limit()

@@ -13,7 +13,11 @@ Building blocks:
   * `omega(f)  = (-A [f,1](-1), B [f,1](+1))` -- the boundary coupling map,
     returned as the pair (a, b);
   * `extended_symplectic(u, v) = [f,g]_H - <Omega f, (a_v,b_v)> + <(a_u,b_u), Omega g>`
-    where [f,g]_H = [f,g](1) - [f,g](-1) is the base symplectic form;
+    where [f,g]_H = [f,g](1) - [f,g](-1) is the base symplectic form.  As [f,1](e) = B[f](e),
+    it is sum_{e=+-1} e [f - c_e, g - c'_e](e), c_-1 = a_u, c_+1 = b_u (c' from v): each
+    coordinate folds into the value slot f(e) of an endpoint record, so two functions
+    with records at both endpoints take two integer dot products and one Fraction, with
+    no A or B; a log probe (no record) takes the formula through `omega` and `w_inner`;
   * GKN verification: a candidate family is admissible when all pairwise
     extended brackets vanish (`gkn_symmetry_check`) and is certified linearly
     independent modulo the minimal domain by a nonsingular probe matrix
@@ -35,11 +39,13 @@ Building blocks:
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from fractions import Fraction
 
 from . import linalg
 from .concomitant import (
+    _bracket_parts,
     boundary_condition_functions,
     concomitant_with_one,
     quasi_derivative_at,
@@ -71,7 +77,11 @@ GknCandidate = ExtendedVector
 
 
 def extended_symplectic(u: ExtendedVector, v: ExtendedVector, params: KrallParams) -> Fraction:
-    """[(f,a,b),(g,a',b')] = [f,g]_H - <Omega f, (a',b')> + <(a,b), Omega g>."""
+    """[(f,a,b),(g,a',b')] = [f,g]_H - <Omega f, (a',b')> + <(a,b), Omega g>, read off the
+    endpoint records as [f - b, g - b'](+1) - [f - a, g - a'](-1) where both have them."""
+    lo, hi = (_bracket_parts(u.fn, v.fn, e, params, c, c2) for e, c, c2 in ((-1, u.a, v.a), (1, u.b, v.b)))
+    if lo is not None and hi is not None:
+        return Fraction(hi[0] * lo[1] - lo[0] * hi[1], hi[1] * lo[1])
     base = symplectic_form(u.fn, v.fn, params)
     omega_u, omega_v = omega(u.fn, params), omega(v.fn, params)
     return base - w_inner(omega_u, (v.a, v.b), params) + w_inner((u.a, u.b), omega_v, params)
@@ -79,11 +89,7 @@ def extended_symplectic(u: ExtendedVector, v: ExtendedVector, params: KrallParam
 
 def gkn_symmetry_check(candidates: Sequence[ExtendedVector], params: KrallParams) -> dict:
     """All pairwise extended brackets; admissible iff every one is zero."""
-    n = len(candidates)
-    values = [
-        [extended_symplectic(candidates[i], candidates[j], params) for j in range(n)]
-        for i in range(n)
-    ]
+    values = [[extended_symplectic(u, v, params) for v in candidates] for u in candidates]
     return {"brackets": values, "all_zero": all(v == 0 for row in values for v in row)}
 
 
@@ -115,10 +121,7 @@ def independence_certificate(
     """
     if len(probes) != len(candidates):
         raise ValueError("need exactly one probe per candidate")
-    matrix = [
-        [extended_symplectic(p, c, params) for c in candidates]
-        for p in probes
-    ]
+    matrix = [[extended_symplectic(p, c, params) for c in candidates] for p in probes]
     det = linalg.determinant(matrix)
     return IndependenceCertificate(tuple(tuple(r) for r in matrix), det, det != 0)
 
@@ -164,12 +167,14 @@ def domain_membership(u: ExtendedVector, params: KrallParams) -> tuple[bool, dic
     return direct_ok, {"conditions": direct, "lam_minus": lam_minus, "lam_plus": lam_plus}
 
 
+@functools.lru_cache(maxsize=256)
 def apply_extended(u: ExtendedVector, params: KrallParams) -> ExtendedVector:
     """Apply the extended operator: (f,a,b) |-> (l[f], -Omega f).
 
     The vector must lie in the domain (else `NotInDomainError`).  Both the
     -Omega form and the explicit endpoint form, (A, -B) times
     `reduced_concomitant(f, 1, .)` at (-1, +1), are computed and must agree.
+    Memoised, so T is applied once per distinct vector and params.
     """
     ok, witness = domain_membership(u, params)
     if not ok:
@@ -211,15 +216,9 @@ def operator_matrix(n_max: int, params: KrallParams) -> list[list[Fraction]]:
         for j, v in enumerate(row):
             if i != j and v != 0:
                 raise AssertionError(f"Gram matrix not diagonal at ({i},{j})")
-    polys = [eigen_polynomial(n, params) for n in range(n_max + 1)]
-    images = [apply_extended(embed(p), params) for p in polys]
-    out = []
-    for m in range(n_max + 1):
-        row = []
-        for n in range(n_max + 1):
-            row.append(extended_inner(images[m], embed(polys[n]), params) / gram[n][n])
-        out.append(row)
-    return out
+    vectors = [embed(eigen_polynomial(n, params)) for n in range(n_max + 1)]
+    images = [apply_extended(u, params) for u in vectors]
+    return [[extended_inner(t, u, params) / gram[n][n] for n, u in enumerate(vectors)] for t in images]
 
 
 def operator_symmetry_gaps(

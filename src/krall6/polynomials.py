@@ -97,10 +97,10 @@ def parse_rational(text: str) -> Fraction:
     digits = num_text[1:] if num_text[:1] in ("-", "+") else num_text
     if not (text.isascii() and digits.isdigit() and (den_text.isdigit() or not slash)):
         raise ValueError(f"expected an integer p or a fraction p/q, got {text!r}")
-    den = int(den_text or 1)
+    num, den = _integer(digits), _integer(den_text) if slash else 1
     if den == 0:
         raise ValueError(f"denominator must be positive in {text!r}")
-    return Fraction(int(num_text), den)
+    return Fraction(-num if num_text[:1] == "-" else num, den)
 
 
 #: Decimal digits per piece in `_decimal`: below the least int-to-str limit
@@ -121,6 +121,15 @@ def _decimal(n: int) -> str:
         n, low = divmod(n, _PIECE)
         pieces.append(f"{low:0{_PIECE_DIGITS}d}")
     return sign + str(n) + "".join(reversed(pieces))
+
+
+def _integer(digits: str) -> int:
+    """The int of an ASCII digit run of any length, read in `_PIECE_DIGITS`-digit pieces (as `_decimal`)."""
+    head = len(digits) % _PIECE_DIGITS or _PIECE_DIGITS
+    n = int(digits[:head])
+    for i in range(head, len(digits), _PIECE_DIGITS):
+        n = n * _PIECE + int(digits[i : i + _PIECE_DIGITS])
+    return n
 
 
 def format_rational(value: Scalar) -> str:

@@ -3,7 +3,10 @@
 A report is one suite's outcome: a tuple of cases, each with exact lhs/rhs
 text and a verdict in {pass, fail, inconclusive}.  Rendering is fully
 deterministic (cases sorted by name, no timestamps anywhere in the body);
-the CLI writes an optional sidecar file for the single run timestamp.
+the CLI writes an optional sidecar file for the single run timestamp.  The
+bundle is rendered in one pass over the cases' fields, each string through
+the C escaper `json.dumps` uses, into fixed indentation templates, and the
+bytes are those of `json.dumps(<the bundle as dicts>, indent=2) + "\n"`.
 
 JSON schema per report:
 
@@ -18,8 +21,8 @@ CSV matrices are row-major with exact "p/q" cells, comma-separated.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .operator import KrallParams
 from .polynomials import Poly, format_rational
@@ -58,16 +61,6 @@ class Case(Value):
         _set(self, "verdict", verdict)
         _set(self, "witness", witness)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "paper_item": self.paper_item,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "verdict": self.verdict,
-            "witness": self.witness,
-        }
-
 
 def make_case(name: str, paper_item: str, lhs, rhs, witness=None, inconclusive: bool = False) -> Case:
     """Case with verdict from exact lhs == rhs comparison (unless inconclusive)."""
@@ -95,9 +88,6 @@ class Report(Value):
         _set(self, "params", params)
         _set(self, "cases", tuple(cases))
 
-    def sorted_cases(self) -> list:
-        return sorted(self.cases, key=lambda c: c.name)
-
     def count(self, verdict: str) -> int:
         return sum(1 for c in self.cases if c.verdict == verdict)
 
@@ -105,25 +95,34 @@ class Report(Value):
     def failed(self) -> int:
         return self.count("fail")
 
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "params": {"A": format_rational(self.params.A), "B": format_rational(self.params.B)},
-            "cases": [c.to_dict() for c in self.sorted_cases()],
-            "passed": self.count("pass"),
-            "failed": self.count("fail"),
-            "inconclusive": self.count("inconclusive"),
-        }
+
+#: A case, a report and the bundle's tail as `json.dumps(indent=2)` lays them out in the bundle.
+_CASE = (
+    '\n        {\n          "name": %s,\n          "paper_item": %s,\n          "lhs": %s,'
+    '\n          "rhs": %s,\n          "verdict": %s,\n          "witness": %s\n        }'
+)
+_REPORT = (
+    '\n    {\n      "suite": %s,\n      "params": {\n        "A": %s,\n        "B": %s\n      },'
+    '\n      "cases": [%s%s,\n      "passed": %d,\n      "failed": %d,\n      "inconclusive": %d\n    }'
+)
+_TAIL = '%s,\n  "summary": {\n    "passed": %d,\n    "failed": %d,\n    "inconclusive": %d\n  }\n}\n'
 
 
 def bundle_to_json(reports: list[Report]) -> str:
-    """Deterministic JSON for a list of reports (byte-identical across reruns)."""
-    dicts = [r.to_dict() for r in reports]
-    payload = {
-        "reports": dicts,
-        "summary": {key: sum(d[key] for d in dicts) for key in ("passed", "failed", "inconclusive")},
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """Deterministic JSON for a list of reports, in one pass (see the module docstring)."""
+    out, totals = ['{\n  "reports": ['], [0, 0, 0]
+    for i, r in enumerate(reports):
+        cases = ",".join([
+            _CASE % (_quote(c.name), _quote(c.paper_item), _quote(c.lhs), _quote(c.rhs), _quote(c.verdict),
+                     "null" if c.witness is None else _quote(c.witness))
+            for c in sorted(r.cases, key=lambda c: c.name)
+        ])
+        counts = [r.count(verdict) for verdict in ("pass", "fail", "inconclusive")]
+        totals = [t + n for t, n in zip(totals, counts)]
+        A, B = (_quote(format_rational(v)) for v in (r.params.A, r.params.B))
+        out += ("," if i else "", _REPORT % (_quote(r.suite), A, B, cases, "\n      ]" if cases else "]", *counts))
+    out.append(_TAIL % ("\n  ]" if reports else "]", *totals))
+    return "".join(out)
 
 
 def matrix_to_csv(matrix) -> str:

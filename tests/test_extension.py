@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krall6.concomitant import (
     boundary_condition_functions,
@@ -11,6 +13,8 @@ from krall6.concomitant import (
     one_near,
     partial_gkn_pair,
     probe_functions,
+    quasi_probe,
+    symplectic_form,
     weight_near,
 )
 from krall6 import extension
@@ -90,6 +94,71 @@ def test_extended_symplectic_antisymmetry():
     for i, u in enumerate(pool):
         for v in pool[i:]:
             assert extended_symplectic(u, v, params) == -extended_symplectic(v, u, params)
+
+
+def bracket_by_definition(u, v, params):
+    """The reference: [f,g]_H - <Omega f, (a',b')> + <(a,b), Omega g>."""
+    return (
+        symplectic_form(u.fn, v.fn, params)
+        - w_inner(omega(u.fn, params), (v.a, v.b), params)
+        + w_inner((u.a, u.b), omega(v.fn, params), params)
+    )
+
+
+rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 7))
+positive = st.builds(Fraction, st.integers(1, 30), st.integers(1, 7))
+polys = st.lists(rationals, max_size=10).map(Poly)
+vectors = st.builds(ExtendedVector, polys, rationals, rationals)
+
+
+@settings(max_examples=80, deadline=None)
+@given(vectors, vectors, st.builds(KrallParams, positive, positive))
+def test_extended_bracket_of_polynomials_equals_its_definition(u, v, params):
+    bracket = extended_symplectic(u, v, params)
+    assert bracket == bracket_by_definition(u, v, params)
+    assert extended_symplectic(v, u, params) == -bracket
+
+
+def _endpoint_pool(params, rng):
+    """Boundary functions, probes and piecewise functions with random rational coordinates;
+    the log-bearing ones have no endpoint record, so they take the defining formula."""
+    functions = list(boundary_condition_functions(params)) + list(partial_gkn_pair())
+    for e in (1, -1):
+        functions += [quasi_probe(e, params), log_probe(e, params), weight_near(e)]
+        mixed = Fraction(rng.randint(-5, 5), 3) * log_probe(e, params) + EndpointFn.poly_near(e, X**3)
+        functions.append(mixed)
+    functions += seeded(3, seed=rng.randint(0, 99))
+    coordinate = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5))  # noqa: E731
+    return [ExtendedVector(f, coordinate(), coordinate()) for f in functions]
+
+
+@pytest.mark.parametrize("params", PARAM_PAIRS + [KrallParams(Fraction(1, 3), Fraction(7, 2))])
+def test_extended_bracket_of_endpoint_functions_equals_its_definition(params):
+    pool = _endpoint_pool(params, random.Random(str(params)))
+    pool += [ExtendedVector.plain(y) for y in boundary_condition_functions(params)]
+    for u in pool:
+        for v in pool:
+            bracket = extended_symplectic(u, v, params)
+            assert bracket == bracket_by_definition(u, v, params)
+            assert extended_symplectic(v, u, params) == -bracket
+
+
+def test_extended_bracket_takes_the_defining_formula_only_for_a_log_probe(monkeypatch):
+    params = KrallParams(Fraction(1, 3), Fraction(7, 2))
+    calls = []
+
+    def counting(f, p):
+        calls.append(f)
+        return omega(f, p)
+
+    monkeypatch.setattr(extension, "omega", counting)
+    y = ExtendedVector(boundary_condition_functions(params)[2], Fraction(1, 2), -3)
+    smooth = ExtendedVector(X**4 - X, Fraction(2, 7), 5)
+    assert extended_symplectic(smooth, y, params) == bracket_by_definition(smooth, y, params)
+    assert calls == []  # read off the endpoint records, with no Omega
+    h = ExtendedVector(log_probe(-1, params), 1, Fraction(-4, 9))
+    assert extended_symplectic(h, smooth, params) == bracket_by_definition(h, smooth, params)
+    assert calls == [h.fn, smooth.fn]
 
 
 @pytest.mark.parametrize("params", PARAM_PAIRS)
@@ -263,6 +332,19 @@ def test_operator_symmetry_gaps_apply_the_operator_once_per_vector(monkeypatch):
     gaps = operator_symmetry_gaps(vectors, pairs, params)
     assert gaps == by_definition(skewed)
     assert any(g != 0 for g in gaps)
+
+
+def test_operator_is_applied_once_per_distinct_vector():
+    params = KrallParams(Fraction(5, 3), Fraction(2, 7))  # used by no other test, so nothing is cached
+    before = apply_extended.cache_info()
+    for n in range(5):
+        result = eigen_verify(n, params)
+        assert result["fn_ok"] and result["a_ok"] and result["b_ok"]
+    operator_matrix(4, params)
+    after = apply_extended.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (5, 5)
+    ys = boundary_condition_functions(params)
+    assert type(ys) is tuple and boundary_condition_functions(KrallParams(Fraction(5, 3), Fraction(2, 7))) is ys
 
 
 def test_endpoint_values_of_expression_match_operator_form():

@@ -68,6 +68,46 @@ def test_format_rational_at_any_size():
         assert format_rational(f) == f"{unlimited_str(f.numerator)}/{unlimited_str(f.denominator)}"
 
 
+@pytest.mark.parametrize("sign", (1, -1))
+def test_parse_rational_reads_back_any_size(sign):
+    big = 10**5000 + 1  # 5,001 digits, past the default int-to-str limit of 4,300
+    sevens = 7 * (10**5000 - 1) // 9  # 5,000 sevens
+    for value in (
+        Fraction(sign * big, 3),
+        Fraction(sign * 3, big),
+        Fraction(sign * sevens, big),
+        Fraction(sign * big),
+        Fraction(sign * (10**5120 + 7), 7**6000 + 2),
+    ):
+        text = format_rational(value)
+        assert parse_rational(text) == value
+        assert parse_rational("  " + text + "\n") == value
+    assert parse_rational("+" + "0" * 4999 + "12/" + "0" * 5000 + "4") == 3
+    with pytest.raises(ValueError, match="p/q"):
+        parse_rational(format_rational(Fraction(sign * big, 3)) + "_0")
+    with pytest.raises(ValueError, match="positive"):
+        parse_rational(format_rational(sign * big) + "/" + "0" * 5000)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit")
+def test_parse_rational_reads_back_any_size_at_the_least_limit():
+    script = (
+        "import sys; from fractions import Fraction; import krall6; "
+        "v = Fraction(-(10**5000 + 1), 3 * 10**700 + 1); "
+        "assert krall6.parse_rational(krall6.format_rational(v)) == v; "
+        "assert sys.get_int_max_str_digits() == 640"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=640", "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit")
 def test_import_leaves_the_int_str_limit_alone():
     # the least limit Python accepts; rendering must still work and the limit stay put
