@@ -45,7 +45,8 @@ multiplies D and the window by P^2 (P the scaled pivot) and divides all by
 g = gcd(P^2, e_n, c_n), which keeps D at the size of the reduced
 coefficients (2,073-2,272 bits at order 120 for A = 1/100, B = 3, the same
 as the full gcd of D and the window, against 9,991-10,389 without either).
-`Poly._ratios` emits the (numerator, D) pairs; no `Fraction` is built.
+`Poly._emit` brings the numerators to the last D by the factors P^2/g; no
+`Fraction` is built.
 
 A solution is y = t^r (C(t) + E(t) ln|t|), C and E the `Poly`s whose t^m
 coefficients are c_m and e_m.  With theta = t d/dt, rho(r+theta) scales the
@@ -193,6 +194,7 @@ def _solve_single(local: LocalExpression, label: str, order: int) -> SeriesSolut
     and T0 = sum (C v_d + E s_d) over the window, P and S0 the scaled pivot and
     its slope, the new pair is e_n = -T1 P and c_n = T1 S0 - T0 P over den P^2;
     den and the window are rescaled by P^2, and all divided by gcd(P^2, e_n, c_n).
+    `Poly._emit` brings every numerator to the last den by the factors P^2/g.
     """
     r, with_log, targets = _SOLUTIONS[label]
     pivots = [local.at(r + n)[0][0] for n in range(order + 1)]
@@ -246,13 +248,13 @@ def _solve_single(local: LocalExpression, label: str, order: int) -> SeriesSolut
         rows.setdefault(i, Poly.monomial(i))
     e, c = [reduce(form)[0] for form in e], [reduce(form)[0] for form in c]
 
-    # (numerator, denominator) of each coefficient of C and of E
-    pairs = [[(f.numerator, f.denominator) for f in level] for level in (c, e)]
+    # the coefficients so far as numerators over one denominator, the first factor
+    den = math.lcm(*(f.denominator for f in e + c))
+    e, c = ([f.numerator * (den // f.denominator) for f in level] for level in (e, c))
+    factors = [den] + [1] * settle
     # window[-d] is the numerator of the coefficient d orders back; zeros before offset 0
     width = max(local.stencil)
     ew, cw = ([0] * width + e)[-width:], ([0] * width + c)[-width:]
-    den = math.lcm(*(f.denominator for f in ew + cw))
-    ew, cw = ([f.numerator * (den // f.denominator) for f in w] for w in (ew, cw))
     for n in range(settle + 1, order + 1):
         t1 = t0 = 0
         for d in local.stencil:
@@ -266,11 +268,11 @@ def _solve_single(local: LocalExpression, label: str, order: int) -> SeriesSolut
         rescale = pivot * pivot // g  # den and the window times P^2, everything over g
         ew = [x * rescale for x in ew[1:]] + [new_e // g]
         cw = [x * rescale for x in cw[1:]] + [new_c // g]
-        den *= rescale
-        pairs[0].append((cw[-1], den))
-        pairs[1].append((ew[-1], den))
+        e.append(ew[-1])
+        c.append(cw[-1])
+        factors.append(rescale)
 
-    return SeriesSolution(local.center, r, label, order, tuple(map(Poly._ratios, pairs)))
+    return SeriesSolution(local.center, r, label, order, Poly._emit(factors, c, e))
 
 
 def series_solution(endpoint: int, label: str, order: int, params: KrallParams) -> SeriesSolution:

@@ -70,6 +70,9 @@ class UnspecifiedInteriorError(TypeError):
 
 
 def _check_endpoint(endpoint: int) -> int:
+    """The int -1 or +1; `True` and `1.0` equal 1, so a memo keyed by the endpoint would answer them."""
+    if type(endpoint) is not int:
+        raise TypeError(f"endpoint must be the int -1 or +1, got {type(endpoint).__name__}")
     if endpoint not in (-1, 1):
         raise ValueError("endpoint must be -1 or +1")
     return endpoint

@@ -385,7 +385,7 @@ def eigen_polynomial(n: int, params: KrallParams) -> Poly:
     q rho_j(m) of `local_expression(0, params)` (rows 0..n, each worked out
     once per params), the window holds numerators over one denominator,
     each step multiplies both by the scaled pivot P and divides by
-    gcd(P, new numerator), and `Poly._ratios` emits the coefficients.
+    g = gcd(P, new numerator), and `Poly._emit` emits the coefficients.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -401,17 +401,17 @@ def eigen_polynomial(n: int, params: KrallParams) -> Poly:
     if diagonal[n] != scaled_lam:
         raise ValueError(f"no eigenpolynomial of degree {n}: lambda = {format_rational(lam)} is not rho_0({n})")
     shifts = [top - d for d in local.stencil if d < top]
-    window = [1] + [0] * (max(shifts) - 1)  # window[j-1]: the numerator of c_(m+j) over den
-    den, pairs = 1, [(1, 1)]
+    window = [1] + [0] * (max(shifts) - 1)  # window[j-1]: the numerator of c_(m+j)
+    nums, factors = [1], [1]  # from c_n down, each over the running denominator
     for m in range(n - 1, -1, -1):
         pivot = diagonal[m] - diagonal[n]
         # a zero window entry (c_(m+j) = 0, as for every m+j > n) reads no row
         new = -sum(local.at(m + j)[top - j][0] * window[j - 1] for j in shifts if window[j - 1])
         g = math.gcd(pivot, new)
         window = [new // g] + [x * (pivot // g) for x in window[:-1]]
-        den *= pivot // g
-        pairs.append((window[0], den))
-    return Poly._ratios(pairs[::-1])
+        nums.append(window[0])
+        factors.append(pivot // g)
+    return Poly._emit(factors, nums, descending=True)[0]
 
 
 @functools.lru_cache(maxsize=4096)

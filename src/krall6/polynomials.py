@@ -11,7 +11,11 @@ positive int.  The invariant is gcd(n_0, ..., n_d, den) = 1, so each value
 has exactly one representation and equality is a comparison of the two
 fields.  The zero polynomial is `_n = ()`, `_d = 1`; its degree is the
 sentinel ``None``.  Every value is built by `Poly._make(ints, den)`, which
-strips and normalises.  Arithmetic runs on the integers: sums bring both
+strips and normalises.  `Poly._emit` brings a recurrence's numerators over
+one growing denominator to the last one, by one backward pass of products of
+the per-step factors (no lcm, no division); `_make`'s gcd starts at the top
+coefficient, a series' newest, which the recurrence has just cut back, so it
+is small after one step.  Arithmetic runs on the integers: sums bring both
 sides to one denominator, products convolve the numerators over the product
 of the denominators, derivatives scale the numerators, `scaled_sum` adds
 shifted, term-by-term scaled polynomials over one denominator with a single
@@ -71,6 +75,7 @@ import math
 import operator
 from collections.abc import Iterable
 from fractions import Fraction
+from itertools import accumulate
 
 from .values import Value
 
@@ -167,6 +172,15 @@ class Poly(Value):
         return Poly._make([n * (den // d) for n, d in pairs], den)
 
     @staticmethod
+    def _emit(factors, *levels, descending: bool = False) -> tuple["Poly", ...]:
+        """One Poly per level: levels[j][k] is the x^k coefficient (x^(len-1-k) if `descending`)
+        over the denominator factors[0] ... factors[k] (nonzero ints); see the module docstring."""
+        scales = list(accumulate(factors[:0:-1], operator.mul, initial=1))[::-1]
+        den = scales[0] * factors[0]
+        step = -1 if descending else 1
+        return tuple(Poly._make(list(map(operator.mul, level, scales))[::step], den) for level in levels)
+
+    @staticmethod
     def _make(ints, den: int) -> "Poly":
         """The polynomial sum(ints[i] x^i) / den (den != 0), in normal form."""
         size = len(ints)
@@ -175,7 +189,8 @@ class Poly(Value):
         if not size:
             ints, den = (), 1
         else:
-            g = math.gcd(den, *ints[:size]) if den != 1 else 1
+            # top coefficient first; zeros past it add nothing to the gcd, so `ints` needs no slice
+            g = math.gcd(ints[size - 1], den, *ints) if den != 1 else 1
             if den < 0:
                 g = -g
             if g != 1:

@@ -191,6 +191,18 @@ def test_deep_dump_digests_are_pinned(capsys, selector):
     assert hashlib.sha256(out.encode()).hexdigest() == DEEP_DUMP_SHA256[selector]
 
 
+#: sha256 of the order-200 phi-0 series at -1 at A = 1/10^6, B = 10^6/7 (902,899 bytes), whose
+#: numerators and denominators run to thousands of bits: the solver's largest ints, byte for byte.
+EXTREME_SERIES_SHA256 = "9a500169d2a0be902efb70c598bfa2e754d02396e8359235d29188a68c6a9c68"
+
+
+def test_extreme_rational_series_dump_is_pinned(capsys):
+    argv = ("dump", "series", "phi-0", "-1", "--order", "200", "--A", "1/1000000", "--B", "1000000/7")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXTREME_SERIES_SHA256
+
+
 def test_gram_csv_matrix(capsys):
     code, out, _ = run_cli(capsys, "dump", "matrix", "gram", "--A", "1", "--B", "2", "--nmax", "2")
     assert code == 0

@@ -522,8 +522,8 @@ def test_integer_window_matches_fraction_reference_at_order_120(endpoint):
 
 
 def test_solver_builds_no_fraction_past_settle(monkeypatch):
-    """Past `settle` the window stays ints and `Poly._ratios` emits them: no order adds a
-    `Fraction`, so order 120 builds as many as order 40."""
+    """Past `settle` the window stays ints and `Poly._emit` brings them to the last
+    denominator: no order adds a `Fraction`, so order 120 builds as many as order 40."""
     local = local_expression(1, KrallParams(Fraction(1, 100), 3))
     built = []
 

@@ -17,9 +17,12 @@ from krall6.germs import (
     germ_at,
     value_at,
 )
-from krall6.concomitant import greens_formula_check, quasi_derivative
+from krall6 import concomitant as con
+from krall6 import germs
+from krall6.concomitant import concomitant, greens_formula_check, quasi_derivative
+from krall6.frobenius import MIN_ORDER, series_solution
 from krall6.inner_products import expansion_coefficients, expansion_reconstruction, kappa_inner
-from krall6.operator import KrallParams, apply_legendre_type
+from krall6.operator import KrallParams, apply_legendre_type, local_expression
 from krall6.polynomials import Poly, RationalFn
 
 W = Poly([1, 0, -1])
@@ -141,6 +144,32 @@ def test_readers_take_scalars_and_reject_other_types():
             value_at(None, e)
     with pytest.raises(ValueError):
         value_at(Poly.x(), 0)
+
+
+#: every entry point that takes an endpoint, called at `e`
+ENDPOINT_READERS = {
+    "series_solution": lambda e: series_solution(e, "phi-3", MIN_ORDER, KrallParams(1, 2)),
+    "germ_at": lambda e: germ_at(W, e),
+    "value_at": lambda e: value_at(W, e),
+    "concomitant": lambda e: concomitant(W, Poly.x(), e, KrallParams(1, 2)),
+    "concomitant-of-germs": lambda e: concomitant(
+        EndpointFn.log_poly_near(1, W), EndpointFn.log_poly_near(1, W), e, KrallParams(1, 2)
+    ),
+    "LogGerm": lambda e: LogGerm(e, {0: RationalFn(W)}),
+}
+
+
+@pytest.mark.parametrize("warm", (False, True), ids=("cold", "warm"))
+@pytest.mark.parametrize("endpoint", (1.0, True), ids=repr)
+def test_endpoint_must_be_an_int(endpoint, warm):
+    # both equal 1, and 1.0 hashes as 1, so a warm memo keyed by the endpoint would answer for it
+    for memo in (local_expression, con._poly_records, con._endpoint_values, con._germ_chain, germs._derivative):
+        memo.cache_clear()
+    for call in ENDPOINT_READERS.values():
+        if warm:
+            call(1)
+        with pytest.raises(TypeError, match="endpoint must be the int -1 or \\+1"):
+            call(endpoint)
 
 
 P12 = KrallParams(1, 2)

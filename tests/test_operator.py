@@ -128,6 +128,29 @@ def test_power_stencil_at_zero_is_the_monomial_action():
             assert stencil[0](m) == eigenvalue(m, params)
 
 
+STENCIL_PAIRS = [
+    KrallParams(1, 2),
+    KrallParams(Fraction(1, 100), 3),
+    KrallParams(Fraction(1, 3), Fraction(7, 2)),
+    KrallParams(5, 5),
+]
+
+
+@pytest.mark.parametrize("center", (-1, 0, 1))
+@pytest.mark.parametrize("params", STENCIL_PAIRS, ids=KrallParams.label)
+def test_power_stencil_is_the_expression_at_every_centre(params, center):
+    """A proof of the stencil at the centre, not a sample: each rho_shift has degree at most
+    the order 6 in s, so agreement with `apply_expression` on (x - e)^s at s = 0..6, with
+    rho_shift(s) = 0 wherever s + shift < 0, holds at every s, negative s included."""
+    stencil = power_stencil(params, center)
+    assert max(rho.degree for rho in stencil.values()) <= 6
+    t = Poly([-center, 1])  # x - e
+    for s in range(7):
+        assert all(rho(s) == 0 for shift, rho in stencil.items() if s + shift < 0)
+        image = sum((rho(s) * t ** (s + shift) for shift, rho in stencil.items() if s + shift >= 0), Poly())
+        assert image == apply_expression(t**s, params)
+
+
 def test_eigen_identity_batch():
     for params in PARAM_PAIRS + EXTRA_PAIRS:
         for n in range(25):

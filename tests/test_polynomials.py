@@ -1,9 +1,11 @@
 """Exact polynomial and rational-function algebra."""
 
 import math
+import operator
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -665,3 +667,32 @@ def test_ratios_constructor_matches_fraction_route(pairs, trailing):
     got = Poly._ratios(pairs)
     assert_normal_form(got)
     assert got == Poly([Fraction(n, d) for n, d in pairs])
+
+
+#: per-step factors of a running denominator: 1, small ints, and about 2,000 bits, either sign
+emission_factors = st.one_of(
+    st.just(1),
+    st.integers(-40, 40).filter(bool),
+    st.builds(operator.mul, st.sampled_from((1, -1)), st.integers(2**1990, 2**2010)),
+)
+emission_numerators = st.one_of(st.just(0), st.integers(-10**30, 10**30), st.integers(-(2**2000), 2**2000))
+emission_steps = st.lists(st.tuples(emission_factors, emission_numerators, emission_numerators), min_size=1, max_size=9)
+
+
+@given(emission_steps, st.booleans(), st.booleans())
+@example([(7, 0, 0)], False, False)
+@example([(1, 3, -2)], True, True)
+@example([(1, 1, 0), (2**2000 + 1, -5, 0), (1, 0, 0)], True, False)
+@settings(max_examples=80, deadline=None)
+def test_emit_matches_ratios_over_the_running_denominators(steps, descending, zero_level):
+    # step k multiplies the denominator by factors[k] and produces one numerator per level over it;
+    # ascending is a series' order, descending K_n's (from x^n down)
+    factors = [f for f, _, _ in steps]
+    levels = [[a for _, a, _ in steps], [0 if zero_level else b for _, _, b in steps]]
+    dens = list(accumulate(factors, operator.mul))
+    got = Poly._emit(factors, *levels, descending=descending)
+    assert len(got) == len(levels)
+    for p, level in zip(got, levels):
+        assert_normal_form(p)
+        pairs = list(zip(level, dens))
+        assert p == Poly._ratios(pairs[::-1] if descending else pairs)
