@@ -6,8 +6,8 @@ the shape
     sum_k  r_k(x) * L(x)^k,        L(x) = ln(1 - x^2),
 
 with finitely many log powers k >= 0 and rational-function coefficients r_k.
-Every r_k is q (1-x)^s (1+x)^t with s, t <= 0: the inputs are polynomials,
-and the only divisor ever introduced is 1 - x^2, by d/dx L = -2x/(1-x^2).
+Every r_k is q / (1-x^2)^j with j >= 0: the inputs are polynomials, and the
+only divisor ever introduced is 1 - x^2, by d/dx L = -2x/(1-x^2).
 `LogGerm` stores that shape in normal form (one `RationalFn` in that form
 per log power, zero terms dropped), which makes cancellation structural:
 endpoint limits reduce to counting orders of vanishing, never to symbolic
@@ -19,10 +19,9 @@ ord_0 >= 0 and ord_k >= 1 for every k >= 1 (u^m ln^k u -> 0 for m >= 1, while
 a nonvanishing coefficient on a log power diverges).  The value is the
 leading coefficient of r_0 when ord_0 = 0, and 0 when ord_0 > 0 or the
 log-free term is absent.  One `RationalFn.leading_at` call per term gives
-both its order and its leading coefficient: at a pole it reads them off the
-exponent and q(e), and otherwise splits q at the endpoint once.  A failed
-limit raises `DivergentLimitError` -- the typed "outside the limit class"
-outcome.
+both its order and its leading coefficient: it splits q at the endpoint once
+and takes the pole's j off the order.  A failed limit raises
+`DivergentLimitError` -- the typed "outside the limit class" outcome.
 
 Derivatives are memoised by value: `derivative(n)` is served by
 `_derivative`, a `functools.lru_cache` keyed by (germ, n) and bounded at
@@ -49,7 +48,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .polynomials import Poly, RationalFn
+from .polynomials import Poly, RationalFn, _as_poly
 from .values import Value
 
 #: d/dx ln(1 - x^2) = -2x / (1 - x^2)
@@ -79,7 +78,8 @@ def _check_endpoint(endpoint: int) -> int:
 
 
 class LogGerm(Value):
-    """Normal-form germ sum_k r_k(x) L(x)^k at one endpoint."""
+    """Normal-form germ sum_k r_k(x) L(x)^k at one endpoint; a Poly or exact
+    scalar term is read as the polynomial `RationalFn` it equals."""
 
     __slots__ = ("endpoint", "terms", "_hash")
     _fields = ("endpoint", "terms")
@@ -90,6 +90,8 @@ class LogGerm(Value):
         for k, r in (terms or {}).items():
             if k < 0:
                 raise ValueError("log powers must be non-negative")
+            if not isinstance(r, RationalFn):
+                r = RationalFn._coerce(r)
             if not r.is_zero():
                 clean[k] = r
         object.__setattr__(self, "endpoint", endpoint)
@@ -299,14 +301,6 @@ class EndpointFn(Value):
 
     def derivative(self, order: int = 1) -> "EndpointFn":
         return self.map(lambda f: f.derivative(order))
-
-
-def _as_poly(f) -> Poly:
-    """f as a Poly: a Poly itself, or an exact scalar as a constant."""
-    p = Poly._coerce(f)
-    if p is NotImplemented:
-        raise TypeError(f"expected a polynomial, not {type(f).__name__}")
-    return p
 
 
 def _as_global_poly(f, operation: str) -> Poly:

@@ -38,30 +38,30 @@ from (`num`, `den`).  A constant polynomial equals its scalar
 and hashes as its polynomial, so `==` and `hash` agree across the three types.
 
 `RationalFn` exists because differentiating ln(1-x^2) produces
--2x/(1-x^2); see `germs`.  Starting from polynomials, that is the only
-divisor, so every denominator is a power of 1-x times a power of 1+x, and
-the type holds exactly those values:
+-2x/(1-x^2); see `germs`.  Starting from polynomials, w = 1-x^2 is the only
+divisor, so the type holds exactly the values
 
-    r = q (1-x)^s (1+x)^t,    q a Poly,  s, t <= 0,
+    r = q / w^j,    q a Poly,  j >= 0,
 
-with q(1) != 0 when s < 0 and q(-1) != 0 when t < 0.  The form is unique,
-so equality compares the three fields, and a polynomial is (q, 0, 0).  No
+with w not dividing q when j > 0, and zero as (0, 0).  The form is unique,
+so equality compares the two fields, and a polynomial is (q, 0).  No
 operation runs Euclid's algorithm.  A product adds the exponents and a sum
-brings both sides to the lower ones; a factor of q can cancel a pole only
-where the two exponents were equal (sum) or one was 0 (product), and only
-there is q split at the endpoint.  A derivative only deepens a pole, so it
-never splits.  ``RationalFn(num, den)`` splits `den` at +1 and at -1 and
-raises ValueError if anything but a constant is left.  `num` and `den` give
-the Euclid normal form (coprime, `den` monic) that the general quotient
-would have; the tests build that form independently with `poly_gcd` and
-`Poly.divmod`, which no library code calls.
+brings both sides to the higher one; every value is built by `_make`, which
+tests w | q on the integer numerators (q(1) = 0 is a zero sum, q(-1) = 0 a
+zero alternating sum) and only then divides w out, by running sums.  A
+derivative only deepens the pole, so nothing divides out there.
+``RationalFn(num, den)`` splits `den` at +1 and at -1 and raises ValueError
+if anything but a constant is left.  `num` and `den` give the Euclid normal
+form (coprime, `den` monic) that the general quotient would have; the tests
+build that form independently with `poly_gcd` and `Poly.divmod`, which no
+library code calls.
 
 Endpoint limits need only the local behaviour at a root.  `Poly.split_root`
 writes p = (x-c)^m q with q(c) != 0 by synthetic division (over the integer
 numerators when c is an integer) and also returns the value q(c), the
-remainder of its last pass.  `RationalFn.leading_at` at a pole reads the
-valuation off the exponent and the leading coefficient off q(+-1), a sign
-and a power of 2; anywhere else it splits q once.
+remainder of its last pass.  `RationalFn.leading_at` splits q once; at e = +-1
+the pole lowers the valuation by j and divides the leading coefficient by
+(-2e)^j, a sign and a power of 2.
 
 Output text formats (reports, witnesses and dumps):
   rational    "p/q" or "p", q > 0 (`format_rational`)
@@ -535,130 +535,129 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def _cancel(q: Poly, e: int, k: int) -> tuple[Poly, int]:
-    """(q', k') with q (1-ex)^k = q' (1-ex)^k', k <= k' <= 0 and q'(e) != 0 if k' < 0.
-
-    One `split_root` pass at e gives the multiplicity m of the root there; at
-    most -k factors cancel, and any further ones are multiplied back into q'.
-    """
-    m, rest, _ = q.split_root(e)
-    if not m:
-        return q, k
-    c = min(m, -k)
-    if e == 1 and c % 2:
-        rest = -rest  # x - 1 = -(1 - x)
-    if m > c:
-        rest = rest * Poly([-e, 1]) ** (m - c)
-    return rest, k + c
+def _as_poly(f) -> Poly:
+    """f as a Poly: a Poly itself, or an exact scalar as a constant; any other type is a TypeError."""
+    p = Poly._coerce(f)
+    if p is NotImplemented:
+        raise TypeError(f"expected a polynomial, not {type(f).__name__}")
+    return p
 
 
-_U, _V, _UV = Poly([1, -1]), Poly([1, 1]), Poly([1, 0, -1])  # 1-x, 1+x, 1-x^2
-
-
-def _endpoint_power(a: int, b: int) -> Poly:
-    """(1-x)^a (1+x)^b for a, b >= 0."""
-    return _U**a * _V**b
+_W = Poly([1, 0, -1])  # w = 1 - x^2
 
 
 class RationalFn(Value):
-    """r = q (1-x)^s (1+x)^t: a polynomial q and ints s, t <= 0, immutable.
+    """r = q / w^j, w = 1 - x^2: a polynomial q and an int j >= 0, immutable.
 
-    Normal form: q(1) != 0 when s < 0 and q(-1) != 0 when t < 0, and the
-    zero function is q = 0, s = t = 0.  It is unique, so `==` and `hash`
-    compare the fields.  ``RationalFn(num, den)`` accepts any denominator
-    whose roots are all +-1 and raises ValueError for any other.
+    Normal form: w does not divide q when j > 0, and the zero function is
+    q = 0, j = 0.  It is unique, so `==` and `hash` compare the fields.
+    ``RationalFn(num, den)`` accepts any denominator whose roots are all +-1
+    and raises ValueError for any other; an exact scalar for either is a
+    constant, and any other type a TypeError.
     """
 
-    __slots__ = ("q", "s", "t")
+    __slots__ = ("q", "j")
     _fields = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly = _ONE):
+        num, den = _as_poly(num), _as_poly(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        s = t = 0
+        j = 0
         if den.degree:
-            # den = c (x-1)^m (x+1)^n = (-1)^m c (1-x)^m (1+x)^n
-            m, den, _ = den.split_root(1)
-            n, den, _ = den.split_root(-1)
+            # den = c (x-1)^a (x+1)^b and (x-1)(x+1) = -w, so with j = a + b,
+            # num / den = (-1)^j num (x+1)^a (x-1)^b / (c w^j), and `_fill` divides out the rest
+            a, den, _ = den.split_root(1)
+            b, den, _ = den.split_root(-1)
             if den.degree:
                 raise ValueError(f"denominator has a root other than +-1: {den!r} is left")
-            if m % 2:
+            j = a + b
+            num = num * Poly([1, 1]) ** a * Poly([-1, 1]) ** b
+            if j % 2:
                 den = -den
-            s, t = -m, -n
         if den != _ONE:
             num = num * (1 / den[0])
-        self._fill(num, s, t)
+        self._fill(num, j)
 
-    def _fill(self, q: Poly, s: int, t: int, plus: bool = True, minus: bool = True) -> "RationalFn":
-        """Set the fields to the normal form of q (1-x)^s (1+x)^t, s, t <= 0.
+    def _fill(self, q: Poly, j: int) -> "RationalFn":
+        """Set the fields to the normal form of q / w^j, j >= 0.
 
-        q is split only at an endpoint that has a pole and is flagged (`plus`
-        for +1, `minus` for -1) as one where q may vanish.
+        w divides q exactly when q(1) = 0 and q(-1) = 0, read off the integer
+        numerators: their sum and the sum of the even ones are 0.  Then
+        q / w has even (odd) numerators the running sums of q's even (odd)
+        ones, and the test repeats.
         """
-        if not q:
-            s = t = 0
-        else:
-            if s and plus:
-                q, s = _cancel(q, 1, s)
-            if t and minus:
-                q, t = _cancel(q, -1, t)
+        n = q._n
+        if not n:
+            j = 0
+        while j and not sum(n) and not sum(n[::2]):
+            quotient = list(n)
+            quotient[::2], quotient[1::2] = accumulate(n[::2]), accumulate(n[1::2])
+            q, j = Poly._make(quotient, q._d), j - 1
+            n = q._n
         _set(self, "q", q)
-        _set(self, "s", s)
-        _set(self, "t", t)
+        _set(self, "j", j)
         return self
 
     @staticmethod
-    def _make(q: Poly, s: int = 0, t: int = 0, plus: bool = True, minus: bool = True) -> "RationalFn":
-        """A new value q (1-x)^s (1+x)^t in normal form; see `_fill`."""
-        return object.__new__(RationalFn)._fill(q, s, t, plus, minus)
+    def _make(q: Poly, j: int = 0) -> "RationalFn":
+        """A new value q / w^j in normal form; see `_fill`."""
+        return object.__new__(RationalFn)._fill(q, j)
+
+    def _euclid(self) -> tuple[Poly, Poly]:
+        """(num, den) of the Euclid normal form: q / w^j = (-1)^j q / ((x-1)^j (x+1)^j),
+        and since w does not divide q, a root of q cancels at one endpoint at most."""
+        q, j = self.q, self.j
+        if not j:
+            return q, _ONE
+        e = -1 if sum(q._n) else 1
+        m, rest, _ = q.split_root(e)
+        c = min(m, j)
+        num = rest * Poly([-e, 1]) ** (m - c)
+        den = Poly([-e, 1]) ** (j - c) * Poly([e, 1]) ** j
+        return -num if j % 2 else num, den
 
     @property
     def num(self) -> Poly:
-        """Numerator of the Euclid normal form over `den`: (-1)^s q."""
-        return -self.q if self.s % 2 else self.q
+        """Numerator of the Euclid normal form over `den`."""
+        return self._euclid()[0]
 
     @property
     def den(self) -> Poly:
-        """Denominator of the Euclid normal form: the monic (x-1)^-s (x+1)^-t."""
-        if not (self.s or self.t):
-            return _ONE
-        d = _endpoint_power(-self.s, -self.t)
-        return -d if self.s % 2 else d
+        """Denominator of the Euclid normal form: monic, (x-1)^a (x+1)^b."""
+        return self._euclid()[1]
 
     def is_zero(self) -> bool:
         return self.q.is_zero()
 
     def is_polynomial(self) -> bool:
-        return not (self.s or self.t)
+        return not self.j
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalFn):
-            return self.q == other.q and self.s == other.s and self.t == other.t
+            return self.j == other.j and self.q == other.q
         if isinstance(other, (int, Fraction, Poly)):
-            return not (self.s or self.t) and self.q == other
+            return not self.j and self.q == other
         return NotImplemented
 
     def __hash__(self):
         # a polynomial hashes as q, since RationalFn(p) == p
-        return hash((self.q, self.s, self.t)) if self.s or self.t else hash(self.q)
+        return hash((self.q, self.j)) if self.j else hash(self.q)
 
     def __add__(self, other) -> "RationalFn":
         other = self._coerce(other)
-        a, s1, t1 = self.q, self.s, self.t
-        b, s2, t2 = other.q, other.s, other.t
-        s, t = min(s1, s2), min(t1, t2)
-        if s1 != s or t1 != t:
-            a = a * _endpoint_power(s1 - s, t1 - t)
-        if s2 != s or t2 != t:
-            b = b * _endpoint_power(s2 - s, t2 - t)
-        # at an endpoint where one pole is deeper, the sum keeps its q(e) != 0
-        return RationalFn._make(a + b, s, t, s1 == s2, t1 == t2)
+        a, i, b, k = self.q, self.j, other.q, other.j
+        if i < k:
+            a = a * _W ** (k - i)
+        elif k < i:
+            b = b * _W ** (i - k)
+        return RationalFn._make(a + b, max(i, k))
 
     def __radd__(self, other) -> "RationalFn":
         return self + other
 
     def __neg__(self) -> "RationalFn":
-        return RationalFn._make(-self.q, self.s, self.t, False, False)
+        return RationalFn._make(-self.q, self.j)
 
     def __sub__(self, other) -> "RationalFn":
         return self + (-self._coerce(other))
@@ -668,9 +667,7 @@ class RationalFn(Value):
 
     def __mul__(self, other) -> "RationalFn":
         other = self._coerce(other)
-        s1, t1, s2, t2 = self.s, self.t, other.s, other.t
-        # a factor can cancel only where one side has no pole
-        return RationalFn._make(self.q * other.q, s1 + s2, t1 + t2, not (s1 and s2), not (t1 and t2))
+        return RationalFn._make(self.q * other.q, self.j + other.j)
 
     def __rmul__(self, other) -> "RationalFn":
         return self * other
@@ -684,42 +681,32 @@ class RationalFn(Value):
         raise TypeError(f"cannot coerce {type(other).__name__} to RationalFn")
 
     def derivative(self) -> "RationalFn":
-        """r' = [q' u^a v^b - s q v^b + t q u^a] u^(s-a) v^(t-b), exact.
+        """r' = (q' w + 2j x q) / w^(j+1), exact.
 
-        u = 1-x, v = 1+x, and a (b) is 1 where s (t) is a pole, else 0.  At a
-        pole the bracket is -s q(1) 2^b != 0 (or t q(-1) 2^a), so a derivative
-        only deepens a pole and nothing cancels.
+        For j > 0 the numerator is 2j q(1) at +1 and -2j q(-1) at -1, and q
+        vanishes at one of them at most, so w never divides it: a derivative
+        only deepens the pole.
         """
-        q, s, t = self.q, self.s, self.t
-        if s and t:
-            # -s (1+x) + t (1-x)
-            bracket = q.derivative() * _UV + q * Poly([t - s, -s - t])
-        elif s:
-            bracket = q.derivative() * _U - q * s
-        elif t:
-            bracket = q.derivative() * _V + q * t
-        else:
+        q, j = self.q, self.j
+        if not j:
             return RationalFn._make(q.derivative())
-        return RationalFn._make(bracket, s - (s < 0), t - (t < 0), False, False)
+        return RationalFn._make(q.derivative() * _W + q * Poly([0, 2 * j]), j + 1)
 
     def leading_at(self, point: Scalar) -> tuple[int, Fraction]:
         """(v, c) with self = (x - point)^v (c + o(1)) near `point`, c != 0.
 
-        At a pole, v is s (at +1) or t (at -1) and c is read off q(+-1), a
-        sign and a power of 2; anywhere else q is split at the root once.  The
-        zero function has no leading term and raises ValueError.
+        q is split at the root once.  Near e = +-1, w = (x - e)(-2e + o(1)),
+        so the pole lowers v by j and divides c by (-2e)^j; anywhere else it
+        divides c by w(point)^j.  The zero function has no leading term and
+        raises ValueError.
         """
-        q, s, t = self.q, self.s, self.t
-        if s and point == 1:
-            # (1-x)^s = (-1)^s (x-1)^s, and 1+x = 2 at x = 1
-            c = q(1) * Fraction(2) ** t
-            return s, -c if s % 2 else c
-        if t and point == -1:
-            return t, q(-1) * Fraction(2) ** s
-        v, _, c = q.split_root(point)
-        if s or t:
+        v, _, c = self.q.split_root(point)
+        j = self.j
+        if j:
             point = as_fraction(point)
-            c *= (1 - point) ** s * (1 + point) ** t
+            if point * point == 1:
+                return v - j, c / (-2 * point) ** j
+            c /= (1 - point * point) ** j
         return v, c
 
     def __repr__(self) -> str:

@@ -203,6 +203,18 @@ def test_extreme_rational_series_dump_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == EXTREME_SERIES_SHA256
 
 
+#: sha256 of `krall6 run concomitant delta gkn` at A = 1/10^6, B = 10^6/7, seed 5 (138,930 bytes,
+#: 558 passed and 1 inconclusive): the germ route (RationalFn, LogGerm, endpoint limits) at extreme rationals.
+GERM_ROUTE_EXTREME_SHA256 = "62ce8c581e6b10955859c736b71c7af48444042b5138a84d76680cfb1aa40f49"
+
+
+def test_extreme_rational_germ_route_is_pinned(capsys):
+    argv = ("run", "concomitant", "delta", "gkn", "--A", "1/1000000", "--B", "1000000/7", "--seed", "5")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GERM_ROUTE_EXTREME_SHA256
+
+
 def test_gram_csv_matrix(capsys):
     code, out, _ = run_cli(capsys, "dump", "matrix", "gram", "--A", "1", "--B", "2", "--nmax", "2")
     assert code == 0

@@ -146,6 +146,23 @@ def test_readers_take_scalars_and_reject_other_types():
         value_at(Poly.x(), 0)
 
 
+def test_germ_constructors_read_scalars_and_reject_other_types():
+    for e in (-1, 1):
+        assert LogGerm.from_poly(3, e) == LogGerm.from_poly(Poly([3]), e)
+        assert LogGerm.from_log_poly(Fraction(1, 2), e) == LogGerm.from_log_poly(Poly([Fraction(1, 2)]), e)
+        assert value_at(EndpointFn.poly_near(e, 3), e) == 3
+        assert EndpointFn.log_poly_near(e, 2) == EndpointFn.log_poly_near(e, Poly([2]))
+        # a Poly or a scalar term is held as the polynomial RationalFn it equals
+        g = LogGerm(e, {0: Poly([1]), 1: W * 2})
+        assert g == LogGerm(e, {0: RationalFn(Poly([1])), 1: RationalFn(W * 2)})
+        assert all(type(r) is RationalFn for r in g.terms.values())
+        assert g.limit() == 1 and LogGerm(e, {0: 5}).limit() == 5
+        for bad in (lambda: LogGerm.from_poly("x", e), lambda: EndpointFn.poly_near(e, 1.5),
+                    lambda: EndpointFn.log_poly_near(e, None), lambda: LogGerm(e, {0: "x"})):
+            with pytest.raises(TypeError):
+                bad()
+
+
 #: every entry point that takes an endpoint, called at `e`
 ENDPOINT_READERS = {
     "series_solution": lambda e: series_solution(e, "phi-3", MIN_ORDER, KrallParams(1, 2)),

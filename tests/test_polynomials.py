@@ -259,12 +259,33 @@ def test_gcd_monic_and_divides():
 
 
 def test_rationalfn_normal_form():
-    # (2+2x)(1-x) / (4(1-x)^3) = (1+x) / (2(1-x)^2)
+    # (2+2x)(1-x) / (4(1-x)^3) = (1+x) / (2(1-x)^2) = (1+x)^3 / (2 w^2), w = 1-x^2
     r = RationalFn(Poly([2, 2]) * Poly([1, -1]), Poly([1, -1]) ** 3 * 4)
-    assert (r.q, r.s, r.t) == (Poly([Fraction(1, 2), Fraction(1, 2)]), -2, 0)
+    assert (r.q, r.j) == (Poly([1, 1]) ** 3 * Fraction(1, 2), 2)
     assert r.num == Poly([Fraction(1, 2), Fraction(1, 2)])
     assert r.den == Poly([1, -2, 1])
     assert r.den.leading_coefficient() == 1
+
+
+@given(polys, st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_make_divides_out_every_factor_of_w(p, i, m, j, k):
+    # q has roots of random multiplicity at +-1, so some factors of w already divide it
+    q = p * Poly([-1, 1]) ** i * Poly([1, 1]) ** m
+    w = Poly([1, 0, -1])
+    value, reduced = RationalFn._make(q * w**k, j + k), RationalFn._make(q, j)
+    assert (value.q, value.j) == (reduced.q, reduced.j)
+    assert value.j == 0 or value.q(1) != 0 or value.q(-1) != 0
+    assert value.q * w ** (j + k - value.j) == q * w**k
+
+
+def test_constructors_read_an_exact_scalar_as_a_constant():
+    assert RationalFn(3) == 3 and RationalFn(3).derivative() == 0
+    assert RationalFn(Poly([1]), 2) == Fraction(1, 2)
+    assert RationalFn(Fraction(1, 3), Poly([1, -1])) == RationalFn(Poly([Fraction(1, 3)]), Poly([1, -1]))
+    for num, den in (("x", 1), (1.5, 1), (None, 1), (Poly([1]), "x"), (Poly([1]), 2.0)):
+        with pytest.raises(TypeError):
+            RationalFn(num, den)
 
 
 def test_rationalfn_arithmetic_and_derivative():
@@ -375,9 +396,8 @@ def test_in_class_operations_match_euclid_normal_form(x, y):
     assert (slope.num, slope.den) == euclid_normal_form(a.derivative() * b - a * b.derivative(), b * b)
     for value in (r, total, product, slope):
         # the fields are in normal form, so equal values have equal fields
-        assert value.s <= 0 and value.t <= 0
-        assert value.s == 0 or value.q(1) != 0
-        assert value.t == 0 or value.q(-1) != 0
+        assert value.j >= 0
+        assert value.j == 0 or value.q(1) != 0 or value.q(-1) != 0
         assert value == RationalFn(value.num, value.den)
         assert hash(value) == hash(RationalFn(value.num, value.den))
     if r.is_zero():
