@@ -52,7 +52,7 @@ from .polynomials import Poly, RationalFn, _as_poly
 from .values import Value
 
 #: d/dx ln(1 - x^2) = -2x / (1 - x^2)
-LOG_DERIVATIVE = RationalFn(Poly([0, -2]), Poly([1, 0, -1]))
+LOG_DERIVATIVE = RationalFn(Poly([0, -2]), 1)
 
 
 class DivergentLimitError(ArithmeticError):
@@ -78,8 +78,9 @@ def _check_endpoint(endpoint: int) -> int:
 
 
 class LogGerm(Value):
-    """Normal-form germ sum_k r_k(x) L(x)^k at one endpoint; a Poly or exact
-    scalar term is read as the polynomial `RationalFn` it equals."""
+    """Normal-form germ sum_k r_k(x) L(x)^k at one endpoint; each power k is an
+    int >= 0, and a Poly or exact scalar term is read as the polynomial
+    `RationalFn` it equals."""
 
     __slots__ = ("endpoint", "terms", "_hash")
     _fields = ("endpoint", "terms")
@@ -88,6 +89,8 @@ class LogGerm(Value):
         _check_endpoint(endpoint)
         clean: dict[int, RationalFn] = {}
         for k, r in (terms or {}).items():
+            if type(k) is not int:
+                raise TypeError(f"log powers must be ints, got {type(k).__name__}")
             if k < 0:
                 raise ValueError("log powers must be non-negative")
             if not isinstance(r, RationalFn):

@@ -28,7 +28,7 @@ def test_germ_layer_never_runs_euclid(monkeypatch, capsys):
 
     With both made to raise and the germ memos empty, the endpoint-log
     workload and `run all --nmax 3` still pass, so every germ coefficient
-    stays in the q (1-x)^s (1+x)^t form without Euclid's algorithm.
+    stays in the q / (1-x^2)^j form without Euclid's algorithm.
     """
     from krall6 import cli, concomitant, germs, polynomials
 

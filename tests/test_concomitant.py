@@ -227,8 +227,8 @@ def test_poly_record_matches_germ_record(p, params):
 
 
 def _far_pole_near(e):
-    """1/(1+ex) near e, 0 near -e: log-free with every limit at e, but not a polynomial."""
-    return EndpointFn._one_sided(LogGerm(e, {0: RationalFn(Poly.one(), Poly([1, e]))}))
+    """1/(1+ex) = (1-ex)/(1-x^2) near e, 0 near -e: log-free with every limit at e, but not a polynomial."""
+    return EndpointFn._one_sided(LogGerm(e, {0: RationalFn(Poly([1, -e]), 1)}))
 
 
 @pytest.mark.parametrize("params", [KrallParams(1, 2), KrallParams(Fraction(1, 3), Fraction(7, 2))])

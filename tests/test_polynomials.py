@@ -12,6 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from krall6.inner_products import ExtendedVector
+from krall6.operator import KrallParams
 from krall6.polynomials import (
     Poly,
     RationalFn,
@@ -23,6 +25,7 @@ from krall6.polynomials import (
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 8))
 polys = st.lists(rationals, min_size=0, max_size=11).map(Poly)
 nonzero_rationals = rationals.filter(lambda c: c != 0)
+W = Poly([1, 0, -1])  # w = 1 - x^2
 
 
 def test_construction_strips_trailing_zeros():
@@ -42,6 +45,12 @@ def test_parse_and_format_rational():
     for bad in ("abc", "0.5", "1/x", "1/2/3", "1/", "", "1_0", "\uff11", "\u0663/\u0664", " 3/ 4", "+3/+4"):
         with pytest.raises(ValueError, match="p/q"):
             parse_rational(bad)
+    # constructors read text through parse_rational too, so they accept what the CLI accepts
+    assert KrallParams("2/4", "1/3") == KrallParams(Fraction(1, 2), Fraction(1, 3))
+    assert Poly(["2/4", "-1/3"]) == Poly([Fraction(1, 2), Fraction(-1, 3)])
+    for make in (lambda: KrallParams("1.5", 2), lambda: Poly(["1e3"]), lambda: ExtendedVector(Poly.x(), 1, "1_0")):
+        with pytest.raises(ValueError, match="p/q"):
+            make()
 
 
 def unlimited_str(n: int) -> str:
@@ -259,12 +268,13 @@ def test_gcd_monic_and_divides():
 
 
 def test_rationalfn_normal_form():
-    # (2+2x)(1-x) / (4(1-x)^3) = (1+x) / (2(1-x)^2) = (1+x)^3 / (2 w^2), w = 1-x^2
-    r = RationalFn(Poly([2, 2]) * Poly([1, -1]), Poly([1, -1]) ** 3 * 4)
+    # (2+2x)(1-x) / (4(1-x)^3) = (2+2x)(1-x)(1+x)^3 / (4 w^3) = (1+x)^3 / (2 w^2), w = 1-x^2
+    num, den = Poly([2, 2]) * Poly([1, -1]), Poly([1, -1]) ** 3 * 4
+    r = RationalFn(num * Poly([1, 1]) ** 3 * Fraction(1, 4), 3)
     assert (r.q, r.j) == (Poly([1, 1]) ** 3 * Fraction(1, 2), 2)
-    assert r.num == Poly([Fraction(1, 2), Fraction(1, 2)])
-    assert r.den == Poly([1, -2, 1])
-    assert r.den.leading_coefficient() == 1
+    assert r.den == W**2
+    assert euclid_normal_form(num, den) == (Poly([Fraction(1, 2), Fraction(1, 2)]), Poly([1, -2, 1]))
+    assert_matches_euclid(r, num, den)
 
 
 @given(polys, st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
@@ -281,38 +291,45 @@ def test_make_divides_out_every_factor_of_w(p, i, m, j, k):
 
 def test_constructors_read_an_exact_scalar_as_a_constant():
     assert RationalFn(3) == 3 and RationalFn(3).derivative() == 0
-    assert RationalFn(Poly([1]), 2) == Fraction(1, 2)
-    assert RationalFn(Fraction(1, 3), Poly([1, -1])) == RationalFn(Poly([Fraction(1, 3)]), Poly([1, -1]))
-    for num, den in (("x", 1), (1.5, 1), (None, 1), (Poly([1]), "x"), (Poly([1]), 2.0)):
+    assert RationalFn(Fraction(1, 2)) == Fraction(1, 2)
+    assert RationalFn(Fraction(1, 3), 1) == RationalFn(Poly([Fraction(1, 3)]), 1)
+    for q, j in (("x", 0), (1.5, 0), (None, 0), (Poly([1]), "x"), (Poly([1]), 2.0), (Poly([1]), True), (1, Poly([1]))):
         with pytest.raises(TypeError):
-            RationalFn(num, den)
+            RationalFn(q, j)
+    with pytest.raises(ValueError, match="non-negative"):
+        RationalFn(Poly([1]), -1)
 
 
 def test_rationalfn_arithmetic_and_derivative():
-    one_over = RationalFn(Poly([1]), Poly([1, -1]))
-    assert one_over + one_over == RationalFn(Poly([2]), Poly([1, -1]))
+    # a power of one endpoint factor is held over w: 1/(1-x)^k = (1+x)^k / w^k
+    one_over = RationalFn(Poly([1, 1]), 1)
+    assert one_over + one_over == RationalFn(Poly([2, 2]), 1)
     # d/dx (1-x)^-1 = (1-x)^-2
-    assert one_over.derivative() == RationalFn(Poly([1]), Poly([1, -2, 1]))
+    assert one_over.derivative() == RationalFn(Poly([1, 1]) ** 2, 2) == one_over * one_over
     # 1/(1-x) - 1/(1+x) = 2x/(1-x^2): the poles are different, nothing cancels
-    assert one_over - RationalFn(Poly([1]), Poly([1, 1])) == RationalFn(Poly([0, 2]), Poly([1, 0, -1]))
+    assert one_over - RationalFn(Poly([1, -1]), 1) == RationalFn(Poly([0, 2]), 1)
     # a sum at equal poles can cancel one: x/(1-x) - 1/(1-x) = -1
-    assert RationalFn(Poly([0, 1]), Poly([1, -1])) - one_over == -1
+    assert RationalFn(Poly([0, 1, 1]), 1) - one_over == -1
 
 
-@pytest.mark.parametrize("den", [Poly([0, 1]), Poly([0, 0, 1]), Poly([1, 0, 1]), Poly([1, 0, -1]) * Poly([2, 1])])
-def test_out_of_class_denominator_raises(den):
-    with pytest.raises(ValueError, match="root other than"):
-        RationalFn(Poly([1, 1]), den)
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("e", (-1, 1))
+def test_a_power_of_one_endpoint_factor_is_held_over_w(e, k):
+    # 1/(1-ex)^k = (1+ex)^k / w^k: a pole of order k at e, none at -e
+    r = RationalFn(Poly([1, e]) ** k, k)
+    assert (r.q, r.j) == (Poly([1, e]) ** k, k) and r.den == W**k
+    assert r * Poly([1, -e]) ** k == 1
+    assert r.leading_at(e) == (-k, (-e) ** k) and r.leading_at(-e) == (0, Fraction(1, 2**k))
 
 
 def test_rationalfn_leading_at_examples():
     w = Poly([1, 0, -1])
-    r = RationalFn(w**2, w)  # 1 - x^2 = (x - 1)(-1 - x)
+    r = RationalFn(w**2, 1)  # 1 - x^2 = (x - 1)(-1 - x)
     assert r.leading_at(1) == (1, -2)  # a zero of order 1: the value there is 0
-    s = RationalFn(Poly([0, 1]), w)  # x / (1 - x^2) has a simple pole at 1
+    s = RationalFn(Poly([0, 1]), 1)  # x / (1 - x^2) has a simple pole at 1
     assert s.leading_at(1) == (-1, Fraction(-1, 2))
     assert s.leading_at(0) == (1, 1)
-    assert RationalFn(Poly([3, 1]), w).leading_at(2) == (0, Fraction(-5, 3))
+    assert RationalFn(Poly([3, 1]), 1).leading_at(2) == (0, Fraction(-5, 3))
     with pytest.raises(ValueError):
         RationalFn(Poly()).leading_at(1)
 
@@ -326,11 +343,10 @@ def test_rationalfn_leading_at_examples():
 )
 @settings(max_examples=80, deadline=None)
 def test_leading_at_reads_off_valuation_and_leading_coefficient(j, k, a, c, e):
-    # r = (x - e)^j a / (c w^k), a(e) != 0: a constant denominator when k = 0,
-    # a w-power one otherwise.  Near e, w = (x - e)(-2e + O(x - e)).
+    # r = (x - e)^j a / (c w^k), a(e) != 0: a polynomial when k = 0, a pole of
+    # order k - j at e otherwise.  Near e, w = (x - e)(-2e + O(x - e)).
     a = _without_root(a, e)
-    w = Poly([1, 0, -1])
-    r = RationalFn(Poly([-e, 1]) ** j * a, c * w**k)
+    r = RationalFn(Poly([-e, 1]) ** j * a * (1 / c), k)
     assert r.leading_at(e) == (j - k, a(e) / (c * (-2 * e) ** k))
 
 
@@ -344,26 +360,38 @@ def euclid_normal_form(num, den):
     return num * (1 / lead), den * (1 / lead)
 
 
+def assert_matches_euclid(r, num, den):
+    """r is num / den, by cross-multiplication with the Euclid normal form, and its
+    fields are in normal form: w divides q only when j = 0, and zero is (0, 0)."""
+    num_ref, den_ref = euclid_normal_form(num, den)
+    assert r.q * den_ref == num_ref * W**r.j
+    assert r.j >= 0 and (r.j == 0 or r.q(1) != 0 or r.q(-1) != 0)
+    assert r.j == 0 or not r.is_zero()
+
 
 @given(polys, nonzero_rationals)
 @settings(max_examples=60, deadline=None)
 def test_constant_denominator_matches_euclid_normal_form(p, c):
-    r = RationalFn(p, Poly([c]))
-    assert (r.num, r.den) == euclid_normal_form(p, Poly([c]))
+    # p / c is a polynomial, and `den` is the constant 1
+    r = RationalFn(p * (1 / c))
+    assert_matches_euclid(r, p, Poly([c]))
+    assert r.is_polynomial() and r.den == 1 and r.den.degree == 0
 
 
 @pytest.mark.parametrize("c", [1, -1, 3, Fraction(-2, 7)])
 def test_constant_denominator_examples(c):
     p = Poly([1, Fraction(1, 2), -3])
-    r = RationalFn(p, Poly([c]))
-    assert (r.num, r.den) == euclid_normal_form(p, Poly([c]))
-    assert r.is_polynomial()
+    r = RationalFn(p * (1 / Fraction(c)))
+    assert_matches_euclid(r, p, Poly([c]))
+    assert r.is_polynomial() and r.den.degree == 0
 
 
 def in_class(num, c, a, b):
-    """(value, num, den): c num / ((1-x)^a (1+x)^b) and its general quotient."""
+    """(value, num, den): num / (c (1-x)^a (1+x)^b) as q / w^j with j = max(a, b),
+    and its general quotient."""
+    j = max(a, b)
     den = Poly([1, -1]) ** a * Poly([1, 1]) ** b * c
-    return RationalFn(num, den), num, den
+    return RationalFn(num * Poly([1, -1]) ** (j - a) * Poly([1, 1]) ** (j - b) * (1 / c), j), num, den
 
 
 endpoint_exponents = st.integers(0, 3)
@@ -389,17 +417,20 @@ def euclid_leading_at(num, den, point):
 @settings(max_examples=80, deadline=None)
 def test_in_class_operations_match_euclid_normal_form(x, y):
     (r, a, b), (s, c, d) = x, y
-    assert (r.num, r.den) == euclid_normal_form(a, b)
     total, product, slope = r + s, r * s, r.derivative()
-    assert (total.num, total.den) == euclid_normal_form(a * d + c * b, b * d)
-    assert (product.num, product.den) == euclid_normal_form(a * c, b * d)
-    assert (slope.num, slope.den) == euclid_normal_form(a.derivative() * b - a * b.derivative(), b * b)
-    for value in (r, total, product, slope):
-        # the fields are in normal form, so equal values have equal fields
-        assert value.j >= 0
-        assert value.j == 0 or value.q(1) != 0 or value.q(-1) != 0
-        assert value == RationalFn(value.num, value.den)
-        assert hash(value) == hash(RationalFn(value.num, value.den))
+    for value, num, den in (
+        (r, a, b),
+        (total, a * d + c * b, b * d),
+        (product, a * c, b * d),
+        (slope, a.derivative() * b - a * b.derivative(), b * b),
+    ):
+        assert_matches_euclid(value, num, den)
+        # the fields are in normal form, so equal values have equal fields, also
+        # when the constructor is given a factor of w too many
+        for k in (0, 1):
+            twin = RationalFn(value.q * W**k, value.j + k)
+            assert (twin.q, twin.j) == (value.q, value.j) and hash(twin) == hash(value)
+        assert value.den == W**value.j and (value.den.degree == 0) == value.is_polynomial()
     if r.is_zero():
         return
     num, den = euclid_normal_form(a, b)
@@ -424,9 +455,9 @@ def test_polynomial_fast_paths_match_general_formulas(p, q):
     one = Poly([1])
     rp, rq = RationalFn(p), RationalFn(q)
     s, m, d = rp + rq, rp * rq, rp.derivative()
-    assert (s.num, s.den) == euclid_normal_form(p * one + q * one, one * one)
-    assert (m.num, m.den) == euclid_normal_form(p * q, one * one)
-    assert (d.num, d.den) == euclid_normal_form(p.derivative() * one - p * one.derivative(), one * one)
+    assert_matches_euclid(s, p * one + q * one, one * one)
+    assert_matches_euclid(m, p * q, one * one)
+    assert_matches_euclid(d, p.derivative() * one - p * one.derivative(), one * one)
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,7 @@ def test_config_and_report_contract():
 #: one instance of every value class, by class name
 INSTANCES = {
     "Poly": lambda: Poly([Fraction(1, 2), 0, -3]),
-    "RationalFn": lambda: RationalFn(Poly([1, 2]), Poly([1, 0, -1])),
+    "RationalFn": lambda: RationalFn(Poly([1, 2]), 2),
     "LogGerm": lambda: LogGerm.from_log_poly(Poly([1, 0, -1]), 1).derivative(3),
     "EndpointFn": lambda: log_probe(-1, P) + Poly.x(),
     "KrallParams": lambda: KrallParams(Fraction(1, 3), Fraction(7, 2)),
@@ -162,6 +162,8 @@ def test_every_value_copies_and_pickles(name):
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(twin) is type(value) and twin == value and value == twin
         assert hash(twin) == hash(value)
+        # the constructor takes the fields back as they are
+        assert all(getattr(twin, field) == getattr(value, field) for field in value._fields)
 
 
 def test_series_derivative_is_termwise():
