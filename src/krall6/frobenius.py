@@ -39,14 +39,8 @@ resonance (or the highest target offset, if later): there the targets are
 applied, the parameters still free are pinned to 0, and every form becomes
 its constant.  The rows are ints scaled by q = `LocalExpression.scale` (the
 lcm of the stencil's denominators); both levels are homogeneous in them.
-Past `settle` no pivot vanishes, and the recurrence runs on ints: the last
-three c_m and e_m are numerators over one common denominator D, each order
-multiplies D and the window by P^2 (P the scaled pivot) and divides all by
-g = gcd(P^2, e_n, c_n), which keeps D at the size of the reduced
-coefficients (2,073-2,272 bits at order 120 for A = 1/100, B = 3, the same
-as the full gcd of D and the window, against 9,991-10,389 without either).
-`Poly._emit` brings the numerators to the last D by the factors P^2/g; no
-`Fraction` is built.
+Past `settle` no pivot vanishes, and `LocalExpression.continue_solution`
+runs the rest on ints.
 
 A solution is y = t^r (C(t) + E(t) ln|t|), C and E the `Poly`s whose t^m
 coefficients are c_m and e_m.  With theta = t d/dt, rho(r+theta) scales the
@@ -77,7 +71,7 @@ integer exponents (log factors never matter there).  `is_square_integrable`
 applies that test to a solution or to one of its first three termwise
 derivatives (`SeriesSolution.derivative`).  Five of the six solutions are
 square integrable at each endpoint, and the deficiency index of the minimal
-operator is d_+ + d_- - 6 = 4.
+operator is d_+ + d_- minus the order, 5 + 5 - 6 = 4.
 """
 
 from __future__ import annotations
@@ -187,14 +181,8 @@ def _solve_single(local: LocalExpression, label: str, order: int) -> SeriesSolut
     x^i).  `solve` gives each coefficient from coefficient * pivot + rest = 0,
     or, for a zero pivot, constrains rest = 0 and returns a fresh parameter.
     At `settle` the targets are applied, the free parameters pinned to 0, and
-    every coefficient becomes its constant.  The rows `local.at` are scaled by
-    q = `local.scale`: v_d = q rho_d and s_d = q rho_d'.  No pivot past `settle`
-    is zero, so the later orders run on ints: the last `width` coefficients of
-    each level are numerators over one denominator `den`.  With T1 = sum E v_d
-    and T0 = sum (C v_d + E s_d) over the window, P and S0 the scaled pivot and
-    its slope, the new pair is e_n = -T1 P and c_n = T1 S0 - T0 P over den P^2;
-    den and the window are rescaled by P^2, and all divided by gcd(P^2, e_n, c_n).
-    `Poly._emit` brings every numerator to the last den by the factors P^2/g.
+    every coefficient becomes its constant.  No pivot past `settle` is zero, so
+    `local.continue_solution` runs the later orders on ints.
     """
     r, with_log, targets = _SOLUTIONS[label]
     pivots = [local.at(r + n)[0][0] for n in range(order + 1)]
@@ -232,13 +220,7 @@ def _solve_single(local: LocalExpression, label: str, order: int) -> SeriesSolut
 
     for n in range(settle + 1):
         # a tail is a Poly: at a resonance it is a constraint
-        tail1 = tail0 = Poly()
-        for d in local.stencil:
-            m = n - d
-            if d and m >= 0:
-                value, slope = local.at(r + m)[d]
-                tail1 = tail1 + e[m] * value
-                tail0 = tail0 + c[m] * value + e[m] * slope
+        tail1, tail0 = local.row_sum(r + n, 0, c, e, Poly())
         # without a log level every e_m is 0, and so is tail1
         e.append(solve(tail1, pivots[n], f"level-1 order {n}") if with_log else tail1)
         c.append(solve(tail0 + e[n] * local.at(r + n)[0][1], pivots[n], f"level-0 order {n}"))
@@ -248,31 +230,10 @@ def _solve_single(local: LocalExpression, label: str, order: int) -> SeriesSolut
         rows.setdefault(i, Poly.monomial(i))
     e, c = [reduce(form)[0] for form in e], [reduce(form)[0] for form in c]
 
-    # the coefficients so far as numerators over one denominator, the first factor
     den = math.lcm(*(f.denominator for f in e + c))
     e, c = ([f.numerator * (den // f.denominator) for f in level] for level in (e, c))
-    factors = [den] + [1] * settle
-    # window[-d] is the numerator of the coefficient d orders back; zeros before offset 0
-    width = max(local.stencil)
-    ew, cw = ([0] * width + e)[-width:], ([0] * width + c)[-width:]
-    for n in range(settle + 1, order + 1):
-        t1 = t0 = 0
-        for d in local.stencil:
-            if d and n - d >= 0:
-                value, slope = local.at(r + n - d)[d]
-                t1 += ew[-d] * value
-                t0 += cw[-d] * value + ew[-d] * slope
-        pivot, slope = local.at(r + n)[0]
-        new_e, new_c = -t1 * pivot, t1 * slope - t0 * pivot
-        g = math.gcd(pivot * pivot, new_e, new_c)
-        rescale = pivot * pivot // g  # den and the window times P^2, everything over g
-        ew = [x * rescale for x in ew[1:]] + [new_e // g]
-        cw = [x * rescale for x in cw[1:]] + [new_c // g]
-        e.append(ew[-1])
-        c.append(cw[-1])
-        factors.append(rescale)
-
-    return SeriesSolution(local.center, r, label, order, Poly._emit(factors, c, e))
+    levels = local.continue_solution(range(r + settle + 1, r + order + 1), c, e, den)
+    return SeriesSolution(local.center, r, label, order, levels)
 
 
 def series_solution(endpoint: int, label: str, order: int, params: KrallParams) -> SeriesSolution:
@@ -364,7 +325,7 @@ def l2_classification(basis: list[SeriesSolution]) -> dict:
 
 
 def deficiency_index(params: KrallParams) -> int:
-    """d_+ + d_- - 6 where d_e is the L2 count at endpoint e (bases of order MIN_ORDER)."""
+    """d_+ + d_- minus the order, where d_e is the L2 count at endpoint e (bases of order MIN_ORDER)."""
     d_plus = l2_classification(solution_basis(1, MIN_ORDER, params))["count"]
     d_minus = l2_classification(solution_basis(-1, MIN_ORDER, params))["count"]
-    return d_plus + d_minus - 6
+    return d_plus + d_minus - local_expression(1, params).order

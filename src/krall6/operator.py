@@ -37,9 +37,11 @@ n = 1 (it gives 0 while l[x] = (24AB+12A+12B)x + 12B-12A is nonzero).
 `power_stencil` gives l on powers (x - c)^s, and `LocalExpression` is the
 one integer form of it at any integer centre c: a table of int rows
 q rho_d(s), q rho_d'(s), each filled once by one Horner pass, shared through
-the memoised `local_expression`.  At c = 0 the shifts lie in -6..0, a banded
-recurrence that `eigen_polynomial` runs down from c_n = 1 to the monic ground
-truth; at c = +-1 the same rows drive the Frobenius solver and its residuals.
+the memoised `local_expression`.  Its one banded recurrence,
+`continue_solution`, solves q l[y] = shift y on powers: at c = 0 (shifts in
+-6..0) `eigen_polynomial` runs it down from c_n = 1 with shift q lambda_n to
+the monic ground truth, and at c = +-1 the Frobenius solver runs it up past
+the last resonance; the same rows give the series' residuals.
 `closed_form_polynomial` implements the explicit coefficient-sum formula
 under several parse variants of its ambiguous inner parenthesis and
 `closed_form_comparison` documents which variant (if any) is proportional to
@@ -54,7 +56,7 @@ import math
 from fractions import Fraction
 
 from .germs import EndpointFn, _as_poly
-from .polynomials import Poly, Scalar, as_fraction, format_rational
+from .polynomials import WEIGHT, Poly, Scalar, as_fraction, format_rational
 from .values import Value
 
 _set = object.__setattr__
@@ -71,10 +73,6 @@ CLOSED_FORM_VARIANTS = (
     "even-selector-sum-end",      # as sum-end, with even-term selector (1+(-1)^j)/2
     "even-selector-before-j-term",
 )
-
-
-#: w(x) = 1 - x^2, the weight whose powers vanish at both endpoints.
-WEIGHT = Poly([1, 0, -1])
 
 
 def _expression_coefficients(A: Fraction, B: Fraction) -> tuple[Poly, Poly, Poly, Poly, Poly, Poly]:
@@ -194,16 +192,19 @@ class LocalExpression(Value):
 
     `pole` is minus the lowest shift of `power_stencil` there and `stencil[d]`
     its rho_{d-pole}, in ascending d, so l[t^s] = sum_d rho_d(s) t^(s-pole+d);
-    `scale` is the lcm q of the stencil's coefficient denominators, and
-    `table[s]` the int row `at(s)` once it is complete.  Equality, hash and
-    repr see only (center, params).  ArithmeticError where Fuchs's condition
-    fails (deg rho_0 below the order).
+    `order` is the highest degree in s of any rho_d, `scale` the lcm q of the
+    stencil's coefficient denominators, and `table[s]` the int row `at(s)` once
+    it is complete.  Equality, hash and repr see only (center, params).
+    TypeError for a centre whose type is not `int` (`True` and `1.0` included),
+    ArithmeticError where Fuchs's condition fails (deg rho_0 below the order).
     """
 
-    __slots__ = ("center", "params", "stencil", "pole", "scale", "table", "_horner")
+    __slots__ = ("center", "params", "stencil", "pole", "order", "scale", "table", "_horner")
     _fields = ("center", "params")
 
     def __init__(self, center: int, params: KrallParams):
+        if type(center) is not int:
+            raise TypeError(f"center must be an int, got {type(center).__name__}")
         shifts = power_stencil(params, center)
         pole = -min(shifts)
         stencil = {shift + pole: rho for shift, rho in sorted(shifts.items())}
@@ -216,8 +217,8 @@ class LocalExpression(Value):
             d: tuple(c.numerator * (q // c.denominator) for c in reversed(rho.coeffs)) for d, rho in stencil.items()
         }
         for name, value in (
-            ("center", center), ("params", params), ("stencil", stencil), ("pole", pole), ("scale", q),
-            ("table", {}), ("_horner", horner),
+            ("center", center), ("params", params), ("stencil", stencil), ("pole", pole), ("order", order),
+            ("scale", q), ("table", {}), ("_horner", horner),
         ):
             _set(self, name, value)
 
@@ -264,8 +265,60 @@ class LocalExpression(Value):
         unscale = Fraction(1, self.scale)
         return out_c * unscale, Poly.scaled_sum(value_terms) * unscale
 
+    def row_sum(self, s: int, pivot: int, c, e, total=0, shift: int = 0) -> tuple:
+        """(T1, T0) = (sum e_k v_d, sum c_k v_d + e_k v_d') over the rows d != pivot of
+        q l - shift, (v_d, v_d') = `at(s + pivot - d)[d]` less (shift, 0) at d = pole (the shift-0
+        row), where c_k = c[-k] and e_k = e[-k] are the coefficients of t^(s+pivot-d),
+        k = |d - pivot| places back; a pair the lists do not reach, or a zero pair, reads no row.
+        The entries are ints or `Poly` linear forms, summed onto `total`."""
+        t1 = t0 = total
+        reach, pole = len(c), self.pole
+        for d in self.stencil:
+            k = abs(d - pivot)
+            if k and k <= reach and (c[-k] or e[-k]):
+                value, slope = self.at(s + pivot - d)[d]
+                if d == pole:
+                    value -= shift
+                t1 = t1 + e[-k] * value
+                t0 = t0 + c[-k] * value + e[-k] * slope
+        return t1, t0
 
-@functools.lru_cache(maxsize=64)
+    def continue_solution(self, exponents: range, c: list, e: list, den: int = 1, shift: int = 0) -> tuple:
+        """Continue y = sum_s t^s (c_s + e_s ln|t|), a solution of q l[y] = shift y, over `exponents`.
+
+        `c`, `e`: the coefficients so far in the order of travel, numerators over one denominator
+        `den`, extended in place; returns (C, E), y = t^lo (C + E ln|t|), lo the lowest exponent.
+        The pivot row is d = 0 upward (step +1) and the highest d downward, so the other rows
+        reach only known coefficients; the shift lands on row d = pole.  With P, S0 the pivot
+        row's value and slope (P != 0) and (T1, T0) = `row_sum`, P e_s + T1 = 0 = P c_s + S0 e_s
+        + T0 gives e_s = -T1 P and c_s = T1 S0 - T0 P over P^2.  The last max(stencil) numerators
+        of each level share one running denominator; each step multiplies all by P^2 and divides
+        by g = gcd(P^2, e_s, c_s) (by P and gcd(P, T0) when T1 = 0, the same values), which keeps
+        it at the size of the reduced coefficients (2,073-2,272 bits at order 120 for A = 1/100,
+        B = 3, against 9,991-10,389 without g).  `Poly._emit` brings the numerators to the last
+        denominator by the per-step factors; no `Fraction` is built.
+        """
+        width = max(self.stencil)
+        pivot = 0 if exponents.step > 0 else width
+        cw, ew = (([0] * width + level)[-width:] for level in (c, e))
+        factors = [den] + [1] * (len(c) - 1)
+        for s in exponents:
+            t1, t0 = self.row_sum(s, pivot, cw, ew, shift=shift)
+            p, slope = self.at(s)[pivot]
+            if pivot == self.pole:
+                p -= shift
+            size, new_e, new_c = (p * p, -t1 * p, t1 * slope - t0 * p) if t1 else (p, 0, -t0)
+            g = math.gcd(size, new_e, new_c)
+            rescale = size // g
+            ew = [x * rescale for x in ew[1:]] + [new_e // g]
+            cw = [x * rescale for x in cw[1:]] + [new_c // g]
+            e.append(ew[-1])
+            c.append(cw[-1])
+            factors.append(rescale)
+        return Poly._emit(factors, c, e, descending=exponents.step < 0)
+
+
+@functools.lru_cache(maxsize=64, typed=True)
 def local_expression(center: int, params: KrallParams) -> LocalExpression:
     """The shared `LocalExpression` at (center, params); the bound caps the tables kept."""
     return LocalExpression(center, params)
@@ -371,28 +424,18 @@ def leading_coefficient_oracle(n: int, params: KrallParams) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=4096, typed=True)
 def eigen_polynomial(n: int, params: KrallParams) -> Poly:
-    """The monic degree-n eigenpolynomial K_n, by the banded stencil recurrence.
-
-    With l[x^m] = sum_j rho_j(m) x^(m+j) at centre 0 (shifts j <= 0), the
-    x^m coefficient of (l - lambda_n) K_n is
-    (rho_0(m) - lambda_n) c_m + sum_{j<0} rho_j(m-j) c_{m-j}.  The pivot
-    rho_0(m) - lambda_n is lambda_m - lambda_n, so the eigenvalues are
-    distinct exactly when it vanishes only at m = n; then c_n = 1 and each
-    lower c_m follows from the window of higher ones that the stencil's
-    shifts reach.  It runs on ints: rho_j(m) is read as the row value
-    q rho_j(m) of `local_expression(0, params)` (rows 0..n, each worked out
-    once per params), the window holds numerators over one denominator,
-    each step multiplies both by the scaled pivot P and divides by
-    g = gcd(P, new numerator), and `Poly._emit` emits the coefficients.
-    """
+    """The monic degree-n eigenpolynomial K_n: `LocalExpression.continue_solution` at centre 0,
+    down from c_n = 1 with shift q lambda_n.  Its x^m pivot is lambda_m - lambda_n, so the
+    eigenvalues must be distinct below n, and lambda_n must be rho_0(n)."""
+    if type(n) is not int:
+        raise TypeError(f"n must be an int, got {type(n).__name__}")
     if n < 0:
         raise ValueError("n must be non-negative")
     lam = eigenvalue(n, params)
     local = local_expression(0, params)
-    top = local.pole  # rho_0 sits at d = pole, rho_j at d = pole + j
-    diagonal, scaled_lam = [local.at(m)[top][0] for m in range(n + 1)], local.scale * lam
+    diagonal, scaled_lam = [local.at(m)[local.pole][0] for m in range(n + 1)], local.scale * lam
     for m in range(n):
         if diagonal[m] == scaled_lam:
             raise DegenerateEigenvalueError(
@@ -400,21 +443,10 @@ def eigen_polynomial(n: int, params: KrallParams) -> Poly:
             )
     if diagonal[n] != scaled_lam:
         raise ValueError(f"no eigenpolynomial of degree {n}: lambda = {format_rational(lam)} is not rho_0({n})")
-    shifts = [top - d for d in local.stencil if d < top]
-    window = [1] + [0] * (max(shifts) - 1)  # window[j-1]: the numerator of c_(m+j)
-    nums, factors = [1], [1]  # from c_n down, each over the running denominator
-    for m in range(n - 1, -1, -1):
-        pivot = diagonal[m] - diagonal[n]
-        # a zero window entry (c_(m+j) = 0, as for every m+j > n) reads no row
-        new = -sum(local.at(m + j)[top - j][0] * window[j - 1] for j in shifts if window[j - 1])
-        g = math.gcd(pivot, new)
-        window = [new // g] + [x * (pivot // g) for x in window[:-1]]
-        nums.append(window[0])
-        factors.append(pivot // g)
-    return Poly._emit(factors, nums, descending=True)[0]
+    return local.continue_solution(range(n - 1, -1, -1), [1], [0], shift=diagonal[n])[0]
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=4096, typed=True)
 def closed_form_polynomial(n: int, params: KrallParams, variant: str = "sum-end") -> Poly:
     """The closed-form coefficient sum under one parse, memoised per (n, params, variant).
 
@@ -427,6 +459,8 @@ def closed_form_polynomial(n: int, params: KrallParams, variant: str = "sum-end"
     B = b/D, D = den(A) den(B), each quantity is scaled by D^2 and each weight
     doubled, and every coefficient is one int pair for `Poly._ratios`.
     """
+    if type(n) is not int:
+        raise TypeError(f"n must be an int, got {type(n).__name__}")
     if n < 0:
         raise ValueError("n must be non-negative")
     if variant not in CLOSED_FORM_VARIANTS:

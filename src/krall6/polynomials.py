@@ -544,7 +544,8 @@ def _as_poly(f) -> Poly:
     return p
 
 
-_W = Poly([1, 0, -1])  # w = 1 - x^2
+#: w(x) = 1 - x^2, the weight whose powers vanish at both endpoints.
+WEIGHT = Poly([1, 0, -1])
 
 
 class RationalFn(Value):
@@ -595,7 +596,7 @@ class RationalFn(Value):
     def den(self) -> Poly:
         """w^j.  The benchmark's `RationalFn.init` span hook reads `den.degree`, which
         is 0 exactly when j = 0, as the Euclid normal form's denominator was."""
-        return _W**self.j
+        return WEIGHT**self.j
 
     def is_zero(self) -> bool:
         return self.q.is_zero()
@@ -618,9 +619,9 @@ class RationalFn(Value):
         other = self._coerce(other)
         a, i, b, k = self.q, self.j, other.q, other.j
         if i < k:
-            a = a * _W ** (k - i)
+            a = a * WEIGHT ** (k - i)
         elif k < i:
-            b = b * _W ** (i - k)
+            b = b * WEIGHT ** (i - k)
         return RationalFn._make(a + b, max(i, k))
 
     def __radd__(self, other) -> "RationalFn":
@@ -660,7 +661,7 @@ class RationalFn(Value):
         q, j = self.q, self.j
         if not j:
             return RationalFn._make(q.derivative())
-        return RationalFn._make(q.derivative() * _W + q * Poly([0, 2 * j]), j + 1)
+        return RationalFn._make(q.derivative() * WEIGHT + q * Poly([0, 2 * j]), j + 1)
 
     def leading_at(self, point: Scalar) -> tuple[int, Fraction]:
         """(v, c) with self = (x - point)^v (c + o(1)) near `point`, c != 0.

@@ -601,7 +601,7 @@ def suite_frobenius(config: RunConfig):
     yield make_case(
         "deficiency-index",
         "deficiency-index",
-        sum(l2_counts) - 6,
+        sum(l2_counts) - fro.local_expression(1, params).order,
         4,
     )
 

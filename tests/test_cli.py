@@ -203,6 +203,16 @@ def test_extreme_rational_series_dump_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == EXTREME_SERIES_SHA256
 
 
+#: sha256 of K_200 at A = 1/10^6, B = 10^6/7 (24,059 bytes): the centre-0 recurrence's largest ints, byte for byte.
+EXTREME_K_SHA256 = "5507ab31714c4e62340c2f900e2595f0d909d26436a5b3f7361416400f7272bc"
+
+
+def test_extreme_rational_eigenpolynomial_dump_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "dump", "poly", "K", "200", "--A", "1/1000000", "--B", "1000000/7")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXTREME_K_SHA256
+
+
 #: sha256 of `krall6 run concomitant delta gkn` at A = 1/10^6, B = 10^6/7, seed 5 (138,930 bytes,
 #: 558 passed and 1 inconclusive): the germ route (RationalFn, LogGerm, endpoint limits) at extreme rationals.
 GERM_ROUTE_EXTREME_SHA256 = "62ce8c581e6b10955859c736b71c7af48444042b5138a84d76680cfb1aa40f49"

@@ -522,8 +522,9 @@ def test_integer_window_matches_fraction_reference_at_order_120(endpoint):
 
 
 def test_solver_builds_no_fraction_past_settle(monkeypatch):
-    """Past `settle` the window stays ints and `Poly._emit` brings them to the last
-    denominator: no order adds a `Fraction`, so order 120 builds as many as order 40."""
+    """Past `settle` the window of `LocalExpression.continue_solution` stays ints and `Poly._emit`
+    brings them to the last denominator: no order adds a `Fraction`, so order 120 builds as many
+    as order 40, in either module."""
     local = local_expression(1, KrallParams(Fraction(1, 100), 3))
     built = []
 
@@ -532,6 +533,7 @@ def test_solver_builds_no_fraction_past_settle(monkeypatch):
         return Fraction(*args)
 
     monkeypatch.setattr(fro, "Fraction", counting)
+    monkeypatch.setattr(op, "Fraction", counting)
     counts = []
     for order in (40, 120):
         built.clear()

@@ -199,6 +199,31 @@ def test_degenerate_eigenvalues_detected(monkeypatch):
         eigen_polynomial.__wrapped__(2, params)
 
 
+@pytest.mark.parametrize("index, entry", enumerate((eigen_polynomial, closed_form_polynomial, local_expression)))
+def test_memoised_entry_points_take_only_int_keys(index, entry):
+    # 2.0 and Fraction(2) equal 2, and True equals 1: a memo keyed by 1 and 2 would answer them
+    params = KrallParams(Fraction(7, 11), Fraction(13, 5) + index)  # no other test's, so the memos start cold
+    for n in (None, 1, 2):
+        if n is not None:
+            entry(n, params)
+        for bad in (2.0, Fraction(2), True):
+            with pytest.raises(TypeError, match="must be an int"):
+                entry(bad, params)
+
+
+@pytest.mark.parametrize("center", (-1, 1))
+def test_continued_series_solves_the_shifted_equation_at_an_endpoint(center):
+    # at +-1 the shift lands on the row d = pole, not on the upward pivot d = 0: t^3 continued to
+    # t^23 with shift q lambda solves l[y] = lambda y through t^20, checked by `apply_expression`
+    params, lam = KrallParams(1, 2), 7
+    local = local_expression(center, params)
+    C, E = local.continue_solution(range(4, 24), [1], [0], shift=local.scale * lam)
+    assert not E and C.degree == 20
+    y = Poly([-center, 1]) ** 3 * C.compose(Poly([-center, 1]))
+    residual = (apply_expression(y, params) - lam * y).compose(Poly([center, 1]))
+    assert residual.valuation() == 21
+
+
 def test_cold_eigenpolynomials_fill_one_row_per_degree(monkeypatch):
     # K_0..K_32 read the centre-0 rows 0..32 only: a shifted row past n meets a zero window entry
     params = KrallParams(Fraction(1, 100), 3)
