@@ -15,14 +15,13 @@ and P = w(12+alpha w), the chain is
     f^[4] = Lam[f] = -(Q f''')' + P f''      (the quasi-derivative)
     f^[5] = B[f]   = Lam[f]' - pi f'          (the "bracket with one")
 
-`_concomitant_lines` writes [f, g] as its 2m summands, the f-line then the
-g-line for each j: at order six B[f] g, -B[g] f, -Lam[f] g', Lam[g] f',
--Q f''' g'', Q g''' f''.  The grouping lets divergence diagnostics point at
-individual sub-expressions: `concomitant` sums the lines when some factor
-has no endpoint limit and names the diverging lines when the sum has none
-either, and the endpoint reductions take the lines for j >= 1 from it.  All
-scalars are real rationals, so complex conjugation is the identity and
-[f, g] = -[g, f].
+`_line_factors` writes [f, g] as its 2m summands, the f-line then the
+g-line for each j, each as (sign, factor, factor): at order six B[f] g,
+-B[g] f, -Lam[f] g', Lam[g] f', -Q f''' g'', Q g''' f''.  The grouping lets
+divergence diagnostics point at individual sub-expressions: `concomitant`
+names the lines that diverge on their own when their sum has no limit, and
+the endpoint reductions take the lines for j >= 1.  All scalars are real
+rationals, so complex conjugation is the identity and [f, g] = -[g, f].
 
 Endpoint limits are germ-valuation limits (`germs.LogGerm.limit`); divergence
 raises `DivergentLimitError`, the typed signal that an input pair lies
@@ -41,10 +40,15 @@ products and one `Fraction` (evaluation at e, since both are polynomials
 near e), and B(e) and Lam(e) are read from the record.
 Every other input -- a log-bearing germ, say -- takes the germ-line route:
 `_germ_chain` works out the chain of each (germ, params) pair once and
-serves Lam, B and the bracket lines, whose limits are taken there.  All
-three memos are `functools.lru_cache`s bounded at 4096 entries and keyed by
-value (`Poly`, `LogGerm` and `KrallParams` hash by value), like the germ
-derivatives they read (`germs._derivative`).  The chain memo holds germs,
+serves Lam, B and the factors of the bracket lines.  No line is built for
+a limit: `_lines_limit` reads the sum's limit off the memoised principal
+parts of the factors (`germs.product_limit`), one short integer
+convolution per line, and only when that sum diverges are the germ
+products built, so the `DivergentLimitError` is the one their sum's limit
+raises.  All three memos are `functools.lru_cache`s bounded at 4096
+entries and keyed by value (`Poly`, `LogGerm` and `KrallParams` hash by
+value), like the germ derivatives and principal parts they read
+(`germs._derivative`, `germs._principal`).  The chain memo holds germs,
 never limits, and the records are ints or None, so a divergent pair takes
 the germ-line route on every call and raises there.
 
@@ -84,6 +88,7 @@ from .germs import (
     _as_poly,
     _check_endpoint,
     germ_at,
+    product_limit,
     value_at,
 )
 from .operator import WEIGHT, KrallParams, apply_expression, quasi_derivatives
@@ -210,15 +215,31 @@ def quasi_derivative_terms_at(f, endpoint: int, params: KrallParams) -> tuple[Fr
     return head.limit(), (lam - head).limit()
 
 
-def _concomitant_lines(fg: LogGerm, gg: LogGerm, params: KrallParams) -> tuple[LogGerm, ...]:
-    """The 2m summands of [f, g] as germs at one endpoint: for each j < m,
-    (-1)^j f^[2m-1-j] g^(j), then -(-1)^j g^[2m-1-j] f^(j)."""
+def _line_factors(fg: LogGerm, gg: LogGerm, params: KrallParams) -> list[tuple[int, LogGerm, LogGerm]]:
+    """The 2m summands of [f, g] at one endpoint as (sign, a, b), the summand sign a b:
+    for each j < m, ((-1)^j, f^[2m-1-j], g^(j)), then (-(-1)^j, g^[2m-1-j], f^(j))."""
     f_chain, g_chain = _germ_chain(fg, params), _germ_chain(gg, params)
-    lines = []
+    factors = []
     for j in range(len(f_chain)):
-        f_line, g_line = f_chain[-1 - j] * gg.derivative(j), g_chain[-1 - j] * fg.derivative(j)
-        lines += (-f_line, g_line) if j % 2 else (f_line, -g_line)
-    return tuple(lines)
+        sign = -1 if j % 2 else 1
+        factors += (sign, f_chain[-1 - j], gg.derivative(j)), (-sign, g_chain[-1 - j], fg.derivative(j))
+    return factors
+
+
+def _concomitant_lines(fg: LogGerm, gg: LogGerm, params: KrallParams) -> tuple[LogGerm, ...]:
+    """The 2m summands of [f, g] as germs at one endpoint, the products of `_line_factors`."""
+    return tuple(a * b * sign for sign, a, b in _line_factors(fg, gg, params))
+
+
+def _lines_limit(factors) -> Fraction:
+    """The limit of sum c a b over (c, a, b) in `factors`, read off principal parts by
+    `germs.product_limit`; only where that sum diverges are the products built, and
+    their sum's limit raises the germ layer's DivergentLimitError."""
+    value = product_limit(factors)
+    if value is None:
+        lines = [a * b * c for c, a, b in factors]
+        value = sum(lines[1:], lines[0]).limit()
+    return value
 
 
 @functools.lru_cache(maxsize=4096)
@@ -281,8 +302,9 @@ def concomitant(f, g, endpoint: int, params: KrallParams) -> Fraction:
 
     When f and g are both polynomials near e, the bracket is
     sum_j (-1)^j (f^[2m-1-j](e) g^(j)(e) - g^[2m-1-j](e) f^(j)(e)), two
-    integer dot products over the two endpoint records.  Otherwise the germ
-    lines are built and their sum's limit taken.
+    integer dot products over the two endpoint records.  Otherwise the limit
+    is read off the principal parts of the line factors (`_lines_limit`),
+    and the germ lines are built only when their sum diverges.
 
     Raises DivergentLimitError when the pair is outside the limit class; its
     detail names the endpoint and the lines (numbered from 1, in the order
@@ -291,10 +313,11 @@ def concomitant(f, g, endpoint: int, params: KrallParams) -> Fraction:
     parts = _bracket_parts(f, g, endpoint, params)
     if parts is not None:
         return Fraction(*parts)
-    lines = _concomitant_lines(germ_at(f, endpoint), germ_at(g, endpoint), params)
+    fg, gg = germ_at(f, endpoint), germ_at(g, endpoint)
     try:
-        return sum(lines[1:], lines[0]).limit()
+        return _lines_limit(_line_factors(fg, gg, params))
     except DivergentLimitError as exc:
+        lines = _concomitant_lines(fg, gg, params)
         diverging = ", ".join(str(i) for i, line in enumerate(lines, 1) if not line.has_limit())
         raise DivergentLimitError(
             endpoint, f"[f, g]({endpoint:+d}) lines {diverging} of {len(lines)} diverge; sum: {exc.detail}"
@@ -364,12 +387,12 @@ def general_endpoint_reduction(f, g, endpoint: int, params: KrallParams) -> Frac
     [f,1](e) g(e) - [g,1](e) f(e) + lim (the bracket lines for j >= 1), that is
     lim( -Lam[f] g' + Lam[g] f' - (1-x^2)^3 f''' g'' + (1-x^2)^3 g''' f'' ).
     """
-    _, _, *rest = _concomitant_lines(germ_at(f, endpoint), germ_at(g, endpoint), params)
+    fg, gg = germ_at(f, endpoint), germ_at(g, endpoint)
     head = (
         concomitant_with_one(f, endpoint, params) * value_at(g, endpoint)
         - concomitant_with_one(g, endpoint, params) * value_at(f, endpoint)
     )
-    return head + sum(rest[1:], rest[0]).limit()
+    return head + _lines_limit(_line_factors(fg, gg, params)[2:])
 
 
 def log_probe_reduction(f, endpoint: int, params: KrallParams) -> Fraction:
@@ -381,11 +404,11 @@ def log_probe_reduction(f, endpoint: int, params: KrallParams) -> Fraction:
     -Lam[f] probe' + 32 f' - (1-x^2)^3(f''' probe'' - probe''' f'').
     Only defined when every sub-limit exists (polynomials qualify).
     """
-    fg = germ_at(f, endpoint)
-    _, _, line3, _, *rest = _concomitant_lines(fg, germ_at(log_probe(endpoint, params), endpoint), params)
-    residual = sum(rest, line3 + fg.derivative(1) * 32)
+    fg, probe = germ_at(f, endpoint), germ_at(log_probe(endpoint, params), endpoint)
     near, far = _near_far(endpoint, params)
-    return endpoint * (32 * near + 12 * far - 16) * value_at(f, endpoint) + residual.limit()
+    head = endpoint * (32 * near + 12 * far - 16) * value_at(f, endpoint)
+    _, _, line3, _, *rest = _line_factors(fg, probe, params)
+    return head + _lines_limit([line3, (32, fg.derivative(1), germ_at(1, endpoint)), *rest])
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,22 @@ both its order and its leading coefficient: it splits q at the endpoint once
 and takes the pole's j off the order.  A failed limit raises
 `DivergentLimitError` -- the typed "outside the limit class" outcome.
 
+A limit of a sum of products, such as a bracket's lines, needs no product:
+`product_limit` reads it off the factors' principal parts, their Laurent
+coefficients c_{k,n} of u^n L^k up to a depth (`RationalFn.laurent_at`, ints
+over one denominator per log power), with L kept a symbol, so the test is
+the valuation test above, coefficient by coefficient.
+
 Derivatives are memoised by value: `derivative(n)` is served by
 `_derivative`, a `functools.lru_cache` keyed by (germ, n) and bounded at
 4096 entries, whose order-n entry is one `_differentiate` step from its
-order-(n-1) entry.  Equal germs share entries whichever objects hold them,
-and germs at different endpoints never compare equal, so never share.  The
-memo holds germs only, never limits.  A germ computes its hash on the first
-lookup and keeps it.  `LogGerm` and `EndpointFn` are `values.Value`s, rebuilt
-by copy and pickle from (`endpoint`, `terms`) and from their two germs.
+order-(n-1) entry.  Principal parts are memoised the same way, by
+`_principal`, keyed by (germ, depth).  Equal germs share entries whichever
+objects hold them, and germs at different endpoints never compare equal, so
+never share.  The memos hold germs and ints only, never limits.  A germ
+computes its hash on the first lookup and keeps it.  `LogGerm` and
+`EndpointFn` are `values.Value`s, rebuilt by copy and pickle from
+(`endpoint`, `terms`) and from their two germs.
 
 A function known on the whole interval is a `Poly`.  `EndpointFn` is a pair
 of germs, one per endpoint, with the middle of the interval deliberately
@@ -46,6 +54,7 @@ exact scalar is a constant, any other type a TypeError), or through
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 from .polynomials import Poly, RationalFn, _as_poly
@@ -236,6 +245,52 @@ def _differentiate(g: LogGerm) -> LogGerm:
 def _derivative(g: LogGerm, n: int) -> LogGerm:
     """g^(n) for n >= 1: one `_differentiate` step from the memoised g^(n-1)."""
     return _differentiate(g if n == 1 else _derivative(g, n - 1))
+
+
+@functools.lru_cache(maxsize=4096)
+def _principal(g: LogGerm, depth: int) -> tuple[int | None, tuple]:
+    """(v, parts): g = sum c_{k,n} u^n L^k near its endpoint, u = 1 - e x, L kept as a symbol,
+    with v the least n (None for the zero germ) and one `RationalFn.laurent_at` triple
+    (k, n0, den, nums) per log power k, its coefficients up to u^depth."""
+    parts = tuple((k, *r.laurent_at(g.endpoint, depth)) for k, r in g.terms.items())
+    return min((part[1] for part in parts), default=None), parts
+
+
+def product_limit(products) -> Fraction | None:
+    """The endpoint limit of sum c a b over (c, a, b) in `products` (c an int, a and b
+    germs at one endpoint), read off principal parts without building a product; None
+    when the sum has no limit.
+
+    The u^n L^k are asymptotically independent, so the sum has a limit exactly when
+    its coefficients at k = 0, n < 0 and at k >= 1, n <= 0 vanish (the valuation test
+    of `LogGerm.limit`), and the limit is its (0, 0) coefficient.  Those coefficients
+    of a b need a only up to u^-v(b) and b only up to u^-v(a), one short integer
+    convolution; the sums run over one denominator.
+    """
+    acc, den = {}, 1
+    for c, a, b in products:
+        va, vb = _principal(a, 0)[0], _principal(b, 0)[0]
+        if va is None or vb is None or va + vb > 0:
+            continue
+        for ka, na, da, xs in _principal(a, -vb)[1]:
+            for kb, nb, db, ys in _principal(b, -va)[1]:
+                d = da * db
+                if d != den:
+                    g = math.gcd(den, d)
+                    if d != g:
+                        acc = {key: value * (d // g) for key, value in acc.items()}
+                        den *= d // g
+                scale, k = c * (den // d), ka + kb
+                for start, x in enumerate(xs, na + nb):
+                    if start > 0:
+                        break
+                    for n, y in enumerate(ys, start):
+                        if n > 0:
+                            break
+                        acc[k, n] = acc.get((k, n), 0) + scale * x * y
+    if any(value for (k, n), value in acc.items() if k or n < 0):
+        return None
+    return Fraction(acc.get((0, 0), 0), den)
 
 
 def _add_term(terms: dict[int, RationalFn], k: int, r: RationalFn) -> None:

@@ -61,7 +61,9 @@ writes p = (x-c)^m q with q(c) != 0 by synthetic division (over the integer
 numerators when c is an integer) and also returns the value q(c), the
 remainder of its last pass.  `RationalFn.leading_at` splits q once; at e = +-1
 the pole lowers the valuation by j and divides the leading coefficient by
-(-2e)^j, a sign and a power of 2.
+(-2e)^j, a sign and a power of 2.  `RationalFn.laurent_at` gives the
+coefficients past the leading one too, in u = 1 - e x up to a depth, as ints
+over one denominator.
 
 Output text formats (reports, witnesses and dumps):
   rational    "p/q" or "p", q > 0 (`format_rational`)
@@ -679,3 +681,33 @@ class RationalFn(Value):
                 return v - j, c / (-2 * point) ** j
             c /= (1 - point * point) ** j
         return v, c
+
+    def laurent_at(self, e: int, depth: int) -> tuple[int, int, tuple[int, ...]]:
+        """(v, den, nums) with self = sum_{n >= v} c_n u^n near e = +-1, u = 1 - e x,
+        c_v != 0, and c_n = nums[n - v] / den for v <= n <= depth, zero past the end
+        of nums (no nums when depth < v).
+
+        x = e(1 - u), so q = sum_m t_m u^m with t_m = (-e)^m q^(m)(e) / m!, one
+        synthetic-division pass per m on the numerators; w = u(2 - u), so
+        1/w^j = u^-j sum_m C(j+m-1, m) u^m / 2^(j+m).  All ints, over q's
+        denominator, times 2^(2j + depth) when j > 0.  The zero function raises
+        ValueError.
+        """
+        j, cs = self.j, self.q._n
+        if not cs:
+            raise ValueError("the zero function has no Laurent expansion")
+        top, ts, v = depth + j, [], None
+        while cs and (v is None or len(ts) <= top):
+            acc, partial = 0, []
+            for c in reversed(cs):
+                acc = acc * e + c
+                partial.append(acc)
+            if acc and v is None:
+                v = len(ts)
+            ts.append(-acc if e > 0 and len(ts) % 2 else acc)
+            cs = partial[-2::-1]
+        if not j or top < v:
+            return v - j, self.q._d, tuple(ts[v : top + 1])
+        weights = [math.comb(j + b - 1, b) << (top - b) for b in range(top - v + 1)]
+        nums = tuple(sum(t * weights[s - a] for a, t in enumerate(ts[v : s + 1], v)) for s in range(v, top + 1))
+        return v - j, self.q._d << (j + top), nums

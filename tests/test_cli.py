@@ -138,9 +138,11 @@ def test_run_all_parameter_sweep(capsys, a, b):
 
 #: sha256 of dumps that reach further than `run all`: K_32, the degree-14
 #: Legendre-type polynomial and all twelve order-40 Frobenius series (six
-#: labels at both endpoints), at A=1/100, B=3, and two exact matrices (the
-#: Gram matrix of K_0..K_12 and the operator matrix of K_0..K_6).
-#: A change to either solver must leave every one byte-identical.
+#: labels at both endpoints), at A=1/100, B=3, and four exact matrices (the
+#: Gram matrix of K_0..K_12, the operator matrix of K_0..K_6, and the probe
+#: and bracket matrices, whose entries are brackets of log-bearing and
+#: piecewise functions).  A change to either solver or to the bracket limits
+#: must leave every one byte-identical.
 DEEP_DUMP_SHA256 = {
     ("poly", "K", "32"): "7c28d9deb7bcbb5e5f2ec88f65b610c9f394e4bfdab3c77c54e183f122c04789",
     ("poly", "legendre", "14"): "a523e8ec110fbd78aa12822619172c26ba5a135c83a48de6fdbc54784f438789",
@@ -180,6 +182,8 @@ DEEP_DUMP_SHA256 = {
     },
     ("matrix", "gram", "--nmax", "12"): "2f8f762cab2ff3f05b13cf5a241109032fc31d0d9179e23e6cb46008d89d421f",
     ("matrix", "operator", "--nmax", "6"): "88a97b9f5d2dbc4daa1ec1b776eb0b754caeacb32e661490723d147e3d4c18f5",
+    ("matrix", "probe"): "eb86ee375b2d51d249b4c1bd6eb222727f488d2f0cccbc03bfea74d5474dcee2",
+    ("matrix", "brackets"): "506351148090d688af818822486473480a012ee2c4e142312b7b4a8b99a56595",
 }
 
 

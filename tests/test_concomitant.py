@@ -35,7 +35,16 @@ from krall6.concomitant import (
     weight_near,
     weight_sq_near,
 )
-from krall6.germs import DivergentLimitError, EndpointFn, LogGerm, _derivative, _differentiate, germ_at
+from krall6.germs import (
+    DivergentLimitError,
+    EndpointFn,
+    LogGerm,
+    _derivative,
+    _differentiate,
+    germ_at,
+    product_limit,
+    value_at,
+)
 from krall6.operator import KrallParams
 from krall6.polynomials import Poly, RationalFn
 from krall6.suites import _maximal_domain_cases
@@ -367,6 +376,81 @@ def test_memoised_germ_data_matches_a_fresh_computation(kind, p, q, endpoint, pa
     for _ in range(2):  # a miss, then a hit
         assert con._germ_chain(g, params) == expected
         assert quasi_derivative(g, params) == lam
+
+
+def _pole_input(p, q, poles, endpoint):
+    """p / w^j0 + (q / w^j1) ln(1-x^2) near `endpoint`, (j0, j1) = `poles`: no library input has
+    a pole, so only these make both factors of a line need principal parts past u^0, and many
+    of their brackets diverge."""
+    j0, j1 = poles
+    return EndpointFn._one_sided(LogGerm(endpoint, {0: RationalFn(p, j0), 1: RationalFn(q, j1)}))
+
+
+def _outcome(read):
+    """read()'s value, or the text of the DivergentLimitError it raises."""
+    try:
+        return read()
+    except DivergentLimitError as exc:
+        return str(exc)
+
+
+def _line_sum(factors):
+    """The sum of the built germ lines c a b of `factors` (the reference route)."""
+    lines = [a * b * c for c, a, b in factors]
+    return sum(lines[1:], lines[0])
+
+
+def _reference_concomitant(f, g, e, params):
+    """[f, g](e) as the limit of the germ-line sum, with `concomitant`'s divergence detail."""
+    lines = con._concomitant_lines(germ_at(f, e), germ_at(g, e), params)
+    try:
+        return sum(lines[1:], lines[0]).limit()
+    except DivergentLimitError as exc:
+        diverging = ", ".join(str(i) for i, line in enumerate(lines, 1) if not line.has_limit())
+        raise DivergentLimitError(e, f"[f, g]({e:+d}) lines {diverging} of 6 diverge; sum: {exc.detail}") from None
+
+
+def _reference_general_reduction(f, g, e, params):
+    _, _, *rest = con._concomitant_lines(germ_at(f, e), germ_at(g, e), params)
+    head = concomitant_with_one(f, e, params) * value_at(g, e) - concomitant_with_one(g, e, params) * value_at(f, e)
+    return head + sum(rest[1:], rest[0]).limit()
+
+
+def _reference_log_probe_reduction(f, e, params):
+    fg = germ_at(f, e)
+    _, _, line3, _, *rest = con._concomitant_lines(fg, germ_at(log_probe(e, params), e), params)
+    near, far = con._near_far(e, params)
+    return e * (32 * near + 12 * far - 16) * value_at(f, e) + sum(rest, line3 + fg.derivative(1) * 32).limit()
+
+
+def _kernel_input(kind, p, q, poles, endpoint):
+    return _pole_input(p, q, poles, endpoint) if kind == "pole" else _endpoint_input(kind, p, q, endpoint)
+
+
+kernel_kinds = st.sampled_from(["global", "piecewise", "log", "pole"])
+poles = st.tuples(st.integers(1, 3), st.integers(1, 3))
+
+
+@given(kernel_kinds, kernel_kinds, small_polys, small_polys, small_polys, small_polys, poles, poles, endpoints,
+       st.sampled_from(PARAM_PAIRS))
+@settings(max_examples=60, deadline=None)
+def test_bracket_kernel_matches_the_germ_line_sum(kind_f, kind_g, p, q, r, s, f_poles, g_poles, e, params):
+    """Principal parts against built germ lines: `product_limit` on the lines of [f, g] and on
+    the reductions' lines j >= 1 is None exactly when the lines' sum diverges, else its limit;
+    `concomitant` and both reductions give the reference's value or its DivergentLimitError."""
+    f, g = _kernel_input(kind_f, p, q, f_poles, e), _kernel_input(kind_g, r, s, g_poles, e)
+    for a, b in ((f, g), (f, f)):
+        factors = con._line_factors(germ_at(a, e), germ_at(b, e), params)
+        for subset in (factors, factors[2:]):
+            total = _line_sum(subset)
+            assert product_limit(subset) == (total.limit() if total.has_limit() else None)
+        for read, reference in (
+            (lambda: concomitant(a, b, e, params), lambda: _reference_concomitant(a, b, e, params)),
+            (lambda: general_endpoint_reduction(a, b, e, params),
+             lambda: _reference_general_reduction(a, b, e, params)),
+            (lambda: log_probe_reduction(a, e, params), lambda: _reference_log_probe_reduction(a, e, params)),
+        ):
+            assert _outcome(read) == _outcome(reference)
 
 
 def test_germ_memos_are_keyed_by_params():

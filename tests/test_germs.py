@@ -393,3 +393,55 @@ def test_value_at_evaluation_matches_the_germ_limit(p, endpoint, order):
     via_germ = germ_at(p, endpoint).derivative(order).limit()
     assert value_at(p, endpoint, order) == via_germ
     assert value_at(EndpointFn(germ_at(p, -1), germ_at(p, 1)), endpoint, order) == via_germ
+
+
+@given(st.sampled_from([-1, 1]), small_polys.filter(bool), st.integers(0, 3), st.integers(-4, 3))
+@settings(max_examples=60, deadline=None)
+def test_laurent_coefficients_match_successive_limits(endpoint, q, j, depth):
+    """c_n of r = q / w^j in u = 1 - e x is the limit of (r - sum_{m<n} c_m u^m) / u^n,
+    taken by `leading_at` on `RationalFn` arithmetic; u^-n = (1 + e x)^n / w^n."""
+    r = RationalFn(q, j)
+    v, den, nums = r.laurent_at(endpoint, depth)
+    assert v == r.leading_at(endpoint)[0]
+    assert len(nums) <= max(depth - v + 1, 0)
+    rest = r
+    for n in range(v, depth + 1):
+        c = Fraction(nums[n - v], den) if n - v < len(nums) else 0
+        scaled = rest * RationalFn(Poly([1, endpoint]) ** n, n) if n > 0 else rest * Poly([1, -endpoint]) ** -n
+        order, lead = scaled.leading_at(endpoint) if not scaled.is_zero() else (1, 0)
+        assert order >= 0 and c == (lead if order == 0 else 0)
+        rest = rest - RationalFn(c * Poly([1, -endpoint]) ** n if n >= 0 else c * Poly([1, endpoint]) ** -n, max(-n, 0))
+
+
+def test_product_limit_reads_no_coefficient_past_u0():
+    """At +1, u = 1 - x: (1/u + L)(1 + u) - L - 1/u = 1 + u L has limit 1.  The first
+    product's u L term lies past u^0 and must not read as a divergent log term."""
+    inv_u = RationalFn(Poly([1, 1]), 1)  # 1/(1 - x) = (1 + x)/(1 - x^2)
+    one = germ_at(1, 1)
+    products = [
+        (1, LogGerm(1, {0: inv_u, 1: 1}), germ_at(Poly([2, -1]), 1)),
+        (-1, LogGerm(1, {1: 1}), one),
+        (-1, LogGerm(1, {0: inv_u}), one),
+    ]
+    assert germs.product_limit(products) == 1
+    assert germs.product_limit(products[:2]) is None  # 1/u is left over
+    assert germs.product_limit([(1, LogGerm.zero(1), one)]) == 0
+
+
+@given(
+    st.sampled_from([-1, 1]),
+    st.lists(
+        st.tuples(st.integers(-2, 2), log_terms, log_terms, st.integers(0, 4), st.integers(0, 4)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_product_limit_matches_the_built_products(endpoint, lines):
+    # a factor u^i moves a germ towards the limit class, so both outcomes occur
+    u = Poly([1, -endpoint])
+    products = [(c, LogGerm(endpoint, a) * u**i, LogGerm(endpoint, b) * u**k) for c, a, b, i, k in lines]
+    total = sum((a * b * c for c, a, b in products), LogGerm.zero(endpoint))
+    assert germs.product_limit(products) == (total.limit() if total.has_limit() else None)
+    # a b - b a cancels whatever each product does on its own
+    assert germs.product_limit(products + [(-c, b, a) for c, a, b in products]) == 0
