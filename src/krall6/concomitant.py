@@ -23,9 +23,9 @@ names the lines that diverge on their own when their sum has no limit, and
 the endpoint reductions take the lines for j >= 1.  All scalars are real
 rationals, so complex conjugation is the identity and [f, g] = -[g, f].
 
-Endpoint limits are germ-valuation limits (`germs.LogGerm.limit`); divergence
-raises `DivergentLimitError`, the typed signal that an input pair lies
-outside the limit class.
+Endpoint limits are germ-valuation limits, all by `germs.product_limit`;
+divergence raises `DivergentLimitError`, the typed signal that an input pair
+lies outside the limit class.
 
 Three memos serve the brackets.  An endpoint record holds f^(j)(e) and
 (-1)^j f^[2m-1-j](e) for j < m as ints over one denominator, and an input
@@ -40,12 +40,11 @@ products and one `Fraction` (evaluation at e, since both are polynomials
 near e), and B(e) and Lam(e) are read from the record.
 Every other input -- a log-bearing germ, say -- takes the germ-line route:
 `_germ_chain` works out the chain of each (germ, params) pair once and
-serves Lam, B and the factors of the bracket lines.  No line is built for
-a limit: `_lines_limit` reads the sum's limit off the memoised principal
-parts of the factors (`germs.product_limit`), one short integer
-convolution per line, and only when that sum diverges are the germ
-products built, so the `DivergentLimitError` is the one their sum's limit
-raises.  All three memos are `functools.lru_cache`s bounded at 4096
+serves Lam, B and the factors of the bracket lines.  No line is built:
+`germs.product_limit` reads the sum's limit off the memoised principal
+parts of the factors, one short integer convolution per line, and when
+that sum diverges `concomitant` runs it on each line alone to name the
+ones that diverge.  All three memos are `functools.lru_cache`s bounded at 4096
 entries and keyed by value (`Poly`, `LogGerm` and `KrallParams` hash by
 value), like the germ derivatives and principal parts they read
 (`germs._derivative`, `germs._principal`).  The chain memo holds germs,
@@ -226,20 +225,13 @@ def _line_factors(fg: LogGerm, gg: LogGerm, params: KrallParams) -> list[tuple[i
     return factors
 
 
-def _concomitant_lines(fg: LogGerm, gg: LogGerm, params: KrallParams) -> tuple[LogGerm, ...]:
-    """The 2m summands of [f, g] as germs at one endpoint, the products of `_line_factors`."""
-    return tuple(a * b * sign for sign, a, b in _line_factors(fg, gg, params))
-
-
-def _lines_limit(factors) -> Fraction:
-    """The limit of sum c a b over (c, a, b) in `factors`, read off principal parts by
-    `germs.product_limit`; only where that sum diverges are the products built, and
-    their sum's limit raises the germ layer's DivergentLimitError."""
-    value = product_limit(factors)
-    if value is None:
-        lines = [a * b * c for c, a, b in factors]
-        value = sum(lines[1:], lines[0]).limit()
-    return value
+def _diverges(products) -> bool:
+    """Whether sum c a b over `products` has no limit, by `product_limit`."""
+    try:
+        product_limit(products)
+    except DivergentLimitError:
+        return True
+    return False
 
 
 @functools.lru_cache(maxsize=4096)
@@ -303,8 +295,8 @@ def concomitant(f, g, endpoint: int, params: KrallParams) -> Fraction:
     When f and g are both polynomials near e, the bracket is
     sum_j (-1)^j (f^[2m-1-j](e) g^(j)(e) - g^[2m-1-j](e) f^(j)(e)), two
     integer dot products over the two endpoint records.  Otherwise the limit
-    is read off the principal parts of the line factors (`_lines_limit`),
-    and the germ lines are built only when their sum diverges.
+    is read off the principal parts of the line factors (`germs.product_limit`),
+    and no germ line is built.
 
     Raises DivergentLimitError when the pair is outside the limit class; its
     detail names the endpoint and the lines (numbered from 1, in the order
@@ -313,12 +305,11 @@ def concomitant(f, g, endpoint: int, params: KrallParams) -> Fraction:
     parts = _bracket_parts(f, g, endpoint, params)
     if parts is not None:
         return Fraction(*parts)
-    fg, gg = germ_at(f, endpoint), germ_at(g, endpoint)
+    lines = _line_factors(germ_at(f, endpoint), germ_at(g, endpoint), params)
     try:
-        return _lines_limit(_line_factors(fg, gg, params))
+        return product_limit(lines)
     except DivergentLimitError as exc:
-        lines = _concomitant_lines(fg, gg, params)
-        diverging = ", ".join(str(i) for i, line in enumerate(lines, 1) if not line.has_limit())
+        diverging = ", ".join(str(i) for i, line in enumerate(lines, 1) if _diverges([line]))
         raise DivergentLimitError(
             endpoint, f"[f, g]({endpoint:+d}) lines {diverging} of {len(lines)} diverge; sum: {exc.detail}"
         ) from None
@@ -392,7 +383,7 @@ def general_endpoint_reduction(f, g, endpoint: int, params: KrallParams) -> Frac
         concomitant_with_one(f, endpoint, params) * value_at(g, endpoint)
         - concomitant_with_one(g, endpoint, params) * value_at(f, endpoint)
     )
-    return head + _lines_limit(_line_factors(fg, gg, params)[2:])
+    return head + product_limit(_line_factors(fg, gg, params)[2:])
 
 
 def log_probe_reduction(f, endpoint: int, params: KrallParams) -> Fraction:
@@ -408,7 +399,7 @@ def log_probe_reduction(f, endpoint: int, params: KrallParams) -> Fraction:
     near, far = _near_far(endpoint, params)
     head = endpoint * (32 * near + 12 * far - 16) * value_at(f, endpoint)
     _, _, line3, _, *rest = _line_factors(fg, probe, params)
-    return head + _lines_limit([line3, (32, fg.derivative(1), germ_at(1, endpoint)), *rest])
+    return head + product_limit([line3, (32, fg.derivative(1), germ_at(1, endpoint)), *rest])
 
 
 # ---------------------------------------------------------------------------

@@ -9,25 +9,22 @@ with finitely many log powers k >= 0 and rational-function coefficients r_k.
 Every r_k is q / (1-x^2)^j with j >= 0: the inputs are polynomials, and the
 only divisor ever introduced is 1 - x^2, by d/dx L = -2x/(1-x^2).
 `LogGerm` stores that shape in normal form (one `RationalFn` in that form
-per log power, zero terms dropped), which makes cancellation structural:
-endpoint limits reduce to counting orders of vanishing, never to symbolic
-analysis.
+per log power, in ascending order of power, zero terms dropped), which makes
+cancellation structural: endpoint limits reduce to counting orders of
+vanishing, never to symbolic analysis.
 
 Limits use the local coordinate u (u = 1-x at +1, u = 1+x at -1).  Writing
 ord_k for the order of vanishing of r_k at the endpoint, the limit exists iff
 ord_0 >= 0 and ord_k >= 1 for every k >= 1 (u^m ln^k u -> 0 for m >= 1, while
 a nonvanishing coefficient on a log power diverges).  The value is the
-leading coefficient of r_0 when ord_0 = 0, and 0 when ord_0 > 0 or the
-log-free term is absent.  One `RationalFn.leading_at` call per term gives
-both its order and its leading coefficient: it splits q at the endpoint once
-and takes the pole's j off the order.  A failed limit raises
-`DivergentLimitError` -- the typed "outside the limit class" outcome.
-
-A limit of a sum of products, such as a bracket's lines, needs no product:
-`product_limit` reads it off the factors' principal parts, their Laurent
-coefficients c_{k,n} of u^n L^k up to a depth (`RationalFn.laurent_at`, ints
-over one denominator per log power), with L kept a symbol, so the test is
-the valuation test above, coefficient by coefficient.
+coefficient of u^0 in r_0.  One function, `product_limit`, makes that test,
+for the limit of any sum of products c a b such as a bracket's lines, and
+builds no product: it reads the factors' principal parts, their Laurent
+coefficients of u^n L^k up to a depth (`RationalFn.laurent_at`, ints over
+one denominator per log power), with L kept a symbol.  `LogGerm.limit` is
+the one product g * 1.  A failed limit raises `DivergentLimitError` -- the
+typed "outside the limit class" outcome -- naming the lowest failing power
+and its valuation.
 
 Derivatives are memoised by value: `derivative(n)` is served by
 `_derivative`, a `functools.lru_cache` keyed by (germ, n) and bounded at
@@ -107,15 +104,16 @@ class LogGerm(Value):
             if not r.is_zero():
                 clean[k] = r
         object.__setattr__(self, "endpoint", endpoint)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", {k: clean[k] for k in sorted(clean)})
         object.__setattr__(self, "_hash", None)
 
     @staticmethod
     def _make(endpoint: int, terms: dict[int, RationalFn]) -> "LogGerm":
         """A germ over `terms` as given: a dict no one else holds, of non-negative
-        powers to nonzero terms.  Negation and scaling by a nonzero factor keep
-        every term nonzero and come here; a sum can cancel a term to zero, so
-        sums, products of germs and derivatives go through the constructor's filter."""
+        powers in ascending order to nonzero terms.  Negation and scaling by a
+        nonzero factor keep every term nonzero and come here; a sum can cancel a
+        term to zero, so sums, products of germs and derivatives go through the
+        constructor's filter and sort."""
         g = object.__new__(LogGerm)
         object.__setattr__(g, "endpoint", endpoint)
         object.__setattr__(g, "terms", terms)
@@ -151,7 +149,7 @@ class LogGerm(Value):
     def __hash__(self):
         # computed once: every memo lookup keyed by this germ hashes it
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.endpoint, tuple(sorted(self.terms.items())))))
+            object.__setattr__(self, "_hash", hash((self.endpoint, tuple(self.terms.items()))))
         return self._hash
 
     def _require_same_endpoint(self, other: "LogGerm"):
@@ -203,19 +201,8 @@ class LogGerm(Value):
     # -- limits -------------------------------------------------------------
 
     def limit(self) -> Fraction:
-        """Endpoint limit by valuation counting; raises DivergentLimitError."""
-        value = Fraction(0)
-        for k, r in self.terms.items():
-            val, lead = r.leading_at(self.endpoint)
-            needed = 0 if k == 0 else 1
-            if val < needed:
-                raise DivergentLimitError(
-                    self.endpoint,
-                    f"term with log power {k} has valuation {val} (needs >= {needed})",
-                )
-            if k == 0 and val == 0:
-                value = lead
-        return value
+        """Endpoint limit, the product g * 1 through `product_limit`; raises DivergentLimitError."""
+        return product_limit(((1, self, germ_at(1, self.endpoint)),))
 
     def has_limit(self) -> bool:
         try:
@@ -227,7 +214,7 @@ class LogGerm(Value):
     def __repr__(self) -> str:
         if not self.terms:
             return f"LogGerm({self.endpoint:+d}, 0)"
-        body = " + ".join(f"[L^{k}]({r!r})" for k, r in sorted(self.terms.items()))
+        body = " + ".join(f"[L^{k}]({r!r})" for k, r in self.terms.items())
         return f"LogGerm({self.endpoint:+d}, {body})"
 
 
@@ -256,19 +243,23 @@ def _principal(g: LogGerm, depth: int) -> tuple[int | None, tuple]:
     return min((part[1] for part in parts), default=None), parts
 
 
-def product_limit(products) -> Fraction | None:
+def product_limit(products) -> Fraction:
     """The endpoint limit of sum c a b over (c, a, b) in `products` (c an int, a and b
-    germs at one endpoint), read off principal parts without building a product; None
-    when the sum has no limit.
+    germs at one endpoint), read off principal parts without building a product.
 
     The u^n L^k are asymptotically independent, so the sum has a limit exactly when
-    its coefficients at k = 0, n < 0 and at k >= 1, n <= 0 vanish (the valuation test
-    of `LogGerm.limit`), and the limit is its (0, 0) coefficient.  Those coefficients
-    of a b need a only up to u^-v(b) and b only up to u^-v(a), one short integer
-    convolution; the sums run over one denominator.
+    its coefficients at k = 0, n < 0 and at k >= 1, n <= 0 vanish, and the limit is
+    its (0, 0) coefficient.  Otherwise DivergentLimitError names the lowest failing
+    power k and its least n, the valuation of that power's coefficient in the built
+    sum.  Those coefficients of a b need a only up to u^-v(b) and b only up to
+    u^-v(a), one short integer convolution; the sums run over one denominator.
     """
-    acc, den = {}, 1
+    acc, den, endpoint = {}, 1, None
     for c, a, b in products:
+        if endpoint is None:
+            endpoint = a.endpoint
+        if a.endpoint != endpoint or b.endpoint != endpoint:
+            raise ValueError("germs live at different endpoints")
         va, vb = _principal(a, 0)[0], _principal(b, 0)[0]
         if va is None or vb is None or va + vb > 0:
             continue
@@ -288,8 +279,10 @@ def product_limit(products) -> Fraction | None:
                         if n > 0:
                             break
                         acc[k, n] = acc.get((k, n), 0) + scale * x * y
-    if any(value for (k, n), value in acc.items() if k or n < 0):
-        return None
+    failing = [(k, n) for (k, n), value in acc.items() if value and (k or n < 0)]
+    if failing:
+        k, n = min(failing)
+        raise DivergentLimitError(endpoint, f"term with log power {k} has valuation {n} (needs >= {1 if k else 0})")
     return Fraction(acc.get((0, 0), 0), den)
 
 

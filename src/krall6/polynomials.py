@@ -56,14 +56,14 @@ fields through unchanged; a power of a single endpoint factor is held over w,
 normal form of the general quotient, built with `poly_gcd` and `Poly.divmod`,
 which no library code calls.
 
-Endpoint limits need only the local behaviour at a root.  `Poly.split_root`
+Endpoint limits need only the local behaviour at e = +-1.
+`RationalFn.laurent_at` gives the Laurent coefficients in u = 1 - e x up to
+a depth, as ints over one denominator: its least order (the pole lowers it
+by j), and with it every coefficient a limit reads.  `Poly.split_root`
 writes p = (x-c)^m q with q(c) != 0 by synthetic division (over the integer
 numerators when c is an integer) and also returns the value q(c), the
-remainder of its last pass.  `RationalFn.leading_at` splits q once; at e = +-1
-the pole lowers the valuation by j and divides the leading coefficient by
-(-2e)^j, a sign and a power of 2.  `RationalFn.laurent_at` gives the
-coefficients past the leading one too, in u = 1 - e x up to a depth, as ints
-over one denominator.
+remainder of its last pass; `LocalExpression.indicial_roots` reads multiplicities
+with it.
 
 Output text formats (reports, witnesses and dumps):
   rational    "p/q" or "p", q > 0 (`format_rational`)
@@ -664,23 +664,6 @@ class RationalFn(Value):
         if not j:
             return RationalFn._make(q.derivative())
         return RationalFn._make(q.derivative() * WEIGHT + q * Poly([0, 2 * j]), j + 1)
-
-    def leading_at(self, point: Scalar) -> tuple[int, Fraction]:
-        """(v, c) with self = (x - point)^v (c + o(1)) near `point`, c != 0.
-
-        q is split at the root once.  Near e = +-1, w = (x - e)(-2e + o(1)),
-        so the pole lowers v by j and divides c by (-2e)^j; anywhere else it
-        divides c by w(point)^j.  The zero function has no leading term and
-        raises ValueError.
-        """
-        v, _, c = self.q.split_root(point)
-        j = self.j
-        if j:
-            point = as_fraction(point)
-            if point * point == 1:
-                return v - j, c / (-2 * point) ** j
-            c /= (1 - point * point) ** j
-        return v, c
 
     def laurent_at(self, e: int, depth: int) -> tuple[int, int, tuple[int, ...]]:
         """(v, den, nums) with self = sum_{n >= v} c_n u^n near e = +-1, u = 1 - e x,

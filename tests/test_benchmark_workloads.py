@@ -7,7 +7,6 @@ changed.
 """
 
 import importlib
-import threading
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -66,38 +65,46 @@ def test_endpoint_log_verdicts_are_pinned(monkeypatch):
 
 
 def test_convergent_brackets_build_no_germ_lines(monkeypatch, capsys):
-    """In `run all` at seed 1 and the endpoint-log workload at seed 1, the germ lines
-    (`_concomitant_lines`) are built only for pairs whose bracket diverges, and no
-    LogGerm x LogGerm product is made outside them: every convergent bracket limit,
-    reductions included, is read off principal parts."""
+    """In `run all` at seed 1 and the endpoint-log workload at seed 1, no LogGerm x LogGerm
+    product is made: every bracket limit, reductions and divergent pairs included, is read
+    off principal parts by `germs.product_limit`, which also names the diverging lines."""
     from krall6 import cli, concomitant, germs
+    from krall6.polynomials import Poly
 
-    calls, products, inside = [], [], threading.local()
-    lines, multiply = concomitant._concomitant_lines, germs.LogGerm.__mul__
-
-    def recorded_lines(fg, gg, params):
-        calls.append((fg, gg, params))
-        inside.depth = getattr(inside, "depth", 0) + 1
-        try:
-            return lines(fg, gg, params)
-        finally:
-            inside.depth -= 1
+    products, divergent = [], []
+    multiply, kernel = germs.LogGerm.__mul__, germs.product_limit
 
     def recorded_multiply(a, b):
-        if isinstance(b, germs.LogGerm) and not getattr(inside, "depth", 0):
+        if isinstance(b, germs.LogGerm):
             products.append((a, b))
         return multiply(a, b)
 
-    monkeypatch.setattr(concomitant, "_concomitant_lines", recorded_lines)
+    def recorded_kernel(factors):
+        try:
+            return kernel(factors)
+        except germs.DivergentLimitError:
+            divergent.append(factors)
+            raise
+
     monkeypatch.setattr(germs.LogGerm, "__mul__", recorded_multiply)
+    monkeypatch.setattr(germs, "product_limit", recorded_kernel)
+    monkeypatch.setattr(concomitant, "product_limit", recorded_kernel)
     assert cli.main(["run", "all", "--A", "1", "--B", "2", "--nmax", "8", "--seed", "1"]) == 0
     assert '"failed": 0' in capsys.readouterr().out
+    assert divergent  # the out-of-class witness
+    del divergent[:]
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workload = importlib.import_module("workloads").WORKLOADS["endpoint-log"]
     inputs = workload.prepare(1)
     workload.execute(inputs)
+    # neither run brackets a divergent pair, so the concomitant suite's out-of-class input,
+    # a bare logarithm near +1, is bracketed here against every endpoint-log function
+    bare_log = germs.EndpointFn(germs.LogGerm.zero(-1), germs.LogGerm.from_log_poly(Poly.one(), 1))
+    for g in inputs["functions"]:
+        try:
+            concomitant.concomitant(bare_log, g, 1, inputs["params"])
+        except germs.DivergentLimitError:
+            pass
     monkeypatch.undo()
     assert products == []
-    for fg, gg, params in calls:
-        built = lines(fg, gg, params)
-        assert not sum(built[1:], built[0]).has_limit()
+    assert any(len(factors) == 6 for factors in divergent)  # divergent brackets took the kernel

@@ -152,6 +152,11 @@ def test_divergent_pair_is_typed():
         concomitant(bad, X, 1, params)
 
 
+def _germ_lines(fg, gg, params):
+    """The 2m summands of [f, g] as built germs, sign a b over `_line_factors` (the reference route)."""
+    return tuple(a * b * sign for sign, a, b in con._line_factors(fg, gg, params))
+
+
 def test_divergent_concomitant_names_endpoint_and_lines():
     params = KrallParams(1, 2)
     bare_log = EndpointFn(LogGerm.zero(-1), LogGerm.from_log_poly(Poly.one(), 1))
@@ -160,13 +165,24 @@ def test_divergent_concomitant_names_endpoint_and_lines():
     assert info.value.endpoint == 1
     assert info.value.detail.startswith("[f, g](+1) lines 1, 2, 3 of 6 diverge; sum: ")
     # each named line diverges on its own, and the others converge
-    lines = con._concomitant_lines(germ_at(bare_log, 1), germ_at(X, 1), params)
+    lines = _germ_lines(germ_at(bare_log, 1), germ_at(X, 1), params)
     assert [line.has_limit() for line in lines] == [False, False, False, True, True, True]
     # lines 3 and 4 of [probe, probe] diverge separately but cancel in the sum
     probe = germ_at(log_probe(1, params), 1)
-    lines = con._concomitant_lines(probe, probe, params)
+    lines = _germ_lines(probe, probe, params)
     assert [line.has_limit() for line in lines] == [True, True, False, False, True, True]
     assert concomitant(log_probe(1, params), log_probe(1, params), 1, params) == 0
+
+
+def test_divergent_bracket_detail_names_the_lowest_failing_power():
+    # the sum of [bare log, log probe]'s lines diverges at log powers 0 and 1; power 0 is named
+    params = KrallParams(1, 2)
+    bare_log = EndpointFn(LogGerm.zero(-1), LogGerm.from_log_poly(Poly.one(), 1))
+    with pytest.raises(DivergentLimitError) as info:
+        concomitant(bare_log, log_probe(1, params), 1, params)
+    assert info.value.detail == (
+        "[f, g](+1) lines 1, 2, 3, 4, 5, 6 of 6 diverge; sum: term with log power 0 has valuation -1 (needs >= 0)"
+    )
 
 
 small_polys = st.lists(
@@ -177,7 +193,7 @@ endpoints = st.sampled_from([-1, 1])
 
 def _bracket_by_germ_lines(f, g, endpoint, params):
     """[f, g](e) as the limit of the sum of the germ lines (the reference route)."""
-    lines = con._concomitant_lines(germ_at(f, endpoint), germ_at(g, endpoint), params)
+    lines = _germ_lines(germ_at(f, endpoint), germ_at(g, endpoint), params)
     return sum(lines[1:], lines[0]).limit()
 
 
@@ -353,7 +369,7 @@ kinds = st.sampled_from(["global", "piecewise", "log"])
 def test_chain_bracket_lines_match_the_five_line_reference(kind_f, kind_g, p, q, r, s, endpoint, params):
     f, g = _endpoint_input(kind_f, p, q, endpoint), _endpoint_input(kind_g, r, s, endpoint)
     fg, gg = germ_at(f, endpoint), germ_at(g, endpoint)
-    lines, reference = con._concomitant_lines(fg, gg, params), _reference_lines(fg, gg, params)
+    lines, reference = _germ_lines(fg, gg, params), _reference_lines(fg, gg, params)
     assert lines[:4] == reference[:4]
     reference_sum = sum(reference[1:], reference[0])
     assert sum(lines[1:], lines[0]) == reference_sum
@@ -402,7 +418,7 @@ def _line_sum(factors):
 
 def _reference_concomitant(f, g, e, params):
     """[f, g](e) as the limit of the germ-line sum, with `concomitant`'s divergence detail."""
-    lines = con._concomitant_lines(germ_at(f, e), germ_at(g, e), params)
+    lines = _germ_lines(germ_at(f, e), germ_at(g, e), params)
     try:
         return sum(lines[1:], lines[0]).limit()
     except DivergentLimitError as exc:
@@ -411,14 +427,14 @@ def _reference_concomitant(f, g, e, params):
 
 
 def _reference_general_reduction(f, g, e, params):
-    _, _, *rest = con._concomitant_lines(germ_at(f, e), germ_at(g, e), params)
+    _, _, *rest = _germ_lines(germ_at(f, e), germ_at(g, e), params)
     head = concomitant_with_one(f, e, params) * value_at(g, e) - concomitant_with_one(g, e, params) * value_at(f, e)
     return head + sum(rest[1:], rest[0]).limit()
 
 
 def _reference_log_probe_reduction(f, e, params):
     fg = germ_at(f, e)
-    _, _, line3, _, *rest = con._concomitant_lines(fg, germ_at(log_probe(e, params), e), params)
+    _, _, line3, _, *rest = _germ_lines(fg, germ_at(log_probe(e, params), e), params)
     near, far = con._near_far(e, params)
     return e * (32 * near + 12 * far - 16) * value_at(f, e) + sum(rest, line3 + fg.derivative(1) * 32).limit()
 
@@ -436,14 +452,14 @@ poles = st.tuples(st.integers(1, 3), st.integers(1, 3))
 @settings(max_examples=60, deadline=None)
 def test_bracket_kernel_matches_the_germ_line_sum(kind_f, kind_g, p, q, r, s, f_poles, g_poles, e, params):
     """Principal parts against built germ lines: `product_limit` on the lines of [f, g] and on
-    the reductions' lines j >= 1 is None exactly when the lines' sum diverges, else its limit;
-    `concomitant` and both reductions give the reference's value or its DivergentLimitError."""
+    the reductions' lines j >= 1 gives the built lines' sum's limit, or raises its
+    DivergentLimitError; `concomitant` and both reductions give the reference's value or its
+    DivergentLimitError."""
     f, g = _kernel_input(kind_f, p, q, f_poles, e), _kernel_input(kind_g, r, s, g_poles, e)
     for a, b in ((f, g), (f, f)):
         factors = con._line_factors(germ_at(a, e), germ_at(b, e), params)
         for subset in (factors, factors[2:]):
-            total = _line_sum(subset)
-            assert product_limit(subset) == (total.limit() if total.has_limit() else None)
+            assert _outcome(lambda: product_limit(subset)) == _outcome(_line_sum(subset).limit)
         for read, reference in (
             (lambda: concomitant(a, b, e, params), lambda: _reference_concomitant(a, b, e, params)),
             (lambda: general_endpoint_reduction(a, b, e, params),

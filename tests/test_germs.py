@@ -395,20 +395,51 @@ def test_value_at_evaluation_matches_the_germ_limit(p, endpoint, order):
     assert value_at(EndpointFn(germ_at(p, -1), germ_at(p, 1)), endpoint, order) == via_germ
 
 
+def _lead(r, e):
+    """(v, c_v) of r = q / w^j in u = 1 - e x by one `Poly.split_root` of q, the reference
+    for `laurent_at`: x - e = -e u and w = u (2 - u), so r = (-e)^m q~(e) u^(m-j) / 2^j + ...
+    with q = (x - e)^m q~; (1, 0) for the zero function."""
+    if r.is_zero():
+        return 1, 0
+    m, _, c = r.q.split_root(e)
+    return m - r.j, (-e) ** m * c / 2**r.j
+
+
+def _reference_limit(g):
+    """The valuation test written out on g's terms in ascending log power, by `_lead`."""
+    value = Fraction(0)
+    for k in sorted(g.terms):
+        val, lead = _lead(g.terms[k], g.endpoint)
+        needed = 0 if k == 0 else 1
+        if val < needed:
+            raise DivergentLimitError(g.endpoint, f"term with log power {k} has valuation {val} (needs >= {needed})")
+        if k == 0 and val == 0:
+            value = lead
+    return value
+
+
+def _outcome(read):
+    """read()'s value, or the text of the DivergentLimitError it raises."""
+    try:
+        return read()
+    except DivergentLimitError as exc:
+        return str(exc)
+
+
 @given(st.sampled_from([-1, 1]), small_polys.filter(bool), st.integers(0, 3), st.integers(-4, 3))
 @settings(max_examples=60, deadline=None)
 def test_laurent_coefficients_match_successive_limits(endpoint, q, j, depth):
     """c_n of r = q / w^j in u = 1 - e x is the limit of (r - sum_{m<n} c_m u^m) / u^n,
-    taken by `leading_at` on `RationalFn` arithmetic; u^-n = (1 + e x)^n / w^n."""
+    taken by `_lead` on `RationalFn` arithmetic; u^-n = (1 + e x)^n / w^n."""
     r = RationalFn(q, j)
     v, den, nums = r.laurent_at(endpoint, depth)
-    assert v == r.leading_at(endpoint)[0]
+    assert v == _lead(r, endpoint)[0]
     assert len(nums) <= max(depth - v + 1, 0)
     rest = r
     for n in range(v, depth + 1):
         c = Fraction(nums[n - v], den) if n - v < len(nums) else 0
         scaled = rest * RationalFn(Poly([1, endpoint]) ** n, n) if n > 0 else rest * Poly([1, -endpoint]) ** -n
-        order, lead = scaled.leading_at(endpoint) if not scaled.is_zero() else (1, 0)
+        order, lead = _lead(scaled, endpoint)
         assert order >= 0 and c == (lead if order == 0 else 0)
         rest = rest - RationalFn(c * Poly([1, -endpoint]) ** n if n >= 0 else c * Poly([1, endpoint]) ** -n, max(-n, 0))
 
@@ -424,7 +455,9 @@ def test_product_limit_reads_no_coefficient_past_u0():
         (-1, LogGerm(1, {0: inv_u}), one),
     ]
     assert germs.product_limit(products) == 1
-    assert germs.product_limit(products[:2]) is None  # 1/u is left over
+    with pytest.raises(DivergentLimitError, match=r"^divergent limit at \+1: term with log power 0 has valuation -1 "
+                       r"\(needs >= 0\)$"):
+        germs.product_limit(products[:2])  # 1/u is left over
     assert germs.product_limit([(1, LogGerm.zero(1), one)]) == 0
 
 
@@ -442,6 +475,60 @@ def test_product_limit_matches_the_built_products(endpoint, lines):
     u = Poly([1, -endpoint])
     products = [(c, LogGerm(endpoint, a) * u**i, LogGerm(endpoint, b) * u**k) for c, a, b, i, k in lines]
     total = sum((a * b * c for c, a, b in products), LogGerm.zero(endpoint))
-    assert germs.product_limit(products) == (total.limit() if total.has_limit() else None)
+    want = _outcome(lambda: _reference_limit(total))
+    assert _outcome(lambda: germs.product_limit(products)) == want == _outcome(total.limit)
     # a b - b a cancels whatever each product does on its own
     assert germs.product_limit(products + [(-c, b, a) for c, a, b in products]) == 0
+
+
+def test_product_limit_rejects_germs_from_two_endpoints():
+    x_plus, x_minus = germ_at(Poly.x(), 1), germ_at(Poly.x(), -1)
+    for products in ([(1, x_plus, x_minus)], [(1, x_minus, x_plus)], [(1, x_plus, x_plus), (1, x_minus, x_minus)],
+                     [(1, x_plus, LogGerm.zero(-1))]):
+        with pytest.raises(ValueError, match="germs live at different endpoints"):
+            germs.product_limit(products)
+    with pytest.raises(ValueError, match="germs live at different endpoints"):
+        x_plus * x_minus
+
+
+# a coefficient q / w^j with q(e) != 0 and j >= 1 has valuation -j, so fails at every power
+poles_at = st.tuples(st.integers(-3, 3).filter(bool), st.integers(0, 2), st.integers(1, 3))
+
+
+@given(
+    st.sampled_from([-1, 1]),
+    st.dictionaries(st.integers(0, 3), poles_at, min_size=2, max_size=4),
+    st.lists(st.tuples(st.integers(-2, 2), log_terms), max_size=2),
+)
+@settings(max_examples=60, deadline=None)
+def test_kernel_error_text_is_the_built_sums_with_several_failing_powers(endpoint, poles, others):
+    """A germ whose every power diverges, in random insertion order, alone and plus other
+    products: the kernel's error names what the valuation test on the built sum names."""
+    g = LogGerm(endpoint, {k: RationalFn(Poly([1, endpoint]) ** i * c, j) for k, (c, i, j) in poles.items()})
+    low = min(poles)
+    assert _outcome(g.limit) == str(DivergentLimitError(
+        endpoint, f"term with log power {low} has valuation {-poles[low][2]} (needs >= {int(low > 0)})"))
+    products = [(1, g, germ_at(1, endpoint))] + [(c, LogGerm(endpoint, t), g) for c, t in others]
+    total = sum((a * b * c for c, a, b in products), LogGerm.zero(endpoint))
+    assert _outcome(lambda: germs.product_limit(products)) == _outcome(lambda: _reference_limit(total))
+
+
+def test_limit_names_the_lowest_failing_power():
+    # both terms diverge; the error names power 0 whichever order the terms were given in
+    for terms in ({1: 1, 0: RationalFn(1, 1)}, {0: RationalFn(1, 1), 1: 1}):
+        with pytest.raises(DivergentLimitError) as info:
+            LogGerm(1, terms).limit()
+        assert info.value.detail == "term with log power 0 has valuation -1 (needs >= 0)"
+
+
+@given(st.sampled_from([-1, 1]), log_terms, log_terms, st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_terms_are_held_in_ascending_log_power(endpoint, g_terms, h_terms, rng):
+    items = list(g_terms.items())
+    rng.shuffle(items)
+    g, shuffled = LogGerm(endpoint, g_terms), LogGerm(endpoint, dict(items))
+    assert list(g.terms) == list(shuffled.terms) == sorted(g.terms)
+    assert hash(g) == hash(shuffled) and repr(g) == repr(shuffled)
+    h = LogGerm(endpoint, h_terms)
+    for made in (g + h, h - g, g * h, -g, g * Fraction(-3, 2), g.derivative(), g.derivative(3)):
+        assert list(made.terms) == sorted(made.terms)

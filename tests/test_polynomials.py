@@ -319,19 +319,27 @@ def test_a_power_of_one_endpoint_factor_is_held_over_w(e, k):
     r = RationalFn(Poly([1, e]) ** k, k)
     assert (r.q, r.j) == (Poly([1, e]) ** k, k) and r.den == W**k
     assert r * Poly([1, -e]) ** k == 1
-    assert r.leading_at(e) == (-k, (-e) ** k) and r.leading_at(-e) == (0, Fraction(1, 2**k))
+    assert laurent_lead(r, e) == (-k, 1) and laurent_lead(r, -e) == (0, Fraction(1, 2**k))
 
 
-def test_rationalfn_leading_at_examples():
+def laurent_lead(r, e):
+    """(v, c_v): r = c_v u^v + ... near e, u = 1 - e x, read off `laurent_at`."""
+    v = r.laurent_at(e, 0)[0]
+    _, den, nums = r.laurent_at(e, v)
+    return v, Fraction(nums[0], den)
+
+
+def test_rationalfn_laurent_at_examples():
     w = Poly([1, 0, -1])
-    r = RationalFn(w**2, 1)  # 1 - x^2 = (x - 1)(-1 - x)
-    assert r.leading_at(1) == (1, -2)  # a zero of order 1: the value there is 0
-    s = RationalFn(Poly([0, 1]), 1)  # x / (1 - x^2) has a simple pole at 1
-    assert s.leading_at(1) == (-1, Fraction(-1, 2))
-    assert s.leading_at(0) == (1, 1)
-    assert RationalFn(Poly([3, 1]), 1).leading_at(2) == (0, Fraction(-5, 3))
+    r = RationalFn(w**2, 1)  # 1 - x^2 = u (2 - u) at +1
+    assert laurent_lead(r, 1) == (1, 2)  # a zero of order 1: the value there is 0
+    s = RationalFn(Poly([0, 1]), 1)  # x / (1 - x^2) = (1 - u) / (u (2 - u)), a simple pole at 1
+    v, den, nums = s.laurent_at(1, 1)
+    assert v == -1 and [Fraction(n, den) for n in nums] == [Fraction(1, 2), Fraction(-1, 4), Fraction(-1, 8)]
+    assert laurent_lead(s, -1) == (-1, Fraction(-1, 2))  # (u - 1) / (u (2 - u)) at -1, u = 1 + x
+    assert s.laurent_at(1, -2)[::2] == (-1, ())  # no coefficient up to a depth below the pole
     with pytest.raises(ValueError):
-        RationalFn(Poly()).leading_at(1)
+        RationalFn(Poly()).laurent_at(1, 0)
 
 
 @given(
@@ -342,12 +350,12 @@ def test_rationalfn_leading_at_examples():
     st.sampled_from([-1, 1]),
 )
 @settings(max_examples=80, deadline=None)
-def test_leading_at_reads_off_valuation_and_leading_coefficient(j, k, a, c, e):
+def test_laurent_at_reads_off_valuation_and_leading_coefficient(j, k, a, c, e):
     # r = (x - e)^j a / (c w^k), a(e) != 0: a polynomial when k = 0, a pole of
-    # order k - j at e otherwise.  Near e, w = (x - e)(-2e + O(x - e)).
+    # order k - j at e otherwise.  Near e, x - e = -e u and w = u (2 - u).
     a = _without_root(a, e)
     r = RationalFn(Poly([-e, 1]) ** j * a * (1 / c), k)
-    assert r.leading_at(e) == (j - k, a(e) / (c * (-2 * e) ** k))
+    assert laurent_lead(r, e) == (j - k, (-e) ** j * a(e) / (c * 2**k))
 
 
 def euclid_normal_form(num, den):
@@ -407,10 +415,13 @@ in_class_values = st.builds(
 )
 
 
-def euclid_leading_at(num, den, point):
-    v_num, _, a = num.split_root(point)
-    v_den, _, b = den.split_root(point)
-    return v_num - v_den, a / b
+def euclid_laurent_lead(num, den, e):
+    """(v, c_v) of num / den in u = 1 - e x from both split at e: (x - e)^v = (-e)^v u^v,
+    and (-e)^v = (-e)^(v mod 2), an int also when v < 0."""
+    v_num, _, a = num.split_root(e)
+    v_den, _, b = den.split_root(e)
+    v = v_num - v_den
+    return v, a / b * (-e) ** (v % 2)
 
 
 @given(in_class_values, in_class_values)
@@ -434,19 +445,19 @@ def test_in_class_operations_match_euclid_normal_form(x, y):
     if r.is_zero():
         return
     num, den = euclid_normal_form(a, b)
-    for point in (1, -1, 0, 2, Fraction(1, 2)):
-        lead = r.leading_at(point)
-        assert lead == euclid_leading_at(num, den, point)
-        assert type(lead[1]) is Fraction
+    for e in (1, -1):
+        assert laurent_lead(r, e) == euclid_laurent_lead(num, den, e)
 
 
 @given(polys.filter(lambda p: not p.is_zero()), nonzero_rationals, st.integers(1, 3), st.integers(1, 3))
 @settings(max_examples=40, deadline=None)
-def test_leading_at_a_pole_is_an_exact_fraction(p, c, a, b):
-    # (-1)^s with s < 0 is the float -1.0 in Python; the sign must stay exact
-    r, _, _ = in_class(_without_root(_without_root(p, 1), -1), c, a, b)
-    assert r.leading_at(1)[0] == -a and r.leading_at(-1)[0] == -b
-    assert type(r.leading_at(1)[1]) is Fraction and type(r.leading_at(-1)[1]) is Fraction
+def test_laurent_at_a_pole_is_exact(p, c, a, b):
+    # (-1)^s with s < 0 is the float -1.0 in Python; every coefficient must stay an exact int
+    r, num, den = in_class(_without_root(_without_root(p, 1), -1), c, a, b)
+    for e, pole in ((1, a), (-1, b)):
+        v, d, nums = r.laurent_at(e, 2)
+        assert v == -pole and type(d) is int and nums and all(type(n) is int for n in nums)
+        assert laurent_lead(r, e) == euclid_laurent_lead(*euclid_normal_form(num, den), e)
 
 
 @given(polys, polys)
