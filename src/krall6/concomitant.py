@@ -210,8 +210,9 @@ def quasi_derivative_terms_at(f, endpoint: int, params: KrallParams) -> tuple[Fr
     constant 24 is the P f'' part alone.
     """
     *_, before, lam, _ = _germ_chain(germ_at(f, endpoint), params)
-    head = before.derivative()
-    return head.limit(), (lam - head).limit()
+    head = before.derivative().limit()
+    # (f^[3])' has a limit, so P f'' = Lam - (f^[3])' diverges as Lam does, in the same term
+    return head, lam.limit() - head
 
 
 def _line_factors(fg: LogGerm, gg: LogGerm, params: KrallParams) -> list[tuple[int, LogGerm, LogGerm]]:
@@ -373,7 +374,7 @@ def bracket_weight_sq_reduction(f, endpoint: int, params: KrallParams) -> Fracti
 
 
 def general_endpoint_reduction(f, g, endpoint: int, params: KrallParams) -> Fraction:
-    """[f, g](e) decomposed as bracket-with-one terms plus a residual limit:
+    """[f, g](e) split into bracket-with-one terms plus a residual limit:
 
     [f,1](e) g(e) - [g,1](e) f(e) + lim (the bracket lines for j >= 1), that is
     lim( -Lam[f] g' + Lam[g] f' - (1-x^2)^3 f''' g'' + (1-x^2)^3 g''' f'' ).
@@ -387,7 +388,7 @@ def general_endpoint_reduction(f, g, endpoint: int, params: KrallParams) -> Frac
 
 
 def log_probe_reduction(f, endpoint: int, params: KrallParams) -> Fraction:
-    """[f, log_probe(e)](e) decomposed as constant * f(e) plus a residual limit.
+    """[f, log_probe(e)](e) split into constant * f(e) plus a residual limit.
 
     The constant is e(32 near + 12 far - 16): 32A+12B-16 at +1 and
     -(32B+12A-16) at -1.  The residual is the bracket lines for j >= 1 with

@@ -159,6 +159,8 @@ class LogGerm(Value):
     # -- algebra ----------------------------------------------------------
 
     def __add__(self, other: "LogGerm") -> "LogGerm":
+        if not isinstance(other, LogGerm):
+            return NotImplemented
         self._require_same_endpoint(other)
         terms = dict(self.terms)
         for k, r in other.terms.items():
@@ -169,7 +171,7 @@ class LogGerm(Value):
         return LogGerm._make(self.endpoint, {k: -r for k, r in self.terms.items()})
 
     def __sub__(self, other: "LogGerm") -> "LogGerm":
-        return self + (-other)
+        return self + (-other) if isinstance(other, LogGerm) else NotImplemented
 
     def __mul__(self, other) -> "LogGerm":
         if isinstance(other, LogGerm):
@@ -188,7 +190,8 @@ class LogGerm(Value):
         return NotImplemented
 
     def __rmul__(self, other) -> "LogGerm":
-        return self * other
+        # not `self * other`, which would try other.__rmul__ again and recurse
+        return self.__mul__(other)
 
     def derivative(self, order: int = 1) -> "LogGerm":
         """Exact derivative of the given order (order >= 0), memoised by value."""
@@ -297,6 +300,8 @@ class EndpointFn(Value):
     __slots__ = _fields = ("germ_minus", "germ_plus")
 
     def __init__(self, germ_minus: LogGerm, germ_plus: LogGerm):
+        if not (isinstance(germ_minus, LogGerm) and isinstance(germ_plus, LogGerm)):
+            raise TypeError(f"expected two germs, got {type(germ_minus).__name__} and {type(germ_plus).__name__}")
         if germ_minus.endpoint != -1 or germ_plus.endpoint != 1:
             raise ValueError("germs attached to the wrong endpoints")
         object.__setattr__(self, "germ_minus", germ_minus)
@@ -348,7 +353,7 @@ class EndpointFn(Value):
         return NotImplemented
 
     def __rmul__(self, other) -> "EndpointFn":
-        return self * other
+        return self.__mul__(other)
 
     def derivative(self, order: int = 1) -> "EndpointFn":
         return self.map(lambda f: f.derivative(order))

@@ -170,18 +170,18 @@ def _falling_factorial_poly(order: int) -> Poly:
     return out
 
 
-def power_stencil(params: KrallParams, center: Scalar) -> dict[int, Poly]:
+def power_stencil(params: KrallParams, center: int) -> dict[int, Poly]:
     """{shift: rho_shift} with l[t^s] = sum rho_shift(s) t^(s+shift), t = x - center.
 
-    The t^i coefficient of b_k times s(s-1)...(s-k+1) adds to rho_{i-k}.  At
-    center 0 the shifts lie in -6..0 and rho_0(n) = lambda_n.  Built afresh on
-    each call: `local_expression` keeps the one integer form of it per centre.
+    The t^i coefficient of b_k, read off `b_k.shift(center)`, times s(s-1)...(s-k+1)
+    adds to rho_{i-k}.  At center 0 the shifts lie in -6..0 and rho_0(n) = lambda_n.
+    TypeError for a centre whose type is not `int`.  Built afresh on each call:
+    `local_expression` keeps the one integer form of it per centre.
     """
-    t = Poly([center, 1])  # x = center + t
     stencil: dict[int, Poly] = {}
     for order, b in _orders(params.expression_coefficients()):
         ff = _falling_factorial_poly(order)
-        for i, c in enumerate(b.compose(t).coeffs):
+        for i, c in enumerate(b.shift(center).coeffs):
             if c != 0:
                 stencil[i - order] = stencil.get(i - order, Poly()) + c * ff
     return stencil
@@ -242,17 +242,16 @@ class LocalExpression(Value):
         return self.stencil[0]
 
     def indicial_roots(self) -> list[int]:
-        """Integer roots with multiplicity, descending; fails loudly otherwise."""
+        """Integer roots in -10..10 with multiplicity, descending: a candidate's multiplicity
+        is the index of its first nonzero Taylor coefficient (`Poly.taylor`).  ArithmeticError
+        when they do not account for the whole degree."""
         p = self.indicial_polynomial()
         roots = []
         for candidate in range(10, -11, -1):
-            mult, p, _ = p.split_root(candidate)
-            roots += [candidate] * mult
-        if p.degree not in (None, 0):
-            raise ArithmeticError(
-                f"indicial polynomial has a non-integer factor: {p.format_coeffs()}"
-            )
-        return sorted(roots, reverse=True)
+            roots += [candidate] * next(m for m, t in enumerate(p.taylor(candidate)) if t)
+        if len(roots) != p.degree:
+            raise ArithmeticError(f"indicial polynomial {p.format_coeffs()} has a root outside the integers -10..10")
+        return roots
 
     def apply_to_series(self, r: int, levels: tuple) -> tuple[Poly, Poly]:
         """(C', E') with l[t^r (C + E ln|t|)] = t^{r-pole} (C' + E' ln|t|), from the rows `at(r+m)`:

@@ -30,7 +30,7 @@ per coefficient either.  `Poly.coeffs`, the tuple of Fraction
 coefficients, is built on each read, for rendering only;
 no polynomial keeps a second copy.  There is no floating point anywhere:
 every operation (arithmetic, differentiation, evaluation, integration over
-[-1, 1], composition, splitting off a root) is exact.
+[-1, 1], Taylor coefficients and shifts) is exact.
 
 Both types are `values.Value`s, rebuilt by copy and pickle from `coeffs` and
 from (`q`, `j`).  A constant polynomial equals its scalar
@@ -56,14 +56,14 @@ fields through unchanged; a power of a single endpoint factor is held over w,
 normal form of the general quotient, built with `poly_gcd` and `Poly.divmod`,
 which no library code calls.
 
-Endpoint limits need only the local behaviour at e = +-1.
-`RationalFn.laurent_at` gives the Laurent coefficients in u = 1 - e x up to
-a depth, as ints over one denominator: its least order (the pole lowers it
-by j), and with it every coefficient a limit reads.  `Poly.split_root`
-writes p = (x-c)^m q with q(c) != 0 by synthetic division (over the integer
-numerators when c is an integer) and also returns the value q(c), the
-remainder of its last pass; `LocalExpression.indicial_roots` reads multiplicities
-with it.
+Local behaviour at an integer point c has one kernel, `Poly.taylor(c)`: the
+numerators of p^(m)(c) / m!, one synthetic-division pass on the ints each,
+read lazily.  `Poly.shift(c)` is p(x + c) from them (`operator.power_stencil`
+at each centre), `LocalExpression.indicial_roots` reads a root's multiplicity
+as the index of the first nonzero one, and `RationalFn.laurent_at` gives the
+Laurent coefficients in u = 1 - e x at e = +-1 up to a depth, as ints over
+one denominator: its least order (the pole lowers it by j), and with it every
+coefficient an endpoint limit reads.
 
 Output text formats (reports, witnesses and dumps):
   rational    "p/q" or "p", q > 0 (`format_rational`)
@@ -412,14 +412,27 @@ class Poly(Value):
         nu, den = self.moments(1)
         return Fraction(nu[0], den)
 
-    def compose(self, inner: "Poly") -> "Poly":
-        """Exact composition self(inner(x)) by Horner's rule."""
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + c
-        return acc
+    def taylor(self, point: int):
+        """Yield the numerators over `_d` of t_m = p^(m)(point) / m!, m = 0 .. degree, so p(x) =
+        sum_m t_m (x - point)^m: each is the remainder of one synthetic division by (x - point)
+        on the ints, of the last pass's quotient.  TypeError, at the first read, for a point
+        whose type is not `int` (`True`, `1.0` and `Fraction(1)` included)."""
+        if type(point) is not int:
+            raise TypeError(f"Taylor point must be an int, got {type(point).__name__}")
+        ints = self._n
+        while ints:
+            acc, partial = 0, []
+            for c in reversed(ints):
+                acc = acc * point + c
+                partial.append(acc)
+            yield acc
+            ints = partial[-2::-1]
 
-    # -- division and roots --------------------------------------------
+    def shift(self, point: int) -> "Poly":
+        """p(x + point), from the Taylor coefficients at `point`."""
+        return Poly._make(list(self.taylor(point)), self._d)
+
+    # -- division --------------------------------------------------------
 
     def divmod(self, divisor: "Poly") -> tuple["Poly", "Poly"]:
         """Exact polynomial division, (quotient, remainder).
@@ -453,41 +466,6 @@ class Poly(Value):
             rem.pop()
         den = self._d * scale
         return Poly._make([c * divisor._d for c in quot], den), Poly._make(rem, den)
-
-    def split_root(self, point: Scalar) -> tuple[int, "Poly", Fraction]:
-        """(m, q, q(point)) with self = (x - point)^m q and q(point) != 0.
-
-        Synthetic division: one Horner pass gives both the value at `point`
-        (the remainder) and the quotient by (x - point), so each factor of
-        the root costs one pass and no general division; the last pass's
-        remainder is q(point), returned rather than recomputed.  The passes
-        run on the integer numerators, which stay integers at an integer
-        point; at any other point they run over Fractions.
-        """
-        if self.is_zero():
-            raise ValueError("zero polynomial vanishes to every order")
-        if not isinstance(point, (int, Fraction)):
-            point = as_fraction(point)
-        if point.denominator == 1:
-            point = point.numerator
-        m, cs = 0, self._n
-        while True:
-            acc = 0
-            partial = []
-            for c in reversed(cs):
-                acc = acc * point + c
-                partial.append(acc)
-            if acc != 0:
-                break
-            m, cs = m + 1, partial[-2::-1]
-        d = self._d
-        if not m:
-            q = self
-        elif isinstance(point, int):
-            q = Poly._make(cs, d)
-        else:
-            q = Poly(cs) * Fraction(1, d)
-        return m, q, Fraction(acc, d)
 
     def monic(self) -> "Poly":
         if self.is_zero():
@@ -670,25 +648,22 @@ class RationalFn(Value):
         c_v != 0, and c_n = nums[n - v] / den for v <= n <= depth, zero past the end
         of nums (no nums when depth < v).
 
-        x = e(1 - u), so q = sum_m t_m u^m with t_m = (-e)^m q^(m)(e) / m!, one
-        synthetic-division pass per m on the numerators; w = u(2 - u), so
+        x = e(1 - u), so q = sum_m (-e)^m t_m u^m with t_m = q^(m)(e) / m!, read off
+        `Poly.taylor` only as deep as the depth needs; w = u(2 - u), so
         1/w^j = u^-j sum_m C(j+m-1, m) u^m / 2^(j+m).  All ints, over q's
         denominator, times 2^(2j + depth) when j > 0.  The zero function raises
         ValueError.
         """
-        j, cs = self.j, self.q._n
-        if not cs:
+        j = self.j
+        if not self.q:
             raise ValueError("the zero function has no Laurent expansion")
         top, ts, v = depth + j, [], None
-        while cs and (v is None or len(ts) <= top):
-            acc, partial = 0, []
-            for c in reversed(cs):
-                acc = acc * e + c
-                partial.append(acc)
-            if acc and v is None:
-                v = len(ts)
-            ts.append(-acc if e > 0 and len(ts) % 2 else acc)
-            cs = partial[-2::-1]
+        for m, t in enumerate(self.q.taylor(e)):
+            if t and v is None:
+                v = m
+            ts.append(-t if e > 0 and m % 2 else t)
+            if v is not None and m >= top:
+                break
         if not j or top < v:
             return v - j, self.q._d, tuple(ts[v : top + 1])
         weights = [math.comb(j + b - 1, b) << (top - b) for b in range(top - v + 1)]

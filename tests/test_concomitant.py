@@ -87,6 +87,33 @@ def test_log_probe_quasi_derivative_is_32():
         assert quasi_derivative_at(log_probe(-1, params), -1, params) == 32
 
 
+def test_quasi_derivative_terms_build_no_germ_once_the_chain_is_warm(monkeypatch):
+    # P f'' is read off Lam and (f^[3])', so no one-off difference germ is built (and kept by the
+    # `_principal` memo): the only germ a warm call makes is the 1 that each limit pairs with
+    params = KrallParams(1, 2)
+    units = {e: germ_at(1, e) for e in (-1, 1)}
+    probes = {e: log_probe(e, params) for e in (-1, 1)}
+    for e, probe in probes.items():
+        quasi_derivative_terms_at(probe, e, params)
+    built = []
+    real_init, real_make = LogGerm.__init__, LogGerm._make
+
+    def init(self, *args):
+        real_init(self, *args)
+        built.append(self)
+
+    def make(*args):
+        built.append(real_make(*args))
+        return built[-1]
+
+    monkeypatch.setattr(LogGerm, "__init__", init)
+    monkeypatch.setattr(LogGerm, "_make", staticmethod(make))
+    for e, probe in probes.items():
+        built.clear()
+        assert quasi_derivative_terms_at(probe, e, params) == (8, 24)
+        assert built and all(g == units[e] for g in built)
+
+
 def test_probe_symplectic_form_is_one_sided():
     # the probes vanish near the opposite endpoint, so the full boundary form
     # against a probe collapses to the single endpoint quasi-derivative

@@ -46,6 +46,15 @@ def test_indicial_roots_computed(endpoint, params):
     assert rho0(3) == 0 and rho0(4) != 0
 
 
+@pytest.mark.parametrize("rho0", (Poly([-3, 1]) * Poly([-1, 2]), Poly([-11, 1]) * Poly([0, 1]), Poly([2, 0, 1])))
+def test_indicial_roots_fail_on_a_root_outside_the_integers(rho0):
+    # a root at 1/2, at 11 (past the candidates) or complex leaves the multiplicities short of the degree
+    local = LocalExpression(1, KrallParams(1, 2))  # fresh, not the memoised one
+    local.stencil[0] = rho0
+    with pytest.raises(ArithmeticError, match="root outside the integers"):
+        local.indicial_roots()
+
+
 def test_indicial_polynomial_is_parameter_free():
     a = LocalExpression(1, KrallParams(1, 1)).indicial_polynomial()
     b = LocalExpression(1, KrallParams(Fraction(3, 2), Fraction(5, 2))).indicial_polynomial()

@@ -1,5 +1,7 @@
 """Log-germ algebra: derivatives, valuation limits, endpoint functions."""
 
+import itertools
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -162,6 +164,30 @@ def test_germ_constructors_read_scalars_and_reject_other_types():
                     lambda: LogGerm(e, {1.5: Poly([0, 0, 1])}), lambda: LogGerm(e, {True: Poly.x()})):
             with pytest.raises(TypeError):
                 bad()
+
+
+def test_germ_and_endpoint_fn_do_not_multiply():
+    # each reflected product used to call the other's __mul__ again, until RecursionError
+    g, f = LogGerm.from_poly(Poly.x(), 1), EndpointFn.poly_near(1, Poly.x())
+    for bad in (lambda: g * f, lambda: f * g):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            bad()
+
+
+def test_germ_sums_with_other_types_raise_type_error():
+    g = LogGerm.from_poly(Poly.x(), 1)
+    f = EndpointFn.poly_near(1, Poly.x())
+    for bad in (lambda: g + 1, lambda: 1 + g, lambda: g - 1, lambda: g - Poly([1]), lambda: g - f,
+                lambda: g + RationalFn(Poly.x())):
+        with pytest.raises(TypeError) as caught:
+            bad()
+        assert caught.type is TypeError
+    # an EndpointFn takes two germs, checked before their endpoints
+    for args in ((Poly([1]), g), (LogGerm.zero(-1), 1)):
+        with pytest.raises(TypeError, match="expected two germs"):
+            EndpointFn(*args)
+    with pytest.raises(ValueError, match="wrong endpoints"):
+        EndpointFn(g, LogGerm.zero(-1))
 
 
 #: every entry point that takes an endpoint, called at `e`
@@ -396,13 +422,13 @@ def test_value_at_evaluation_matches_the_germ_limit(p, endpoint, order):
 
 
 def _lead(r, e):
-    """(v, c_v) of r = q / w^j in u = 1 - e x by one `Poly.split_root` of q, the reference
-    for `laurent_at`: x - e = -e u and w = u (2 - u), so r = (-e)^m q~(e) u^(m-j) / 2^j + ...
-    with q = (x - e)^m q~; (1, 0) for the zero function."""
+    """(v, c_v) of r = q / w^j in u = 1 - e x from q's derivatives at e, the reference for
+    `laurent_at`: x - e = -e u and w = u (2 - u), so r = (-e)^m q^(m)(e) / m! u^(m-j) / 2^j + ...
+    with m the least order whose derivative is nonzero at e; (1, 0) for the zero function."""
     if r.is_zero():
         return 1, 0
-    m, _, c = r.q.split_root(e)
-    return m - r.j, (-e) ** m * c / 2**r.j
+    m, c = next((m, r.q.derivative(m)(e)) for m in itertools.count() if r.q.derivative(m)(e))
+    return m - r.j, (-e) ** m * c / math.factorial(m) / 2**r.j
 
 
 def _reference_limit(g):

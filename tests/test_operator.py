@@ -219,8 +219,8 @@ def test_continued_series_solves_the_shifted_equation_at_an_endpoint(center):
     local = local_expression(center, params)
     C, E = local.continue_solution(range(4, 24), [1], [0], shift=local.scale * lam)
     assert not E and C.degree == 20
-    y = Poly([-center, 1]) ** 3 * C.compose(Poly([-center, 1]))
-    residual = (apply_expression(y, params) - lam * y).compose(Poly([center, 1]))
+    y = Poly([-center, 1]) ** 3 * C.shift(-center)
+    residual = (apply_expression(y, params) - lam * y).shift(center)
     assert residual.valuation() == 21
 
 

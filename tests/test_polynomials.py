@@ -212,26 +212,46 @@ def test_divmod_reconstructs(p, q):
     assert rem.is_zero() or rem.degree < q.degree
 
 
-def test_compose():
-    p = Poly([0, 0, 1])  # x^2 composed with (x+1) -> (x+1)^2
-    assert p.compose(Poly([1, 1])) == Poly([1, 2, 1])
+def test_shift():
+    p = Poly([0, 0, 1])  # x^2 shifted by 1 -> (x+1)^2
+    assert p.shift(1) == Poly([1, 2, 1])
+    assert p.shift(0) == p and Poly().shift(3) == Poly()
 
 
-def test_split_root_examples():
-    p = Poly([1, 0, -1]) ** 3 * Poly([0, 1])
-    assert p.split_root(1)[0] == 3
-    assert p.split_root(-1)[0] == 3
-    assert p.split_root(0) == (1, Poly([1, 0, -1]) ** 3, 1)
-    assert p.split_root(2) == (0, p, p(2))
-    _, q, value = p.split_root(1)
-    assert value == q(1) == -8  # q = -(x + 1)^3 x
-    assert q.split_root(1) == (0, q, q(1))
-    assert Poly([-1, 1]) ** 3 * q == p
-    for c in (1, -1, 0, 2):
-        _, q, value = p.split_root(c)
-        assert value == q(c) != 0
-    with pytest.raises(ValueError):
-        Poly().split_root(0)
+def taylor_lead(p, c):
+    """(m, t_m) for the first nonzero Taylor coefficient of p at c: p = (x - c)^m q, t_m = q(c)."""
+    return next((m, Fraction(t, p._d)) for m, t in enumerate(p.taylor(c)) if t)
+
+
+def test_taylor_examples():
+    p = Poly([1, 0, -1]) ** 3 * Poly([0, 1])  # (1 - x)^3 (1 + x)^3 x
+    assert taylor_lead(p, 1) == (3, -8)  # q = -(x + 1)^3 x
+    assert taylor_lead(p, -1) == (3, -8)  # q = (1 - x)^3 x
+    assert taylor_lead(p, 0) == (1, 1)
+    assert taylor_lead(p, 2) == (0, p(2))
+    assert list(Poly([Fraction(1, 2), 3]).taylor(1)) == [7, 6]  # numerators over the denominator 2
+    assert list(Poly().taylor(0)) == []
+
+
+@pytest.mark.parametrize("point", (True, 1.0, Fraction(1), "1"), ids=repr)
+def test_taylor_point_must_be_an_int(point):
+    # each but "1" equals 1, so a non-int point would pass for the int it equals
+    p = Poly([1, 2, 3])
+    with pytest.raises(TypeError, match="must be an int"):
+        list(p.taylor(point))
+    with pytest.raises(TypeError, match="must be an int"):
+        p.shift(point)
+
+
+@given(polys, st.integers(-4, 4))
+@settings(max_examples=80, deadline=None)
+def test_taylor_coefficients_are_scaled_derivatives(p, c):
+    ts = list(p.taylor(c))
+    assert len(ts) == len(p.coeffs) and all(type(t) is int for t in ts)
+    for m, t in enumerate(ts):
+        assert Fraction(t, p._d) == p.derivative(m)(c) / math.factorial(m)
+    assert p.shift(c).shift(-c) == p
+    assert p.shift(c) == sum((a * Poly([c, 1]) ** i for i, a in enumerate(p.coeffs)), Poly())
 
 
 def test_monomial_rejects_negative_power():
@@ -248,13 +268,13 @@ def _without_root(p, c):
 
 @given(st.integers(0, 5), polys.filter(lambda q: not q.is_zero()), st.integers(-3, 3))
 @settings(max_examples=80, deadline=None)
-def test_split_root_recovers_a_known_multiplicity(m, q, c):
+def test_taylor_recovers_a_known_multiplicity(m, q, c):
     q = _without_root(q, c)  # so the multiplicity is exactly m
     p = Poly([-c, 1]) ** m * q
-    got_m, got_q, value = p.split_root(c)
-    assert (got_m, got_q) == (m, q)
-    assert Poly([-c, 1]) ** got_m * got_q == p
-    assert value == got_q(c) != 0
+    ts = list(p.taylor(c))
+    assert taylor_lead(p, c) == (m, q(c))
+    # the cofactor q(x + c) is sum_{i >= m} t_i x^(i - m)
+    assert (Poly(ts[m:]) * Fraction(1, p._d)).shift(-c) == q
 
 
 def test_gcd_monic_and_divides():
@@ -418,8 +438,8 @@ in_class_values = st.builds(
 def euclid_laurent_lead(num, den, e):
     """(v, c_v) of num / den in u = 1 - e x from both split at e: (x - e)^v = (-e)^v u^v,
     and (-e)^v = (-e)^(v mod 2), an int also when v < 0."""
-    v_num, _, a = num.split_root(e)
-    v_den, _, b = den.split_root(e)
+    v_num, _, a = ref_split_root(num.coeffs, e)
+    v_den, _, b = ref_split_root(den.coeffs, e)
     v = v_num - v_den
     return v, a / b * (-e) ** (v % 2)
 
@@ -663,18 +683,18 @@ def test_gcd_and_monic_match_reference(pa, pb, pc):
     assert m.coeffs == ref_monic(c) and m.leading_coefficient() == 1
 
 
-@given(pairs.filter(lambda pa: not pa[0].is_zero()), st.integers(0, 3), points)
+@given(pairs.filter(lambda pa: not pa[0].is_zero()), st.integers(0, 3), st.integers(-6, 6))
 @settings(max_examples=80, deadline=None)
-def test_split_root_matches_reference(pa, m, x):
+def test_taylor_matches_reference(pa, m, point):
     p, a = pa
-    # a root of multiplicity >= m at x, at an integer point and at p/q
-    for point in (Fraction(x.numerator), x):
-        factor = Poly([-point, 1]) ** m
-        got_m, got_q, value = (p * factor).split_root(point)
-        want_m, want_q, want_value = ref_split_root(ref_mul(a, factor.coeffs), point)
-        assert_normal_form(got_q)
-        assert (got_m, got_q.coeffs, value) == (want_m, want_q, want_value)
-        assert type(value) is Fraction
+    # a root of multiplicity >= m at the point
+    factor = Poly([-point, 1]) ** m
+    product = p * factor
+    want_m, want_q, want_value = ref_split_root(ref_mul(a, factor.coeffs), point)
+    assert taylor_lead(product, point) == (want_m, want_value)
+    cofactor = (Poly(list(product.taylor(point))[want_m:]) * Fraction(1, product._d)).shift(-point)
+    assert_normal_form(cofactor)
+    assert cofactor.coeffs == want_q
 
 
 scale_values = st.lists(st.one_of(rationals, st.integers(-20, 20)), min_size=9, max_size=9)
