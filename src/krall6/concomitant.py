@@ -80,6 +80,7 @@ from fractions import Fraction
 from operator import mul
 
 from .germs import (
+    UNIT,
     DivergentLimitError,
     EndpointFn,
     LogGerm,
@@ -400,7 +401,7 @@ def log_probe_reduction(f, endpoint: int, params: KrallParams) -> Fraction:
     near, far = _near_far(endpoint, params)
     head = endpoint * (32 * near + 12 * far - 16) * value_at(f, endpoint)
     _, _, line3, _, *rest = _line_factors(fg, probe, params)
-    return head + product_limit([line3, (32, fg.derivative(1), germ_at(1, endpoint)), *rest])
+    return head + product_limit([line3, (32, fg.derivative(1), UNIT[endpoint]), *rest])
 
 
 # ---------------------------------------------------------------------------

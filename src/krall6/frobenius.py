@@ -20,25 +20,22 @@ for every n (using l[t^s ln|t|] = d/ds l[t^s]), with rho_d(s) and rho_d'(s)
 read as ints from one table per endpoint (`LocalExpression.at`, one integer
 Horner pass per row, no `Fraction`) that the six labels, `residual_order` and
 the suite share through the memoised `operator.local_expression`.  Up to
-`settle` (below) the solver
-keeps every coefficient as an exact linear form in the free parameters p_1,
-p_2, ... introduced at resonances (orders where rho_0(r+n) = 0), held as the
-`Poly` const + sum_i a_i x^i, so forms add and scale as polynomials do.  One elimination rule
-serves every order up to `settle`: the coefficient times rho_0(r+n) plus the known rest
-must vanish, so the coefficient is -rest/rho_0(r+n), or, at a resonance, the
-rest becomes a constraint and the coefficient a fresh parameter.  Every
-constraint -- a recurrence row at a resonance or a canonicalization target
--- goes through the one path `resolve_constraint`, which eliminates the
-latest parameter present (the form's degree); one that survives elimination
-as a nonzero constant means the single-log ansatz (or the requested
-normalization) is impossible and raises `ObstructionUnexpectedError`.
-Delayed elimination matters: e.g. the pure exponent-1 solution has its
-second coefficient forced to -(A+1)/2 by a constraint two orders later, so
-naive pin-to-zero would falsely obstruct.  Parameters settle at the last
-resonance (or the highest target offset, if later): there the targets are
-applied, the parameters still free are pinned to 0, and every form becomes
-its constant.  The rows are ints scaled by q = `LocalExpression.scale` (the
-lcm of the stencil's denominators); both levels are homogeneous in them.
+`settle` (below) every coefficient is a variable of `linalg.eliminate`, a
+linear form held as a `Poly`: e_n = x^(2n+1) and c_n = x^(2n+2).  Each
+order's two rows are eliminated under their highest remaining variable, so
+at a non-resonant order c_n's own row gives -rest/rho_0(r+n), and at a
+resonance (rho_0(r+n) = 0) the row eliminates the latest variable left in
+the rest and the coefficient stays free.  Delayed elimination matters: e.g.
+the pure exponent-1 solution has its second coefficient forced to -(A+1)/2
+by a row two orders later, so naive pin-to-zero would falsely obstruct.  At
+`settle`, the last resonance (or the highest target offset, if later), the
+canonicalization targets are eliminated too, and each coefficient is its
+form reduced by the rows (`linalg.reduce`) with any free variable pinned
+to 0.  The recurrence rows are homogeneous, so only a target can leave a
+nonzero constant: the single-log ansatz (or the requested normalization)
+is impossible, and `ObstructionUnexpectedError` is raised.  The rows are
+ints scaled by q = `LocalExpression.scale` (the lcm of the stencil's
+denominators); both levels are homogeneous in them.
 Past `settle` no pivot vanishes, and `LocalExpression.continue_solution`
 runs the rest on ints.
 
@@ -81,6 +78,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .germs import _check_endpoint
+from .linalg import eliminate, reduce
 from .operator import KrallParams, LocalExpression, local_expression
 from .polynomials import Poly, format_rational
 from .values import Value
@@ -93,8 +91,8 @@ MIN_ORDER = 12
 
 #: label -> (leading exponent, whether the ansatz carries a log level,
 #: canonicalization targets).  The targets are ordered ((offset, log_level),
-#: value) assignments resolved against whatever parameters remain free after
-#: the last resonance; any parameter still free afterwards is pinned to 0.
+#: value) assignments eliminated against whatever variables remain free after
+#: the last resonance; any variable still free afterwards is pinned to 0.
 _SOLUTIONS = {
     "phi-3": (3, False, (((0, 0), 1),)),
     "phi-2": (2, True, (((0, 0), 1), ((1, 0), 0))),
@@ -175,60 +173,36 @@ class SeriesSolution(Value):
 
 
 def _solve_single(local: LocalExpression, label: str, order: int) -> SeriesSolution:
-    """Run the two-level recurrence for one label, with one elimination rule.
+    """Run the two-level recurrence for one label through `linalg.eliminate`.
 
-    Up to `settle` coefficients are linear forms held as `Poly`s (p_i is
-    x^i).  `solve` gives each coefficient from coefficient * pivot + rest = 0,
-    or, for a zero pivot, constrains rest = 0 and returns a fresh parameter.
-    At `settle` the targets are applied, the free parameters pinned to 0, and
-    every coefficient becomes its constant.  No pivot past `settle` is zero, so
-    `local.continue_solution` runs the later orders on ints.
+    Order n <= `settle` eliminates the rows pivot e_n + T1 (with a log level) and
+    pivot c_n + slope e_n + T0, then the targets; each coefficient is its reduced
+    form's constant.  No pivot past `settle` is zero, so `local.continue_solution`
+    runs the later orders on ints.
     """
     r, with_log, targets = _SOLUTIONS[label]
     pivots = [local.at(r + n)[0][0] for n in range(order + 1)]
     settle = max([n for n, pivot in enumerate(pivots) if pivot == 0] + [m for (m, _), _ in targets])
 
-    e, c = [], []  # level-1 and level-0 coefficients: forms, then Fractions
-    rows: dict[int, Poly] = {}  # x^i -> the monic constraint eliminating p_i
-    params = 0
-
-    def reduce(form: Poly) -> Poly:
-        # a row eliminating p_i holds only lower parameters, so one descending pass
-        for i in range(form.degree or 0, 0, -1):
-            if i in rows and form[i]:
-                form = form - rows[i] * form[i]
-        return form
-
-    def resolve_constraint(form: Poly, context: str) -> None:
-        # eliminate the latest-introduced parameter present
-        form = reduce(form)
-        if form.degree:
-            rows[form.degree] = form.monic()
-        elif form:
+    e, c = [], []  # level-1 and level-0 coefficients: variables, then Fractions
+    rows: dict[int, Poly] = {}  # x^i -> the monic row eliminating variable i
+    for n in range(settle + 1):
+        tail1, tail0 = local.row_sum(r + n, 0, c, e)
+        pivot, slope = local.at(r + n)[0]
+        # without a log level every e_m is 0, and so is tail1: there is no level-1 row
+        e.append(Poly.monomial(2 * n + 1) if with_log else Poly())
+        c.append(Poly.monomial(2 * n + 2))
+        if with_log:
+            eliminate(rows, tail1 + e[n] * pivot)
+        eliminate(rows, tail0 + e[n] * slope + c[n] * pivot)
+    for (m, level), value in targets:
+        form = eliminate(rows, (e if level else c)[m] - value)
+        if form.degree == 0:
             raise ObstructionUnexpectedError(
-                f"{label} at endpoint {local.center:+d}: {context} leaves "
+                f"{label} at endpoint {local.center:+d}: target {(m, level)}={value} leaves "
                 f"nonzero constant {form[0]}"
             )
-
-    def solve(rest: Poly, pivot: Fraction, context: str) -> Poly:
-        nonlocal params
-        if pivot:
-            return rest * Fraction(-1, pivot)
-        resolve_constraint(rest, context)
-        params += 1
-        return Poly.monomial(params)
-
-    for n in range(settle + 1):
-        # a tail is a Poly: at a resonance it is a constraint
-        tail1, tail0 = local.row_sum(r + n, 0, c, e, Poly())
-        # without a log level every e_m is 0, and so is tail1
-        e.append(solve(tail1, pivots[n], f"level-1 order {n}") if with_log else tail1)
-        c.append(solve(tail0 + e[n] * local.at(r + n)[0][1], pivots[n], f"level-0 order {n}"))
-    for (m, level), value in targets:
-        resolve_constraint((e if level else c)[m] - value, f"target {(m, level)}={value}")
-    for i in range(1, params + 1):
-        rows.setdefault(i, Poly.monomial(i))
-    e, c = [reduce(form)[0] for form in e], [reduce(form)[0] for form in c]
+    e, c = [reduce(rows, form)[0] for form in e], [reduce(rows, form)[0] for form in c]
 
     den = math.lcm(*(f.denominator for f in e + c))
     e, c = ([f.numerator * (den // f.denominator) for f in level] for level in (e, c))

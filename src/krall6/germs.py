@@ -22,9 +22,9 @@ for the limit of any sum of products c a b such as a bracket's lines, and
 builds no product: it reads the factors' principal parts, their Laurent
 coefficients of u^n L^k up to a depth (`RationalFn.laurent_at`, ints over
 one denominator per log power), with L kept a symbol.  `LogGerm.limit` is
-the one product g * 1.  A failed limit raises `DivergentLimitError` -- the
-typed "outside the limit class" outcome -- naming the lowest failing power
-and its valuation.
+the one product g * 1, against the `UNIT` germ built once per endpoint.  A
+failed limit raises `DivergentLimitError` -- the typed "outside the limit
+class" outcome -- naming the lowest failing power and its valuation.
 
 Derivatives are memoised by value: `derivative(n)` is served by
 `_derivative`, a `functools.lru_cache` keyed by (germ, n) and bounded at
@@ -205,7 +205,7 @@ class LogGerm(Value):
 
     def limit(self) -> Fraction:
         """Endpoint limit, the product g * 1 through `product_limit`; raises DivergentLimitError."""
-        return product_limit(((1, self, germ_at(1, self.endpoint)),))
+        return product_limit(((1, self, UNIT[self.endpoint]),))
 
     def has_limit(self) -> bool:
         try:
@@ -219,6 +219,10 @@ class LogGerm(Value):
             return f"LogGerm({self.endpoint:+d}, 0)"
         body = " + ".join(f"[L^{k}]({r!r})" for k, r in self.terms.items())
         return f"LogGerm({self.endpoint:+d}, {body})"
+
+
+#: The constant germ 1 at each endpoint, built once: the factor every one-germ limit pairs with.
+UNIT = {e: LogGerm.from_poly(Poly.one(), e) for e in (-1, 1)}
 
 
 def _differentiate(g: LogGerm) -> LogGerm:

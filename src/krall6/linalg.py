@@ -1,10 +1,11 @@
-"""Tiny exact linear algebra over Fraction: determinant and kernel vector.
+"""Tiny exact linear algebra: one elimination kernel, a determinant, a kernel vector.
 
-Matrices are lists of row lists.  `determinant` eliminates with partial
-pivoting by nonzero entry on the small certificate matrices
-(`extension.independence_certificate`).  `kernel_vector` has no library
-caller: `operator.eigen_polynomial` runs the banded stencil recurrence
-instead.  It stays as the tests' dense reference for that recurrence, and
+A linear form is a `Poly` whose x^i coefficient belongs to variable i and whose
+x^0 coefficient is the constant term.  `eliminate` stores a form, reduced and
+monic, under its highest variable, so a row holds only lower variables; the
+Frobenius settle phase and `determinant` (`extension.independence_certificate`)
+both run it.  `kernel_vector` has no library caller: it stays as the tests'
+dense reference for `operator.eigen_polynomial`'s banded recurrence, and
 because the benchmark's trace spans name it.
 """
 
@@ -12,31 +13,45 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .polynomials import Poly
+
 Matrix = list[list[Fraction]]
 
 
+def reduce(rows: dict[int, Poly], form: Poly) -> Poly:
+    """`form` less the multiples of `rows` that clear each stored variable, highest first:
+    one pass, since a row eliminating x^i holds only lower variables."""
+    for i in range(form.degree or 0, 0, -1):
+        if i in rows and form[i]:
+            form = form - rows[i] * form[i]
+    return form
+
+
+def eliminate(rows: dict[int, Poly], form: Poly) -> Poly:
+    """The reduced `form`; if a variable is left, its monic form is stored under the highest."""
+    form = reduce(rows, form)
+    if form.degree:
+        rows[form.degree] = form.monic()
+    return form
+
+
 def determinant(m: Matrix) -> Fraction:
-    n = len(m)
-    if any(len(row) != n for row in m):
+    """Row i is the form sum_j m[i][j] x^(j+1); `eliminate` adds only multiples of earlier rows,
+    so det m is 0 if a row reduces to zero, else the product of the leading coefficients times
+    (-1)^(inversions of their variables in row order).  ValueError unless square, TypeError
+    for an entry that is not an exact scalar."""
+    if any(len(row) != len(m) for row in m):
         raise ValueError("determinant needs a square matrix")
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
+    rows: dict[int, Poly] = {}
+    det, keys = Fraction(1), []
+    for form in [Poly([0, *row]) for row in m]:
+        form = eliminate(rows, form)
+        if not form:
             return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] == 0:
-                continue
-            factor = a[r][col] * inv
-            for c in range(col, n):
-                a[r][c] -= factor * a[col][c]
-    return det
+        det *= form.leading_coefficient()
+        keys.append(form.degree)
+    inversions = sum(a > b for i, a in enumerate(keys) for b in keys[i + 1 :])
+    return -det if inversions % 2 else det
 
 
 def kernel_vector(m: Matrix) -> list[Fraction]:

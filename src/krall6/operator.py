@@ -54,6 +54,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from types import MappingProxyType
 
 from .germs import EndpointFn, _as_poly
 from .polynomials import WEIGHT, Poly, Scalar, as_fraction, format_rational
@@ -191,7 +192,8 @@ class LocalExpression(Value):
     """The expression at an integer centre c, on powers t^s, t = x - c.
 
     `pole` is minus the lowest shift of `power_stencil` there and `stencil[d]`
-    its rho_{d-pole}, in ascending d, so l[t^s] = sum_d rho_d(s) t^(s-pole+d);
+    its rho_{d-pole}, in ascending d, so l[t^s] = sum_d rho_d(s) t^(s-pole+d)
+    (`stencil` is read-only, since `local_expression` shares it);
     `order` is the highest degree in s of any rho_d, `scale` the lcm q of the
     stencil's coefficient denominators, and `table[s]` the int row `at(s)` once
     it is complete.  Equality, hash and repr see only (center, params).
@@ -217,8 +219,8 @@ class LocalExpression(Value):
             d: tuple(c.numerator * (q // c.denominator) for c in reversed(rho.coeffs)) for d, rho in stencil.items()
         }
         for name, value in (
-            ("center", center), ("params", params), ("stencil", stencil), ("pole", pole), ("order", order),
-            ("scale", q), ("table", {}), ("_horner", horner),
+            ("center", center), ("params", params), ("stencil", MappingProxyType(stencil)), ("pole", pole),
+            ("order", order), ("scale", q), ("table", {}), ("_horner", horner),
         ):
             _set(self, name, value)
 
@@ -264,13 +266,13 @@ class LocalExpression(Value):
         unscale = Fraction(1, self.scale)
         return out_c * unscale, Poly.scaled_sum(value_terms) * unscale
 
-    def row_sum(self, s: int, pivot: int, c, e, total=0, shift: int = 0) -> tuple:
+    def row_sum(self, s: int, pivot: int, c, e, shift: int = 0) -> tuple:
         """(T1, T0) = (sum e_k v_d, sum c_k v_d + e_k v_d') over the rows d != pivot of
         q l - shift, (v_d, v_d') = `at(s + pivot - d)[d]` less (shift, 0) at d = pole (the shift-0
         row), where c_k = c[-k] and e_k = e[-k] are the coefficients of t^(s+pivot-d),
         k = |d - pivot| places back; a pair the lists do not reach, or a zero pair, reads no row.
-        The entries are ints or `Poly` linear forms, summed onto `total`."""
-        t1 = t0 = total
+        The entries are ints or `Poly` linear forms; 0 plus a form is a form."""
+        t1 = t0 = 0
         reach, pole = len(c), self.pole
         for d in self.stencil:
             k = abs(d - pivot)

@@ -195,6 +195,23 @@ def test_deep_dump_digests_are_pinned(capsys, selector):
     assert hashlib.sha256(out.encode()).hexdigest() == DEEP_DUMP_SHA256[selector]
 
 
+#: sha256 of the other three dumps the CI console-script step runs, so they are checked here too.
+CONSOLE_DUMP_SHA256 = {
+    ("matrix", "gram", "--nmax", "12"): "cc9ca9e4789316d298adb58c7d117ee894173a3fc4db540ed7929fa42608fc1e",
+    ("matrix", "operator", "--nmax", "4", "--A", "1/3", "--B", "7/2"): (
+        "cad2778cb01c690a6ba86331172f9473e5b8c2d045d5e0c50fdf407002e3fe31"
+    ),
+    ("poly", "legendre", "12", "--A", "3/2"): "3d1fad924cadbe0b07c4b081f65a4c0b1b3d5569305afe10fe58ce215e37ceae",
+}
+
+
+@pytest.mark.parametrize("argv", CONSOLE_DUMP_SHA256, ids=" ".join)
+def test_console_script_dump_digests_are_pinned(capsys, argv):
+    code, out, _ = run_cli(capsys, "dump", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CONSOLE_DUMP_SHA256[argv]
+
+
 #: sha256 of the order-200 phi-0 series at -1 at A = 1/10^6, B = 10^6/7 (902,899 bytes), whose
 #: numerators and denominators run to thousands of bits: the solver's largest ints, byte for byte.
 EXTREME_SERIES_SHA256 = "9a500169d2a0be902efb70c598bfa2e754d02396e8359235d29188a68c6a9c68"

@@ -1,5 +1,6 @@
 """Frobenius analysis: indicial structure, series, classification."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -46,13 +47,35 @@ def test_indicial_roots_computed(endpoint, params):
     assert rho0(3) == 0 and rho0(4) != 0
 
 
-@pytest.mark.parametrize("rho0", (Poly([-3, 1]) * Poly([-1, 2]), Poly([-11, 1]) * Poly([0, 1]), Poly([2, 0, 1])))
-def test_indicial_roots_fail_on_a_root_outside_the_integers(rho0):
-    # a root at 1/2, at 11 (past the candidates) or complex leaves the multiplicities short of the degree
+ROOTS_0_TO_3 = Poly([0, 1]) * Poly([-1, 1]) * Poly([-2, 1]) * Poly([-3, 1])
+
+
+@pytest.mark.parametrize(
+    "rho0",
+    [ROOTS_0_TO_3 * odd for odd in (Poly([-1, 1]) * Poly([-1, 2]), Poly([-1, 1]) * Poly([-11, 1]), Poly([2, 0, 1]))],
+)
+def test_indicial_roots_fail_on_a_root_outside_the_integers(monkeypatch, rho0):
+    # a root at 1/2, at 11 (past the candidates) or a complex pair leaves the multiplicities short
+    # of the degree; the lowest row keeps degree 6, so Fuchs's check still passes
+    real = op.power_stencil
+
+    def patched(params, center):
+        stencil = real(params, center)
+        return {**stencil, min(stencil): rho0}
+
+    monkeypatch.setattr(op, "power_stencil", patched)
     local = LocalExpression(1, KrallParams(1, 2))  # fresh, not the memoised one
-    local.stencil[0] = rho0
+    assert local.indicial_polynomial() == rho0
     with pytest.raises(ArithmeticError, match="root outside the integers"):
         local.indicial_roots()
+
+
+def test_stencil_is_read_only():
+    # `local_expression` shares one instance per (centre, params), so a write must not reach it
+    local = local_expression(1, KrallParams(1, 2))
+    with pytest.raises(TypeError):
+        local.stencil[0] = Poly([-1, 2])
+    assert local.indicial_roots() == [3, 2, 1, 1, 0, -1]
 
 
 def test_indicial_polynomial_is_parameter_free():
@@ -335,8 +358,21 @@ def test_unsatisfiable_shape_is_an_obstruction(monkeypatch):
     broken = dict(fro_mod._SOLUTIONS)
     broken["phi-3"] = (3, False, (((0, 0), 1), ((0, 1), 5)))
     monkeypatch.setattr(fro_mod, "_SOLUTIONS", broken)
-    with pytest.raises(ObstructionUnexpectedError):
+    message = "phi-3 at endpoint +1: target (0, 1)=5 leaves nonzero constant -5"
+    with pytest.raises(ObstructionUnexpectedError, match=re.escape(message)):
         solution_basis(1, 12, KrallParams(1, 1))
+
+
+@pytest.mark.parametrize("endpoint", (-1, 1))
+def test_resonance_forcing_a_missing_log_level_is_an_obstruction(monkeypatch, endpoint):
+    # phi-2's resonance forces a log part; without a log level the recurrence pins c_0 to 0,
+    # so the target c_0 = 1 cannot be met
+    broken = dict(fro._SOLUTIONS)
+    broken["phi-2"] = (2, False, broken["phi-2"][2])
+    monkeypatch.setattr(fro, "_SOLUTIONS", broken)
+    message = f"phi-2 at endpoint {endpoint:+d}: target (0, 0)=1 leaves nonzero constant -1"
+    with pytest.raises(ObstructionUnexpectedError, match=re.escape(message)):
+        series_solution(endpoint, "phi-2", 12, KrallParams(1, 2))
 
 
 @pytest.mark.parametrize("endpoint", (-1, 1))
